@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import chain
+from operator import mul
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .ratlinalg import Matrix, Vector, mat_vec, vec
+from .ratlinalg import Matrix, Vector, dot, integer_rows, mat_vec, vec
 from .rootsys import RootSystem
 
 
@@ -34,24 +36,35 @@ def level_params(rs: RootSystem, k) -> LevelParams:
     return LevelParams(k, k + rs.dual_coxeter)
 
 
+def _pair_gram(rs: RootSystem, scale: Q) -> Matrix:
+    """scale (alpha, beta) + delta over the positive roots, from rs.pair_table."""
+    scale /= rs.pair_den
+    value = {x: scale * x for x in set(chain.from_iterable(rs.pair_table))}
+    return tuple(
+        tuple(value[x] + 1 if i == j else value[x] for j, x in enumerate(row))
+        for i, row in enumerate(rs.pair_table)
+    )
+
+
+def _pair_gram_apply(rs: RootSystem, scale: Q, v: Sequence) -> Vector:
+    """_pair_gram(rs, scale) times v, the products taken on integers."""
+    v = vec(v)
+    if len(v) != rs.num_positive:
+        raise ValueError("dimension mismatch")
+    (ints,), d = integer_rows((v,))
+    scale /= rs.pair_den * d
+    return tuple(x + scale * sum(map(mul, row, ints))
+                 for x, row in zip(v, rs.pair_table))
+
+
 def gram_g(rs: RootSystem, k) -> Matrix:
     """Pairing matrix of the J generators: (alpha, beta)/k + delta."""
-    lp = level_params(rs, k)
-    roots = rs.positive_roots
-    return tuple(
-        tuple(rs.form(a, b) / lp.k + (1 if i == j else 0) for j, b in enumerate(roots))
-        for i, a in enumerate(roots)
-    )
+    return _pair_gram(rs, 1 / level_params(rs, k).k)
 
 
 def gram_g_star(rs: RootSystem, k) -> Matrix:
     """Exact inverse of gram_g: -(alpha, beta)/(k + h_vee) + delta."""
-    lp = level_params(rs, k)
-    roots = rs.positive_roots
-    return tuple(
-        tuple(-rs.form(a, b) / lp.shifted + (1 if i == j else 0) for j, b in enumerate(roots))
-        for i, a in enumerate(roots)
-    )
+    return _pair_gram(rs, -1 / level_params(rs, k).shifted)
 
 
 def gram_G(rs: RootSystem, k) -> Matrix:
@@ -105,7 +118,8 @@ class ScWeight:
     def jstar_values(self, rs: RootSystem) -> Vector:
         """Values on the dual basis: lambda(J*_a) = sum_b g*_ab lambda(J_b)."""
         self._check(rs)
-        return mat_vec(gram_g_star(rs, self.level), self.j_values)
+        lp = level_params(rs, self.level)
+        return _pair_gram_apply(rs, -1 / lp.shifted, self.j_values)
 
     def in_Qsc(self, rs: RootSystem) -> bool:
         """Membership in the J-span lattice: all dual-basis values integral."""
@@ -138,15 +152,15 @@ def make_sc_weight(rs: RootSystem, k, j_values: Sequence) -> ScWeight:
 
 def sc_weight_from_jstar(rs: RootSystem, k, jstar: Sequence) -> ScWeight:
     """Weight with prescribed values on J*; J-values recovered through g."""
-    values = mat_vec(gram_g(rs, k), vec(jstar))
-    return make_sc_weight(rs, k, values)
+    lp = level_params(rs, k)
+    return make_sc_weight(rs, k, _pair_gram_apply(rs, 1 / lp.k, jstar))
 
 
 def weight_to_sc(rs: RootSystem, k, mu: Sequence) -> ScWeight:
     """Affine weight to coset weight: value (mu, alpha)/k on each J_alpha."""
     lp = level_params(rs, k)
-    m = vec(mu)
-    return make_sc_weight(rs, k, tuple(rs.form(m, a) / lp.k for a in rs.positive_roots))
+    fm = mat_vec(rs.form_matrix, vec(mu))
+    return make_sc_weight(rs, k, tuple(dot(fm, a) / lp.k for a in rs.positive_roots))
 
 
 def sc_weight_to_af(rs: RootSystem, k, lam: ScWeight) -> Vector:

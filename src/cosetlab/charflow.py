@@ -783,12 +783,15 @@ class SeedReport(NamedTuple):
     problems: Tuple[str, ...]
 
 
-def validate_seed(raw: dict) -> SeedReport:
+def validate_seed(raw) -> SeedReport:
     """Build an affine character from seed data, or report every violation.
 
     A seed is exact: its strings are finite polynomials with no validity cap,
-    and each must declare the minimum exponent it actually attains.
+    and each must declare the minimum exponent it actually attains.  Any
+    decoded JSON value is accepted; a non-seed yields problems, never raises.
     """
+    if not isinstance(raw, dict):
+        return SeedReport(None, ("seed is not a JSON object",))
     problems: List[str] = []
     for key in ("type", "rank", "level", "base_weight", "strings"):
         if key not in raw:
@@ -797,7 +800,7 @@ def validate_seed(raw: dict) -> SeedReport:
         return SeedReport(None, tuple(problems))
     try:
         rs = build_root_system(str(raw["type"]), int(raw["rank"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         return SeedReport(None, (f"bad root system: {exc}",))
     try:
         k = _parse_rational(raw["level"])
@@ -811,8 +814,13 @@ def validate_seed(raw: dict) -> SeedReport:
         base = tuple(_parse_rational(x) for x in base_raw)
     except ValueError as exc:
         return SeedReport(None, (f"bad base weight: {exc}",))
+    if not isinstance(raw["strings"], list):
+        return SeedReport(None, ("strings is not a list",))
     strings: Dict[Tuple[int, ...], QSeries] = {}
     for entry in raw["strings"]:
+        if not isinstance(entry, dict):
+            problems.append(f"string entry is not an object: {entry!r}")
+            continue
         label = str(entry.get("weight_offset"))
         off_raw = entry.get("weight_offset")
         if not isinstance(off_raw, list) or len(off_raw) != rs.rank:
@@ -834,6 +842,9 @@ def validate_seed(raw: dict) -> SeedReport:
         terms_raw = entry.get("terms")
         if not terms_raw:
             problems.append(f"string has no terms: {label}")
+            continue
+        if not isinstance(terms_raw, list):
+            problems.append(f"terms is not a list in string {label}")
             continue
         terms = []
         seen = set()

@@ -15,7 +15,8 @@ from math import isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from .bilinear import ScWeight, sc_weight_from_jstar
-from .ratlinalg import Vector, determinant, mat, smith_normal_form, vec
+from .ratlinalg import (Vector, determinant, dot, leading_minors, mat_vec,
+                        smith_normal_form, vec)
 from .rootsys import RootSystem
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -47,17 +48,14 @@ def default_cocycle(gram: IntMatrix) -> IntMatrix:
 
 
 def _signature(gram: IntMatrix) -> str:
-    """Sylvester classification into positive / negative / indefinite."""
-    n = len(gram)
-    if n == 0:
-        return "positive"
-    minors = []
-    for m in range(1, n + 1):
-        block = mat(row[:m] for row in gram[:m])
-        minors.append(determinant(block))
+    """Sylvester classification into positive / negative / indefinite.
+
+    A zero leading minor ends the list and makes the lattice indefinite.
+    """
+    minors = leading_minors(gram)
     if all(x > 0 for x in minors):
         return "positive"
-    if all((x > 0) == (m % 2 == 0) and x != 0 for m, x in zip(range(1, n + 1), minors)):
+    if all((x > 0) == (m % 2 == 0) and x != 0 for m, x in enumerate(minors, 1)):
         return "negative"
     return "indefinite"
 
@@ -304,8 +302,8 @@ def form_profile(rs: RootSystem, gamma: Sequence) -> Vector:
     The coefficients are rational for short inputs in some types, so the
     result is a plain coefficient vector rather than a LatticeVector.
     """
-    g = vec(gamma)
-    return tuple(rs.form(g, beta) for beta in rs.positive_roots)
+    fg = mat_vec(rs.form_matrix, vec(gamma))
+    return tuple(dot(fg, beta) for beta in rs.positive_roots)
 
 
 def kernel_K(rs: RootSystem) -> EmbeddedLattice:
@@ -329,12 +327,12 @@ def build_Qsc_dual_lattice(rs: RootSystem) -> IntegralLattice:
     """Lattice on the J generators with pairing (alpha, beta) + delta."""
     if not rs.is_simply_laced:
         raise ValueError("lattice requires a simply-laced root system")
-    roots = rs.positive_roots
+    # simply laced: the pair table is already integral (pair_den == 1)
     gram = tuple(
-        tuple(int(rs.form(a, b)) + (1 if i == j else 0) for j, b in enumerate(roots))
-        for i, a in enumerate(roots)
+        tuple(x + 1 if i == j else x for j, x in enumerate(row))
+        for i, row in enumerate(rs.pair_table)
     )
-    labels = tuple("J" + _root_label(a) for a in roots)
+    labels = tuple("J" + _root_label(a) for a in rs.positive_roots)
     return _lattice("Qsc-dual", labels, gram)
 
 
@@ -382,8 +380,7 @@ def discriminant_group(lattice: IntegralLattice) -> List[int]:
     """Elementary divisors (>1) of the Gram matrix, in divisibility order."""
     if lattice.rank == 0:
         return []
-    det = determinant(mat(lattice.gram))
-    if det == 0:
+    if determinant(lattice.gram) == 0:
         raise ValueError("gram matrix is singular")
     divisors = smith_normal_form(lattice.gram)
     return [d for d in divisors if d > 1]

@@ -407,10 +407,6 @@ class SingularPart:
     def max_pole(self) -> int:
         return max(self.poles) if self.poles else 0
 
-    @property
-    def is_regular(self) -> bool:
-        return not self.poles
-
 
 def _validate_field(table: ContractionTable, f: Field) -> int:
     """Shape-check a field and return its parity; reject mixed parity."""

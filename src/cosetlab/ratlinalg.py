@@ -1,8 +1,14 @@
-"""Exact linear algebra over the rationals, plus integer Smith normal form."""
+"""Exact linear algebra over the rationals, plus integer Smith normal form.
+
+Products and determinants run on Python integers: each operand is scaled by
+the lcm of its denominators and the result is divided once per entry.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import lcm
+from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
@@ -27,29 +33,26 @@ def dot(u: Sequence, v: Sequence) -> Q:
     return sum((Q(a) * Q(b) for a, b in zip(u, v)), Q(0))
 
 
-def vadd(u: Sequence, v: Sequence) -> Vector:
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return tuple(Q(a) + Q(b) for a, b in zip(u, v))
-
-
-def vsub(u: Sequence, v: Sequence) -> Vector:
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return tuple(Q(a) - Q(b) for a, b in zip(u, v))
-
-
-def vscale(c, u: Sequence) -> Vector:
-    return tuple(Q(c) * Q(a) for a in u)
-
-
 def mat_vec(a: Matrix, v: Sequence) -> Vector:
     return tuple(dot(row, v) for row in a)
 
 
+def integer_rows(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
+    """Integer rows m and one common denominator d with rows == m / d."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    """Exact product: integer products over each operand's common
+    denominator, one division per entry."""
+    if any(len(row) != len(b) for row in a):
+        raise ValueError("dimension mismatch")
+    ma, da = integer_rows(a)
+    mb, db = integer_rows(b)
+    cols = list(zip(*mb))
+    return tuple(tuple(Q(sum(map(mul, row, col)), da * db) for col in cols)
+                 for row in ma)
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -79,24 +82,43 @@ def solve(a: Matrix, b: Sequence) -> Vector:
     return mat_vec(mat_inv(a), vec(b))
 
 
+def _bareiss(m: List[List[int]], pivoting: bool) -> Tuple[List[int], int]:
+    """Fraction-free elimination (Bareiss 1968) of a square integer matrix,
+    in place: its pivots and the sign of the row swaps made.
+
+    The k-th pivot is the k-th leading principal minor of the row-swapped
+    matrix.  The pass stops at a zero pivot: the first zero minor without
+    pivoting, a singular matrix with it.
+    """
+    sign, prev, pivots = 1, 1, []
+    for k in range(len(m)):
+        if pivoting and m[k][k] == 0:
+            swap = next((r for r in range(k + 1, len(m)) if m[r][k]), k)
+            if swap != k:
+                m[k], m[swap], sign = m[swap], m[k], -sign
+        p = m[k][k]
+        pivots.append(p)
+        if p == 0:
+            break
+        top = m[k][k + 1:]
+        for row in m[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], top)]
+        prev = p
+    return pivots, sign
+
+
+def leading_minors(rows: Sequence[Sequence[int]]) -> List[int]:
+    """Leading principal minors of a square integer matrix, from one pass
+    without pivoting; the list stops at the first zero minor."""
+    return _bareiss([list(row) for row in rows], pivoting=False)[0]
+
+
 def determinant(a: Matrix) -> Q:
-    n = len(a)
-    work = [list(map(Q, row)) for row in a]
-    det = Q(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return Q(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv_p = Q(1) / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                factor = work[r][col] * inv_p
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return det
+    """Exact determinant from one Bareiss pass over the integer-scaled rows."""
+    m, d = integer_rows(a)
+    pivots, sign = _bareiss(m, pivoting=True)
+    return Q(sign * pivots[-1], d ** len(a)) if pivots else Q(1)
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> List[int]:

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import lcm
+from operator import mul
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .ratlinalg import Matrix, Vector, dot, mat, mat_inv, mat_vec, vec
+from .ratlinalg import Matrix, Vector, dot, integer_rows, mat, mat_inv, mat_vec, vec
 
 Coords = Tuple[int, ...]
 
@@ -128,6 +130,11 @@ class RootSystem:
     root_index: Dict[Coords, int]
     highest_root: Coords
     dual_coxeter: int
+    # form_matrix == form_numerators / pair_den, and (alpha_a, alpha_b) over
+    # the positive roots == pair_table[a][b] / pair_den
+    form_numerators: Tuple[Tuple[int, ...], ...]
+    pair_table: Tuple[Tuple[int, ...], ...]
+    pair_den: int
 
     @property
     def num_positive(self) -> int:
@@ -147,7 +154,11 @@ class RootSystem:
 
     def form(self, u: Sequence, v: Sequence) -> Q:
         """Normalized invariant form on simple-root coordinates."""
-        return dot(u, mat_vec(self.form_matrix, v))
+        if len(u) != self.rank or len(v) != self.rank:
+            raise ValueError("dimension mismatch")
+        (iu, iv), d = integer_rows((vec(u), vec(v)))
+        total = sum(x * sum(map(mul, row, iv)) for x, row in zip(iu, self.form_numerators))
+        return Q(total, d * d * self.pair_den)
 
     def norm(self, u: Sequence) -> Q:
         return self.form(u, u)
@@ -173,10 +184,6 @@ class RootSystem:
         half = self.d[i]  # (alpha_i, alpha_i)/2
         return tuple(half * row[i] for row in self.form_inverse)
 
-    def simple_coord(self, weight: Sequence, i: int) -> Q:
-        """Coefficient of alpha_i when weight is written over the simple roots."""
-        return Q(weight[i])
-
     def long_root_basis(self) -> Tuple[Vector, ...]:
         """Coroots of the simple roots; they span the long-root sublattice."""
         return tuple(self.coroot(alpha) for alpha in self.simple_roots)
@@ -185,45 +192,45 @@ class RootSystem:
         basis = self.long_root_basis()
         return tuple(tuple(self.form(u, v) for v in basis) for u in basis)
 
-    coroot_basis = long_root_basis
-    coroot_gram = long_root_gram
-
-    def coweight_gram(self) -> Matrix:
-        basis = tuple(self.coweight(i) for i in range(self.rank))
-        return tuple(tuple(self.form(u, v) for v in basis) for u in basis)
-
     def is_long(self, alpha: Sequence) -> bool:
         return self.norm(alpha) == 2
 
-    def in_root_lattice(self, weight: Sequence) -> bool:
-        return all(Q(x).denominator == 1 for x in weight)
+
+def _root_sum(form: Matrix, positives: Sequence[Coords], w: Sequence) -> Vector:
+    """sum over positive roots of (w, alpha) alpha, from one product form.w."""
+    fw = mat_vec(form, w)
+    image = [Q(0)] * len(w)
+    for alpha in positives:
+        c = dot(fw, alpha)
+        for j, x in enumerate(alpha):
+            image[j] += c * x
+    return tuple(image)
 
 
-def _dual_coxeter(form: Matrix, positives: Tuple[Coords, ...], theta: Coords) -> int:
+def _dual_coxeter(form: Matrix, table: Tuple[Tuple[int, ...], ...],
+                  positives: Tuple[Coords, ...], theta: Coords) -> int:
     """Eigenvalue of w -> sum over positive roots of (w, alpha) alpha.
 
     Cross-checked against 1 + (rho, theta-vee); both must agree and be integral.
     """
-    rank = len(form)
-
-    def pair(u: Sequence, v: Sequence) -> Q:
-        return dot(u, mat_vec(form, v))
-
     lam = positives[0]
-    image = [Q(0)] * rank
-    for alpha in positives:
-        c = pair(lam, alpha)
-        for j in range(rank):
-            image[j] += c * alpha[j]
+    image = _root_sum(form, positives, lam)
     ratio = image[0] / Q(lam[0])
-    if any(image[j] != ratio * lam[j] for j in range(rank)):
+    if any(x != ratio * y for x, y in zip(image, lam)):
         raise ValueError("form sum is not proportional to the test weight")
-    rho = tuple(sum(Q(r[j]) for r in positives) / 2 for j in range(rank))
-    theta_vee = tuple(Q(2) * x / pair(theta, theta) for x in theta)
-    alt = 1 + pair(rho, theta_vee)
+    # (rho, theta-vee) = 2 (rho, theta) / (theta, theta), rho the half sum
+    top = positives.index(theta)
+    alt = 1 + Q(sum(row[top] for row in table), table[top][top])
     if ratio != alt or ratio.denominator != 1:
         raise ValueError("dual Coxeter number consistency check failed")
     return int(ratio)
+
+
+def _pair_table(form: Tuple[Tuple[int, ...], ...],
+                positives: Tuple[Coords, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """u form v for every pair of positive roots u, v, in integers."""
+    left = [[sum(map(mul, r, col)) for col in zip(*form)] for r in positives]
+    return tuple(tuple(sum(map(mul, u, v)) for v in positives) for u in left)
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
@@ -239,6 +246,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     if len(tops) != 1:
         raise ValueError("highest root is not unique")
     theta = tops[0]
+    den = lcm(*(x.denominator for x in d))
+    form_int = tuple(tuple(int(d[i] * den) * x for x in row) for i, row in enumerate(a))
+    table = _pair_table(form_int, positives)
     return RootSystem(
         family=family,
         rank=rank,
@@ -249,7 +259,10 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         positive_roots=positives,
         root_index=index,
         highest_root=theta,
-        dual_coxeter=_dual_coxeter(form, positives, theta),
+        dual_coxeter=_dual_coxeter(form, table, positives, theta),
+        form_numerators=form_int,
+        pair_table=table,
+        pair_den=den,
     )
 
 
@@ -267,11 +280,6 @@ class HveeWitness(NamedTuple):
 def check_hvee_identity(rs: RootSystem, weight: Sequence) -> HveeWitness:
     """Evaluate both sides of sum over positive roots of (w, alpha) alpha == h-vee * w."""
     w = vec(weight)
-    image = [Q(0)] * rs.rank
-    for alpha in rs.positive_roots:
-        c = rs.form(w, alpha)
-        for j in range(rs.rank):
-            image[j] += c * alpha[j]
-    lhs = tuple(image)
+    lhs = _root_sum(rs.form_matrix, rs.positive_roots, w)
     rhs = tuple(rs.dual_coxeter * x for x in w)
     return HveeWitness(lhs, rhs, lhs == rhs)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as Q
 
@@ -277,6 +278,63 @@ def test_validate_seed_rejects_duplicate_offsets_and_bad_level():
                for p in validate_seed(seed_dict(level="0")).problems)
     assert any("bad root system" in p
                for p in validate_seed(seed_dict(type="Z")).problems)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4) | st.text(max_size=4)
+    | st.floats(-4, 4) | st.sampled_from([float("inf"), float("nan")]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=12,
+)
+SEED_PATHS = [
+    (), ("type",), ("rank",), ("level",), ("base_weight",), ("base_weight", 0),
+    ("strings",), ("strings", 0), ("strings", 0, "weight_offset"),
+    ("strings", 1, "weight_offset", 0), ("strings", 0, "terms"),
+    ("strings", 0, "terms", 0), ("strings", 0, "terms", 0, "exp"),
+    ("strings", 1, "terms", 0, "coef"), ("strings", 0, "min_exp"),
+]
+
+
+def _assert_report_consistent(report):
+    assert (report.character is None) == bool(report.problems)
+    assert all(isinstance(p, str) for p in report.problems)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+def test_validate_seed_is_total_on_any_json_value(raw):
+    _assert_report_consistent(validate_seed(raw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SEED_PATHS), JSON_VALUES)
+def test_validate_seed_is_total_on_corrupted_seeds(path, value):
+    raw = json.loads(json.dumps(seed_dict()))
+    if path:
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    else:
+        raw = value
+    _assert_report_consistent(validate_seed(raw))
+
+
+@pytest.mark.parametrize("raw, fragment", [
+    (5, "not a JSON object"),
+    ([seed_dict()], "not a JSON object"),
+    (seed_dict(strings=5), "strings is not a list"),
+    (seed_dict(strings={"0": 1}), "strings is not a list"),
+    (seed_dict(strings=[5]), "not an object"),
+    (seed_dict(strings=[{"weight_offset": [0], "terms": 5, "min_exp": "0"}]),
+     "terms is not a list"),
+    (seed_dict(rank=float("inf")), "bad root system"),
+])
+def test_validate_seed_reports_malformed_structure(raw, fragment):
+    report = validate_seed(raw)
+    assert report.character is None
+    assert any(fragment in p for p in report.problems)
 
 
 def test_seed_json_round_trip():

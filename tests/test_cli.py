@@ -159,6 +159,19 @@ def test_char_roundtrip_rejects_bad_seed(tmp_path, capsys):
     assert "bad seed file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", [
+    5,
+    dict(A1_SEED, strings=5),
+    dict(A1_SEED, strings=[5]),
+    dict(A1_SEED, strings=[dict(A1_SEED["strings"][0], terms=5)]),
+])
+def test_char_roundtrip_malformed_seed_is_usage_error(raw, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["char", "roundtrip", "--seed", str(p), "--T", "6"]) == 2
+    assert "bad seed file" in capsys.readouterr().err
+
+
 def test_char_roundtrip_missing_file(capsys):
     assert main(["char", "roundtrip", "--seed", "/nonexistent/s.json",
                  "--T", "6"]) == 2
@@ -207,3 +220,20 @@ def test_cli_json_keys_sorted(seed_path):
     canonical = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     assert result.stdout == canonical
     assert payload["schema"] == "cosetlab/1"
+
+
+def test_forms_verify_e8_fractional_level(capsys):
+    assert main(["forms", "verify", "--type", "E", "--rank", "8",
+                 "--level", "5/2", "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["g_times_g_star_is_identity"] is True
+    assert checks["G_times_G_star_is_identity"] is True
+
+
+def test_weights_map_e7(capsys):
+    assert main(["weights", "map", "--type", "E", "--rank", "7",
+                 "--level", "3/2", "--weight", "1,0,1/2,0,-1,0,1",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["roundtrip_ok"] is True
+    assert len(payload["jstar_values"]) == 63

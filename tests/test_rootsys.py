@@ -196,3 +196,16 @@ def test_unknown_family_rejected():
         cartan_matrix("H", 3)
     with pytest.raises(ValueError):
         build_root_system("B", 1)
+
+
+@pytest.mark.parametrize("family, rank", sorted(COUNTS))
+def test_pair_table_matches_form(family, rank):
+    rs = build_root_system(family, rank)
+    roots = rs.positive_roots
+    assert len(rs.pair_table) == len(roots)
+    for a, row in zip(roots, rs.pair_table):
+        assert len(row) == len(roots)
+        for b, x in zip(roots, row):
+            assert isinstance(x, int)
+            assert Q(x, rs.pair_den) == rs.form(a, b)
+    assert rs.pair_den == (1 if rs.is_simply_laced else {"G": 3}.get(family, 2))
