@@ -21,6 +21,7 @@ from math import isqrt, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bilinear import (
+    LevelParams,
     ScWeight,
     conformal_weight_plus,
     gram_G_star,
@@ -39,7 +40,7 @@ from .latticekit import (
     g_sc_plus,
     kernel_K,
 )
-from .ratlinalg import Vector, vec
+from .ratlinalg import parse_rational, vec
 from .rootsys import RootSystem, build_root_system
 
 
@@ -281,13 +282,7 @@ class FormalCharacter:
     strings: Dict[Tuple[int, ...], QSeries] = field(default_factory=dict)
 
 
-def _char_rs(ch: FormalCharacter) -> RootSystem:
-    return build_root_system(ch.family, ch.rank)
-
-
 def _check_character(ch: FormalCharacter, rs: RootSystem) -> None:
-    if (rs.family, rs.rank) != (ch.family, ch.rank):
-        raise ValueError("root system does not match the character")
     if ch.side == "af":
         if len(ch.base) != rs.rank:
             raise ValueError("dimension mismatch")
@@ -302,6 +297,26 @@ def _check_character(ch: FormalCharacter, rs: RootSystem) -> None:
     for off in ch.strings:
         if len(off) != width or any(not isinstance(x, int) for x in off):
             raise ValueError("string offsets must be integer grid vectors")
+
+
+_SIDE_NAMES = {"af": "affine", "sc": "coset"}
+
+
+def _char_rs(ch: FormalCharacter, side: Optional[str] = None,
+             k=None) -> Tuple[RootSystem, LevelParams]:
+    """Root system and level parameters of a well-formed character.
+
+    side, when given, is the side ch must be on; k, when given, is the level
+    ch must be at.
+    """
+    rs = build_root_system(ch.family, ch.rank)
+    _check_character(ch, rs)
+    if side is not None and ch.side != side:
+        raise ValueError(f"character is not on the {_SIDE_NAMES[side]} side")
+    lp = level_params(rs, ch.level if k is None else k)
+    if lp.k != ch.level:
+        raise ValueError("level mismatch with the character")
+    return rs, lp
 
 
 def affine_character(rs: RootSystem, k, base: Sequence,
@@ -323,26 +338,30 @@ def character_support(rs: RootSystem, ch: FormalCharacter):
             for off, s in ch.strings.items()}
 
 
-def _integer_offset(target: Sequence, base: Sequence) -> Tuple[int, ...]:
-    out = []
-    for t, b in zip(target, base):
-        d = Q(t) - Q(b)
-        if d.denominator != 1:
-            raise ValueError("weight is not in the coset of the character")
-        out.append(int(d))
-    return tuple(out)
+_OFF_COSET = "weight is not in the coset of the character"
+
+
+def _grid_offset(target: Sequence, base: Optional[Sequence] = None,
+                 error: Optional[str] = _OFF_COSET):
+    """target - base (zero when base is None) as a tuple of integers.
+
+    Off the integer grid it raises ValueError(error), or returns None when
+    error is None.
+    """
+    if base is None:
+        base = (0,) * len(target)
+    diff = [Q(t) - b for t, b in zip(target, base)]
+    if all(d.denominator == 1 for d in diff):
+        return tuple(int(d) for d in diff)
+    if error is None:
+        return None
+    raise ValueError(error)
 
 
 def _root_coords(gamma: Sequence, rs: RootSystem) -> Tuple[int, ...]:
     if len(gamma) != rs.rank:
         raise ValueError("dimension mismatch")
-    out = []
-    for x in gamma:
-        q = Q(x)
-        if q.denominator != 1:
-            raise ValueError("weight is not in the root lattice")
-        out.append(int(q))
-    return tuple(out)
+    return _grid_offset(gamma, error="weight is not in the root lattice")
 
 
 def _ceil_sqrt(x: Q) -> int:
@@ -359,6 +378,25 @@ def _ceil_sqrt(x: Q) -> int:
 _EXACT_ZERO = QSeries(0, 1, {}, None)
 
 
+def _transport(plans, m: int, T: Q) -> Dict[Tuple[int, ...], QSeries]:
+    """Sum of q^sh * s * eta^m, truncated to T, over the (key, s, sh) plans.
+
+    The eta power is expanded once, as far as the lowest planned term needs.
+    """
+    eta = None
+    if m and plans:
+        need = max(T - (s.min_bound() + sh) for _, s, sh in plans)
+        eta = eta_power(m, max(need, Q(m, 24)))
+    out: Dict[Tuple[int, ...], QSeries] = {}
+    for key, s, sh in plans:
+        term = s.shift(sh)
+        if eta is not None:
+            term = term * eta
+        term = term.truncate(T)
+        out[key] = out[key] + term if key in out else term
+    return out
+
+
 def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacter:
     """Transport an affine character to the coset side at reference weight mu.
 
@@ -366,16 +404,12 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
     a lattice vector enters the sum exactly when the minimum exponent of its
     contribution is at most T, so the result is certified to order T.
     """
-    rs = _char_rs(ch)
-    _check_character(ch, rs)
-    if ch.side != "af":
-        raise ValueError("character is not on the affine side")
-    lp = level_params(rs, ch.level)
+    rs, lp = _char_rs(ch, "af")
     T = Q(T)
     mu = vec(mu)
     if len(mu) != rs.rank:
         raise ValueError("dimension mismatch")
-    m0 = _integer_offset(mu, vec(ch.base))
+    m0 = _grid_offset(mu, vec(ch.base))
     delta = conformal_weight_plus(rs, lp.k, mu)
     n_extra = rs.num_positive - rs.rank
     kernel = kernel_K(rs)
@@ -397,17 +431,7 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
             if norm2 > cap:
                 continue
             plans.append((xi, s, Q(norm2, 2) - delta))
-    eta = None
-    if n_extra and plans:
-        need = max(T - (s.min_bound() + sh) for _, s, sh in plans)
-        eta = eta_power(-n_extra, max(need, Q(-n_extra, 24)))
-    out: Dict[Tuple[int, ...], QSeries] = {}
-    for xi, s, sh in plans:
-        term = s.shift(sh)
-        if eta is not None:
-            term = term * eta
-        term = term.truncate(T)
-        out[xi] = out[xi] + term if xi in out else term
+    out = _transport(plans, -n_extra, T)
     return FormalCharacter("sc", ch.family, ch.rank, lp.k,
                            weight_to_sc(rs, lp.k, mu), out)
 
@@ -420,16 +444,12 @@ def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCha
     simple slots, and the simple slots then determine the vector uniquely.
     Each output string records the validity its inputs actually justify.
     """
-    rs = _char_rs(ch)
-    _check_character(ch, rs)
-    if ch.side != "sc":
-        raise ValueError("character is not on the coset side")
-    lp = level_params(rs, ch.level)
+    rs, lp = _char_rs(ch, "sc")
     T = Q(T)
     mu_sc._check(rs)
     if mu_sc.level != lp.k:
         raise ValueError("weight level does not match")
-    m0 = _integer_offset(mu_sc.jstar_values(rs), ch.base.jstar_values(rs))
+    m0 = _grid_offset(mu_sc.jstar_values(rs), ch.base.jstar_values(rs))
     mu = sc_weight_to_af(rs, lp.k, mu_sc)
     delta = conformal_weight_plus(rs, lp.k, mu)
     n_extra = rs.num_positive - rs.rank
@@ -446,17 +466,23 @@ def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCha
         if floor + sh + Q(n_extra, 24) > T:
             continue
         plans.append((z, s, sh))
-    eta = None
-    if n_extra and plans:
-        need = max(T - (s.min_bound() + sh) for _, s, sh in plans)
-        eta = eta_power(n_extra, max(need, Q(n_extra, 24)))
-    out: Dict[Tuple[int, ...], QSeries] = {}
-    for z, s, sh in plans:
-        term = s.shift(sh)
-        if eta is not None:
-            term = term * eta
-        out[z] = term.truncate(T)
-    return FormalCharacter("af", ch.family, ch.rank, lp.k, mu, out)
+    return FormalCharacter("af", ch.family, ch.rank, lp.k, mu,
+                           _transport(plans, n_extra, T))
+
+
+def _compare_supports(left: Dict, right: Dict, left_floor, right_floor):
+    """Per-weight (order, diff) over the union of two weight-keyed supports.
+
+    A weight missing on one side is compared as that side's zero, certified
+    up to the order its floor function gives for the weight; a floor of None
+    means an exact zero.
+    """
+    diffs = {}
+    for key in sorted(set(left) | set(right)):
+        a = left[key] if key in left else QSeries(0, 1, {}, left_floor(key))
+        b = right[key] if key in right else QSeries(0, 1, {}, right_floor(key))
+        diffs[key] = qseries_diff(a, b)
+    return diffs
 
 
 class RoundTrip(NamedTuple):
@@ -472,44 +498,29 @@ def roundtrip_check(ch: FormalCharacter, mu: Sequence, k, T) -> RoundTrip:
     to vanish up to T plus that vector's exponent shift, and the comparison
     stops there.  A nonempty diff is a verdict, not an exception.
     """
-    rs = _char_rs(ch)
-    _check_character(ch, rs)
-    lp = level_params(rs, k)
-    if lp.k != ch.level:
-        raise ValueError("level mismatch with the character")
+    rs, lp = _char_rs(ch, k=k)
     T = Q(T)
     mu = vec(mu)
     sc = fermionize_character(ch, mu, T)
     back = defermionize_character(sc, weight_to_sc(rs, lp.k, mu), T)
     delta = conformal_weight_plus(rs, lp.k, mu)
     n_extra = rs.num_positive - rs.rank
-    orig = character_support(rs, ch)
-    got = character_support(rs, back)
-    diffs: Dict[Tuple[Q, ...], Tuple[Optional[Q], Tuple[Tuple[Q, Q], ...]]] = {}
-    ok = True
-    for key in sorted(set(orig) | set(got)):
-        a = orig.get(key, _EXACT_ZERO)
-        b = got.get(key)
-        if b is None:
-            z = _integer_offset(key, mu)
-            sh = delta - Q(sum(x * x for x in z), 2) + Q(n_extra, 24)
-            b = QSeries(0, 1, {}, min(T, T + sh))
-        to, d = qseries_diff(a, b)
-        diffs[key] = (to, d)
-        if d:
-            ok = False
-    return RoundTrip(ok, diffs)
+
+    def back_floor(key):
+        z = _grid_offset(key, mu)
+        sh = delta - Q(sum(x * x for x in z), 2) + Q(n_extra, 24)
+        return min(T, T + sh)
+
+    diffs = _compare_supports(character_support(rs, ch),
+                              character_support(rs, back),
+                              lambda key: None, back_floor)
+    return RoundTrip(all(not d for _, d in diffs.values()), diffs)
 
 
 def _string_at(ch: FormalCharacter, weight: Sequence) -> QSeries:
     """The string at an absolute affine weight; absent weights are zero."""
-    off = []
-    for t, b in zip(weight, vec(ch.base)):
-        d = Q(t) - b
-        if d.denominator != 1:
-            return _EXACT_ZERO
-        off.append(int(d))
-    return ch.strings.get(tuple(off), _EXACT_ZERO)
+    off = _grid_offset(weight, vec(ch.base), error=None)
+    return _EXACT_ZERO if off is None else ch.strings.get(off, _EXACT_ZERO)
 
 
 class SupportPairs(NamedTuple):
@@ -528,15 +539,14 @@ def cflemma_check(rs: RootSystem, gamma: Sequence, seed: FormalCharacter,
     the forced candidate, otherwise the check refuses rather than report a
     vacuous truth over an incomplete support set.
     """
-    _check_character(seed, rs)
-    if seed.side != "af":
-        raise ValueError("character is not on the affine side")
-    lp = level_params(rs, seed.level)
+    if (rs.family, rs.rank) != (seed.family, seed.rank):
+        raise ValueError("root system does not match the character")
+    _, lp = _char_rs(seed, "af")
     g = _root_coords(gamma, rs)
     T = Q(T)
     bound = Q(enumeration_bound)
     mu = vec(mu)
-    _integer_offset(mu, vec(seed.base))
+    _grid_offset(mu, vec(seed.base))
     zeta = f_af(rs, g, "-")
     forced = f_af(rs, g, "+").coords
     if Q(sum(x * x for x in forced)) > bound:
@@ -565,13 +575,7 @@ def spectral_flow_sc(ch: FormalCharacter, gamma: Sequence, k) -> FormalCharacter
     string shifts by its dual values against gamma plus the quadratic
     dual-form term.
     """
-    rs = _char_rs(ch)
-    _check_character(ch, rs)
-    if ch.side != "sc":
-        raise ValueError("character is not on the coset side")
-    lp = level_params(rs, k)
-    if lp.k != ch.level:
-        raise ValueError("level mismatch with the character")
+    rs, lp = _char_rs(ch, "sc", k)
     g = _root_coords(gamma, rs)
     pad = f_af(rs, g, "+").coords
     gs = gram_g_star(rs, lp.k)
@@ -588,10 +592,8 @@ def spectral_flow_sc(ch: FormalCharacter, gamma: Sequence, k) -> FormalCharacter
 
 
 def _flow_coefficients(rs: RootSystem, gamma: ScWeight) -> Tuple[int, ...]:
-    values = gamma.jstar_values(rs)
-    if any(x.denominator != 1 for x in values):
-        raise ValueError("flow weight is not in the coset root lattice")
-    return tuple(int(x) for x in values)
+    return _grid_offset(gamma.jstar_values(rs),
+                        error="flow weight is not in the coset root lattice")
 
 
 def spectral_flow_af(ch: FormalCharacter, gamma: ScWeight, k) -> FormalCharacter:
@@ -604,13 +606,7 @@ def spectral_flow_af(ch: FormalCharacter, gamma: ScWeight, k) -> FormalCharacter
     and exponents shift so the two reference normalizations agree.  The
     constant part telescopes under composition, so flows add exactly.
     """
-    rs = _char_rs(ch)
-    _check_character(ch, rs)
-    if ch.side != "af":
-        raise ValueError("character is not on the affine side")
-    lp = level_params(rs, k)
-    if lp.k != ch.level:
-        raise ValueError("level mismatch with the character")
+    rs, lp = _char_rs(ch, "af", k)
     if gamma.level != lp.k:
         raise ValueError("weight level does not match")
     n = _flow_coefficients(rs, gamma)[: rs.rank]
@@ -670,8 +666,7 @@ def flow_sc_equivariance_diff(ch: FormalCharacter, mu: Sequence,
     side's provable order: T for the direct transport, T plus the flow's
     exponent shift for the flowed one.  Returns per-weight (order, diff).
     """
-    rs = _char_rs(ch)
-    lp = level_params(rs, ch.level)
+    rs, lp = _char_rs(ch, "af")
     T = Q(T)
     g = _root_coords(gamma, rs)
     mu = vec(mu)
@@ -683,20 +678,14 @@ def flow_sc_equivariance_diff(ch: FormalCharacter, mu: Sequence,
     npos = rs.num_positive
     shift_js = tuple(sum((gs[b][i] * g[i] for i in range(rs.rank)), Q(0))
                      for b in range(npos))
-    sup_l = character_support(rs, left)
-    sup_r = character_support(rs, right)
-    diffs = {}
-    for key in sorted(set(sup_l) | set(sup_r)):
-        a = sup_l.get(key)
-        b = sup_r.get(key)
-        if a is None:
-            a = QSeries(0, 1, {}, T)
-        if b is None:
-            pre = tuple(x - s for x, s in zip(key, shift_js))
-            lin = sum((g[i] * pre[i] for i in range(rs.rank)), Q(0))
-            b = QSeries(0, 1, {}, T + lin + quad)
-        diffs[key] = qseries_diff(a, b)
-    return diffs
+
+    def flowed_floor(key):
+        pre = tuple(x - s for x, s in zip(key, shift_js))
+        return T + sum((g[i] * pre[i] for i in range(rs.rank)), Q(0)) + quad
+
+    return _compare_supports(character_support(rs, left),
+                             character_support(rs, right),
+                             lambda key: T, flowed_floor)
 
 
 def flow_af_equivariance_diff(ch: FormalCharacter, mu_sc: ScWeight,
@@ -707,8 +696,7 @@ def flow_af_equivariance_diff(ch: FormalCharacter, mu_sc: ScWeight,
     known to vanish; None means the character is exact off its support.
     Returns per-weight (order, diff); all-empty diffs certify the identity.
     """
-    rs = _char_rs(ch)
-    lp = level_params(rs, ch.level)
+    rs, lp = _char_rs(ch, "sc")
     T = Q(T)
     if input_floor is not None:
         input_floor = Q(input_floor)
@@ -720,12 +708,9 @@ def flow_af_equivariance_diff(ch: FormalCharacter, mu_sc: ScWeight,
 
     def absent_floor(key, mu_ref, delta_ref, m0):
         """Certified-zero order of a transported side at a missing weight."""
-        off = []
-        for t, b in zip(key, mu_ref):
-            d = Q(t) - b
-            if d.denominator != 1:
-                return None, None  # off the reachable grid: exactly zero
-            off.append(int(d))
+        off = _grid_offset(key, mu_ref, error=None)
+        if off is None:
+            return None, None  # off the reachable grid: exactly zero
         v = tuple(m + z for m, z in zip(m0, off)) + tuple(m0[rs.rank:])
         if v in ch.strings:
             return T, off  # its contribution starts above T
@@ -736,7 +721,7 @@ def flow_af_equivariance_diff(ch: FormalCharacter, mu_sc: ScWeight,
 
     sides = []
     for lam in (mu_sc + gamma, mu_sc):
-        m0 = _integer_offset(lam.jstar_values(rs), base_js)
+        m0 = _grid_offset(lam.jstar_values(rs), base_js)
         mu_ref = sc_weight_to_af(rs, lp.k, lam)
         sides.append((mu_ref, conformal_weight_plus(rs, lp.k, mu_ref), m0))
     (mu_l, delta_l, m0_l), (mu_r, delta_r, m0_r) = sides
@@ -745,37 +730,19 @@ def flow_af_equivariance_diff(ch: FormalCharacter, mu_sc: ScWeight,
     flow_const = (conformal_weight_plus(rs, lp.k, flow_base) - delta_r
                   - Q(sum(x * x for x in n), 2))
     wshift = tuple(f - mr - x for f, mr, x in zip(flow_base, mu_r, map(Q, n)))
-    sup_l = character_support(rs, left)
-    sup_r = character_support(rs, right)
-    diffs = {}
-    for key in sorted(set(sup_l) | set(sup_r)):
-        a = sup_l.get(key)
-        b = sup_r.get(key)
-        if a is None:
-            floor, _ = absent_floor(key, mu_l, delta_l, m0_l)
-            a = QSeries(0, 1, {}, floor)
-        if b is None:
-            pre = tuple(x - s for x, s in zip(key, wshift))
-            floor, off = absent_floor(pre, mu_r, delta_r, m0_r)
-            if floor is not None:
-                floor = floor + sum(n[i] * off[i]
-                                    for i in range(rs.rank)) + flow_const
-            b = QSeries(0, 1, {}, floor)
-        diffs[key] = qseries_diff(a, b)
-    return diffs
 
+    def flowed_floor(key):
+        pre = tuple(x - s for x, s in zip(key, wshift))
+        floor, off = absent_floor(pre, mu_r, delta_r, m0_r)
+        if floor is None:
+            return None
+        return floor + sum(n[i] * off[i] for i in range(rs.rank)) + flow_const
 
-def _parse_rational(x) -> Q:
-    if isinstance(x, bool):
-        raise ValueError(f"not an exact rational: {x!r}")
-    if isinstance(x, int):
-        return Q(x)
-    if isinstance(x, str):
-        try:
-            return Q(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not an exact rational: {x!r}") from exc
-    raise ValueError(f"not an exact rational: {x!r}")
+    return _compare_supports(character_support(rs, left),
+                             character_support(rs, right),
+                             lambda key: absent_floor(key, mu_l, delta_l,
+                                                      m0_l)[0],
+                             flowed_floor)
 
 
 class SeedReport(NamedTuple):
@@ -798,12 +765,16 @@ def validate_seed(raw) -> SeedReport:
             problems.append(f"missing field: {key}")
     if problems:
         return SeedReport(None, tuple(problems))
+    rank = raw["rank"]
+    if isinstance(rank, bool) or not isinstance(rank, int):
+        return SeedReport(None, (f"bad root system: rank is not a JSON"
+                                 f" integer: {rank!r}",))
     try:
-        rs = build_root_system(str(raw["type"]), int(raw["rank"]))
+        rs = build_root_system(str(raw["type"]), rank)
     except (TypeError, ValueError, OverflowError) as exc:
         return SeedReport(None, (f"bad root system: {exc}",))
     try:
-        k = _parse_rational(raw["level"])
+        k = parse_rational(raw["level"])
         level_params(rs, k)
     except ValueError as exc:
         return SeedReport(None, (f"bad level: {exc}",))
@@ -811,7 +782,7 @@ def validate_seed(raw) -> SeedReport:
     if not isinstance(base_raw, list) or len(base_raw) != rs.rank:
         return SeedReport(None, ("base weight has the wrong length",))
     try:
-        base = tuple(_parse_rational(x) for x in base_raw)
+        base = tuple(parse_rational(x) for x in base_raw)
     except ValueError as exc:
         return SeedReport(None, (f"bad base weight: {exc}",))
     if not isinstance(raw["strings"], list):
@@ -827,15 +798,15 @@ def validate_seed(raw) -> SeedReport:
             problems.append(f"weight offset has the wrong length: {label}")
             continue
         try:
-            off_q = [_parse_rational(x) for x in off_raw]
+            off_q = [parse_rational(x) for x in off_raw]
         except ValueError as exc:
             problems.append(f"bad weight offset {label}: {exc}")
             continue
-        if any(x.denominator != 1 for x in off_q):
+        off = _grid_offset(off_q, error=None)
+        if off is None:
             problems.append(
                 f"weight offset is not in the root lattice: {label}")
             continue
-        off = tuple(int(x) for x in off_q)
         if off in strings:
             problems.append(f"duplicate weight offset: {label}")
             continue
@@ -851,8 +822,8 @@ def validate_seed(raw) -> SeedReport:
         bad = False
         for t in terms_raw:
             try:
-                e = _parse_rational(t["exp"])
-                c = _parse_rational(t["coef"])
+                e = parse_rational(t["exp"])
+                c = parse_rational(t["coef"])
             except (KeyError, TypeError, ValueError) as exc:
                 problems.append(f"bad term in string {label}: {exc}")
                 bad = True
@@ -873,7 +844,7 @@ def validate_seed(raw) -> SeedReport:
             problems.append(f"no minimum exponent declared: {label}")
             continue
         try:
-            declared = _parse_rational(entry["min_exp"])
+            declared = parse_rational(entry["min_exp"])
         except ValueError as exc:
             problems.append(f"bad minimum exponent in string {label}: {exc}")
             continue

@@ -10,7 +10,9 @@ diff runs byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
@@ -28,7 +30,7 @@ from .latticekit import (build_E_minus_lattice, build_E_plus_lattice,
                          discriminant_group, f_af, g_sc_plus)
 from .opecalc import (verify_Hminus_heisenberg, verify_Jalpha_heisenberg,
                       verify_fst_homomorphism)
-from .ratlinalg import mat_mul
+from .ratlinalg import mat_mul, parse_rational
 from .rootsys import build_root_system, check_hvee_identity
 
 SCHEMA = "cosetlab/1"
@@ -55,18 +57,11 @@ def _is_identity(m) -> bool:
                for i, row in enumerate(m) for j, x in enumerate(row))
 
 
-def _parse_rational_arg(text: str, what: str) -> Q:
-    try:
-        return Q(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{what} is not an exact rational: {text!r}")
-
-
 def _parse_vector(text: str, length: int, what: str) -> Tuple[Q, ...]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != length:
         raise ValueError(f"{what} needs {length} comma-separated entries")
-    return tuple(_parse_rational_arg(p, what) for p in parts)
+    return tuple(parse_rational(p, what) for p in parts)
 
 
 def _parse_int_vector(text: str, length: int, what: str) -> Tuple[int, ...]:
@@ -76,65 +71,88 @@ def _parse_int_vector(text: str, length: int, what: str) -> Tuple[int, ...]:
     return tuple(int(x) for x in v)
 
 
-def _emit(args, payload: dict, lines: List[str]) -> None:
-    if args.format == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+def _header(args, rs, **fields) -> dict:
+    """A JSON report: the fields every command shares, then the given ones.
+
+    rs is anything with ``family`` and ``rank``: a root system or a character.
+    """
+    return {"schema": SCHEMA, "command": f"{args.group} {args.action}",
+            "type": rs.family, "rank": rs.rank, **fields}
 
 
-def _diff_entries(diffs: Dict) -> List[dict]:
-    """JSON rows for a weight-keyed map of (compare order, diff terms)."""
-    out = []
-    for key in sorted(diffs):
-        order, terms = diffs[key]
-        out.append({
-            "weight": [_rat(x) for x in key],
-            "compare_order": None if order is None else _rat(order),
-            "diff_terms": [{"exp": _rat(e), "coef": _rat(c)}
-                           for e, c in terms],
-        })
-    return out
-
-
-def _diff_lines(diffs: Dict) -> List[str]:
-    lines = []
-    for key in sorted(diffs):
-        order, terms = diffs[key]
-        tag = "unbounded" if order is None else f"to order {_rat(order)}"
-        if terms:
-            body = " ".join(f"{_rat(c)}*q^{_rat(e)}" for e, c in terms)
-            lines.append(f"  weight {_vec_str(key)} ({tag}): DIFF {body}")
-        else:
-            lines.append(f"  weight {_vec_str(key)} ({tag}): ok")
-    return lines
+def _rs_at_level(args):
+    """The root system of --type/--rank and the parameters of --level."""
+    rs = build_root_system(args.type, args.rank)
+    return rs, level_params(rs, parse_rational(args.level, "--level"))
 
 
 def _load_seed(path: str):
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        raw = json.loads(text)
+    except RecursionError:
+        raise ValueError("bad seed file: JSON nested too deeply") from None
     report = validate_seed(raw)
     if report.problems:
         raise ValueError("bad seed file: " + "; ".join(report.problems))
     return report.character
 
 
-def cmd_rootsys_info(args) -> int:
+def _seed_request(args):
+    """The seed character, --T, and --weight (the seed's base by default)."""
+    ch = _load_seed(args.seed)
+    T = parse_rational(args.T, "--T")
+    if args.weight is None:
+        return ch, T, ch.base
+    return ch, T, _parse_vector(args.weight, ch.rank, "--weight")
+
+
+def _diff_report(args, ch, mu, T, diffs: Dict, verdict: str, **fields):
+    """Report of a weight-keyed map of (compare order, diff terms); ok when
+    no weight differs.  verdict names the comparison on the summary line."""
+    ok = all(not terms for _, terms in diffs.values())
+    entries = []
+    lines = [
+        f"seed {ch.family}{ch.rank} at level {_rat(ch.level)},"
+        f" {len(ch.strings)} strings",
+        f"{verdict} to order {_rat(T)}: {'ok' if ok else 'FAIL'}",
+    ]
+    for key in sorted(diffs):
+        order, terms = diffs[key]
+        entries.append({
+            "weight": [_rat(x) for x in key],
+            "compare_order": None if order is None else _rat(order),
+            "diff_terms": [{"exp": _rat(e), "coef": _rat(c)}
+                           for e, c in terms],
+        })
+        tag = "unbounded" if order is None else f"to order {_rat(order)}"
+        body = " ".join(f"{_rat(c)}*q^{_rat(e)}" for e, c in terms)
+        lines.append(f"  weight {_vec_str(key)} ({tag}): "
+                     + (f"DIFF {body}" if terms else "ok"))
+    payload = _header(args, ch, level=_rat(ch.level),
+                      reference_weight=[_rat(x) for x in mu],
+                      truncation_order=_rat(T), ok=ok, weights=entries,
+                      **fields)
+    return ok, payload, lines
+
+
+# Each cmd_* handler returns (ok, JSON payload, text lines); main renders
+# one of them and maps ok to exit code 0 or 1.
+
+def cmd_rootsys_info(args):
     rs = build_root_system(args.type, args.rank)
     witnesses = [check_hvee_identity(rs, rs.fundamental_weight(i))
                  for i in range(rs.rank)]
     ok = all(w.ok for w in witnesses)
-    payload = {
-        "schema": SCHEMA,
-        "command": "rootsys info",
-        "type": rs.family,
-        "rank": rs.rank,
-        "num_positive": rs.num_positive,
-        "dual_coxeter": rs.dual_coxeter,
-        "simply_laced": rs.is_simply_laced,
-        "positive_roots": [list(a) for a in rs.positive_roots],
-        "long_root_gram": _mat_json(rs.long_root_gram()),
-        "hvee_identity_ok": ok,
-    }
+    payload = _header(
+        args, rs,
+        num_positive=rs.num_positive,
+        dual_coxeter=rs.dual_coxeter,
+        simply_laced=rs.is_simply_laced,
+        positive_roots=[list(a) for a in rs.positive_roots],
+        long_root_gram=_mat_json(rs.long_root_gram()),
+        hvee_identity_ok=ok,
+    )
     lines = [
         f"type           {rs.family}{rs.rank}",
         f"rank (l)       {rs.rank}",
@@ -148,13 +166,11 @@ def cmd_rootsys_info(args) -> int:
     lines += _mat_lines(rs.long_root_gram())
     lines.append("hvee identity on fundamental weights: "
                  + ("ok" if ok else "FAIL"))
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return ok, payload, lines
 
 
-def cmd_forms_verify(args) -> int:
-    rs = build_root_system(args.type, args.rank)
-    lp = level_params(rs, _parse_rational_arg(args.level, "--level"))
+def cmd_forms_verify(args):
+    rs, lp = _rs_at_level(args)
     g = gram_g(rs, lp.k)
     g_star = gram_g_star(rs, lp.k)
     big_g = gram_G(rs, lp.k)
@@ -166,50 +182,41 @@ def cmd_forms_verify(args) -> int:
         "central_charge_formulas_agree":
             c_sc == central_charge_sc_direct(rs, lp.k),
     }
-    ok = all(checks.values())
-    payload = {
-        "schema": SCHEMA,
-        "command": "forms verify",
-        "type": rs.family,
-        "rank": rs.rank,
-        "level": _rat(lp.k),
-        "checks": checks,
-        "central_charges": {"af": _rat(c_af), "sc": _rat(c_sc)},
-        "matrices": {
+    payload = _header(
+        args, rs,
+        level=_rat(lp.k),
+        checks=checks,
+        central_charges={"af": _rat(c_af), "sc": _rat(c_sc)},
+        matrices={
             "g": _mat_json(g),
             "g_star": _mat_json(g_star),
             "G": _mat_json(big_g),
             "G_star": _mat_json(big_g_star),
         },
-    }
+    )
     lines = [f"{rs.family}{rs.rank} at level {_rat(lp.k)}"]
     for name, value in sorted(checks.items()):
         lines.append(f"  {name}: {'ok' if value else 'FAIL'}")
     lines.append(f"  c_af = {_rat(c_af)}, c_sc = {_rat(c_sc)}")
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return all(checks.values()), payload, lines
 
 
-def cmd_weights_map(args) -> int:
-    rs = build_root_system(args.type, args.rank)
-    lp = level_params(rs, _parse_rational_arg(args.level, "--level"))
+def cmd_weights_map(args):
+    rs, lp = _rs_at_level(args)
     mu = _parse_vector(args.weight, rs.rank, "--weight")
     sc = weight_to_sc(rs, lp.k, mu)
     back = sc_weight_to_af(rs, lp.k, sc)
     ok = tuple(back) == tuple(Q(x) for x in mu)
-    payload = {
-        "schema": SCHEMA,
-        "command": "weights map",
-        "type": rs.family,
-        "rank": rs.rank,
-        "level": _rat(lp.k),
-        "weight": [_rat(x) for x in mu],
-        "j_values": [_rat(x) for x in sc.j_values],
-        "jstar_values": [_rat(x) for x in sc.jstar_values(rs)],
-        "in_Qsc": sc.in_Qsc(rs),
-        "conformal_weight": _rat(conformal_weight_plus(rs, lp.k, mu)),
-        "roundtrip_ok": ok,
-    }
+    payload = _header(
+        args, rs,
+        level=_rat(lp.k),
+        weight=[_rat(x) for x in mu],
+        j_values=[_rat(x) for x in sc.j_values],
+        jstar_values=[_rat(x) for x in sc.jstar_values(rs)],
+        in_Qsc=sc.in_Qsc(rs),
+        conformal_weight=_rat(conformal_weight_plus(rs, lp.k, mu)),
+        roundtrip_ok=ok,
+    )
     lines = [
         f"{rs.family}{rs.rank} at level {_rat(lp.k)}",
         f"weight          {_vec_str(mu)}",
@@ -219,33 +226,34 @@ def cmd_weights_map(args) -> int:
         f"conformal (D+)  {_rat(conformal_weight_plus(rs, lp.k, mu))}",
         f"round trip      {'ok' if ok else 'FAIL'}",
     ]
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return ok, payload, lines
 
 
-def cmd_lattice_disc(args) -> int:
+# a tuple, not a dict, so that wrappers installed over these names (see
+# bench/tracer.py) reach this table too
+_LATTICES = (
+    ("l-plus", build_L_plus),
+    ("l-minus", build_L_minus),
+    ("qsc-dual", build_Qsc_dual_lattice),
+    ("e-plus", build_E_plus_lattice),
+    ("e-minus", build_E_minus_lattice),
+)
+
+
+def cmd_lattice_disc(args):
     rs = build_root_system(args.type, args.rank)
     needs_level = args.lattice in ("e-plus", "e-minus")
     if needs_level and args.level is None:
         raise ValueError(f"lattice {args.lattice} needs --level")
     if not needs_level and args.level is not None:
         raise ValueError(f"lattice {args.lattice} does not take --level")
-    if args.lattice == "l-plus":
-        lat = build_L_plus(rs)
-    elif args.lattice == "l-minus":
-        lat = build_L_minus(rs)
-    elif args.lattice == "qsc-dual":
-        lat = build_Qsc_dual_lattice(rs)
-    elif args.lattice == "e-plus":
-        lat = build_E_plus_lattice(rs, _parse_rational_arg(args.level,
-                                                           "--level"))
+    build = dict(_LATTICES)[args.lattice]
+    if needs_level:
+        lat = build(rs, parse_rational(args.level, "--level"))
     else:
-        lat = build_E_minus_lattice(rs, _parse_rational_arg(args.level,
-                                                            "--level"))
+        lat = build(rs)
     divisors = discriminant_group(lat)
-    order = 1
-    for d in divisors:
-        order *= d
+    order = math.prod(divisors)
     ok = True
     expected = None
     if args.expect is not None:
@@ -255,20 +263,17 @@ def cmd_lattice_disc(args) -> int:
             n = len(args.expect.split(","))
             expected = list(_parse_int_vector(args.expect, n, "--expect"))
         ok = expected == divisors
-    payload = {
-        "schema": SCHEMA,
-        "command": "lattice disc",
-        "type": rs.family,
-        "rank": rs.rank,
-        "lattice": args.lattice,
-        "lattice_rank": lat.rank,
-        "signature": lat.signature,
-        "gram": [list(row) for row in lat.gram],
-        "elementary_divisors": divisors,
-        "expected_divisors": expected,
-        "group_order": order,
-        "ok": ok,
-    }
+    payload = _header(
+        args, rs,
+        lattice=args.lattice,
+        lattice_rank=lat.rank,
+        signature=lat.signature,
+        gram=[list(row) for row in lat.gram],
+        elementary_divisors=divisors,
+        expected_divisors=expected,
+        group_order=order,
+        ok=ok,
+    )
     lines = [
         f"lattice {lat.name} over {rs.family}{rs.rank}",
         f"rank       {lat.rank}",
@@ -284,8 +289,7 @@ def cmd_lattice_disc(args) -> int:
                      + (" ".join(str(d) for d in expected) if expected
                         else "none"))
         lines.append(f"match: {'ok' if ok else 'FAIL'}")
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return ok, payload, lines
 
 
 _OPE_CHECKS = (
@@ -295,21 +299,13 @@ _OPE_CHECKS = (
 )
 
 
-def cmd_ope_verify(args) -> int:
-    rs = build_root_system(args.type, args.rank)
-    lp = level_params(rs, _parse_rational_arg(args.level, "--level"))
-    wanted = [n for n, _ in _OPE_CHECKS] if args.check == "all" else [args.check]
-    reports = [fn(rs, lp.k) for name, fn in _OPE_CHECKS if name in wanted]
+def cmd_ope_verify(args):
+    rs, lp = _rs_at_level(args)
+    reports = [fn(rs, lp.k) for name, fn in _OPE_CHECKS
+               if args.check in (name, "all")]
     ok = all(r.ok for r in reports)
-    payload = {
-        "schema": SCHEMA,
-        "command": "ope verify",
-        "type": rs.family,
-        "rank": rs.rank,
-        "level": _rat(lp.k),
-        "ok": ok,
-        "reports": [r.to_json_dict() for r in reports],
-    }
+    payload = _header(args, rs, level=_rat(lp.k), ok=ok,
+                      reports=[r.to_json_dict() for r in reports])
     lines = [f"{rs.family}{rs.rank} at level {_rat(lp.k)}"]
     for r in reports:
         lines.append(f"  {r.name}: {'ok' if r.ok else 'FAIL'}"
@@ -317,84 +313,33 @@ def cmd_ope_verify(args) -> int:
         for d in r.diffs:
             lines.append(f"    [{d.left}][{d.right}] pole {d.pole}:"
                          f" expected {d.expected}, got {d.got}")
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return ok, payload, lines
 
 
-def cmd_char_roundtrip(args) -> int:
-    ch = _load_seed(args.seed)
-    rs = build_root_system(ch.family, ch.rank)
-    T = _parse_rational_arg(args.T, "--T")
-    if args.weight is None:
-        mu = ch.base
-    else:
-        mu = _parse_vector(args.weight, rs.rank, "--weight")
+def cmd_char_roundtrip(args):
+    ch, T, mu = _seed_request(args)
     result = roundtrip_check(ch, mu, ch.level, T)
-    payload = {
-        "schema": SCHEMA,
-        "command": "char roundtrip",
-        "type": ch.family,
-        "rank": ch.rank,
-        "level": _rat(ch.level),
-        "reference_weight": [_rat(x) for x in mu],
-        "truncation_order": _rat(T),
-        "ok": result.ok,
-        "weights": _diff_entries(result.diffs),
-    }
-    lines = [
-        f"seed {ch.family}{ch.rank} at level {_rat(ch.level)},"
-        f" {len(ch.strings)} strings",
-        f"round trip at weight {_vec_str(mu)} to order {_rat(T)}:"
-        f" {'ok' if result.ok else 'FAIL'}",
-    ]
-    lines += _diff_lines(result.diffs)
-    _emit(args, payload, lines)
-    return 0 if result.ok else 1
+    return _diff_report(args, ch, mu, T, result.diffs,
+                        f"round trip at weight {_vec_str(mu)}")
 
 
-def cmd_flow_check(args) -> int:
-    ch = _load_seed(args.seed)
-    rs = build_root_system(ch.family, ch.rank)
-    lp = level_params(rs, ch.level)
-    T = _parse_rational_arg(args.T, "--T")
-    if args.weight is None:
-        mu = ch.base
-    else:
-        mu = _parse_vector(args.weight, rs.rank, "--weight")
-    gamma = _parse_int_vector(args.gamma, rs.rank, "--gamma")
+def cmd_flow_check(args):
+    ch, T, mu = _seed_request(args)
+    gamma = _parse_int_vector(args.gamma, ch.rank, "--gamma")
     if args.side == "sc":
         diffs = flow_sc_equivariance_diff(ch, mu, gamma, T)
     else:
+        rs = build_root_system(ch.family, ch.rank)
         sc_ch = fermionize_character(ch, mu, T)
-        gamma_sc = g_sc_plus(rs, lp.k, f_af(rs, gamma, "+"))
-        mu_sc = weight_to_sc(rs, lp.k, mu)
+        gamma_sc = g_sc_plus(rs, ch.level, f_af(rs, gamma, "+"))
+        mu_sc = weight_to_sc(rs, ch.level, mu)
         diffs = flow_af_equivariance_diff(sc_ch, mu_sc, gamma_sc, T,
                                           input_floor=T)
     gamma_out = [str(x) for x in gamma]
-    ok = all(not terms for _, terms in diffs.values())
-    payload = {
-        "schema": SCHEMA,
-        "command": "flow check",
-        "type": ch.family,
-        "rank": ch.rank,
-        "level": _rat(ch.level),
-        "side": args.side,
-        "gamma": gamma_out,
-        "reference_weight": [_rat(x) for x in mu],
-        "truncation_order": _rat(T),
-        "ok": ok,
-        "weights": _diff_entries(diffs),
-    }
-    lines = [
-        f"seed {ch.family}{ch.rank} at level {_rat(ch.level)},"
-        f" {len(ch.strings)} strings",
-        f"flow equivariance ({args.side} side) for gamma"
-        f" {','.join(gamma_out)} to order {_rat(T)}:"
-        f" {'ok' if ok else 'FAIL'}",
-    ]
-    lines += _diff_lines(diffs)
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return _diff_report(args, ch, mu, T, diffs,
+                        f"flow equivariance ({args.side} side) for gamma"
+                        f" {','.join(gamma_out)}",
+                        side=args.side, gamma=gamma_out)
 
 
 def _add_rs_flags(sp, with_level: bool) -> None:
@@ -406,38 +351,55 @@ def _add_rs_flags(sp, with_level: bool) -> None:
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
 
+def _add_seed_flags(sp, with_flow: bool) -> None:
+    sp.add_argument("--seed", required=True, help="seed JSON path")
+    if with_flow:
+        sp.add_argument("--side", required=True, choices=("sc", "af"))
+        sp.add_argument("--gamma", required=True,
+                        help="flow parameter as root-lattice coordinates")
+    sp.add_argument("--T", required=True,
+                    help="truncation order, exact rational")
+    sp.add_argument("--weight", default=None,
+                    help="reference weight, defaults to the seed base")
+    sp.add_argument("--format", choices=("text", "json"), default="text")
+
+
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cosetlab",
         description="exact verification toolkit for coset free-field data")
     groups = parser.add_subparsers(dest="group", required=True)
 
-    rootsys = groups.add_parser("rootsys", help="root-system data")
-    sub = rootsys.add_subparsers(dest="action", required=True)
-    info = sub.add_parser("info", help="print invariants and positive roots")
+    def command(group, group_help, action, action_help, handler):
+        sub = groups.add_parser(group, help=group_help).add_subparsers(
+            dest="action", required=True)
+        sp = sub.add_parser(action, help=action_help)
+        sp.set_defaults(handler=handler)
+        return sp
+
+    info = command("rootsys", "root-system data",
+                   "info", "print invariants and positive roots",
+                   cmd_rootsys_info)
     _add_rs_flags(info, with_level=False)
-    info.set_defaults(handler=cmd_rootsys_info)
 
-    forms = groups.add_parser("forms", help="level-dependent bilinear forms")
-    sub = forms.add_subparsers(dest="action", required=True)
-    verify = sub.add_parser("verify", help="check the Gram inverse pairs")
+    verify = command("forms", "level-dependent bilinear forms",
+                     "verify", "check the Gram inverse pairs",
+                     cmd_forms_verify)
     _add_rs_flags(verify, with_level=True)
-    verify.set_defaults(handler=cmd_forms_verify)
 
-    weights = groups.add_parser("weights", help="weight coordinate maps")
-    sub = weights.add_subparsers(dest="action", required=True)
-    wmap = sub.add_parser("map", help="map a weight across the two sides")
+    wmap = command("weights", "weight coordinate maps",
+                   "map", "map a weight across the two sides",
+                   cmd_weights_map)
     _add_rs_flags(wmap, with_level=True)
     wmap.add_argument("--weight", required=True,
                       help="comma-separated simple-root coordinates")
-    wmap.set_defaults(handler=cmd_weights_map)
 
-    lattice = groups.add_parser("lattice", help="lattice invariants")
-    sub = lattice.add_subparsers(dest="action", required=True)
-    disc = sub.add_parser("disc", help="discriminant group of a named lattice")
+    disc = command("lattice", "lattice invariants",
+                   "disc", "discriminant group of a named lattice",
+                   cmd_lattice_disc)
     disc.add_argument("--lattice", required=True,
-                      choices=("l-plus", "l-minus", "qsc-dual",
-                               "e-plus", "e-minus"))
+                      choices=tuple(name for name, _ in _LATTICES))
     disc.add_argument("--type", required=True)
     disc.add_argument("--rank", type=int, required=True)
     disc.add_argument("--level", default=None,
@@ -446,53 +408,37 @@ def build_parser() -> argparse.ArgumentParser:
                       help="assert these elementary divisors"
                            " (comma list, or the word none)")
     disc.add_argument("--format", choices=("text", "json"), default="text")
-    disc.set_defaults(handler=cmd_lattice_disc)
 
-    ope = groups.add_parser("ope", help="operator product checks")
-    sub = ope.add_subparsers(dest="action", required=True)
-    verify = sub.add_parser("verify", help="verify commutation relations")
-    verify.add_argument("--check", default="all",
-                        choices=("jalpha", "hminus", "fst", "all"))
-    _add_rs_flags(verify, with_level=True)
-    verify.set_defaults(handler=cmd_ope_verify)
+    ope = command("ope", "operator product checks",
+                  "verify", "verify commutation relations", cmd_ope_verify)
+    ope.add_argument("--check", default="all",
+                     choices=(*(name for name, _ in _OPE_CHECKS), "all"))
+    _add_rs_flags(ope, with_level=True)
 
-    char = groups.add_parser("char", help="formal character transforms")
-    sub = char.add_subparsers(dest="action", required=True)
-    roundtrip = sub.add_parser("roundtrip",
-                               help="transport a seed there and back")
-    roundtrip.add_argument("--seed", required=True, help="seed JSON path")
-    roundtrip.add_argument("--T", required=True,
-                           help="truncation order, exact rational")
-    roundtrip.add_argument("--weight", default=None,
-                           help="reference weight, defaults to the seed base")
-    roundtrip.add_argument("--format", choices=("text", "json"),
-                           default="text")
-    roundtrip.set_defaults(handler=cmd_char_roundtrip)
+    roundtrip = command("char", "formal character transforms",
+                        "roundtrip", "transport a seed there and back",
+                        cmd_char_roundtrip)
+    _add_seed_flags(roundtrip, with_flow=False)
 
-    flow = groups.add_parser("flow", help="spectral-flow identities")
-    sub = flow.add_subparsers(dest="action", required=True)
-    check = sub.add_parser("check", help="flow/transport equivariance")
-    check.add_argument("--seed", required=True, help="seed JSON path")
-    check.add_argument("--side", required=True, choices=("sc", "af"))
-    check.add_argument("--gamma", required=True,
-                       help="flow parameter as root-lattice coordinates")
-    check.add_argument("--T", required=True,
-                       help="truncation order, exact rational")
-    check.add_argument("--weight", default=None,
-                       help="reference weight, defaults to the seed base")
-    check.add_argument("--format", choices=("text", "json"), default="text")
-    check.set_defaults(handler=cmd_flow_check)
-
+    check = command("flow", "spectral-flow identities",
+                    "check", "flow/transport equivariance", cmd_flow_check)
+    _add_seed_flags(check, with_flow=True)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        ok, payload, lines = args.handler(args)
+        if args.format == "json":
+            sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2)
+                             + "\n")
+        else:
+            sys.stdout.write("\n".join(lines) + "\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

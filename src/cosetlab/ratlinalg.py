@@ -9,10 +9,24 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from math import lcm
 from operator import mul
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
 Matrix = Tuple[Vector, ...]
+
+
+def parse_rational(x, name: Optional[str] = None) -> Q:
+    """x as an exact rational; only an int (not a bool) or a string qualifies.
+
+    name, when given, is the seed field or CLI flag the error message names.
+    """
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return Q(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    prefix = "" if name is None else f"{name} is "
+    raise ValueError(f"{prefix}not an exact rational: {x!r}")
 
 
 def vec(entries: Iterable) -> Vector:

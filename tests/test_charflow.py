@@ -330,6 +330,9 @@ def test_validate_seed_is_total_on_corrupted_seeds(path, value):
     (seed_dict(strings=[{"weight_offset": [0], "terms": 5, "min_exp": "0"}]),
      "terms is not a list"),
     (seed_dict(rank=float("inf")), "bad root system"),
+    (seed_dict(rank=True), "rank is not a JSON integer"),
+    (seed_dict(rank=2.7), "rank is not a JSON integer"),
+    (seed_dict(rank="2"), "rank is not a JSON integer"),
 ])
 def test_validate_seed_reports_malformed_structure(raw, fragment):
     report = validate_seed(raw)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cosetlab.cli import main
+from cosetlab.cli import build_parser, main
 
 A1_SEED = {
     "type": "A",
@@ -172,6 +172,19 @@ def test_char_roundtrip_malformed_seed_is_usage_error(raw, tmp_path, capsys):
     assert "bad seed file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    json.dumps({k: v for k, v in A1_SEED.items() if k != "strings"})[:-1]
+    + ', "strings": ' + "[" * 995 + "]" * 995 + "}",
+], ids=["100000-deep", "995-deep-strings"])
+def test_char_roundtrip_deeply_nested_seed_is_usage_error(text, tmp_path,
+                                                          capsys):
+    p = tmp_path / "deep.json"
+    p.write_text(text, encoding="utf-8")
+    assert main(["char", "roundtrip", "--seed", str(p), "--T", "6"]) == 2
+    assert "bad seed file" in capsys.readouterr().err
+
+
 def test_char_roundtrip_missing_file(capsys):
     assert main(["char", "roundtrip", "--seed", "/nonexistent/s.json",
                  "--T", "6"]) == 2
@@ -237,3 +250,7 @@ def test_weights_map_e7(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["roundtrip_ok"] is True
     assert len(payload["jstar_values"]) == 63
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()

@@ -1,4 +1,4 @@
-"""Golden CLI corpus: every case's exit code and JSON stdout, byte for byte.
+"""Golden CLI corpus: every case's exit code, stdout and stderr, byte for byte.
 
 The corpus lives in ``tests/golden`` and is written by
 ``tests/golden/regen.py``; a refactor that changes any output byte fails
@@ -27,6 +27,8 @@ def test_corpus_matches_case_table():
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_golden_output_is_byte_identical(case):
-    rc, out = regen.run(case["argv"])
+    rc, out, err = regen.run(case["argv"])
     assert rc == case["exit"]
-    assert out == (GOLDEN / f"{case['name']}.json").read_text(encoding="utf-8")
+    assert err == case["stderr"]
+    expected = regen.output_file(case["name"], case["argv"])
+    assert out == expected.read_text(encoding="utf-8")

@@ -14,6 +14,7 @@ from cosetlab.ratlinalg import (
     mat_inv,
     mat_mul,
     mat_vec,
+    parse_rational,
     smith_normal_form,
     solve,
     transpose,
@@ -175,3 +176,21 @@ def test_determinant_exact_on_singular_swapped_and_rational_inputs():
     st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_determinant_matches_leibniz(rows):
     assert determinant(mat(rows)) == _leibniz_det(rows)
+
+
+@pytest.mark.parametrize("x, expected", [
+    ("5/3", Q(5, 3)), (" -2 ", Q(-2)), ("0.25", Q(1, 4)), (7, Q(7)),
+])
+def test_parse_rational_accepts_strings_and_ints(x, expected):
+    assert parse_rational(x) == expected
+
+
+@pytest.mark.parametrize("x", [True, False, 0.5, 2.0, None, [1], "1/0", "x"])
+def test_parse_rational_rejects_everything_else(x):
+    with pytest.raises(ValueError, match="^not an exact rational"):
+        parse_rational(x)
+
+
+def test_parse_rational_names_the_flag():
+    with pytest.raises(ValueError, match="^--T is not an exact rational: 'x'$"):
+        parse_rational("x", "--T")
