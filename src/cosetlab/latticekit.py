@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import isqrt
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .bilinear import ScWeight, sc_weight_from_jstar
@@ -45,6 +46,11 @@ def default_cocycle(gram: IntMatrix) -> IntMatrix:
         tuple((gram[i][j] + g[i] * g[j]) % 2 if i > j else 0 for j in range(n))
         for i in range(n)
     )
+
+
+def _bilinear(u: Sequence, m: IntMatrix, v: Sequence):
+    """u.M.v, summed over the nonzero entries of u."""
+    return sum(x * sum(map(mul, m[i], v)) for i, x in enumerate(u) if x)
 
 
 def _signature(gram: IntMatrix) -> str:
@@ -89,7 +95,7 @@ class IntegralLattice:
     def pair(self, u: Sequence, v: Sequence):
         if len(u) != self.rank or len(v) != self.rank:
             raise ValueError("dimension mismatch")
-        return sum(u[i] * self.gram[i][j] * v[j] for i in range(self.rank) for j in range(self.rank))
+        return _bilinear(u, self.gram, v)
 
     def norm(self, u: Sequence):
         return self.pair(u, u)
@@ -99,12 +105,9 @@ class IntegralLattice:
 
     def eps(self, u: Sequence, v: Sequence) -> int:
         """Cocycle sign (+1 or -1) on integer vectors."""
-        e = sum(
-            int(u[i]) * self.eps_exponents[i][j] * int(v[j])
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-        return -1 if e % 2 else 1
+        if len(u) != self.rank or len(v) != self.rank:
+            raise ValueError("dimension mismatch")
+        return -1 if _bilinear(u, self.eps_exponents, v) % 2 else 1
 
 
 def _lattice(name: str, labels: Sequence[str], gram: IntMatrix,
@@ -207,23 +210,10 @@ def sublattice(ambient: IntegralLattice, basis: Sequence[Sequence[int]],
                name: str, labels: Sequence[str]) -> EmbeddedLattice:
     """Sublattice with Gram and cocycle pulled back along the embedding."""
     rows = tuple(tuple(int(x) for x in row) for row in basis)
-    gram = tuple(
-        tuple(int(ambient.pair(u, v)) for v in rows) for u in rows
-    )
-    m = len(rows)
-    n = ambient.rank
-    eps = tuple(
-        tuple(
-            sum(
-                rows[i][p] * ambient.eps_exponents[p][q] * rows[j][q]
-                for p in range(n)
-                for q in range(n)
-            )
-            % 2
-            for j in range(m)
-        )
-        for i in range(m)
-    )
+    if any(len(row) != ambient.rank for row in rows):
+        raise ValueError("dimension mismatch")
+    gram = tuple(tuple(_bilinear(u, ambient.gram, v) for v in rows) for u in rows)
+    eps = tuple(tuple(_bilinear(u, ambient.eps_exponents, v) % 2 for v in rows) for u in rows)
     return EmbeddedLattice(_lattice(name, labels, gram, eps), ambient, rows)
 
 

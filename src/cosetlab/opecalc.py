@@ -18,11 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction as Q
-from math import comb, factorial
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import product
+from math import comb, factorial, perm, prod
+from operator import mul
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bilinear import gram_G, gram_g, gram_g_star, level_params
 from .latticekit import IntegralLattice, build_L_minus, build_L_plus, direct_sum, form_profile
+from .ratlinalg import vec
 from .rootsys import RootSystem
 
 Symbol = Tuple
@@ -48,14 +51,19 @@ def sc_scale(c: SymCoef, x) -> SymCoef:
     return {key: val * q for key, val in c.items()}
 
 
+def _add_at(out: dict, key, x) -> None:
+    """out[key] += x in a sparse map: a key whose sum is zero is dropped."""
+    s = out.get(key, 0) + x
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
 def sc_add(a: SymCoef, b: SymCoef) -> SymCoef:
     out = dict(a)
     for key, val in b.items():
-        s = out.get(key, Q(0)) + val
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        _add_at(out, key, val)
     return out
 
 
@@ -63,12 +71,7 @@ def sc_mul(a: SymCoef, b: SymCoef) -> SymCoef:
     out: SymCoef = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            key = tuple(sorted(ka + kb))
-            s = out.get(key, Q(0)) + va * vb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _add_at(out, tuple(sorted(ka + kb)), va * vb)
     return out
 
 
@@ -172,11 +175,15 @@ def identity_field(table: ContractionTable) -> Field:
     return {(None, (), _zero_exp(table)): sc_from(1)}
 
 
-def x_field(table: ContractionTable, alpha: Sequence[int], d: int = 0) -> Field:
-    a = tuple(int(c) for c in alpha)
-    if not table.rs.is_root(a):
+def _root(table: ContractionTable, alpha: Sequence) -> Tuple[int, ...]:
+    """alpha as integer coordinates; anything but a root is rejected."""
+    if not table.rs.is_root(alpha):
         raise ValueError("not a root")
-    return {(("X", a, d), (), _zero_exp(table)): sc_from(1)}
+    return tuple(int(c) for c in alpha)
+
+
+def x_field(table: ContractionTable, alpha: Sequence[int], d: int = 0) -> Field:
+    return {(("X", _root(table, alpha), d), (), _zero_exp(table)): sc_from(1)}
 
 
 def h_field(table: ContractionTable, lam: Sequence, d: int = 0) -> Field:
@@ -208,10 +215,11 @@ def boson_minus(table: ContractionTable, coeffs: Sequence, d: int = 0) -> Field:
 
 
 def exp_field(table: ContractionTable, plus: Sequence[int], minus: Sequence[int]) -> Field:
-    if len(plus) != table.n_plus or len(minus) != table.ell:
+    xi = vec(tuple(plus) + tuple(minus))
+    if (len(plus) != table.n_plus or len(minus) != table.ell
+            or any(c.denominator != 1 for c in xi)):
         raise ValueError("unregistered lattice vector")
-    xi = tuple(int(c) for c in plus) + tuple(int(c) for c in minus)
-    return {(None, (), xi): sc_from(1)}
+    return {(None, (), tuple(int(c) for c in xi)): sc_from(1)}
 
 
 # named fields used by the verification routines
@@ -252,16 +260,13 @@ def h_minus_field(table: ContractionTable, index: int) -> Field:
     return out
 
 
-def _xi_root(table: ContractionTable, alpha: Sequence[int]) -> Tuple[int, ...]:
-    a = tuple(int(c) for c in alpha)
+def _xi_root(table: ContractionTable, a: Tuple[int, ...]) -> Tuple[int, ...]:
     return a + (0,) * (table.n_plus - table.ell) + a
 
 
 def x_tilde_field(table: ContractionTable, alpha: Sequence[int]) -> Field:
     """Dressed root current X_alpha e^(f+ alpha) e^(f- alpha)."""
-    a = tuple(int(c) for c in alpha)
-    if not table.rs.is_root(a):
-        raise ValueError("not a root")
+    a = _root(table, alpha)
     return {(("X", a, 0), (), _xi_root(table, a)): sc_from(1)}
 
 
@@ -277,13 +282,10 @@ def h_tilde_field(table: ContractionTable, i: int) -> Field:
 
 def coroot_tilde_field(table: ContractionTable, alpha: Sequence[int]) -> Field:
     """Image of the coroot: kappa (H_alpha + k b(f+ alpha) + k b(f- alpha))."""
-    rs = table.rs
-    a = tuple(int(c) for c in alpha)
-    kappa = Q(2) / rs.norm(a)
+    a = _root(table, alpha)
     out = h_field(table, a)
-    xi = _xi_root(table, a)
-    out = field_add(out, field_scale(boson_field(table, xi), table.k))
-    return field_scale(out, kappa)
+    out = field_add(out, field_scale(boson_field(table, _xi_root(table, a)), table.k))
+    return field_scale(out, Q(2) / table.rs.norm(a))
 
 
 # ---------------------------------------------------------------------------
@@ -316,34 +318,23 @@ def _bell_tails(xi: Tuple[int, ...], orders: int) -> List[Dict[BosonKey, Q]]:
     """Boson monomial corrections P_0 .. P_(orders-1) left by a moved charge.
 
     P_m = (1/m) sum_{j=1..m} (1/(j-1)!) d^(j-1) b_xi . P_{m-j}, with P_0 = 1.
+    A zero charge leaves no corrections, so only P_0 is returned for it.
     """
     tails: List[Dict[BosonKey, Q]] = [{(): Q(1)}]
     support = [(i, c) for i, c in enumerate(xi) if c]
-    for m in range(1, orders):
+    for m in range(1, orders if support else 1):
         acc: Dict[BosonKey, Q] = {}
         for j in range(1, m + 1):
             scale = Q(1, factorial(j - 1)) / m
             for mono, q in tails[m - j].items():
                 for i, c in support:
-                    key = tuple(sorted(mono + ((i, j - 1),)))
-                    s = acc.get(key, Q(0)) + q * scale * c
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
+                    _add_at(acc, tuple(sorted(mono + ((i, j - 1),))), q * scale * c)
         tails.append(acc)
     return tails
 
 
 # ---------------------------------------------------------------------------
 # the affine contraction table
-
-def _rising(x: int, m: int) -> int:
-    out = 1
-    for t in range(m):
-        out *= x + t
-    return out
-
 
 def _affine_base(table: ContractionTable, affA, affB) -> List[Tuple[int, SymCoef, AffineKey]]:
     """Base contractions (pole, coefficient, symbol at w) at derivative zero."""
@@ -386,7 +377,8 @@ def _affine_contractions(table: ContractionTable, affA, affB) -> List[Tuple[int,
             tail = dB - j
             if symbol is None and tail:
                 continue  # derivatives of a constant coefficient vanish
-            c = comb(dB, j) * _rising(n, j) * (-1) ** dA * _rising(n + j, dA)
+            # rising factorials n^(j) and (n+j)^(dA), with n >= 1
+            c = comb(dB, j) * perm(n + j - 1, j) * (-1) ** dA * perm(n + j + dA - 1, dA)
             placed = symbol if symbol is None else (symbol[0], symbol[1], symbol[2] + tail)
             out.append((-(n + j + dA), sc_scale(coef, c), placed))
     return out
@@ -408,7 +400,7 @@ class SingularPart:
         return max(self.poles) if self.poles else 0
 
 
-def _validate_field(table: ContractionTable, f: Field) -> int:
+def field_parity(table: ContractionTable, f: Field) -> int:
     """Shape-check a field and return its parity; reject mixed parity."""
     parities = set()
     for (affine, bosons, exp), coef in f.items():
@@ -424,10 +416,6 @@ def _validate_field(table: ContractionTable, f: Field) -> int:
     if len(parities) > 1:
         raise ValueError("field is not parity-homogeneous")
     return parities.pop() if parities else 0
-
-
-def field_parity(table: ContractionTable, f: Field) -> int:
-    return _validate_field(table, f)
 
 
 def _boson_patterns(bosA: BosonKey, bosB: BosonKey) -> Iterator[Tuple]:
@@ -452,19 +440,15 @@ def _boson_patterns(bosA: BosonKey, bosB: BosonKey) -> Iterator[Tuple]:
 
 
 def _compositions(budget: int, slots: int) -> Iterator[Tuple[int, ...]]:
-    if slots == 0:
-        yield ()
-        return
-    for first in range(budget + 1):
-        for rest in _compositions(budget - first, slots - 1):
-            yield (first,) + rest
+    """Tuples of `slots` nonnegative integers with sum <= budget, in order."""
+    return (ms for ms in product(range(budget + 1), repeat=slots) if sum(ms) <= budget)
 
 
 def ope_singular(table: ContractionTable, A: Field, B: Field,
                  regular_orders: int = 2) -> SingularPart:
     """Complete singular part of A(z)B(w) plus requested Taylor coefficients."""
-    _validate_field(table, A)
-    _validate_field(table, B)
+    field_parity(table, A)
+    field_parity(table, B)
     max_order = regular_orders - 1
     sink: Dict[int, Field] = {}
     for keyA, cA in A.items():
@@ -484,109 +468,55 @@ def _pair_into(table: ContractionTable, sink: Dict[int, Field],
     affA, bosA, xiA = keyA
     affB, bosB, xiB = keyB
     lattice = table.lattice
+    gram = lattice.gram
     base = int(lattice.pair(xiA, xiB))
-    sign = lattice.eps(xiA, xiB)
-    c0 = sc_scale(sc_mul(cA, cB), sign)
+    c0 = sc_scale(sc_mul(cA, cB), lattice.eps(xiA, xiB))
     if not c0:
         return
     out_exp = tuple(a + b for a, b in zip(xiA, xiB))
-    charged = any(xiA)
 
-    # affine fates: contracted entries, or both symbols kept
-    affine_options: List[Tuple[Optional[Tuple[int, SymCoef, AffineKey]], Tuple]] = []
+    # affine fates (contraction entry, symbol kept at z, symbol kept at w)
+    fates: List[Tuple[Optional[Tuple[int, SymCoef, AffineKey]], AffineKey, AffineKey]]
+    fates = [(None, affA, affB)]
     if affA is not None and affB is not None:
-        affine_options.append((None, (affA, affB)))
-        for entry in _affine_contractions(table, affA, affB):
-            affine_options.append((entry, ()))
-    elif affA is not None:
-        affine_options.append((None, (affA, None)))
-    elif affB is not None:
-        affine_options.append((None, (None, affB)))
-    else:
-        affine_options.append((None, ()))
+        fates += [(entry, None, None) for entry in _affine_contractions(table, affA, affB)]
 
     for matched, hitB, hitA, keptA, stayB in _boson_patterns(bosA, bosB):
-        factor = Q(1)
-        shift = base
-        for pa, pb in matched:
-            i, dA = bosA[pa]
-            j, dB = bosB[pb]
-            g = lattice.gram[i][j]
-            if not g:
-                factor = Q(0)
-                break
-            factor *= g * (-1) ** dA * factorial(dA + dB + 1)
-            shift -= 2 + dA + dB
-        if not factor:
+        # contraction links (pairing, weight, pole order): boson-boson,
+        # z-boson against the w charge, w-boson against the z charge
+        links = [(gram[i][j], (-1) ** dA * factorial(dA + dB + 1), 2 + dA + dB)
+                 for (i, dA), (j, dB) in ((bosA[pa], bosB[pb]) for pa, pb in matched)]
+        links += [(sum(map(mul, gram[i], xiB)), (-1) ** d * factorial(d), 1 + d)
+                  for i, d in (bosA[pa] for pa in hitB)]
+        links += [(sum(map(mul, gram[j], xiA)), -factorial(e), 1 + e)
+                  for j, e in (bosB[pb] for pb in hitA)]
+        if not all(pairing for pairing, _, _ in links):
             continue
-        for pa in hitB:
-            i, d = bosA[pa]
-            g = sum(lattice.gram[i][t] * xiB[t] for t in range(table.dim))
-            if not g:
-                factor = Q(0)
-                break
-            factor *= g * (-1) ** d * factorial(d)
-            shift -= 1 + d
-        if not factor:
-            continue
-        for pb in hitA:
-            j, e = bosB[pb]
-            g = sum(xiA[t] * lattice.gram[t][j] for t in range(table.dim))
-            if not g:
-                factor = Q(0)
-                break
-            factor *= -g * factorial(e)
-            shift -= 1 + e
-        if not factor:
-            continue
-        kept_bosons_A = tuple(bosA[pa] for pa in keptA)
-        stay_bosons_B = tuple(bosB[pb] for pb in stayB)
+        coef_links = sc_scale(c0, prod(pairing * weight for pairing, weight, _ in links))
+        shift = base - sum(order for _, _, order in links)
+        kept = tuple(bosA[pa] for pa in keptA)
+        stay = tuple(bosB[pb] for pb in stayB)
 
-        for entry, leftover_affines in affine_options:
+        for entry, aff_z, aff_w in fates:
             min_exp = shift + (entry[0] if entry else 0)
             if min_exp > max_order:
                 continue
-            count = (1 if entry and entry[2] is not None else 0)
-            count += sum(1 for a in leftover_affines if a is not None)
-            if count >= 2:
+            if aff_z is not None and aff_w is not None:
                 raise ValueError("unsupported composite of affine symbols")
-            coef_here = sc_scale(c0, factor)
-            if entry:
-                coef_here = sc_mul(coef_here, entry[1])
-                if not coef_here:
-                    continue
-            aff_z = leftover_affines[0] if leftover_affines else None
-            aff_w = leftover_affines[1] if len(leftover_affines) > 1 else None
+            coef = sc_mul(coef_links, entry[1]) if entry else coef_links
             aff_out = entry[2] if entry else aff_w
             # taylor slots: kept z-side bosons, then the z-side affine if any
-            slots = len(kept_bosons_A) + (1 if aff_z is not None else 0)
+            slots = len(kept) + (aff_z is not None)
             budget = max_order - min_exp
-            bell = _bell_tails(xiA, budget + 1) if charged else [{(): Q(1)}]
-            for m_bell in range(budget + 1 if charged else 1):
-                tail = bell[m_bell]
-                if not tail:
-                    continue
+            for m_bell, tail in enumerate(_bell_tails(xiA, budget + 1)):
                 for ms in _compositions(budget - m_bell, slots):
-                    scale = Q(1)
-                    for m in ms:
-                        scale /= factorial(m)
-                    relocated = tuple(
-                        (i, d + m) for (i, d), m in zip(kept_bosons_A, ms)
-                    )
-                    if aff_z is not None:
-                        kind, data, d = aff_z
-                        final_aff = (kind, data, d + ms[-1])
-                    else:
-                        final_aff = aff_out
-                    order = min_exp + m_bell + sum(ms)
+                    scale = Q(1, prod(map(factorial, ms)))
+                    relocated = tuple((i, d + m) for (i, d), m in zip(kept, ms))
+                    aff = aff_out if aff_z is None else (aff_z[0], aff_z[1], aff_z[2] + ms[-1])
+                    fld = sink.setdefault(min_exp + m_bell + sum(ms), {})
                     for mono, qbell in tail.items():
-                        key = (
-                            final_aff,
-                            tuple(sorted(relocated + stay_bosons_B + mono)),
-                            out_exp,
-                        )
-                        fld = sink.setdefault(order, {})
-                        field_add_into(fld, key, sc_scale(coef_here, scale * qbell))
+                        key = (aff, tuple(sorted(relocated + stay + mono)), out_exp)
+                        field_add_into(fld, key, sc_scale(coef, scale * qbell))
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +535,8 @@ class SkewVerdict(NamedTuple):
 
 def lambda_bracket_skew_check(table: ContractionTable, A: Field, B: Field) -> SkewVerdict:
     """Check the skew-symmetry relation between the two OPE orders."""
-    pa = _validate_field(table, A)
-    pb = _validate_field(table, B)
+    pa = field_parity(table, A)
+    pb = field_parity(table, B)
     sab = ope_singular(table, A, B, 0)
     sba = ope_singular(table, B, A, 0)
     top = max(sab.max_pole, sba.max_pole)
@@ -670,16 +600,27 @@ class VerifyReport:
         }
 
 
-def _compare(diffs: List[OpeDiff], left: str, right: str,
-             got: SingularPart, want: Dict[int, Field]) -> None:
-    for n in sorted(set(got.poles) | set(want), reverse=True):
-        g = got.poles.get(n, {})
-        w = want.get(n, {})
-        if g != w:
-            diffs.append(OpeDiff(left, right, n, field_repr(w), field_repr(g)))
+def _report(name: str, cases: Iterable[Tuple[str, str, SingularPart, Dict[int, Field]]],
+            central: Sequence[CentralTerm] = ()) -> VerifyReport:
+    """Compare each case's poles with the wanted ones; one check per case.
+
+    A case is (left label, right label, singular part, wanted poles).
+    central is read only after cases is exhausted, so a case generator may
+    fill it as it goes.
+    """
+    diffs: List[OpeDiff] = []
+    checks = 0
+    for left, right, got, want in cases:
+        for n in sorted(set(got.poles) | set(want), reverse=True):
+            g = got.poles.get(n, {})
+            w = want.get(n, {})
+            if g != w:
+                diffs.append(OpeDiff(left, right, n, field_repr(w), field_repr(g)))
+        checks += 1
+    return VerifyReport(name, checks, diffs, list(central))
 
 
-def _scalar_field(table: ContractionTable, x) -> Dict[int, Field]:
+def _scalar_field(table: ContractionTable, x) -> Field:
     coef = sc_from(x)
     return {(None, (), _zero_exp(table)): coef} if coef else {}
 
@@ -692,23 +633,18 @@ def verify_Jalpha_heisenberg(rs: RootSystem, k) -> VerifyReport:
     gs = table.gstar
     js = [j_field(table, a) for a in range(n)]
     jstars = [jstar_field(table, a) for a in range(n)]
-    diffs: List[OpeDiff] = []
-    checks = 0
-    for a in range(n):
-        la = "J" + str(rs.positive_roots[a])
-        sa = "J*" + str(rs.positive_roots[a])
-        for b in range(n):
-            lb = "J" + str(rs.positive_roots[b])
-            delta = Q(1) if a == b else Q(0)
-            _compare(diffs, la, lb, ope_singular(table, js[a], js[b], 0),
-                     {2: _scalar_field(table, g[a][b])})
-            _compare(diffs, sa, lb, ope_singular(table, jstars[a], js[b], 0),
-                     {2: _scalar_field(table, delta)})
-            _compare(diffs, sa, "J*" + str(rs.positive_roots[b]),
-                     ope_singular(table, jstars[a], jstars[b], 0),
-                     {2: _scalar_field(table, gs[a][b])})
-            checks += 3
-    return VerifyReport("jalpha", checks, diffs)
+
+    def cases():
+        for a, ra in enumerate(rs.positive_roots):
+            for b, rb in enumerate(rs.positive_roots):
+                yield (f"J{ra}", f"J{rb}", ope_singular(table, js[a], js[b], 0),
+                       {2: _scalar_field(table, g[a][b])})
+                yield (f"J*{ra}", f"J{rb}", ope_singular(table, jstars[a], js[b], 0),
+                       {2: _scalar_field(table, int(a == b))})
+                yield (f"J*{ra}", f"J*{rb}", ope_singular(table, jstars[a], jstars[b], 0),
+                       {2: _scalar_field(table, gs[a][b])})
+
+    return _report("jalpha", cases())
 
 
 def verify_Hminus_heisenberg(rs: RootSystem, k) -> VerifyReport:
@@ -717,16 +653,11 @@ def verify_Hminus_heisenberg(rs: RootSystem, k) -> VerifyReport:
     n = rs.num_positive
     big_g = gram_G(rs, k)
     hs = [h_minus_field(table, a) for a in range(n)]
-    diffs: List[OpeDiff] = []
-    checks = 0
-    for a in range(n):
-        for b in range(n):
-            _compare(diffs, "H-" + str(rs.positive_roots[a]),
-                     "H-" + str(rs.positive_roots[b]),
-                     ope_singular(table, hs[a], hs[b], 0),
-                     {2: _scalar_field(table, big_g[a][b])})
-            checks += 1
-    return VerifyReport("hminus", checks, diffs)
+    labels = [f"H-{r}" for r in rs.positive_roots]
+    return _report("hminus", (
+        (labels[a], labels[b], ope_singular(table, hs[a], hs[b], 0),
+         {2: _scalar_field(table, big_g[a][b])})
+        for a in range(n) for b in range(n)))
 
 
 def verify_fst_homomorphism(rs: RootSystem, k) -> VerifyReport:
@@ -736,48 +667,40 @@ def verify_fst_homomorphism(rs: RootSystem, k) -> VerifyReport:
     kq = table.k
     all_roots = list(rs.positive_roots) + [tuple(-c for c in a) for a in rs.positive_roots]
     xt = {a: x_tilde_field(table, a) for a in all_roots}
-    diffs: List[OpeDiff] = []
     central: List[CentralTerm] = []
-    checks = 0
-    for a in all_roots:
-        for b in all_roots:
-            got = ope_singular(table, xt[a], xt[b], 0)
-            total = tuple(x + y for x, y in zip(a, b))
-            if not any(total):
-                kappa = Q(2) / rs.norm(a)
-                want = {1: coroot_tilde_field(table, a),
-                        2: _scalar_field(table, kq * kappa)}
-                idkey = (None, (), _zero_exp(table))
-                computed = got.pole(2).get(idkey, {}).get((), Q(0))
-                central.append(CentralTerm(a, computed, kq * kappa, kq))
-            elif rs.is_root(total):
-                key = (("X", total, 0), (), _xi_root(table, total))
-                want = {1: {key: n_symbol_coef(a, b)}}
-            else:
-                want = {}
-            _compare(diffs, f"Xt{a}", f"Xt{b}", got, want)
-            checks += 1
-    for i in range(rs.rank):
-        ht_i = h_tilde_field(table, i)
+
+    def cases():
+        idkey = (None, (), _zero_exp(table))
         for a in all_roots:
-            c = rs.form(rs.simple_roots[i], a)
-            want = {1: field_scale(xt[a], c)} if c else {}
-            _compare(diffs, f"Ht{rs.simple_roots[i]}", f"Xt{a}",
-                     ope_singular(table, ht_i, xt[a], 0), want)
-            checks += 1
-        for j in range(rs.rank):
-            c = kq * rs.form(rs.simple_roots[i], rs.simple_roots[j])
-            _compare(diffs, f"Ht{rs.simple_roots[i]}", f"Ht{rs.simple_roots[j]}",
-                     ope_singular(table, ht_i, h_tilde_field(table, j), 0),
-                     {2: _scalar_field(table, c)} if c else {})
-            checks += 1
-    for idx in range(rs.num_positive):
-        hp = h_plus_field(table, idx)
-        hm = h_minus_field(table, idx)
-        for a in all_roots:
-            _compare(diffs, f"H+{rs.positive_roots[idx]}", f"Xt{a}",
-                     ope_singular(table, hp, xt[a], 0), {})
-            _compare(diffs, f"H-{rs.positive_roots[idx]}", f"Xt{a}",
-                     ope_singular(table, hm, xt[a], 0), {})
-            checks += 2
-    return VerifyReport("fst", checks, diffs, central)
+            for b in all_roots:
+                got = ope_singular(table, xt[a], xt[b], 0)
+                total = tuple(x + y for x, y in zip(a, b))
+                if not any(total):
+                    kappa = Q(2) / rs.norm(a)
+                    want = {1: coroot_tilde_field(table, a),
+                            2: _scalar_field(table, kq * kappa)}
+                    computed = got.pole(2).get(idkey, {}).get((), Q(0))
+                    central.append(CentralTerm(a, computed, kq * kappa, kq))
+                elif rs.is_root(total):
+                    key = (("X", total, 0), (), _xi_root(table, total))
+                    want = {1: {key: n_symbol_coef(a, b)}}
+                else:
+                    want = {}
+                yield f"Xt{a}", f"Xt{b}", got, want
+        for i, si in enumerate(rs.simple_roots):
+            ht_i = h_tilde_field(table, i)
+            for a in all_roots:
+                yield (f"Ht{si}", f"Xt{a}", ope_singular(table, ht_i, xt[a], 0),
+                       {1: field_scale(xt[a], rs.form(si, a))})
+            for j, sj in enumerate(rs.simple_roots):
+                yield (f"Ht{si}", f"Ht{sj}",
+                       ope_singular(table, ht_i, h_tilde_field(table, j), 0),
+                       {2: _scalar_field(table, kq * rs.form(si, sj))})
+        for idx, root in enumerate(rs.positive_roots):
+            hp = h_plus_field(table, idx)
+            hm = h_minus_field(table, idx)
+            for a in all_roots:
+                yield f"H+{root}", f"Xt{a}", ope_singular(table, hp, xt[a], 0), {}
+                yield f"H-{root}", f"Xt{a}", ope_singular(table, hm, xt[a], 0), {}
+
+    return _report("fst", cases(), central)

@@ -167,7 +167,8 @@ class RootSystem:
         return int(sum(coords))
 
     def is_root(self, coords: Sequence) -> bool:
-        c = tuple(int(x) for x in coords)
+        # exact coordinates: a Fraction hashes and compares as the equal int
+        c = vec(coords)
         return c in self.root_index or tuple(-x for x in c) in self.root_index
 
     def coroot(self, alpha: Sequence) -> Vector:

@@ -54,9 +54,16 @@ def cases():
                         ["lattice", "disc", "--lattice", lattice, *rs,
                          *extra]))
     # both read gram_g_star: the dual generators and the coset-side weights
-    out.append(("ope-verify-jalpha-A2",
-                ["ope", "verify", "--check", "jalpha", "--type", "A",
-                 "--rank", "2", "--level=3/2"]))
+    for check in ("jalpha", "hminus", "fst"):
+        out.append((f"ope-verify-{check}-A2",
+                    ["ope", "verify", "--check", check, "--type", "A",
+                     "--rank", "2", "--level=3/2"]))
+    # every check at once: rank 1, a non-simply-laced pair, both level signs
+    for family, rank, level in (("A", 1, "7/2"), ("B", 2, "-5/3"),
+                                ("G", 2, "7/2")):
+        out.append((f"ope-verify-all-{family}{rank}",
+                    ["ope", "verify", "--type", family, "--rank", str(rank),
+                     f"--level={level}", "--check", "all"]))
     out.append(("char-roundtrip-B2",
                 ["char", "roundtrip", "--seed", "seeds/B2.json", "--T", "6"]))
     # spectral flow on both sides, the second seed with an explicit weight
@@ -96,6 +103,7 @@ def cases():
 # one case per command, plus the exit-1 and exit-2 cases, in text mode too
 TEXT_TWINS = ("rootsys-info-A2", "forms-verify-A2-pos", "weights-map-A2",
               "lattice-disc-qsc-dual-A2", "ope-verify-jalpha-A2",
+              "ope-verify-hminus-A2", "ope-verify-fst-A2",
               "char-roundtrip-B2", "flow-check-sc-B2", "flow-check-af-G2",
               "flow-check-fractional-gamma-B2", "forms-verify-B2-critical",
               "lattice-disc-expect-fail-A2")

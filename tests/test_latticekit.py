@@ -1,6 +1,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetlab.latticekit import (
     EmbeddedLattice,
@@ -396,6 +398,45 @@ def test_lattice_vector_validation():
     w = LatticeVector(build_L_minus(rs), (0, 1))
     with pytest.raises(ValueError):
         v.pair(w)
+
+
+def _dense(u, m, v):
+    n = len(m)
+    return sum(u[i] * m[i][j] * v[j] for i in range(n) for j in range(n))
+
+
+_DENSE_LATTICE = direct_sum(build_Qsc_dual_lattice(build_root_system("A", 3)),
+                            build_L_minus(build_root_system("A", 3)))
+_COORD = st.integers(-3, 3)
+_VECTOR = st.lists(_COORD, min_size=_DENSE_LATTICE.rank,
+                   max_size=_DENSE_LATTICE.rank).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_VECTOR, _VECTOR, st.integers(1, 4))
+def test_pair_eps_and_pullback_match_dense_sums(u, v, den):
+    # the sparse u.M.v against the double sum over every index pair
+    lat = _DENSE_LATTICE
+    g, e = lat.gram, lat.eps_exponents
+    assert lat.pair(u, v) == _dense(u, g, v)
+    half = tuple(Q(x, den) for x in u)
+    assert lat.pair(half, v) == _dense(half, g, v)
+    assert lat.eps(u, v) == (-1) ** (_dense(u, e, v) % 2)
+    emb = sublattice(lat, [u, v], "W", ("u", "v"))
+    rows = (u, v)
+    assert emb.lattice.gram == tuple(tuple(_dense(a, g, b) for b in rows) for a in rows)
+    assert emb.lattice.eps_exponents == tuple(
+        tuple(_dense(a, e, b) % 2 for b in rows) for a in rows)
+
+
+def test_pair_eps_and_sublattice_check_dimensions():
+    lat = build_L_plus(build_root_system("A", 2))
+    for u, v in (((1, 0, 0, 1), (1, 0, 0)), ((1, 0, 0), (1, 0))):
+        for form in (lat.pair, lat.eps):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                form(u, v)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sublattice(lat, [(1, 0)], "W", ("u",))
 
 
 def test_sublattice_of_sum_keeps_identity():

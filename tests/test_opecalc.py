@@ -322,6 +322,12 @@ def test_unregistered_vector_rejected():
         oc.ope_singular(t, bad, oc.identity_field(t), 0)
     with pytest.raises(ValueError, match="unregistered lattice vector"):
         oc.boson_field(t, (1, 0, 0))
+    # a fractional charge is not a lattice vector, not a truncated one
+    t2 = table("A", 2, 1)
+    for plus, minus in (((Q(1, 2), 0, 0), (0, 0)), ((0, 0, 0), (0, Q(-3, 2)))):
+        with pytest.raises(ValueError, match="unregistered lattice vector"):
+            oc.exp_field(t2, plus, minus)
+    assert oc.exp_field(t2, (Q(1), 0, 0), (0, 0)) == oc.exp_field(t2, (1, 0, 0), (0, 0))
 
 
 def test_composite_regular_term_rejected():
@@ -340,6 +346,10 @@ def test_x_field_requires_root():
         oc.x_field(t, (2, 0))
     with pytest.raises(ValueError, match="not a root"):
         oc.x_tilde_field(t, (1, 2))
+    for make in (oc.x_field, oc.x_tilde_field, oc.coroot_tilde_field):
+        with pytest.raises(ValueError, match="not a root"):
+            make(t, (Q(3, 2), 0))
+    assert oc.x_field(t, (Q(1), Q(0))) == oc.x_field(t, (1, 0))
 
 
 def test_h_tilde_index_range():

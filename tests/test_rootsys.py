@@ -191,6 +191,14 @@ def test_simple_reflections_permute_roots():
                 assert refl in roots
 
 
+def test_is_root_is_exact():
+    rs = build_root_system("A", 2)
+    assert rs.is_root((1, 1)) and rs.is_root((Q(-1), Q(0)))
+    # (3/2, 0) is not truncated to the root (1, 0)
+    for coords in ((Q(3, 2), 0), (Q(1, 2), Q(1, 2)), (0, Q(-3, 2)), (2, 0)):
+        assert not rs.is_root(coords)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         cartan_matrix("H", 3)
