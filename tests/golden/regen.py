@@ -69,14 +69,19 @@ def cases():
     # spectral flow on both sides, the second seed with an explicit weight
     for seed, sc_gamma, af_gamma, weight in (("B2", "0,1", "1,0", []),
                                              ("G2", "1,0", "0,1",
-                                              ["--weight=1,0"])):
+                                              ["--weight=1,0"]),
+                                             ("A3", "1,0,0", "0,0,1", []),
+                                             ("B3", "1,0,0", "0,0,1", [])):
         for side, gamma in (("sc", sc_gamma), ("af", af_gamma)):
             out.append((f"flow-check-{side}-{seed}",
                         ["flow", "check", "--seed", f"seeds/{seed}.json",
                          "--side", side, f"--gamma={gamma}", "--T", "6",
                          *weight]))
-    out.append(("char-roundtrip-G2",
-                ["char", "roundtrip", "--seed", "seeds/G2.json", "--T", "6"]))
+    # rank-3 seeds: plus-kernel lattices of rank 3 (A3) and 6 (B3)
+    for seed in ("G2", "A3", "B3"):
+        out.append((f"char-roundtrip-{seed}",
+                    ["char", "roundtrip", "--seed", f"seeds/{seed}.json",
+                     "--T", "6"]))
     # unusable requests: exit 2 with the reason on stderr
     out.append(("flow-check-fractional-gamma-B2",
                 ["flow", "check", "--seed", "seeds/B2.json", "--side", "sc",

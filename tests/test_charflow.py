@@ -191,6 +191,28 @@ def test_eta_power_cancels_its_inverse(m):
     assert prod.validity is not None
 
 
+def convolved_eta_power(m, order):
+    # |m|-fold convolution of the Euler product or of the partition numbers
+    base = (naive_euler_product(order) if m >= 0
+            else [count_partitions(n) for n in range(order + 1)])
+    acc = [1] + [0] * order
+    for _ in range(abs(m)):
+        acc = [sum(acc[i] * base[n - i] for i in range(n + 1))
+               for n in range(order + 1)]
+    return acc
+
+
+@pytest.mark.parametrize("T", [Q(7), Q(13, 2)])
+@pytest.mark.parametrize("m", range(-8, 9))
+def test_eta_power_matches_convolution(m, T):
+    s = eta_power(m, T)
+    lead = Q(m, 24)
+    span = T - lead
+    coeffs = convolved_eta_power(m, span.numerator // span.denominator)
+    assert s.validity == T
+    assert s.items() == tuple((lead + n, c) for n, c in enumerate(coeffs) if c)
+
+
 def test_eta_recompute_at_higher_order_agrees():
     low = eta_power(-2, 5)
     high = eta_power(-2, 9)

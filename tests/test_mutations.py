@@ -3,20 +3,29 @@
 Every golden case passes, so a verifier that stopped comparing would still
 reproduce every golden byte.  These tests feed the OPE verifiers a
 contraction table with one deliberate defect, by replacing
-``opecalc.make_table``, and pin the failures that defect must cause.
+``opecalc.make_table``, and feed character transport a wrong eta power or a
+short lattice enumeration, by replacing ``charflow.eta_power`` or
+``charflow.enumerate_by_norm``.  Each pins the failures its defect must cause.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
-from cosetlab import opecalc
+from cosetlab import charflow, opecalc
+from cosetlab.charflow import QSeries, roundtrip_check, validate_seed
 from cosetlab.opecalc import OpeDiff
 from cosetlab.rootsys import build_root_system
 
 REAL_MAKE_TABLE = opecalc.make_table
+REAL_ETA_POWER = charflow.eta_power
+REAL_ENUMERATE = charflow.enumerate_by_norm
+B2_SEED = Path(__file__).resolve().parent / "golden" / "seeds" / "B2.json"
 
 
 def _bump_gstar(rs, k):
@@ -82,3 +91,51 @@ def test_fst_sees_a_flipped_cocycle_bit(a2, monkeypatch):
     assert (first.left, first.right, first.pole) == ("Xt(1, 0)", "Xt(0, 1)", 1)
     assert first.expected == "(-1*N[0,1|1,0])*X(1,1) E(1,1,0,1,1)"
     assert first.got == "(1*N[0,1|1,0])*X(1,1) E(1,1,0,1,1)"
+
+
+def _bump_eta(m, T):
+    """The true eta power with 1 added to its coefficient at q^(m/24 + 1)."""
+    s = REAL_ETA_POWER(m, T)
+    return s + QSeries.from_terms([(s.offset + 1, 1)])
+
+
+def _drop_zero_vector(lattice, bound, *args, **kwargs):
+    """The true enumeration without the zero vector.
+
+    A round trip passes every string through the zero kernel vector only,
+    so that is the vector whose loss it must see.
+    """
+    return [v for v in REAL_ENUMERATE(lattice, bound, *args, **kwargs)
+            if any(v)]
+
+
+@pytest.fixture
+def b2_seed():
+    raw = json.loads(B2_SEED.read_text(encoding="utf-8"))
+    return validate_seed(raw).character
+
+
+def test_unmutated_transport_round_trips(b2_seed):
+    assert roundtrip_check(b2_seed, (0, 0), 1, 6).ok
+
+
+def test_roundtrip_sees_a_wrong_eta_coefficient(b2_seed, monkeypatch):
+    monkeypatch.setattr(charflow, "eta_power", _bump_eta)
+    report = roundtrip_check(b2_seed, (0, 0), 1, 6)
+    assert not report.ok
+    assert report.diffs == {
+        (0, 0): (6, ((1, -2), (2, 3), (3, -8), (4, -7), (5, -9), (6, -32))),
+        (0, 1): (Q(67, 12), ((Q(3, 2), -4), (Q(7, 2), -7), (Q(9, 2), -20),
+                             (Q(11, 2), -30))),
+    }
+
+
+def test_roundtrip_sees_a_dropped_lattice_vector(b2_seed, monkeypatch):
+    monkeypatch.setattr(charflow, "enumerate_by_norm", _drop_zero_vector)
+    report = roundtrip_check(b2_seed, (0, 0), 1, 6)
+    assert not report.ok
+    # each string comes back as zero: the diff is the seed string itself
+    assert report.diffs == {
+        (0, 0): (6, ((0, 1), (1, -2), (2, 3))),
+        (0, 1): (Q(67, 12), ((Q(1, 2), 2), (Q(3, 2), -1))),
+    }
