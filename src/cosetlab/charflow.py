@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from math import isqrt, lcm
+from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bilinear import (
@@ -40,7 +40,7 @@ from .latticekit import (
     g_sc_plus,
     kernel_K,
 )
-from .ratlinalg import parse_rational, vec
+from .ratlinalg import dot, parse_rational, solve, vec
 from .rootsys import RootSystem, build_root_system
 
 
@@ -211,46 +211,15 @@ def qseries_diff(a: QSeries, b: QSeries, order=None):
     return to, tuple(sorted((e, c) for e, c in acc.items() if c != 0))
 
 
-def _euler_factor_coeffs(order: int) -> Dict[int, int]:
-    """Coefficients of prod(1 - q^n) up to q^order, by the pentagonal rule."""
-    out = {0: 1}
-    j = 1
-    while j * (3 * j - 1) // 2 <= order:
-        sign = 1 if j % 2 == 0 else -1
-        for e in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
-            if e <= order:
-                out[e] = sign
-        j += 1
-    return out
-
-
-def _partition_coeffs(order: int) -> Dict[int, int]:
-    """Partition numbers p(0..order) via the pentagonal recurrence."""
-    p = [1] + [0] * order
-    for n in range(1, order + 1):
-        total = 0
-        j = 1
-        while j * (3 * j - 1) // 2 <= n:
-            sign = 1 if j % 2 == 1 else -1
-            for e in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
-                if e <= n:
-                    total += sign * p[n - e]
-            j += 1
-        p[n] = total
-    return {n: p[n] for n in range(order + 1) if p[n]}
-
-
-def _convolve(a: Dict[int, int], b: Dict[int, int], order: int) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            if i + j <= order:
-                out[i + j] = out.get(i + j, 0) + x * y
-    return {n: c for n, c in out.items() if c}
-
-
 def eta_power(m: int, T) -> QSeries:
-    """The m-th power of q^(1/24) prod(1 - q^n), certified to order T."""
+    """The m-th power of q^(1/24) prod(1 - q^n), certified to order T.
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7) for
+    g = f^m with f_0 = 1: n g_n = sum_k ((m + 1) k - n) f_k g_(n-k), where
+    f = prod(1 - q^n) has f_k = (-1)^j at the pentagonal numbers
+    k = j(3j -+ 1)/2 and 0 elsewhere.  Every g_n is an integer, so the
+    division by n is exact.
+    """
     m = int(m)
     T = Q(T)
     lead = Q(m, 24)
@@ -258,11 +227,13 @@ def eta_power(m: int, T) -> QSeries:
         raise ValueError("validity order is below the leading exponent")
     span = T - lead
     order = span.numerator // span.denominator
-    base = _euler_factor_coeffs(order) if m >= 0 else _partition_coeffs(order)
-    acc = {0: 1}
-    for _ in range(abs(m)):
-        acc = _convolve(acc, base, order)
-    return QSeries(lead, 1, {j: Q(c) for j, c in acc.items()}, T)
+    terms = [(k, (-1) ** j) for j in range(1, order + 1)
+             for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if k <= order]
+    g = [1]
+    for n in range(1, order + 1):
+        g.append(sum(((m + 1) * k - n) * f * g[n - k]
+                     for k, f in terms if k <= n) // n)
+    return QSeries(lead, 1, {j: Q(c) for j, c in enumerate(g)}, T)
 
 
 @dataclass
@@ -364,36 +335,29 @@ def _root_coords(gamma: Sequence, rs: RootSystem) -> Tuple[int, ...]:
     return _grid_offset(gamma, error="weight is not in the root lattice")
 
 
-def _ceil_sqrt(x: Q) -> int:
-    """Smallest nonnegative integer a with a*a >= x."""
-    if x <= 0:
-        return 0
-    n = -((-x.numerator) // x.denominator)
-    a = isqrt(n)
-    if a * a < x:
-        a += 1
-    return a
-
-
 _EXACT_ZERO = QSeries(0, 1, {}, None)
 
 
-def _transport(plans, m: int, T: Q) -> Dict[Tuple[int, ...], QSeries]:
-    """Sum of q^sh * s * eta^m, truncated to T, over the (key, s, sh) plans.
+def _transport(groups, m: int, T: Q) -> Dict[Tuple[int, ...], QSeries]:
+    """Sum of q^sh * s * eta^m, truncated to T, over the groups
+    (s, [(key, sh), ...]).
 
-    The eta power is expanded once, as far as the lowest planned term needs.
+    The eta power is expanded once, as far as the lowest planned term needs,
+    and multiplied into each string once: (s q^sh) eta = (s eta) q^sh, with
+    the same validity order.
     """
     eta = None
-    if m and plans:
-        need = max(T - (s.min_bound() + sh) for _, s, sh in plans)
+    if m and groups:
+        need = max(T - (s.min_bound() + sh) for s, vecs in groups
+                   for _, sh in vecs)
         eta = eta_power(m, max(need, Q(m, 24)))
     out: Dict[Tuple[int, ...], QSeries] = {}
-    for key, s, sh in plans:
-        term = s.shift(sh)
+    for s, vecs in groups:
         if eta is not None:
-            term = term * eta
-        term = term.truncate(T)
-        out[key] = out[key] + term if key in out else term
+            s = s * eta
+        for key, sh in vecs:
+            term = s.shift(sh).truncate(T)
+            out[key] = out[key] + term if key in out else term
     return out
 
 
@@ -402,7 +366,10 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
 
     Each input string is summed against the plus-lattice coset it generates;
     a lattice vector enters the sum exactly when the minimum exponent of its
-    contribution is at most T, so the result is certified to order T.
+    contribution is at most T, so the result is certified to order T.  The
+    coset xi0 + K is enumerated directly: with y = G_K^-1 B xi0 for the
+    kernel basis B, |xi0 + kappa|^2 = |kappa + y|_K^2 + |xi0|^2 - y.B xi0,
+    so the K-ball around -y holds exactly the vectors that enter.
     """
     rs, lp = _char_rs(ch, "af")
     T = Q(T)
@@ -413,25 +380,26 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
     delta = conformal_weight_plus(rs, lp.k, mu)
     n_extra = rs.num_positive - rs.rank
     kernel = kernel_K(rs)
-    plans: List[Tuple[Tuple[int, ...], QSeries, Q]] = []
+    groups = []
     for off, s in ch.strings.items():
         floor = s.min_bound()
         if floor is None:
             continue
         d = tuple(off[i] - m0[i] for i in range(rs.rank))
         xi0 = f_af(rs, d, "+").coords
-        cap = 2 * (T - floor + delta + Q(n_extra, 24))
-        if cap < 0:
+        bxi0 = tuple(dot(row, xi0) for row in kernel.basis_in_ambient)
+        y = solve(kernel.lattice.gram, bxi0)
+        bound = (2 * (T - floor + delta + Q(n_extra, 24))
+                 - dot(xi0, xi0) + dot(y, bxi0))
+        if bound < 0:
             continue
-        reach = (_ceil_sqrt(cap) + _ceil_sqrt(Q(sum(x * x for x in xi0)))) ** 2
-        for kap in enumerate_by_norm(kernel.lattice, reach):
-            amb = kernel.embed(kap)
-            xi = tuple(a + b for a, b in zip(xi0, amb))
-            norm2 = sum(x * x for x in xi)
-            if norm2 > cap:
-                continue
-            plans.append((xi, s, Q(norm2, 2) - delta))
-    out = _transport(plans, -n_extra, T)
+        vecs = []
+        for kap in enumerate_by_norm(kernel.lattice, bound,
+                                     tuple(-x for x in y)):
+            xi = tuple(a + b for a, b in zip(xi0, kernel.embed(kap)))
+            vecs.append((xi, Q(sum(x * x for x in xi), 2) - delta))
+        groups.append((s, vecs))
+    out = _transport(groups, -n_extra, T)
     return FormalCharacter("sc", ch.family, ch.rank, lp.k,
                            weight_to_sc(rs, lp.k, mu), out)
 
@@ -453,7 +421,7 @@ def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCha
     mu = sc_weight_to_af(rs, lp.k, mu_sc)
     delta = conformal_weight_plus(rs, lp.k, mu)
     n_extra = rs.num_positive - rs.rank
-    plans: List[Tuple[Tuple[int, ...], QSeries, Q]] = []
+    groups = []
     for off, s in ch.strings.items():
         rel = tuple(off[i] - m0[i] for i in range(rs.num_positive))
         if any(rel[rs.rank:]):
@@ -465,9 +433,9 @@ def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCha
         sh = delta - Q(sum(x * x for x in z), 2)
         if floor + sh + Q(n_extra, 24) > T:
             continue
-        plans.append((z, s, sh))
+        groups.append((s, [(z, sh)]))
     return FormalCharacter("af", ch.family, ch.rank, lp.k, mu,
-                           _transport(plans, n_extra, T))
+                           _transport(groups, n_extra, T))
 
 
 def _compare_supports(left: Dict, right: Dict, left_floor, right_floor):
@@ -567,6 +535,14 @@ def cflemma_check(rs: RootSystem, gamma: Sequence, seed: FormalCharacter,
     return SupportPairs(not d, tuple((xi, zeta.coords) for xi in members), to, d)
 
 
+def _sc_flow_form(rs: RootSystem, k, g: Sequence[int]):
+    """g* at level k and the quadratic term g.g*.g / 2 of a coset flow by g."""
+    gs = gram_g_star(rs, k)
+    quad = sum(g[i] * g[j] * gs[i][j]
+               for i in range(rs.rank) for j in range(rs.rank)) / 2
+    return gs, quad
+
+
 def spectral_flow_sc(ch: FormalCharacter, gamma: Sequence, k) -> FormalCharacter:
     """Twist a coset character by a root-lattice vector.
 
@@ -578,9 +554,7 @@ def spectral_flow_sc(ch: FormalCharacter, gamma: Sequence, k) -> FormalCharacter
     rs, lp = _char_rs(ch, "sc", k)
     g = _root_coords(gamma, rs)
     pad = f_af(rs, g, "+").coords
-    gs = gram_g_star(rs, lp.k)
-    quad = sum(g[i] * g[j] * gs[i][j]
-               for i in range(rs.rank) for j in range(rs.rank)) / 2
+    _, quad = _sc_flow_form(rs, lp.k, g)
     base_js = ch.base.jstar_values(rs)
     new_base = make_sc_weight(
         rs, lp.k, tuple(v + p for v, p in zip(ch.base.j_values, pad)))
@@ -672,9 +646,7 @@ def flow_sc_equivariance_diff(ch: FormalCharacter, mu: Sequence,
     mu = vec(mu)
     left = fermionize_character(ch, tuple(m - x for m, x in zip(mu, g)), T)
     right = spectral_flow_sc(fermionize_character(ch, mu, T), g, lp.k)
-    gs = gram_g_star(rs, lp.k)
-    quad = sum(g[i] * g[j] * gs[i][j]
-               for i in range(rs.rank) for j in range(rs.rank)) / 2
+    gs, quad = _sc_flow_form(rs, lp.k, g)
     npos = rs.num_positive
     shift_js = tuple(sum((gs[b][i] * g[i] for i in range(rs.rank)), Q(0))
                      for b in range(npos))

@@ -396,16 +396,21 @@ def _ldl(gram: IntMatrix) -> Tuple[List[Q], List[List[Q]]]:
     return d, c
 
 
-def enumerate_by_norm(lattice: IntegralLattice, bound) -> List[Tuple[int, ...]]:
-    """All vectors with |<v,v>| <= bound, in sorted coordinate order.
+def enumerate_by_norm(lattice: IntegralLattice, bound,
+                      center: Optional[Sequence] = None) -> List[Tuple[int, ...]]:
+    """All vectors v with |<v-z,v-z>| <= bound, in sorted coordinate order.
 
-    Only definite lattices are accepted; on an indefinite one the solution
-    set is infinite and the search below would not terminate.
+    z is the rational center, the origin when None.  Only definite lattices
+    are accepted; on an indefinite one the solution set is infinite and the
+    search below would not terminate.
     """
     b = Q(bound)
     if b < 0:
         raise ValueError("bound must be nonnegative")
     n = lattice.rank
+    z = (Q(0),) * n if center is None else vec(center)
+    if len(z) != n:
+        raise ValueError("dimension mismatch")
     if n == 0:
         return [()]
     if lattice.signature == "indefinite":
@@ -422,11 +427,12 @@ def enumerate_by_norm(lattice: IntegralLattice, bound) -> List[Tuple[int, ...]]:
         if i < 0:
             results.append(tuple(partial))
             return
-        t = sum((c[i][j] * partial[j] for j in range(i + 1, n)), Q(0))
+        t = sum((c[i][j] * (partial[j] - z[j]) for j in range(i + 1, n)),
+                -z[i])
         # safe integer window around -t, then exact acceptance per candidate
         radius = isqrt(int(remaining / d[i])) + 2
-        center = round(-t)
-        for x in range(center - radius, center + radius + 1):
+        mid = round(-t)
+        for x in range(mid - radius, mid + radius + 1):
             used = d[i] * (x + t) ** 2
             if used <= remaining:
                 partial[i] = x

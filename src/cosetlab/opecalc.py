@@ -24,7 +24,8 @@ from operator import mul
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bilinear import gram_G, gram_g, gram_g_star, level_params
-from .latticekit import IntegralLattice, build_L_minus, build_L_plus, direct_sum, form_profile
+from .latticekit import (IntegralLattice, IntMatrix, build_L_minus, build_L_plus, direct_sum,
+                         form_profile)
 from .ratlinalg import vec
 from .rootsys import RootSystem
 
@@ -418,25 +419,38 @@ def field_parity(table: ContractionTable, f: Field) -> int:
     return parities.pop() if parities else 0
 
 
-def _boson_patterns(bosA: BosonKey, bosB: BosonKey) -> Iterator[Tuple]:
-    """All contraction fates: (matched pairs, A->expB, expA<-B, A kept, B kept)."""
-    na = len(bosA)
+def _boson_patterns(gram: IntMatrix, bosA: BosonKey, xiA: Tuple[int, ...],
+                    bosB: BosonKey, xiB: Tuple[int, ...]) -> Iterator[Tuple]:
+    """Live contraction fates: (links, A bosons kept, B bosons kept).
 
-    def assign(pos: int, used: Tuple[int, ...], matched, hitB, kept):
+    A link is (pairing * weight, pole order) for a boson-boson pair, a
+    z-boson against the w charge, or a w-boson against the z charge.  A fate
+    with a zero pairing contributes nothing and is never offered.
+    """
+    na = len(bosA)
+    # charge links; the Gram matrix is symmetric, so one row gives a pairing
+    hitB = [(sum(map(mul, gram[i], xiB)) * (-1) ** d * factorial(d), 1 + d) for i, d in bosA]
+    hitA = [(-sum(map(mul, gram[j], xiA)) * factorial(e), 1 + e) for j, e in bosB]
+
+    def assign(pos: int, used: Tuple[int, ...], links, kept):
         if pos == na:
             free = [j for j in range(len(bosB)) if j not in used]
-            for mask in range(1 << len(free)):
-                hitA = tuple(free[t] for t in range(len(free)) if mask >> t & 1)
-                stay = tuple(free[t] for t in range(len(free)) if not mask >> t & 1)
-                yield matched, hitB, hitA, kept, stay
+            live = [j for j in free if hitA[j][0]]
+            for mask in range(1 << len(live)):
+                hit = [live[t] for t in range(len(live)) if mask >> t & 1]
+                yield (links + tuple(hitA[j] for j in hit), kept,
+                       tuple(bosB[j] for j in free if j not in hit))
             return
-        yield from assign(pos + 1, used, matched, hitB + (pos,), kept)
-        yield from assign(pos + 1, used, matched, hitB, kept + (pos,))
-        for j in range(len(bosB)):
-            if j not in used:
-                yield from assign(pos + 1, used + (j,), matched + ((pos, j),), hitB, kept)
+        if hitB[pos][0]:
+            yield from assign(pos + 1, used, links + (hitB[pos],), kept)
+        yield from assign(pos + 1, used, links, kept + (bosA[pos],))
+        i, dA = bosA[pos]
+        for j, (jB, dB) in enumerate(bosB):
+            if j not in used and gram[i][jB]:
+                link = (gram[i][jB] * (-1) ** dA * factorial(dA + dB + 1), 2 + dA + dB)
+                yield from assign(pos + 1, used + (j,), links + (link,), kept)
 
-    yield from assign(0, (), (), (), ())
+    yield from assign(0, (), (), ())
 
 
 def _compositions(budget: int, slots: int) -> Iterator[Tuple[int, ...]]:
@@ -468,7 +482,6 @@ def _pair_into(table: ContractionTable, sink: Dict[int, Field],
     affA, bosA, xiA = keyA
     affB, bosB, xiB = keyB
     lattice = table.lattice
-    gram = lattice.gram
     base = int(lattice.pair(xiA, xiB))
     c0 = sc_scale(sc_mul(cA, cB), lattice.eps(xiA, xiB))
     if not c0:
@@ -481,21 +494,9 @@ def _pair_into(table: ContractionTable, sink: Dict[int, Field],
     if affA is not None and affB is not None:
         fates += [(entry, None, None) for entry in _affine_contractions(table, affA, affB)]
 
-    for matched, hitB, hitA, keptA, stayB in _boson_patterns(bosA, bosB):
-        # contraction links (pairing, weight, pole order): boson-boson,
-        # z-boson against the w charge, w-boson against the z charge
-        links = [(gram[i][j], (-1) ** dA * factorial(dA + dB + 1), 2 + dA + dB)
-                 for (i, dA), (j, dB) in ((bosA[pa], bosB[pb]) for pa, pb in matched)]
-        links += [(sum(map(mul, gram[i], xiB)), (-1) ** d * factorial(d), 1 + d)
-                  for i, d in (bosA[pa] for pa in hitB)]
-        links += [(sum(map(mul, gram[j], xiA)), -factorial(e), 1 + e)
-                  for j, e in (bosB[pb] for pb in hitA)]
-        if not all(pairing for pairing, _, _ in links):
-            continue
-        coef_links = sc_scale(c0, prod(pairing * weight for pairing, weight, _ in links))
-        shift = base - sum(order for _, _, order in links)
-        kept = tuple(bosA[pa] for pa in keptA)
-        stay = tuple(bosB[pb] for pb in stayB)
+    for links, kept, stay in _boson_patterns(lattice.gram, bosA, xiA, bosB, xiB):
+        coef_links = sc_scale(c0, prod(w for w, _ in links))
+        shift = base - sum(order for _, order in links)
 
         for entry, aff_z, aff_w in fates:
             min_exp = shift + (entry[0] if entry else 0)

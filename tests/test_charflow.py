@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosetlab import charflow
 from cosetlab.bilinear import make_sc_weight, sc_weight_from_jstar, weight_to_sc
 from cosetlab.charflow import (
     FormalCharacter,
@@ -416,6 +417,25 @@ def test_fermionize_A2_kernel_ball():
     lead = out.strings[xi].min_exponent
     assert lead == Q(3, 2) - Q(1, 24)
     assert out.strings[xi].coefficient(lead) == 1
+
+
+def test_fermionize_keeps_every_enumerated_vector(monkeypatch):
+    # the kernel coset is enumerated exactly: each vector the enumeration
+    # returns is one coset-side string, none is filtered away
+    real = charflow.enumerate_by_norm
+    returned = []
+
+    def counted(*args):
+        vectors = real(*args)
+        returned.extend(vectors)
+        return vectors
+
+    monkeypatch.setattr(charflow, "enumerate_by_norm", counted)
+    rs = build_root_system("B", 2)
+    seed = affine_character(rs, 1, (0, 0), {(0, 0): series((0, 1), (1, -2)),
+                                            (0, 1): series((Q(1, 2), 2))})
+    out = fermionize_character(seed, (0, 0), 6)
+    assert len(returned) == len(out.strings) == 26
 
 
 def test_fermionize_rejects_bad_reference():

@@ -1,7 +1,7 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cosetlab.latticekit import (
@@ -26,6 +26,7 @@ from cosetlab.latticekit import (
     kernel_K,
     sublattice,
 )
+from cosetlab.ratlinalg import determinant
 from cosetlab.rootsys import build_root_system
 
 
@@ -356,6 +357,42 @@ def test_enumerate_counts_match_direct_scan():
             if emb.lattice.norm((a, b)) <= 6:
                 k_expected.add((a, b))
     assert set(enumerate_by_norm(emb.lattice, 6)) == k_expected
+
+
+@st.composite
+def _definite_lattice_and_center(draw):
+    # gram = +-(A A^T) is definite for a nonsingular integer A
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    gram = tuple(tuple(sum(a * b for a, b in zip(u, v)) for v in rows)
+                 for u in rows)
+    assume(determinant(gram) != 0)
+    sign = draw(st.sampled_from((1, -1)))
+    gram = tuple(tuple(sign * x for x in row) for row in gram)
+    lat = IntegralLattice("D", tuple(f"e{i}" for i in range(n)), gram,
+                          default_cocycle(gram),
+                          "positive" if sign > 0 else "negative")
+    center = tuple(Q(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+                   for _ in range(n))
+    return lat, center
+
+
+@settings(max_examples=80, deadline=None)
+@given(_definite_lattice_and_center(), st.fractions(0, 6))
+def test_centred_enumeration_matches_filtered_origin_ball(lat_center, bound):
+    # |v|^2 <= 2|v-z|^2 + 2|z|^2, so this origin ball covers the centred one
+    lat, z = lat_center
+    cover = 2 * bound + 2 * abs(lat.norm(z))
+    expected = [v for v in enumerate_by_norm(lat, cover)
+                if abs(lat.norm(tuple(x - c for x, c in zip(v, z)))) <= bound]
+    assert enumerate_by_norm(lat, bound, z) == expected
+
+
+def test_centred_enumeration_checks_the_center_length():
+    lat = build_L_plus(build_root_system("A", 2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        enumerate_by_norm(lat, 1, (Q(1, 2), 0))
 
 
 def test_enumerate_rejects_indefinite():
