@@ -40,7 +40,7 @@ from .latticekit import (
     g_sc_plus,
     kernel_K,
 )
-from .ratlinalg import dot, parse_rational, solve, vec
+from .ratlinalg import dot, mat_inv, mat_vec, parse_rational, vec
 from .rootsys import RootSystem, build_root_system
 
 
@@ -380,6 +380,7 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
     delta = conformal_weight_plus(rs, lp.k, mu)
     n_extra = rs.num_positive - rs.rank
     kernel = kernel_K(rs)
+    ginv = mat_inv(kernel.lattice.gram)
     groups = []
     for off, s in ch.strings.items():
         floor = s.min_bound()
@@ -388,7 +389,7 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
         d = tuple(off[i] - m0[i] for i in range(rs.rank))
         xi0 = f_af(rs, d, "+").coords
         bxi0 = tuple(dot(row, xi0) for row in kernel.basis_in_ambient)
-        y = solve(kernel.lattice.gram, bxi0)
+        y = mat_vec(ginv, bxi0)
         bound = (2 * (T - floor + delta + Q(n_extra, 24))
                  - dot(xi0, xi0) + dot(y, bxi0))
         if bound < 0:
@@ -398,7 +399,10 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
                                      tuple(-x for x in y)):
             xi = tuple(a + b for a, b in zip(xi0, kernel.embed(kap)))
             vecs.append((xi, Q(sum(x * x for x in xi), 2) - delta))
-        groups.append((s, vecs))
+        # the ball can be empty even for bound >= 0: its centre need not
+        # be a lattice point
+        if vecs:
+            groups.append((s, vecs))
     out = _transport(groups, -n_extra, T)
     return FormalCharacter("sc", ch.family, ch.rank, lp.k,
                            weight_to_sc(rs, lp.k, mu), out)

@@ -66,16 +66,19 @@ def cases():
                      f"--level={level}", "--check", "all"]))
     out.append(("char-roundtrip-B2",
                 ["char", "roundtrip", "--seed", "seeds/B2.json", "--T", "6"]))
-    # spectral flow on both sides, the second seed with an explicit weight
-    for seed, sc_gamma, af_gamma, weight in (("B2", "0,1", "1,0", []),
-                                             ("G2", "1,0", "0,1",
-                                              ["--weight=1,0"]),
-                                             ("A3", "1,0,0", "0,0,1", []),
-                                             ("B3", "1,0,0", "0,0,1", [])):
-        for side, gamma in (("sc", sc_gamma), ("af", af_gamma)):
+    # spectral flow on both sides, the second seed with an explicit weight.
+    # B3 on the sc side runs to T 2 only: there its rank-6 kernel already
+    # yields 109 vectors, with both signs in every coordinate, where T 6
+    # would pin about 3000 of them in 28 000 lines
+    for seed, sc_gamma, af_gamma, weight, sc_T in (
+            ("B2", "0,1", "1,0", [], "6"),
+            ("G2", "1,0", "0,1", ["--weight=1,0"], "6"),
+            ("A3", "1,0,0", "0,0,1", [], "6"),
+            ("B3", "1,0,0", "0,0,1", [], "2")):
+        for side, gamma, T in (("sc", sc_gamma, sc_T), ("af", af_gamma, "6")):
             out.append((f"flow-check-{side}-{seed}",
                         ["flow", "check", "--seed", f"seeds/{seed}.json",
-                         "--side", side, f"--gamma={gamma}", "--T", "6",
+                         "--side", side, f"--gamma={gamma}", "--T", T,
                          *weight]))
     # rank-3 seeds: plus-kernel lattices of rank 3 (A3) and 6 (B3)
     for seed in ("G2", "A3", "B3"):

@@ -438,6 +438,19 @@ def test_fermionize_keeps_every_enumerated_vector(monkeypatch):
     assert len(returned) == len(out.strings) == 26
 
 
+def test_fermionize_empty_coset_ball_gives_empty_character():
+    # A2, one string at offset (0,1): xi0 = (0,1,0), K = Z(-1,-1,1), the
+    # centre -1/3 is no lattice point and the ball of squared radius 1/12
+    # holds no vector, so nothing reaches order 1/3
+    rs = build_root_system("A", 2)
+    seed = affine_character(rs, 1, (0, 0), {(0, 1): series((0, 1))})
+    out = fermionize_character(seed, (0, 0), Q(1, 3))
+    assert out.strings == {}
+    report = roundtrip_check(seed, (0, 0), 1, Q(1, 3))
+    assert report.ok
+    assert report.diffs == {(0, 1): (Q(-1, 8), ())}
+
+
 def test_fermionize_rejects_bad_reference():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError, match="coset"):

@@ -115,10 +115,6 @@ def b2_seed():
     return validate_seed(raw).character
 
 
-def test_unmutated_transport_round_trips(b2_seed):
-    assert roundtrip_check(b2_seed, (0, 0), 1, 6).ok
-
-
 def test_roundtrip_sees_a_wrong_eta_coefficient(b2_seed, monkeypatch):
     monkeypatch.setattr(charflow, "eta_power", _bump_eta)
     report = roundtrip_check(b2_seed, (0, 0), 1, 6)
