@@ -1,9 +1,10 @@
 """Branching characters, eta factors, and character-level spectral flow.
 
-Everything is exact: exponents and coefficients are Fractions, and every
-series carries a validity order up to which its coefficients are certified.
-Arithmetic propagates validity pessimistically, so a passing comparison is a
-proof up to the stated order, never an artifact of truncation.
+Everything is exact: a series maps each Fraction exponent to its nonzero
+Fraction coefficient and carries a validity order up to which its
+coefficients are certified.  Arithmetic propagates validity pessimistically,
+so a passing comparison is a proof up to the stated order, never an artifact
+of truncation.
 
 A character is a base weight plus finitely many strings indexed by integer
 offsets: root-lattice coordinates on the affine side, dual-grid coordinates
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bilinear import (
@@ -45,58 +45,40 @@ from .rootsys import RootSystem, build_root_system
 
 
 class QSeries:
-    """A q-series with exact rational exponents on a fixed grid.
+    """A q-series: exact rational exponents mapped to nonzero coefficients.
 
-    Exponents live on offset + Z/denom and coefficients are stored by the
-    integer grid index.  validity is the order up to which coefficients are
-    certified; None means the series is known completely (a polynomial).
+    terms maps each Fraction exponent to its Fraction coefficient.  validity
+    is the order up to which coefficients are certified; None means the
+    series is known completely (a polynomial).
     """
 
-    __slots__ = ("offset", "denom", "coeffs", "validity")
+    __slots__ = ("terms", "validity")
 
-    def __init__(self, offset, denom: int, coeffs: Dict[int, Q],
-                 validity=None) -> None:
-        self.offset = Q(offset)
-        self.denom = int(denom)
-        if self.denom < 1:
-            raise ValueError("grid denominator must be positive")
+    def __init__(self, terms: Dict[Q, Q], validity=None) -> None:
+        """terms must hold exact nonzero coefficients at exponents up to
+        validity; from_terms checks arbitrary pairs and builds the dict."""
+        self.terms = terms
         self.validity = None if validity is None else Q(validity)
-        kept: Dict[int, Q] = {}
-        for j, c in coeffs.items():
-            c = Q(c)
-            if c == 0:
-                continue
-            j = int(j)
-            if self.validity is not None and self._exp(j) > self.validity:
-                raise ValueError("term beyond the validity order")
-            kept[j] = c
-        self.coeffs = kept
 
     @classmethod
     def from_terms(cls, terms, validity=None) -> "QSeries":
         """Series from (exponent, coefficient) pairs; duplicate exponents add."""
-        pairs = [(Q(e), Q(c)) for e, c in terms]
-        denom = 1
-        for e, _ in pairs:
-            denom = lcm(denom, e.denominator)
-        coeffs: Dict[int, Q] = {}
-        for e, c in pairs:
-            j = int(e * denom)
-            coeffs[j] = coeffs.get(j, Q(0)) + c
-        return cls(Q(0), denom, coeffs, validity)
-
-    def _exp(self, j: int) -> Q:
-        return self.offset + Q(j, self.denom)
+        acc: Dict[Q, Q] = {}
+        for e, c in terms:
+            e = Q(e)
+            acc[e] = acc.get(e, Q(0)) + Q(c)
+        s = cls({e: c for e, c in acc.items() if c}, validity)
+        if s.validity is not None and any(e > s.validity for e in s.terms):
+            raise ValueError("term beyond the validity order")
+        return s
 
     def items(self) -> Tuple[Tuple[Q, Q], ...]:
         """Nonzero (exponent, coefficient) pairs in increasing exponent order."""
-        return tuple(sorted((self._exp(j), c) for j, c in self.coeffs.items()))
+        return tuple(sorted(self.terms.items()))
 
     @property
     def min_exponent(self) -> Optional[Q]:
-        if not self.coeffs:
-            return None
-        return self._exp(min(self.coeffs))
+        return min(self.terms) if self.terms else None
 
     def min_bound(self) -> Optional[Q]:
         """Certified lower bound on every exponent; None means plus infinity."""
@@ -104,62 +86,36 @@ class QSeries:
         return m if m is not None else self.validity
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def coefficient(self, e) -> Q:
-        j = (Q(e) - self.offset) * self.denom
-        if j.denominator != 1:
-            return Q(0)
-        return self.coeffs.get(int(j), Q(0))
+        return self.terms.get(Q(e), Q(0))
 
     def shift(self, s) -> "QSeries":
         """Multiply by q^s."""
         s = Q(s)
         v = None if self.validity is None else self.validity + s
-        return QSeries(self.offset + s, self.denom, dict(self.coeffs), v)
-
-    def scale(self, c) -> "QSeries":
-        c = Q(c)
-        if c == 0:
-            return QSeries(0, 1, {}, None)
-        return QSeries(self.offset, self.denom,
-                       {j: c * x for j, x in self.coeffs.items()}, self.validity)
+        return QSeries({e + s: c for e, c in self.terms.items()}, v)
 
     def truncate(self, T) -> "QSeries":
         T = Q(T)
         v = T if self.validity is None else min(self.validity, T)
-        kept = {j: c for j, c in self.coeffs.items() if self._exp(j) <= v}
-        return QSeries(self.offset, self.denom, kept, v)
-
-    def __neg__(self) -> "QSeries":
-        return self.scale(-1)
+        return QSeries({e: c for e, c in self.terms.items() if e <= v}, v)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        delta = other.offset - self.offset
-        d = lcm(self.denom, other.denom, delta.denominator)
-        out: Dict[int, Q] = {}
-        step = d // self.denom
-        for j, c in self.coeffs.items():
-            out[j * step] = out.get(j * step, Q(0)) + c
-        for j, c in other.coeffs.items():
-            jj = int((delta + Q(j, other.denom)) * d)
-            out[jj] = out.get(jj, Q(0)) + c
         if self.validity is None:
             v = other.validity
         elif other.validity is None:
             v = self.validity
         else:
             v = min(self.validity, other.validity)
-        if v is not None:
-            out = {j: c for j, c in out.items() if self.offset + Q(j, d) <= v}
-        return QSeries(self.offset, d, out, v)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return QSeries({e: c for e, c in out.items()
+                        if c and (v is None or e <= v)}, v)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -172,18 +128,13 @@ class QSeries:
             if v is not None and m is not None:
                 limits.append(v + m)
         v = min(limits) if limits else None
-        d = lcm(self.denom, other.denom)
-        off = self.offset + other.offset
-        sa = d // self.denom
-        sb = d // other.denom
-        out: Dict[int, Q] = {}
-        for ja, ca in self.coeffs.items():
-            for jb, cb in other.coeffs.items():
-                j = ja * sa + jb * sb
-                if v is not None and off + Q(j, d) > v:
-                    continue
-                out[j] = out.get(j, Q(0)) + ca * cb
-        return QSeries(off, d, out, v)
+        out: Dict[Q, Q] = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = ea + eb
+                if v is None or e <= v:
+                    out[e] = out.get(e, 0) + ca * cb
+        return QSeries({e: c for e, c in out.items() if c}, v)
 
     def __repr__(self) -> str:
         shown = self.items()
@@ -233,7 +184,7 @@ def eta_power(m: int, T) -> QSeries:
     for n in range(1, order + 1):
         g.append(sum(((m + 1) * k - n) * f * g[n - k]
                      for k, f in terms if k <= n) // n)
-    return QSeries(lead, 1, {j: Q(c) for j, c in enumerate(g)}, T)
+    return QSeries({lead + n: Q(c) for n, c in enumerate(g) if c}, T)
 
 
 @dataclass
@@ -335,7 +286,7 @@ def _root_coords(gamma: Sequence, rs: RootSystem) -> Tuple[int, ...]:
     return _grid_offset(gamma, error="weight is not in the root lattice")
 
 
-_EXACT_ZERO = QSeries(0, 1, {}, None)
+_EXACT_ZERO = QSeries({})
 
 
 def _transport(groups, m: int, T: Q) -> Dict[Tuple[int, ...], QSeries]:
@@ -451,8 +402,8 @@ def _compare_supports(left: Dict, right: Dict, left_floor, right_floor):
     """
     diffs = {}
     for key in sorted(set(left) | set(right)):
-        a = left[key] if key in left else QSeries(0, 1, {}, left_floor(key))
-        b = right[key] if key in right else QSeries(0, 1, {}, right_floor(key))
+        a = left[key] if key in left else QSeries({}, left_floor(key))
+        b = right[key] if key in right else QSeries({}, right_floor(key))
         diffs[key] = qseries_diff(a, b)
     return diffs
 

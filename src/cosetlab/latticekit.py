@@ -100,9 +100,6 @@ class IntegralLattice:
     def norm(self, u: Sequence):
         return self.pair(u, u)
 
-    def parity(self, u: Sequence) -> int:
-        return int(self.norm(u)) % 2
-
     def eps(self, u: Sequence, v: Sequence) -> int:
         """Cocycle sign (+1 or -1) on integer vectors."""
         if len(u) != self.rank or len(v) != self.rank:

@@ -69,10 +69,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                  for row in ma)
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
-
-
 def mat_inv(a: Matrix) -> Matrix:
     """Invert a square rational matrix by Gauss-Jordan elimination."""
     n = len(a)

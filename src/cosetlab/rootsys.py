@@ -163,9 +163,6 @@ class RootSystem:
     def norm(self, u: Sequence) -> Q:
         return self.form(u, u)
 
-    def height(self, coords: Sequence) -> int:
-        return int(sum(coords))
-
     def is_root(self, coords: Sequence) -> bool:
         # exact coordinates: a Fraction hashes and compares as the equal int
         c = vec(coords)

@@ -82,7 +82,7 @@ def test_from_terms_items_and_min():
 
 
 def test_add_aligns_mixed_grids():
-    a = QSeries(Q(1, 24), 1, {0: Q(1), 1: Q(-1)}, Q(5))
+    a = series((Q(1, 24), 1), (Q(25, 24), -1), validity=Q(5))
     b = series((Q(1, 2), 2), validity=Q(3))
     total = a + b
     assert total.coefficient(Q(1, 24)) == 1
@@ -101,7 +101,7 @@ def test_mul_validity_rule():
 
 def test_mul_with_exact_zero_is_exact_zero():
     a = series((1, 1), validity=Q(4))
-    z = QSeries(0, 1, {}, None)
+    z = QSeries.from_terms([])
     assert (a * z).is_zero()
     assert (a * z).validity is None
 
@@ -111,21 +111,22 @@ def test_truncate_and_validity_guard():
     assert s.items() == ((0, 1),)
     assert s.validity == 2
     with pytest.raises(ValueError, match="validity"):
-        QSeries(0, 1, {3: Q(1)}, Q(2))
+        QSeries.from_terms([(3, 1)], Q(2))
 
 
-def test_shift_scale_sub():
+def test_shift_moves_exponents_and_validity():
     s = series((0, 1), (1, 2))
-    t = s.shift(Q(1, 2)).scale(3)
-    assert t.items() == ((Q(1, 2), 3), (Q(3, 2), 6))
-    assert (s - s).is_zero()
+    t = s.shift(Q(1, 2))
+    assert t.items() == ((Q(1, 2), 1), (Q(3, 2), 2))
+    assert t.validity is None
+    assert s.truncate(4).shift(Q(1, 2)).validity == Q(9, 2)
 
 
 def test_min_bound_of_truncated_zero():
-    z = QSeries(0, 1, {}, Q(4))
+    z = QSeries.from_terms([], Q(4))
     assert z.min_bound() == 4
     assert series((2, 1), validity=Q(9)).min_bound() == 2
-    assert QSeries(0, 1, {}, None).min_bound() is None
+    assert QSeries.from_terms([]).min_bound() is None
 
 
 def build_series(terms, v):
@@ -152,6 +153,26 @@ def test_qseries_ring_laws(a, b, c):
     assert not d3
     _, d4 = qseries_diff(a * (b + c), a * b + a * c)
     assert not d4
+
+
+halves = st.builds(Q, st.integers(-9, 18), st.just(2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_series, small_series, halves, halves,
+       st.builds(Q, st.integers(-6, 6), st.integers(1, 4)))
+def test_qseries_validity_is_sound(a, b, ta, tb, sh):
+    # a and b read as exact polynomials; truncation forgets their tails, and
+    # every coefficient the result certifies must still be the exact one
+    a, b = (QSeries.from_terms(s.items()) for s in (a, b))
+    at, bt = a.truncate(ta), b.truncate(tb)
+    for got, exact in ((at * bt, a * b), (at + bt, a + b),
+                       (at.shift(sh), a.shift(sh))):
+        assert exact.validity is None
+        v = got.validity
+        for e, _ in got.items() + exact.items():
+            if v is None or e <= v:
+                assert got.coefficient(e) == exact.coefficient(e), (e, v)
 
 
 # ---------------------------------------------------------------- eta

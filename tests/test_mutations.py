@@ -3,9 +3,12 @@
 Every golden case passes, so a verifier that stopped comparing would still
 reproduce every golden byte.  These tests feed the OPE verifiers a
 contraction table with one deliberate defect, by replacing
-``opecalc.make_table``, and feed character transport a wrong eta power or a
-short lattice enumeration, by replacing ``charflow.eta_power`` or
-``charflow.enumerate_by_norm``.  Each pins the failures its defect must cause.
+``opecalc.make_table``, or an engine that raises some pole orders, by
+replacing ``opecalc._boson_patterns``.  They feed character transport a
+wrong eta power or a short lattice enumeration, by replacing
+``charflow.eta_power`` or ``charflow.enumerate_by_norm``, and compare
+transports over two bases of the kernel lattice, by replacing
+``charflow.kernel_K``.  Each pins the failures its defect must cause.
 """
 
 from __future__ import annotations
@@ -18,14 +21,21 @@ from pathlib import Path
 import pytest
 
 from cosetlab import charflow, opecalc
-from cosetlab.charflow import QSeries, roundtrip_check, validate_seed
-from cosetlab.opecalc import OpeDiff
+from cosetlab.charflow import (QSeries, fermionize_character, roundtrip_check,
+                               validate_seed)
+from cosetlab.latticekit import sublattice
+from cosetlab.opecalc import (OpeDiff, h_minus_field, h_plus_field,
+                              h_tilde_field, j_field, jstar_field,
+                              lambda_bracket_skew_check, x_tilde_field)
 from cosetlab.rootsys import build_root_system
 
 REAL_MAKE_TABLE = opecalc.make_table
+REAL_BOSON_PATTERNS = opecalc._boson_patterns
 REAL_ETA_POWER = charflow.eta_power
 REAL_ENUMERATE = charflow.enumerate_by_norm
-B2_SEED = Path(__file__).resolve().parent / "golden" / "seeds" / "B2.json"
+REAL_KERNEL = charflow.kernel_K
+SEEDS = Path(__file__).resolve().parent / "golden" / "seeds"
+B2_SEED = SEEDS / "B2.json"
 
 
 def _bump_gstar(rs, k):
@@ -93,10 +103,42 @@ def test_fst_sees_a_flipped_cocycle_bit(a2, monkeypatch):
     assert first.got == "(1*N[0,1|1,0])*X(1,1) E(1,1,0,1,1)"
 
 
+def _bump_pole_orders(*args):
+    """The true contraction patterns with every link of pole order >= 2
+    raised by one; simple poles are untouched."""
+    for links, kept, stay in REAL_BOSON_PATTERNS(*args):
+        yield (tuple((w, o + 1 if o >= 2 else o) for w, o in links),
+               kept, stay)
+
+
+def _skew_failures(family, rank, k):
+    """Failing generator pairs of criterion 05's skew check."""
+    rs = build_root_system(family, rank)
+    t = opecalc.make_table(rs, k)
+    last = rs.num_positive - 1
+    gens = [j_field(t, 0), jstar_field(t, last), h_plus_field(t, 0),
+            h_minus_field(t, last), h_tilde_field(t, 0),
+            x_tilde_field(t, rs.simple_roots[-1]),
+            x_tilde_field(t, tuple(-x for x in rs.simple_roots[-1]))]
+    return sum(not lambda_bracket_skew_check(t, A, B).ok
+               for A in gens for B in gens)
+
+
+@pytest.mark.parametrize("family, rank, k, failing", [
+    ("A", 2, Q(3, 2), 24),
+    ("B", 2, Q(5, 2), 12),
+])
+def test_skew_check_sees_a_raised_pole_order(family, rank, k, failing,
+                                             monkeypatch):
+    assert _skew_failures(family, rank, k) == 0
+    monkeypatch.setattr(opecalc, "_boson_patterns", _bump_pole_orders)
+    assert _skew_failures(family, rank, k) == failing
+
+
 def _bump_eta(m, T):
     """The true eta power with 1 added to its coefficient at q^(m/24 + 1)."""
     s = REAL_ETA_POWER(m, T)
-    return s + QSeries.from_terms([(s.offset + 1, 1)])
+    return s + QSeries.from_terms([(s.min_exponent + 1, 1)])
 
 
 def _drop_zero_vector(lattice, bound, *args, **kwargs):
@@ -135,3 +177,46 @@ def test_roundtrip_sees_a_dropped_lattice_vector(b2_seed, monkeypatch):
         (0, 0): (6, ((0, 1), (1, -2), (2, 3))),
         (0, 1): (Q(67, 12), ((Q(1, 2), 2), (Q(3, 2), -1))),
     }
+
+
+def _drop_last_vector(lattice, bound, *args, **kwargs):
+    """The true enumeration without its last vector."""
+    return list(REAL_ENUMERATE(lattice, bound, *args, **kwargs))[:-1]
+
+
+def _other_kernel_basis(rs):
+    """The true kernel lattice in another basis: rows reversed, then
+    b_i -= b_(i+1), a unimodular change."""
+    kernel = REAL_KERNEL(rs)
+    rows = [list(row) for row in reversed(kernel.basis_in_ambient)]
+    for i in range(len(rows) - 1):
+        rows[i] = [a - b for a, b in zip(rows[i], rows[i + 1])]
+    return sublattice(kernel.ambient, rows, "K", kernel.lattice.labels)
+
+
+def _fermionized(seed, T):
+    raw = json.loads((SEEDS / f"{seed}.json").read_text(encoding="utf-8"))
+    ch = validate_seed(raw).character
+    out = fermionize_character(ch, ch.base, T).strings
+    return {key: (s.items(), s.validity) for key, s in out.items()}
+
+
+COVARIANCE_SEEDS = [("B2", 6, 26), ("G2", 6, 201), ("A3", 6, 97),
+                    ("B3", 4, 424)]
+
+
+@pytest.mark.parametrize("seed, T, keys", COVARIANCE_SEEDS)
+def test_transport_is_kernel_basis_covariant(seed, T, keys, monkeypatch):
+    direct = _fermionized(seed, T)
+    monkeypatch.setattr(charflow, "kernel_K", _other_kernel_basis)
+    assert len(direct) == keys
+    assert _fermionized(seed, T) == direct
+
+
+@pytest.mark.parametrize("seed, T", [case[:2] for case in COVARIANCE_SEEDS])
+def test_covariance_sees_a_dropped_last_vector(seed, T, monkeypatch):
+    # each basis drops a different vector of some coset
+    monkeypatch.setattr(charflow, "enumerate_by_norm", _drop_last_vector)
+    direct = _fermionized(seed, T)
+    monkeypatch.setattr(charflow, "kernel_K", _other_kernel_basis)
+    assert len(direct.keys() ^ _fermionized(seed, T).keys()) == 4

@@ -17,7 +17,6 @@ from cosetlab.ratlinalg import (
     parse_rational,
     smith_normal_form,
     solve,
-    transpose,
 )
 
 
