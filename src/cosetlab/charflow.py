@@ -616,17 +616,14 @@ def flow_sc_equivariance_diff(ch: FormalCharacter, mu: Sequence,
 
 
 def flow_af_equivariance_diff(ch: FormalCharacter, mu_sc: ScWeight,
-                              gamma: ScWeight, T, input_floor=None):
+                              gamma: ScWeight, T):
     """Compare transport at mu_sc + gamma with the flow of transport at mu_sc.
 
-    input_floor is the order up to which weights absent from ch's support are
-    known to vanish; None means the character is exact off its support.
+    Weights absent from ch's support are taken to vanish up to order T.
     Returns per-weight (order, diff); all-empty diffs certify the identity.
     """
     rs, lp = _char_rs(ch, "sc")
     T = Q(T)
-    if input_floor is not None:
-        input_floor = Q(input_floor)
     n = _flow_coefficients(rs, gamma)[: rs.rank]
     left = defermionize_character(ch, mu_sc + gamma, T)
     right = spectral_flow_af(defermionize_character(ch, mu_sc, T), gamma, lp.k)
@@ -641,10 +638,8 @@ def flow_af_equivariance_diff(ch: FormalCharacter, mu_sc: ScWeight,
         v = tuple(m + z for m, z in zip(m0, off)) + tuple(m0[rs.rank:])
         if v in ch.strings:
             return T, off  # its contribution starts above T
-        if input_floor is None:
-            return None, off
         sh = delta_ref - Q(sum(z * z for z in off), 2) + Q(n_extra, 24)
-        return min(T, input_floor + sh), off
+        return T + min(sh, 0), off
 
     sides = []
     for lam in (mu_sc + gamma, mu_sc):

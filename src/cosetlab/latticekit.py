@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .bilinear import ScWeight, sc_weight_from_jstar
-from .ratlinalg import (Vector, determinant, dot, leading_minors, mat_vec,
-                        smith_normal_form, vec)
+from .ratlinalg import (Vector, bareiss, determinant, dot, integer_rows,
+                        leading_minors, mat_vec, smith_normal_form, vec)
 from .rootsys import RootSystem
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -373,33 +373,17 @@ def discriminant_group(lattice: IntegralLattice) -> List[int]:
     return [d for d in divisors if d > 1]
 
 
-def _ldl(gram: IntMatrix) -> Tuple[List[Q], List[List[Q]]]:
-    """Diagonal d and unit upper coefficients c with Q(x) = sum d_i (x_i + sum_j c_ij x_j)^2."""
-    n = len(gram)
-    d: List[Q] = [Q(0)] * n
-    c: List[List[Q]] = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
-        acc = Q(gram[i][i])
-        for m in range(i):
-            acc -= d[m] * c[m][i] * c[m][i]
-        d[i] = acc
-        if acc <= 0:
-            raise ValueError("lattice is not positive definite")
-        for j in range(i + 1, n):
-            s = Q(gram[i][j])
-            for m in range(i):
-                s -= d[m] * c[m][i] * c[m][j]
-            c[i][j] = s / d[i]
-    return d, c
-
-
 def enumerate_by_norm(lattice: IntegralLattice, bound,
                       center: Optional[Sequence] = None) -> List[Tuple[int, ...]]:
     """All vectors v with |<v-z,v-z>| <= bound, in sorted coordinate order.
 
     z is the rational center, the origin when None.  Only definite lattices
-    are accepted; on an indefinite one the solution set is infinite and the
-    search below would not terminate.
+    are accepted; on an indefinite one the solution set is infinite.  The
+    search runs on integers.  One Bareiss pass over the definite Gram gives
+    the leading minors D_k and upper rows U_k; with q the common denominator
+    of z and w = q(v - z), |v-z|^2 = sum_k (U_k.w)^2 / (q^2 D_(k-1) D_k).
+    Scaled by q^2 lcm(D_(k-1) D_k), the bound leaves each coordinate an exact
+    integer interval, read with isqrt.
     """
     b = Q(bound)
     if b < 0:
@@ -412,29 +396,33 @@ def enumerate_by_norm(lattice: IntegralLattice, bound,
         return [()]
     if lattice.signature == "indefinite":
         raise ValueError("lattice is not definite")
-    gram = lattice.gram
-    if lattice.signature == "negative":
-        gram = tuple(tuple(-x for x in row) for row in gram)
-    d, c = _ldl(gram)
+    sign = -1 if lattice.signature == "negative" else 1
+    u = [[sign * x for x in row] for row in lattice.gram]
+    minors, _ = bareiss(u, pivoting=False)
+    if any(d <= 0 for d in minors):
+        raise ValueError("lattice is not positive definite")
+    (p,), q = integer_rows([z])
+    dens = [a * d for a, d in zip([1] + minors, minors)]  # D_(k-1) D_k
+    scale = lcm(*dens)
+    weight = [scale // x for x in dens]
 
     results: List[Tuple[int, ...]] = []
     partial = [0] * n
+    w = [0] * n  # q * partial - p
 
-    def search(i: int, remaining: Q) -> None:
-        if i < 0:
+    def search(k: int, remaining: int) -> None:
+        if k < 0:
             results.append(tuple(partial))
             return
-        t = sum((c[i][j] * (partial[j] - z[j]) for j in range(i + 1, n)),
-                -z[i])
-        # safe integer window around -t, then exact acceptance per candidate
-        radius = isqrt(int(remaining / d[i])) + 2
-        mid = round(-t)
-        for x in range(mid - radius, mid + radius + 1):
-            used = d[i] * (x + t) ** 2
-            if used <= remaining:
-                partial[i] = x
-                search(i - 1, remaining - used)
-        partial[i] = 0
+        # U_k.w = a x + c at partial[k] = x; weight[k] (a x + c)^2 <= remaining
+        a = minors[k] * q
+        c = sum(map(mul, u[k][k + 1:], w[k + 1:])) - minors[k] * p[k]
+        r = isqrt(remaining // weight[k])
+        for x in range(-((r + c) // a), (r - c) // a + 1):
+            t = a * x + c
+            partial[k] = x
+            w[k] = q * x - p[k]
+            search(k - 1, remaining - weight[k] * t * t)
 
-    search(n - 1, b)
+    search(n - 1, b.numerator * q * q * scale // b.denominator)
     return sorted(results)

@@ -92,13 +92,14 @@ def solve(a: Matrix, b: Sequence) -> Vector:
     return mat_vec(mat_inv(a), vec(b))
 
 
-def _bareiss(m: List[List[int]], pivoting: bool) -> Tuple[List[int], int]:
+def bareiss(m: List[List[int]], pivoting: bool) -> Tuple[List[int], int]:
     """Fraction-free elimination (Bareiss 1968) of a square integer matrix,
     in place: its pivots and the sign of the row swaps made.
 
     The k-th pivot is the k-th leading principal minor of the row-swapped
-    matrix.  The pass stops at a zero pivot: the first zero minor without
-    pivoting, a singular matrix with it.
+    matrix, and row k keeps its fraction-free upper row from column k on.
+    The pass stops at a zero pivot: the first zero minor without pivoting,
+    a singular matrix with it.
     """
     sign, prev, pivots = 1, 1, []
     for k in range(len(m)):
@@ -121,13 +122,13 @@ def _bareiss(m: List[List[int]], pivoting: bool) -> Tuple[List[int], int]:
 def leading_minors(rows: Sequence[Sequence[int]]) -> List[int]:
     """Leading principal minors of a square integer matrix, from one pass
     without pivoting; the list stops at the first zero minor."""
-    return _bareiss([list(row) for row in rows], pivoting=False)[0]
+    return bareiss([list(row) for row in rows], pivoting=False)[0]
 
 
 def determinant(a: Matrix) -> Q:
     """Exact determinant from one Bareiss pass over the integer-scaled rows."""
     m, d = integer_rows(a)
-    pivots, sign = _bareiss(m, pivoting=True)
+    pivots, sign = bareiss(m, pivoting=True)
     return Q(sign * pivots[-1], d ** len(a)) if pivots else Q(1)
 
 

@@ -218,7 +218,7 @@ def test_criterion_08_spectral_flow_equivariance():
             sc = fermionize_character(seed, (0,) * rank, 8)
             gw = g_sc_plus(rs, 1, f_af(rs, gamma, "+"))
             diffs = flow_af_equivariance_diff(
-                sc, weight_to_sc(rs, 1, (0,) * rank), gw, 8, input_floor=8)
+                sc, weight_to_sc(rs, 1, (0,) * rank), gw, 8)
             assert_no_diffs(diffs)
         # flows compose additively
         sc = fermionize_character(seed, (0,) * rank, 6)

@@ -647,7 +647,7 @@ def test_flow_af_equivariance_A1_frozen_example():
     sc = fermionize_character(delta_seed(rs, 1), (0,), 8)
     gamma = g_sc_plus(rs, 1, f_af(rs, (1,), "+"))
     diffs = flow_af_equivariance_diff(sc, weight_to_sc(rs, 1, (0,)),
-                                      gamma, 8, input_floor=8)
+                                      gamma, 8)
     assert_no_diffs(diffs)
     # hand values: the flowed side carries weight 1/2 with exponent 1/4
     right = spectral_flow_af(
@@ -705,7 +705,7 @@ def test_flow_equivariance_grid_k1(family, rank):
         sc = fermionize_character(seed, (0,) * rank, 6)
         gw = g_sc_plus(rs, 1, f_af(rs, gamma, "+"))
         diffs = flow_af_equivariance_diff(
-            sc, weight_to_sc(rs, 1, (0,) * rank), gw, 6, input_floor=6)
+            sc, weight_to_sc(rs, 1, (0,) * rank), gw, 6)
         assert_no_diffs(diffs)
 
 

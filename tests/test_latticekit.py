@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -26,7 +28,7 @@ from cosetlab.latticekit import (
     kernel_K,
     sublattice,
 )
-from cosetlab.ratlinalg import determinant
+from cosetlab.ratlinalg import determinant, mat_inv
 from cosetlab.rootsys import build_root_system
 
 
@@ -387,6 +389,51 @@ def test_centred_enumeration_matches_filtered_origin_ball(lat_center, bound):
     expected = [v for v in enumerate_by_norm(lat, cover)
                 if abs(lat.norm(tuple(x - c for x, c in zip(v, z)))) <= bound]
     assert enumerate_by_norm(lat, bound, z) == expected
+
+
+def _box(lat, bound, z):
+    """Integer ranges of the box (x_i - z_i)^2 <= bound |G^-1|_ii, which
+    holds the whole centred ball of a definite Gram."""
+    inv = mat_inv(lat.gram)
+    ranges = []
+    for i, c in enumerate(z):
+        r = bound * abs(inv[i][i])
+        mid, half = math.floor(c), math.isqrt(math.ceil(r)) + 1
+        ranges.append([x for x in range(mid - half, mid + half + 2)
+                       if (x - c) ** 2 <= r])
+    return ranges
+
+
+@st.composite
+def _centred_ball(draw):
+    lat, z = draw(_definite_lattice_and_center())
+    if draw(st.booleans()):
+        bound = draw(st.fractions(0, 6))
+    else:
+        # a lattice point on the sphere: the edge of each exact interval
+        v = [round(c) + draw(st.integers(-1, 1)) for c in z]
+        bound = abs(lat.norm(tuple(x - c for x, c in zip(v, z))))
+    assume(math.prod(map(len, _box(lat, bound, z))) <= 4000)
+    return lat, bound, z
+
+
+@settings(max_examples=60, deadline=None)
+@given(_centred_ball())
+def test_centred_enumeration_matches_a_box_scan(ball):
+    # an independent reference: a scan that never calls enumerate_by_norm
+    lat, bound, z = ball
+    expected = [v for v in itertools.product(*_box(lat, bound, z))
+                if abs(lat.norm(tuple(x - c for x, c in zip(v, z)))) <= bound]
+    assert enumerate_by_norm(lat, bound, z) == expected
+
+
+@pytest.mark.parametrize("gram", [((1, 2), (2, 1)), ((1, 1), (1, 1))],
+                         ids=["indefinite", "singular"])
+def test_enumerate_refuses_a_mislabelled_positive_gram(gram):
+    lat = IntegralLattice("X", ("a", "b"), gram, default_cocycle(gram),
+                          "positive")
+    with pytest.raises(ValueError, match="^lattice is not positive definite$"):
+        enumerate_by_norm(lat, 2)
 
 
 def test_centred_enumeration_checks_the_center_length():

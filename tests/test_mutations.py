@@ -7,18 +7,22 @@ contraction table with one deliberate defect, by replacing
 replacing ``opecalc._boson_patterns``.  They feed character transport a
 wrong eta power or a short lattice enumeration, by replacing
 ``charflow.eta_power`` or ``charflow.enumerate_by_norm``, and compare
-transports over two bases of the kernel lattice, by replacing
+transports over other bases of the kernel lattice, by replacing
 ``charflow.kernel_K``.  Each pins the failures its defect must cause.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from fractions import Fraction as Q
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetlab import charflow, opecalc
 from cosetlab.charflow import (QSeries, fermionize_character, roundtrip_check,
@@ -211,6 +215,39 @@ def test_transport_is_kernel_basis_covariant(seed, T, keys, monkeypatch):
     monkeypatch.setattr(charflow, "kernel_K", _other_kernel_basis)
     assert len(direct) == keys
     assert _fermionized(seed, T) == direct
+
+
+def _unimodular_kernel_basis(steps):
+    """kernel_K in the basis U.B, with U the product of elementary steps:
+    (i, j, m) adds m times row j to row i, or negates row i when i == j."""
+    def kernel(rs):
+        true = REAL_KERNEL(rs)
+        rows = [list(row) for row in true.basis_in_ambient]
+        r = len(rows)
+        for i, j, m in steps:
+            i, j = i % r, j % r
+            if i == j:
+                rows[i] = [-x for x in rows[i]]
+            else:
+                rows[i] = [a + m * b for a, b in zip(rows[i], rows[j])]
+        return sublattice(true.ambient, rows, "K", true.lattice.labels)
+    return kernel
+
+
+@functools.lru_cache(maxsize=None)
+def _fermionized_in_true_basis(seed, T):
+    return _fermionized(seed, T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["B2", "G2", "A3"]),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.sampled_from((1, -1, 2, -2))), max_size=8))
+def test_transport_is_covariant_under_random_unimodular_bases(seed, steps):
+    direct = _fermionized_in_true_basis(seed, 6)
+    with mock.patch.object(charflow, "kernel_K",
+                           _unimodular_kernel_basis(steps)):
+        assert _fermionized(seed, 6) == direct
 
 
 @pytest.mark.parametrize("seed, T", [case[:2] for case in COVARIANCE_SEEDS])
