@@ -155,6 +155,9 @@ class ContractionTable:
     n_plus: int
     ell: int
     gstar: Tuple[Tuple[Q, ...], ...]
+    # _contract results by (key A, key B, max order); dataclasses.replace empties it
+    memo: Dict[Tuple[TermKey, TermKey, int], Tuple] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -465,28 +468,33 @@ def ope_singular(table: ContractionTable, A: Field, B: Field,
     field_parity(table, B)
     max_order = regular_orders - 1
     sink: Dict[int, Field] = {}
+    memo = table.memo
     for keyA, cA in A.items():
         for keyB, cB in B.items():
-            _pair_into(table, sink, keyA, cA, keyB, cB, max_order)
-    poles = {}
-    for order, fld in sink.items():
-        if order < 0 and fld:
-            poles[-order] = fld
+            terms = memo.get((keyA, keyB, max_order))
+            if terms is None:
+                terms = memo[keyA, keyB, max_order] = _contract(table, keyA, keyB, max_order)
+            if not terms:
+                continue
+            c = sc_mul(cA, cB)
+            for order, key, coef in terms:
+                field_add_into(sink.setdefault(order, {}), key, sc_mul(c, coef))
+    poles = {-order: fld for order, fld in sink.items() if order < 0 and fld}
     regular = tuple(sink.get(m, {}) for m in range(regular_orders))
     return SingularPart(poles, regular)
 
 
-def _pair_into(table: ContractionTable, sink: Dict[int, Field],
-               keyA: TermKey, cA: SymCoef, keyB: TermKey, cB: SymCoef,
-               max_order: int) -> None:
+def _contract(table: ContractionTable, keyA: TermKey, keyB: TermKey,
+              max_order: int) -> Tuple[Tuple[int, TermKey, SymCoef], ...]:
+    """Unit-coefficient terms (order, key, coefficient) of keyA(z) keyB(w),
+    cocycle sign included, up to the Taylor order max_order."""
     affA, bosA, xiA = keyA
     affB, bosB, xiB = keyB
     lattice = table.lattice
     base = int(lattice.pair(xiA, xiB))
-    c0 = sc_scale(sc_mul(cA, cB), lattice.eps(xiA, xiB))
-    if not c0:
-        return
+    c0 = sc_from(lattice.eps(xiA, xiB))
     out_exp = tuple(a + b for a, b in zip(xiA, xiB))
+    sink: Dict[int, Field] = {}
 
     # affine fates (contraction entry, symbol kept at z, symbol kept at w)
     fates: List[Tuple[Optional[Tuple[int, SymCoef, AffineKey]], AffineKey, AffineKey]]
@@ -518,6 +526,8 @@ def _pair_into(table: ContractionTable, sink: Dict[int, Field],
                     for mono, qbell in tail.items():
                         key = (aff, tuple(sorted(relocated + stay + mono)), out_exp)
                         field_add_into(fld, key, sc_scale(coef, scale * qbell))
+    return tuple((order, key, coef) for order, fld in sink.items()
+                 for key, coef in fld.items())
 
 
 # ---------------------------------------------------------------------------

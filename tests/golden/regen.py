@@ -58,9 +58,10 @@ def cases():
         out.append((f"ope-verify-{check}-A2",
                     ["ope", "verify", "--check", check, "--type", "A",
                      "--rank", "2", "--level=3/2"]))
-    # every check at once: rank 1, a non-simply-laced pair, both level signs
+    # every check at once: rank 1, a non-simply-laced pair, both level signs,
+    # and rank 3, where each term pair recurs across many field pairs
     for family, rank, level in (("A", 1, "7/2"), ("B", 2, "-5/3"),
-                                ("G", 2, "7/2")):
+                                ("G", 2, "7/2"), ("B", 3, "-5/3")):
         out.append((f"ope-verify-all-{family}{rank}",
                     ["ope", "verify", "--type", family, "--rank", str(rank),
                      f"--level={level}", "--check", "all"]))

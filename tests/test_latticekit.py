@@ -386,8 +386,12 @@ def test_centred_enumeration_matches_filtered_origin_ball(lat_center, bound):
     # |v|^2 <= 2|v-z|^2 + 2|z|^2, so this origin ball covers the centred one
     lat, z = lat_center
     cover = 2 * bound + 2 * abs(lat.norm(z))
+    # filter on integers: |qv - qz|^2 <= q^2 bound, q the denominator of z
+    q = math.lcm(*(c.denominator for c in z))
+    qz = [int(q * c) for c in z]
+    limit = q * q * bound
     expected = [v for v in enumerate_by_norm(lat, cover)
-                if abs(lat.norm(tuple(x - c for x, c in zip(v, z)))) <= bound]
+                if abs(lat.norm([q * x - c for x, c in zip(v, qz)])) <= limit]
     assert enumerate_by_norm(lat, bound, z) == expected
 
 

@@ -3,12 +3,14 @@
 Every golden case passes, so a verifier that stopped comparing would still
 reproduce every golden byte.  These tests feed the OPE verifiers a
 contraction table with one deliberate defect, by replacing
-``opecalc.make_table``, or an engine that raises some pole orders, by
-replacing ``opecalc._boson_patterns``.  They feed character transport a
-wrong eta power or a short lattice enumeration, by replacing
-``charflow.eta_power`` or ``charflow.enumerate_by_norm``, and compare
-transports over other bases of the kernel lattice, by replacing
-``charflow.kernel_K``.  Each pins the failures its defect must cause.
+``opecalc.make_table`` (the defect is applied both to a fresh table and
+to one whose contraction memo a clean run has filled), or an engine that
+raises some pole orders, by replacing ``opecalc._boson_patterns``.  They
+feed character transport a wrong eta power or a short lattice
+enumeration, by replacing ``charflow.eta_power`` or
+``charflow.enumerate_by_norm``, and compare transports over other bases of
+the kernel lattice, by replacing ``charflow.kernel_K``.  Each pins the
+failures its defect must cause.
 """
 
 from __future__ import annotations
@@ -42,21 +44,23 @@ SEEDS = Path(__file__).resolve().parent / "golden" / "seeds"
 B2_SEED = SEEDS / "B2.json"
 
 
-def _bump_gstar(rs, k):
-    """The true table with 1 added to the g* entry at (0, 0)."""
-    table = REAL_MAKE_TABLE(rs, k)
+VERIFIERS = (opecalc.verify_Jalpha_heisenberg, opecalc.verify_Hminus_heisenberg,
+             opecalc.verify_fst_homomorphism)
+
+
+def _bump_gstar(table):
+    """The table with 1 added to the g* entry at (0, 0)."""
     rows = [list(row) for row in table.gstar]
     rows[0][0] += 1
     return dataclasses.replace(table, gstar=tuple(map(tuple, rows)))
 
 
-def _flip_cocycle(rs, k):
-    """The true table with cocycle exponents (0, 1) and (1, 0) both flipped.
+def _flip_cocycle(table):
+    """The table with cocycle exponents (0, 1) and (1, 0) both flipped.
 
     E + E^T is unchanged mod 2, so the lattice still passes the cocycle
     identity check its constructor runs; only the signs of products move.
     """
-    table = REAL_MAKE_TABLE(rs, k)
     rows = [list(row) for row in table.lattice.eps_exponents]
     rows[0][1] ^= 1
     rows[1][0] ^= 1
@@ -65,20 +69,31 @@ def _flip_cocycle(rs, k):
     return dataclasses.replace(table, lattice=lattice)
 
 
+def _true_then(mutate):
+    """A make_table that returns the mutated true table."""
+    return lambda rs, k: mutate(REAL_MAKE_TABLE(rs, k))
+
+
+def _used_table(rs, k):
+    """The true table after every verifier has run on it and filled its memo."""
+    table = REAL_MAKE_TABLE(rs, k)
+    with mock.patch.object(opecalc, "make_table", lambda *_: table):
+        assert all(verify(rs, k).ok for verify in VERIFIERS)
+    return table
+
+
 @pytest.fixture
 def a2():
     return build_root_system("A", 2)
 
 
-@pytest.mark.parametrize("verify", [opecalc.verify_Jalpha_heisenberg,
-                                    opecalc.verify_Hminus_heisenberg,
-                                    opecalc.verify_fst_homomorphism])
+@pytest.mark.parametrize("verify", VERIFIERS)
 def test_unmutated_table_passes(a2, verify):
     assert verify(a2, 1).ok
 
 
 def test_jalpha_sees_a_wrong_gstar_entry(a2, monkeypatch):
-    monkeypatch.setattr(opecalc, "make_table", _bump_gstar)
+    monkeypatch.setattr(opecalc, "make_table", _true_then(_bump_gstar))
     report = opecalc.verify_Jalpha_heisenberg(a2, 1)
     assert not report.ok
     assert report.checks == 27
@@ -88,7 +103,7 @@ def test_jalpha_sees_a_wrong_gstar_entry(a2, monkeypatch):
 
 
 def test_hminus_sees_a_wrong_gstar_entry(a2, monkeypatch):
-    monkeypatch.setattr(opecalc, "make_table", _bump_gstar)
+    monkeypatch.setattr(opecalc, "make_table", _true_then(_bump_gstar))
     report = opecalc.verify_Hminus_heisenberg(a2, 1)
     assert report.checks == 9
     assert report.diffs == [OpeDiff("H-(1, 0)", "H-(1, 0)", 2,
@@ -96,7 +111,7 @@ def test_hminus_sees_a_wrong_gstar_entry(a2, monkeypatch):
 
 
 def test_fst_sees_a_flipped_cocycle_bit(a2, monkeypatch):
-    monkeypatch.setattr(opecalc, "make_table", _flip_cocycle)
+    monkeypatch.setattr(opecalc, "make_table", _true_then(_flip_cocycle))
     report = opecalc.verify_fst_homomorphism(a2, 1)
     assert not report.ok
     assert report.checks == 88
@@ -105,6 +120,20 @@ def test_fst_sees_a_flipped_cocycle_bit(a2, monkeypatch):
     assert (first.left, first.right, first.pole) == ("Xt(1, 0)", "Xt(0, 1)", 1)
     assert first.expected == "(-1*N[0,1|1,0])*X(1,1) E(1,1,0,1,1)"
     assert first.got == "(1*N[0,1|1,0])*X(1,1) E(1,1,0,1,1)"
+
+
+@pytest.mark.parametrize("mutate, verify, diffs", [
+    (_bump_gstar, opecalc.verify_Jalpha_heisenberg, 4),
+    (_bump_gstar, opecalc.verify_Hminus_heisenberg, 1),
+    (_flip_cocycle, opecalc.verify_fst_homomorphism, 12),
+])
+def test_mutant_of_a_used_table_fails_alike(a2, mutate, verify, diffs,
+                                            monkeypatch):
+    # a contraction cached before the defect must not hide it
+    used = _used_table(a2, 1)
+    assert used.memo
+    monkeypatch.setattr(opecalc, "make_table", lambda rs, k: mutate(used))
+    assert len(verify(a2, 1).diffs) == diffs
 
 
 def _bump_pole_orders(*args):

@@ -268,6 +268,49 @@ def test_skew_on_generator_samples():
             assert oc.lambda_bracket_skew_check(t, A, B).ok
 
 
+def skew_generators(t):
+    """The generators whose skew checks the pole-order mutant must break."""
+    rs = t.rs
+    last = rs.num_positive - 1
+    return [oc.j_field(t, 0), oc.jstar_field(t, last), oc.h_plus_field(t, 0),
+            oc.h_minus_field(t, last), oc.h_tilde_field(t, 0),
+            oc.x_tilde_field(t, rs.simple_roots[-1]),
+            oc.x_tilde_field(t, tuple(-x for x in rs.simple_roots[-1]))]
+
+
+def _outcome(t, A, B, orders):
+    """The OPE, or the refusal of a Taylor term holding two affine symbols."""
+    try:
+        return oc.ope_singular(t, A, B, orders)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("fam,rank,k", [("A", 2, Q(3, 2)), ("B", 2, Q(5, 2))])
+def test_memo_answers_as_a_fresh_table(fam, rank, k):
+    # the memo key holds the Taylor order, and its terms carry unit
+    # coefficients: J and J* share keys under different coefficients.  Every
+    # generator holds an affine symbol, and a Taylor term keeping two of them
+    # is refused, so the generators' free-field parts (symbols dropped) give
+    # the regular terms
+    rs = build_root_system(fam, rank)
+    t = oc.make_table(rs, k)
+    gens = skew_generators(t)
+    for g in skew_generators(t):
+        free = {}
+        for (_, bosons, exp), coef in g.items():
+            oc.field_add_into(free, (None, bosons, exp), coef)
+        gens.append(free)
+    regular = 0
+    for orders in (0, 2, 0):
+        for A in gens:
+            for B in gens:
+                fresh = _outcome(oc.make_table(rs, k), A, B, orders)
+                assert _outcome(t, A, B, orders) == fresh
+                regular += not isinstance(fresh, str) and any(fresh.regular)
+    assert t.memo and regular
+
+
 def test_skew_detects_a_wrong_table():
     # a sign error in one direction cannot satisfy the relation
     t = table("A", 1, 1)
