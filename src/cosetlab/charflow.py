@@ -16,8 +16,10 @@ is ever silently dropped.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bilinear import (
@@ -154,12 +156,11 @@ def qseries_diff(a: QSeries, b: QSeries, order=None):
     if order is not None:
         bounds.append(Q(order))
     to = min(bounds) if bounds else None
-    acc: Dict[Q, Q] = {}
-    for series, sign in ((a, 1), (b, -1)):
-        for e, c in series.items():
-            if to is None or e <= to:
-                acc[e] = acc.get(e, Q(0)) + sign * c
-    return to, tuple(sorted((e, c) for e, c in acc.items() if c != 0))
+    acc = {e: c for e, c in a.terms.items() if to is None or e <= to}
+    for e, c in b.terms.items():
+        if to is None or e <= to:
+            acc[e] = acc.get(e, 0) - c
+    return to, tuple(sorted((e, c) for e, c in acc.items() if c))
 
 
 def eta_power(m: int, T) -> QSeries:
@@ -252,10 +253,7 @@ def affine_character(rs: RootSystem, k, base: Sequence,
 
 def character_support(rs: RootSystem, ch: FormalCharacter):
     """Strings re-keyed by absolute weight: coordinates (af) or dual values (sc)."""
-    if ch.side == "af":
-        base = vec(ch.base)
-    else:
-        base = ch.base.jstar_values(rs)
+    base = vec(ch.base) if ch.side == "af" else ch.base.jstar_values(rs)
     return {tuple(b + o for b, o in zip(base, off)): s
             for off, s in ch.strings.items()}
 
@@ -295,7 +293,8 @@ def _transport(groups, m: int, T: Q) -> Dict[Tuple[int, ...], QSeries]:
 
     The eta power is expanded once, as far as the lowest planned term needs,
     and multiplied into each string once: (s q^sh) eta = (s eta) q^sh, with
-    the same validity order.
+    the same validity order.  Each vector then shifts only the sorted prefix
+    of s eta that survives truncation, s.shift(sh).truncate(T) term for term.
     """
     eta = None
     if m and groups:
@@ -306,8 +305,11 @@ def _transport(groups, m: int, T: Q) -> Dict[Tuple[int, ...], QSeries]:
     for s, vecs in groups:
         if eta is not None:
             s = s * eta
+        exps = sorted(s.terms)
         for key, sh in vecs:
-            term = s.shift(sh).truncate(T)
+            v = T - sh if s.validity is None else min(s.validity, T - sh)
+            kept = exps[:bisect_right(exps, v)]
+            term = QSeries({e + sh: s.terms[e] for e in kept}, v + sh)
             out[key] = out[key] + term if key in out else term
     return out
 
@@ -393,17 +395,29 @@ def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCha
                            _transport(groups, n_extra, T))
 
 
-def _compare_supports(left: Dict, right: Dict, left_floor, right_floor):
-    """Per-weight (order, diff) over the union of two weight-keyed supports.
+def _compare_supports(rs: RootSystem, left: FormalCharacter,
+                      right: FormalCharacter, left_floor, right_floor):
+    """Per-weight (order, diff) over the union of two characters' supports,
+    keyed by absolute weight (as character_support) in ascending order.
 
     A weight missing on one side is compared as that side's zero, certified
     up to the order its floor function gives for the weight; a floor of None
-    means an exact zero.
-    """
+    means an exact zero.  The walk runs on integer numerators over one
+    denominator D, which keeps the order of the weights."""
+    bases = [vec(ch.base) if ch.side == "af" else ch.base.jstar_values(rs)
+             for ch in (left, right)]
+    D = lcm(*(x.denominator for base in bases for x in base))
+    shifts = [[int(D * b) for b in base] for base in bases]
+    lsup, rsup = ({tuple(n + D * o for n, o in zip(shift, off)): s
+                   for off, s in ch.strings.items()}
+                  for ch, shift in zip((left, right), shifts))
+    nums = sorted(lsup.keys() | rsup.keys())
+    weight = {x: Q(x, D) for x in {x for num in nums for x in num}}
     diffs = {}
-    for key in sorted(set(left) | set(right)):
-        a = left[key] if key in left else QSeries({}, left_floor(key))
-        b = right[key] if key in right else QSeries({}, right_floor(key))
+    for num in nums:
+        key = tuple(weight[x] for x in num)
+        a = lsup[num] if num in lsup else QSeries({}, left_floor(key))
+        b = rsup[num] if num in rsup else QSeries({}, right_floor(key))
         diffs[key] = qseries_diff(a, b)
     return diffs
 
@@ -434,9 +448,7 @@ def roundtrip_check(ch: FormalCharacter, mu: Sequence, k, T) -> RoundTrip:
         sh = delta - Q(sum(x * x for x in z), 2) + Q(n_extra, 24)
         return min(T, T + sh)
 
-    diffs = _compare_supports(character_support(rs, ch),
-                              character_support(rs, back),
-                              lambda key: None, back_floor)
+    diffs = _compare_supports(rs, ch, back, lambda key: None, back_floor)
     return RoundTrip(all(not d for _, d in diffs.values()), diffs)
 
 
@@ -602,17 +614,14 @@ def flow_sc_equivariance_diff(ch: FormalCharacter, mu: Sequence,
     left = fermionize_character(ch, tuple(m - x for m, x in zip(mu, g)), T)
     right = spectral_flow_sc(fermionize_character(ch, mu, T), g, lp.k)
     gs, quad = _sc_flow_form(rs, lp.k, g)
-    npos = rs.num_positive
     shift_js = tuple(sum((gs[b][i] * g[i] for i in range(rs.rank)), Q(0))
-                     for b in range(npos))
+                     for b in range(rs.num_positive))
 
     def flowed_floor(key):
         pre = tuple(x - s for x, s in zip(key, shift_js))
         return T + sum((g[i] * pre[i] for i in range(rs.rank)), Q(0)) + quad
 
-    return _compare_supports(character_support(rs, left),
-                             character_support(rs, right),
-                             lambda key: T, flowed_floor)
+    return _compare_supports(rs, left, right, lambda key: T, flowed_floor)
 
 
 def flow_af_equivariance_diff(ch: FormalCharacter, mu_sc: ScWeight,
@@ -660,11 +669,9 @@ def flow_af_equivariance_diff(ch: FormalCharacter, mu_sc: ScWeight,
             return None
         return floor + sum(n[i] * off[i] for i in range(rs.rank)) + flow_const
 
-    return _compare_supports(character_support(rs, left),
-                             character_support(rs, right),
-                             lambda key: absent_floor(key, mu_l, delta_l,
-                                                      m0_l)[0],
-                             flowed_floor)
+    return _compare_supports(
+        rs, left, right,
+        lambda key: absent_floor(key, mu_l, delta_l, m0_l)[0], flowed_floor)
 
 
 class SeedReport(NamedTuple):

@@ -34,6 +34,10 @@ from .ratlinalg import mat_mul, parse_rational
 from .rootsys import build_root_system, check_hvee_identity
 
 SCHEMA = "cosetlab/1"
+# The largest --T a seed request may ask for, checked before the seed is read:
+# three times the largest order the tests and the benchmark send (10).  It
+# bounds the eta expansion, not the kernel enumeration of seeds such as B3.
+MAX_T = 32
 
 
 def _rat(x) -> str:
@@ -100,15 +104,17 @@ def _load_seed(path: str):
 
 def _seed_request(args):
     """The seed character, --T, and --weight (the seed's base by default)."""
-    ch = _load_seed(args.seed)
     T = parse_rational(args.T, "--T")
+    if T > MAX_T:
+        raise ValueError(f"--T {args.T} is above the limit MAX_T = {MAX_T}")
+    ch = _load_seed(args.seed)
     if args.weight is None:
         return ch, T, ch.base
     return ch, T, _parse_vector(args.weight, ch.rank, "--weight")
 
 
 def _diff_report(args, ch, mu, T, diffs: Dict, verdict: str, **fields):
-    """Report of a weight-keyed map of (compare order, diff terms); ok when
+    """Report of a weight-ordered map of (compare order, diff terms); ok when
     no weight differs.  verdict names the comparison on the summary line."""
     ok = all(not terms for _, terms in diffs.values())
     entries = []
@@ -117,17 +123,17 @@ def _diff_report(args, ch, mu, T, diffs: Dict, verdict: str, **fields):
         f" {len(ch.strings)} strings",
         f"{verdict} to order {_rat(T)}: {'ok' if ok else 'FAIL'}",
     ]
-    for key in sorted(diffs):
-        order, terms = diffs[key]
+    for key, (order, terms) in diffs.items():
+        weight = [_rat(x) for x in key]
         entries.append({
-            "weight": [_rat(x) for x in key],
+            "weight": weight,
             "compare_order": None if order is None else _rat(order),
             "diff_terms": [{"exp": _rat(e), "coef": _rat(c)}
                            for e, c in terms],
         })
         tag = "unbounded" if order is None else f"to order {_rat(order)}"
         body = " ".join(f"{_rat(c)}*q^{_rat(e)}" for e, c in terms)
-        lines.append(f"  weight {_vec_str(key)} ({tag}): "
+        lines.append(f"  weight {','.join(weight)} ({tag}): "
                      + (f"DIFF {body}" if terms else "ok"))
     payload = _header(args, ch, level=_rat(ch.level),
                       reference_weight=[_rat(x) for x in mu],

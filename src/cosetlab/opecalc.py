@@ -462,8 +462,10 @@ def _compositions(budget: int, slots: int) -> Iterator[Tuple[int, ...]]:
 
 
 def ope_singular(table: ContractionTable, A: Field, B: Field,
-                 regular_orders: int = 2) -> SingularPart:
-    """Complete singular part of A(z)B(w) plus requested Taylor coefficients."""
+                 regular_orders: int) -> SingularPart:
+    """Complete singular part of A(z)B(w) plus regular_orders Taylor terms.
+    A regular term keeping affine symbols of both A and B has no single-term
+    key and raises ValueError("unsupported composite of affine symbols")."""
     field_parity(table, A)
     field_parity(table, B)
     max_order = regular_orders - 1

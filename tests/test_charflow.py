@@ -1,9 +1,10 @@
 import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosetlab import charflow
@@ -472,6 +473,27 @@ def test_fermionize_empty_coset_ball_gives_empty_character():
     assert report.diffs == {(0, 1): (Q(-1, 8), ())}
 
 
+@settings(max_examples=120, deadline=None)
+@given(small_series, st.builds(Q, st.integers(-12, 12), st.integers(1, 4)),
+       st.lists(st.builds(Q, st.integers(-12, 12), st.integers(1, 6)),
+                min_size=1, max_size=4),
+       st.integers(0, 3))
+@example(series((0, 1), (1, -2)), Q(3), [Q(2), Q(5, 2)], 1)
+@example(series((0, 1), (1, -2), validity=Q(3, 2)), Q(3), [Q(2)], 1)
+def test_sliced_transport_matches_shift_then_truncate(s, T, shifts, pin):
+    # with no eta factor, _transport keeps q^sh * s up to T for each vector;
+    # the first shift puts a term of s exactly at T - sh when s has one
+    terms = s.items()
+    if terms:
+        shifts[0] = T - terms[pin % len(terms)][0]
+    vecs = [((i,), sh) for i, sh in enumerate(shifts)]
+    out = charflow._transport([(s, vecs)], 0, T)
+    for key, sh in vecs:
+        want = s.shift(sh).truncate(T)
+        assert out[key].terms == want.terms
+        assert out[key].validity == want.validity
+
+
 def test_fermionize_rejects_bad_reference():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError, match="coset"):
@@ -718,3 +740,79 @@ def test_validity_is_never_optimistic_on_recompute():
         other = high.strings[off]
         for e, c in s.items():
             assert other.coefficient(e) == c
+
+
+# ------------------------------------------------- weight-keyed comparison
+
+def reference_compare(rs, left, right, left_floor, right_floor):
+    """_compare_supports spelled out on Fraction weight keys."""
+    lsup, rsup = character_support(rs, left), character_support(rs, right)
+    return {key: qseries_diff(
+                lsup[key] if key in lsup else QSeries({}, left_floor(key)),
+                rsup[key] if key in rsup else QSeries({}, right_floor(key)))
+            for key in sorted(set(lsup) | set(rsup))}
+
+
+def compare_against_reference(compare, rs, left, right, left_floor,
+                              right_floor):
+    diffs = compare(rs, left, right, left_floor, right_floor)
+    assert diffs == reference_compare(rs, left, right, left_floor,
+                                      right_floor)
+    # the report renders the weights in this order without sorting
+    assert list(diffs) == sorted(diffs)
+    return diffs
+
+
+BASES_B2 = [(0, 0), (Q(1, 2), 0), (Q(1, 3), Q(-1, 2)), (Q(-3, 4), 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BASES_B2), st.sampled_from(BASES_B2),
+       st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                       small_series, max_size=5),
+       st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                       small_series, max_size=5))
+def test_integer_key_comparison_matches_fraction_keys(lbase, rbase, lstrings,
+                                                     rstrings):
+    # bases of different denominators interleave the two supports, and most
+    # keys are then present on one side only; the floors read the weight
+    rs = build_root_system("B", 2)
+    left = affine_character(rs, 1, lbase, lstrings)
+    right = affine_character(rs, 1, rbase, rstrings)
+    compare_against_reference(charflow._compare_supports, rs, left, right,
+                              lambda key: sum(key),
+                              lambda key: None if key[0] < 0 else key[1])
+
+
+def test_integer_key_comparison_on_the_verdicts(monkeypatch):
+    # every comparison the three verdicts make, against the Fraction-keyed
+    # reference: an af-side flow at the half-integral weight 3/2, a round trip
+    # at a half-integral base, one at an order that drops a string (a key on
+    # one side only), and a B3 coset-side flow (denominator 6, 47 one-sided
+    # keys)
+    real = charflow._compare_supports
+    seen = []
+
+    def checked(rs, left, right, left_floor, right_floor):
+        seen.append(len(character_support(rs, left).keys()
+                        ^ character_support(rs, right).keys()))
+        return compare_against_reference(real, rs, left, right, left_floor,
+                                         right_floor)
+
+    monkeypatch.setattr(charflow, "_compare_supports", checked)
+    a1 = build_root_system("A", 1)
+    sc = fermionize_character(delta_seed(a1, 1), (0,), 8)
+    flow_af_equivariance_diff(sc, weight_to_sc(a1, 1, (0,)),
+                              g_sc_plus(a1, 1, f_af(a1, (1,), "+")), 8)
+    seeds = Path(__file__).parent / "golden" / "seeds"
+    b2 = validate_seed(json.loads((seeds / "B2.json").read_text())).character
+    rs = build_root_system("B", 2)
+    half = affine_character(rs, 1, (Q(1, 2), 0), b2.strings)
+    assert roundtrip_check(half, (Q(3, 2), 0), 1, 6).ok
+    assert roundtrip_check(b2, (0, 0), 1, Q(1, 4)).ok
+    # the off-coset golden request refuses before any comparison
+    with pytest.raises(ValueError, match="not in the coset"):
+        roundtrip_check(b2, (Q(1, 2), 0), 1, 6)
+    b3 = validate_seed(json.loads((seeds / "B3.json").read_text())).character
+    assert_no_diffs(flow_sc_equivariance_diff(b3, b3.base, (0, 1, 0), 2))
+    assert seen == [0, 0, 1, 47]

@@ -3,10 +3,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from cosetlab.cli import build_parser, main
+from cosetlab.cli import MAX_T, build_parser, main
 
 A1_SEED = {
     "type": "A",
@@ -188,6 +189,23 @@ def test_char_roundtrip_deeply_nested_seed_is_usage_error(text, tmp_path,
 def test_char_roundtrip_missing_file(capsys):
     assert main(["char", "roundtrip", "--seed", "/nonexistent/s.json",
                  "--T", "6"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    ("char", "roundtrip"),
+    ("flow", "check", "--side", "sc", "--gamma", "1"),
+])
+def test_T_above_the_limit_is_refused_before_the_seed_is_read(command,
+                                                              seed_path,
+                                                              capsys):
+    start = time.perf_counter()
+    assert main([*command, "--seed", "/nonexistent/s.json",
+                 "--T", "1e9"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == \
+        f"error: --T 1e9 is above the limit MAX_T = {MAX_T}\n"
+    assert main([*command, "--seed", seed_path, "--T", str(MAX_T)]) == 0
     capsys.readouterr()
 
 

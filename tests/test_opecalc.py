@@ -311,6 +311,20 @@ def test_memo_answers_as_a_fresh_table(fam, rank, k):
     assert t.memo and regular
 
 
+def test_regular_orders_is_required_and_refused_on_two_affine_fields():
+    # regular_orders has no default; at 2 every criterion-05 generator pair
+    # is refused, at 0 the singular part comes back
+    t = table("A", 2, Q(3, 2))
+    J = oc.j_field(t, 0)
+    with pytest.raises(TypeError):
+        oc.ope_singular(t, J, J)
+    with pytest.raises(ValueError, match="unsupported composite of affine"):
+        oc.ope_singular(t, J, J, 2)
+    s = oc.ope_singular(t, J, J, 0)
+    assert s.poles == {2: scalar(t, gram_g(t.rs, Q(3, 2))[0][0])}
+    assert s.regular == ()
+
+
 def test_skew_detects_a_wrong_table():
     # a sign error in one direction cannot satisfy the relation
     t = table("A", 1, 1)
