@@ -1,17 +1,16 @@
 """Branching characters, eta factors, and character-level spectral flow.
 
-Everything is exact: a series maps each Fraction exponent to its nonzero
-Fraction coefficient and carries a validity order up to which its
-coefficients are certified.  Arithmetic propagates validity pessimistically,
-so a passing comparison is a proof up to the stated order, never an artifact
-of truncation.
+Everything is exact.  A series holds integer exponent numerators over one
+denominator, int coefficients where integral, and an integer validity cap
+up to which its coefficients are certified.  Arithmetic propagates validity
+pessimistically, so a passing comparison is a proof up to the stated order.
 
 A character is a base weight plus finitely many strings indexed by integer
 offsets: root-lattice coordinates on the affine side, dual-grid coordinates
 on the coset side.  The two transport directions sum exponential-module
-contributions over a lattice; the sums are restricted by certified exponent
-bounds computed from the string floors, so no term below the requested order
-is ever silently dropped.
+contributions over a lattice, each vector shifting exponents by an integer
+numerator; the sums are restricted by certified exponent bounds computed
+from the string floors, so no term below the requested order is dropped.
 """
 
 from __future__ import annotations
@@ -47,103 +46,116 @@ from .rootsys import RootSystem, build_root_system
 
 
 class QSeries:
-    """A q-series: exact rational exponents mapped to nonzero coefficients.
+    """A q-series on an integer exponent grid: the sum of c q^(n/den).
 
-    terms maps each Fraction exponent to its Fraction coefficient.  validity
-    is the order up to which coefficients are certified; None means the
-    series is known completely (a polynomial).
+    terms maps each exponent numerator n to its nonzero coefficient (an int
+    when from_terms, the checked entry, reads an integral one; the
+    constructor trusts its input).  cap is the numerator of the validity
+    order up to which coefficients are certified; None means the series is
+    known completely.  Mixed grids are rescaled once to the lcm of their
+    denominators; items(), validity and the other readers return Fractions.
     """
 
-    __slots__ = ("terms", "validity")
+    __slots__ = ("den", "terms", "cap")
 
-    def __init__(self, terms: Dict[Q, Q], validity=None) -> None:
-        """terms must hold exact nonzero coefficients at exponents up to
-        validity; from_terms checks arbitrary pairs and builds the dict."""
-        self.terms = terms
-        self.validity = None if validity is None else Q(validity)
+    def __init__(self, den: int, terms: Dict[int, object], cap=None) -> None:
+        self.den, self.terms, self.cap = den, terms, cap
 
     @classmethod
     def from_terms(cls, terms, validity=None) -> "QSeries":
         """Series from (exponent, coefficient) pairs; duplicate exponents add."""
         acc: Dict[Q, Q] = {}
         for e, c in terms:
-            e = Q(e)
-            acc[e] = acc.get(e, Q(0)) + Q(c)
-        s = cls({e: c for e, c in acc.items() if c}, validity)
-        if s.validity is not None and any(e > s.validity for e in s.terms):
+            acc[Q(e)] = acc.get(Q(e), 0) + Q(c)
+        v = None if validity is None else Q(validity)
+        den = lcm(*(e.denominator for e in acc), v.denominator if v else 1)
+        s = cls(den, {int(e * den): int(c) if c.denominator == 1 else c
+                      for e, c in acc.items() if c},
+                None if v is None else int(v * den))
+        if s.cap is not None and any(n > s.cap for n in s.terms):
             raise ValueError("term beyond the validity order")
         return s
 
-    def items(self) -> Tuple[Tuple[Q, Q], ...]:
+    def _on(self, den: int):
+        """(terms, cap) on the finer grid 1/den; den is a multiple of self.den."""
+        f = den // self.den
+        return ({e * f: c for e, c in self.terms.items()} if f > 1
+                else self.terms, None if self.cap is None else self.cap * f)
+
+    def items(self) -> Tuple[Tuple[Q, object], ...]:
         """Nonzero (exponent, coefficient) pairs in increasing exponent order."""
-        return tuple(sorted(self.terms.items()))
+        return tuple((Q(e, self.den), c) for e, c in sorted(self.terms.items()))
+
+    @property
+    def validity(self) -> Optional[Q]:
+        return None if self.cap is None else Q(self.cap, self.den)
 
     @property
     def min_exponent(self) -> Optional[Q]:
-        return min(self.terms) if self.terms else None
+        return Q(min(self.terms), self.den) if self.terms else None
 
     def min_bound(self) -> Optional[Q]:
         """Certified lower bound on every exponent; None means plus infinity."""
-        m = self.min_exponent
-        return m if m is not None else self.validity
+        return self.min_exponent if self.terms else self.validity
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, e) -> Q:
-        return self.terms.get(Q(e), Q(0))
+    def coefficient(self, e):
+        return self.terms.get(Q(e) * self.den, 0)  # hashes as an int key
 
     def shift(self, s) -> "QSeries":
         """Multiply by q^s."""
         s = Q(s)
-        v = None if self.validity is None else self.validity + s
-        return QSeries({e + s: c for e, c in self.terms.items()}, v)
+        den = lcm(self.den, s.denominator)
+        (terms, cap), k = self._on(den), s.numerator * (den // s.denominator)
+        return QSeries(den, {e + k: c for e, c in terms.items()},
+                       None if cap is None else cap + k)
 
     def truncate(self, T) -> "QSeries":
         T = Q(T)
-        v = T if self.validity is None else min(self.validity, T)
-        return QSeries({e: c for e, c in self.terms.items() if e <= v}, v)
+        den = lcm(self.den, T.denominator)
+        (terms, cap), t = self._on(den), T.numerator * (den // T.denominator)
+        v = t if cap is None else min(cap, t)
+        return QSeries(den, {e: c for e, c in terms.items() if e <= v}, v)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        if self.validity is None:
-            v = other.validity
-        elif other.validity is None:
-            v = self.validity
-        else:
-            v = min(self.validity, other.validity)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        den = lcm(self.den, other.den)
+        (a, va), (b, vb) = self._on(den), other._on(den)
+        v = va if vb is None else vb if va is None else min(va, vb)
+        out = dict(a)
+        for e, c in b.items():
             out[e] = out.get(e, 0) + c
-        return QSeries({e: c for e, c in out.items()
-                        if c and (v is None or e <= v)}, v)
+        return QSeries(den, {e: c for e, c in out.items()
+                             if c and (v is None or e <= v)}, v)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
+        den = lcm(self.den, other.den)
+        (a, va), (b, vb) = self._on(den), other._on(den)
         # each factor is certified up to its validity plus the floor of the
         # other; an exactly-zero factor imposes no finite limit at all
-        limits = []
-        for v, m in ((self.validity, other.min_bound()),
-                     (other.validity, self.min_bound())):
-            if v is not None and m is not None:
-                limits.append(v + m)
+        limits = [v + m for v, m in ((va, min(b, default=vb)),
+                                     (vb, min(a, default=va)))
+                  if v is not None and m is not None]
         v = min(limits) if limits else None
-        out: Dict[Q, Q] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
+        out: Dict[int, object] = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
                 e = ea + eb
                 if v is None or e <= v:
                     out[e] = out.get(e, 0) + ca * cb
-        return QSeries({e: c for e, c in out.items() if c}, v)
+        return QSeries(den, {e: c for e, c in out.items() if c}, v)
 
     def __repr__(self) -> str:
         shown = self.items()
         body = " + ".join(f"{c}*q^{e}" for e, c in shown[:6]) or "0"
         if len(shown) > 6:
             body += " + ..."
-        tag = "exact" if self.validity is None else f"T={self.validity}"
+        tag = "exact" if self.cap is None else f"T={self.validity}"
         return f"<QSeries {body} ({tag})>"
 
 
@@ -152,15 +164,10 @@ def qseries_diff(a: QSeries, b: QSeries, order=None):
 
     Returns (order, diffs); order None means the comparison was unbounded.
     """
-    bounds = [v for v in (a.validity, b.validity) if v is not None]
+    d = a + QSeries(b.den, {e: -c for e, c in b.terms.items()}, b.cap)
     if order is not None:
-        bounds.append(Q(order))
-    to = min(bounds) if bounds else None
-    acc = {e: c for e, c in a.terms.items() if to is None or e <= to}
-    for e, c in b.terms.items():
-        if to is None or e <= to:
-            acc[e] = acc.get(e, 0) - c
-    return to, tuple(sorted((e, c) for e, c in acc.items() if c))
+        d = d.truncate(order)
+    return d.validity, d.items()
 
 
 def eta_power(m: int, T) -> QSeries:
@@ -174,18 +181,18 @@ def eta_power(m: int, T) -> QSeries:
     """
     m = int(m)
     T = Q(T)
-    lead = Q(m, 24)
-    if T < lead:
+    den = lcm(24, T.denominator)
+    lead, cap = m * (den // 24), T.numerator * (den // T.denominator)
+    if cap < lead:
         raise ValueError("validity order is below the leading exponent")
-    span = T - lead
-    order = span.numerator // span.denominator
+    order = (cap - lead) // den
     terms = [(k, (-1) ** j) for j in range(1, order + 1)
              for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if k <= order]
     g = [1]
     for n in range(1, order + 1):
         g.append(sum(((m + 1) * k - n) * f * g[n - k]
                      for k, f in terms if k <= n) // n)
-    return QSeries({lead + n: Q(c) for n, c in enumerate(g) if c}, T)
+    return QSeries(den, {lead + n * den: c for n, c in enumerate(g) if c}, cap)
 
 
 @dataclass
@@ -284,32 +291,35 @@ def _root_coords(gamma: Sequence, rs: RootSystem) -> Tuple[int, ...]:
     return _grid_offset(gamma, error="weight is not in the root lattice")
 
 
-_EXACT_ZERO = QSeries({})
+_EXACT_ZERO = QSeries(1, {})
 
 
-def _transport(groups, m: int, T: Q) -> Dict[Tuple[int, ...], QSeries]:
-    """Sum of q^sh * s * eta^m, truncated to T, over the groups
-    (s, [(key, sh), ...]).
+def _transport(groups, m: int, T: Q, sd: int) -> Dict[Tuple[int, ...], QSeries]:
+    """Sum of q^(sh/sd) * s * eta^m, truncated to T, over the groups
+    (s, [(key, sh), ...]) of strings with a floor and integer shifts sh.
 
-    The eta power is expanded once, as far as the lowest planned term needs,
-    and multiplied into each string once: (s q^sh) eta = (s eta) q^sh, with
-    the same validity order.  Each vector then shifts only the sorted prefix
-    of s eta that survives truncation, s.shift(sh).truncate(T) term for term.
+    eta^m is expanded once, as far as the lowest planned term needs, and
+    multiplied into each string once: (s q^sh) eta = (s eta) q^sh, with the
+    same validity.  On one grid for all strings, shifts and T, each vector
+    then shifts only the sorted prefix of s eta that survives truncation,
+    s.shift(sh).truncate(T) term for term.
     """
+    den = lcm(24, T.denominator, sd, *(s.den for s, _ in groups))
+    t, f = T.numerator * (den // T.denominator), den // sd
     eta = None
     if m and groups:
-        need = max(T - (s.min_bound() + sh) for s, vecs in groups
-                   for _, sh in vecs)
-        eta = eta_power(m, max(need, Q(m, 24)))
+        need = max(t - min(s.terms, default=s.cap) * (den // s.den)
+                   - min(sh for _, sh in vecs) * f for s, vecs in groups)
+        eta = eta_power(m, max(Q(need, den), Q(m, 24)))
     out: Dict[Tuple[int, ...], QSeries] = {}
     for s, vecs in groups:
-        if eta is not None:
-            s = s * eta
-        exps = sorted(s.terms)
+        terms, cap = (s if eta is None else s * eta)._on(den)
+        exps = sorted(terms)
         for key, sh in vecs:
-            v = T - sh if s.validity is None else min(s.validity, T - sh)
+            sh *= f
+            v = t - sh if cap is None else min(cap, t - sh)
             kept = exps[:bisect_right(exps, v)]
-            term = QSeries({e + sh: s.terms[e] for e in kept}, v + sh)
+            term = QSeries(den, {e + sh: terms[e] for e in kept}, v + sh)
             out[key] = out[key] + term if key in out else term
     return out
 
@@ -331,6 +341,7 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
         raise ValueError("dimension mismatch")
     m0 = _grid_offset(mu, vec(ch.base))
     delta = conformal_weight_plus(rs, lp.k, mu)
+    p, q = (2 * delta).as_integer_ratio()  # shift (q|xi|^2 - p) / 2q
     n_extra = rs.num_positive - rs.rank
     kernel = kernel_K(rs)
     ginv = mat_inv(kernel.lattice.gram)
@@ -351,12 +362,12 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
         for kap in enumerate_by_norm(kernel.lattice, bound,
                                      tuple(-x for x in y)):
             xi = tuple(a + b for a, b in zip(xi0, kernel.embed(kap)))
-            vecs.append((xi, Q(sum(x * x for x in xi), 2) - delta))
+            vecs.append((xi, q * sum(x * x for x in xi) - p))
         # the ball can be empty even for bound >= 0: its centre need not
         # be a lattice point
         if vecs:
             groups.append((s, vecs))
-    out = _transport(groups, -n_extra, T)
+    out = _transport(groups, -n_extra, T, 2 * q)
     return FormalCharacter("sc", ch.family, ch.rank, lp.k,
                            weight_to_sc(rs, lp.k, mu), out)
 
@@ -376,23 +387,30 @@ def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCha
         raise ValueError("weight level does not match")
     m0 = _grid_offset(mu_sc.jstar_values(rs), ch.base.jstar_values(rs))
     mu = sc_weight_to_af(rs, lp.k, mu_sc)
-    delta = conformal_weight_plus(rs, lp.k, mu)
+    p, q = (2 * conformal_weight_plus(rs, lp.k, mu)).as_integer_ratio()
     n_extra = rs.num_positive - rs.rank
+    tn, td = (T - Q(n_extra, 24)).as_integer_ratio()
     groups = []
     for off, s in ch.strings.items():
         rel = tuple(off[i] - m0[i] for i in range(rs.num_positive))
         if any(rel[rs.rank:]):
             continue
-        floor = s.min_bound()
+        floor = min(s.terms, default=s.cap)
         if floor is None:
             continue
         z = rel[: rs.rank]
-        sh = delta - Q(sum(x * x for x in z), 2)
-        if floor + sh + Q(n_extra, 24) > T:
+        sh = p - q * sum(x * x for x in z)  # shift sh / 2q
+        # floor/den + sh/2q > T - n_extra/24 = tn/td: it starts above T
+        if (floor * 2 * q + sh * s.den) * td > tn * 2 * q * s.den:
             continue
         groups.append((s, [(z, sh)]))
     return FormalCharacter("af", ch.family, ch.rank, lp.k, mu,
-                           _transport(groups, n_extra, T))
+                           _transport(groups, n_extra, T, 2 * q))
+
+
+class Comparison(dict):
+    """(order, diff) per weight; vacuous if no term is at or below its order."""
+    vacuous = True
 
 
 def _compare_supports(rs: RootSystem, left: FormalCharacter,
@@ -413,18 +431,21 @@ def _compare_supports(rs: RootSystem, left: FormalCharacter,
                   for ch, shift in zip((left, right), shifts))
     nums = sorted(lsup.keys() | rsup.keys())
     weight = {x: Q(x, D) for x in {x for num in nums for x in num}}
-    diffs = {}
+    diffs = Comparison()
     for num in nums:
         key = tuple(weight[x] for x in num)
-        a = lsup[num] if num in lsup else QSeries({}, left_floor(key))
-        b = rsup[num] if num in rsup else QSeries({}, right_floor(key))
-        diffs[key] = qseries_diff(a, b)
+        a = lsup.get(num) or QSeries.from_terms((), left_floor(key))
+        b = rsup.get(num) or QSeries.from_terms((), right_floor(key))
+        order, _ = diffs[key] = qseries_diff(a, b)
+        if diffs.vacuous:
+            lows = [s.min_exponent for s in (a, b) if s.terms]
+            diffs.vacuous = not any(order is None or e <= order for e in lows)
     return diffs
 
 
 class RoundTrip(NamedTuple):
     ok: bool
-    diffs: Dict[Tuple[Q, ...], Tuple[Optional[Q], Tuple[Tuple[Q, Q], ...]]]
+    diffs: Comparison
 
 
 def roundtrip_check(ch: FormalCharacter, mu: Sequence, k, T) -> RoundTrip:
@@ -525,10 +546,9 @@ def spectral_flow_sc(ch: FormalCharacter, gamma: Sequence, k) -> FormalCharacter
     base_js = ch.base.jstar_values(rs)
     new_base = make_sc_weight(
         rs, lp.k, tuple(v + p for v, p in zip(ch.base.j_values, pad)))
-    out = {}
-    for off, s in ch.strings.items():
-        lin = sum((g[i] * (base_js[i] + off[i]) for i in range(rs.rank)), Q(0))
-        out[off] = s.shift(lin + quad)
+    const = quad + sum(x * b for x, b in zip(g, base_js))
+    out = {off: s.shift(const + sum(x * o for x, o in zip(g, off)))
+           for off, s in ch.strings.items()}
     return FormalCharacter("sc", ch.family, ch.rank, lp.k, new_base, out)
 
 

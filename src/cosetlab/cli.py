@@ -41,7 +41,7 @@ MAX_T = 32
 
 
 def _rat(x) -> str:
-    return str(Q(x))
+    return str(x) if type(x) in (int, Q) else str(Q(x))
 
 
 def _vec_str(v: Sequence) -> str:
@@ -116,6 +116,8 @@ def _seed_request(args):
 def _diff_report(args, ch, mu, T, diffs: Dict, verdict: str, **fields):
     """Report of a weight-ordered map of (compare order, diff terms); ok when
     no weight differs.  verdict names the comparison on the summary line."""
+    if diffs.vacuous:
+        raise ValueError(f"{verdict} to order {_rat(T)} is vacuous")
     ok = all(not terms for _, terms in diffs.values())
     entries = []
     lines = [

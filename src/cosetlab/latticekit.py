@@ -195,12 +195,9 @@ class EmbeddedLattice:
     def embed(self, coords: Sequence[int]) -> Tuple[int, ...]:
         if len(coords) != self.lattice.rank:
             raise ValueError("dimension mismatch")
-        n = self.ambient.rank
-        out = [0] * n
-        for c, row in zip(coords, self.basis_in_ambient):
-            for j in range(n):
-                out[j] += int(c) * row[j]
-        return tuple(out)
+        return tuple(sum(map(mul, coords, col))
+                     for col in zip(*self.basis_in_ambient)) or (
+                         (0,) * self.ambient.rank)
 
 
 def sublattice(ambient: IntegralLattice, basis: Sequence[Sequence[int]],

@@ -86,6 +86,10 @@ def cases():
         out.append((f"char-roundtrip-{seed}",
                     ["char", "roundtrip", "--seed", f"seeds/{seed}.json",
                      "--T", "6"]))
+    # the seed's q^1 term sits exactly at T: its back transport lands on the
+    # truncation order itself, which the comparison must keep
+    out.append(("char-roundtrip-A2-edge",
+                ["char", "roundtrip", "--seed", "seeds/A2.json", "--T", "1"]))
     # unusable requests: exit 2 with the reason on stderr
     out.append(("flow-check-fractional-gamma-B2",
                 ["flow", "check", "--seed", "seeds/B2.json", "--side", "sc",
@@ -96,6 +100,9 @@ def cases():
     out.append(("char-roundtrip-B2-off-coset",
                 ["char", "roundtrip", "--seed", "seeds/B2.json", "--T", "6",
                  "--weight=1/2,0"]))
+    # no weight has a term at or below its compare order: nothing compared
+    out.append(("char-roundtrip-B2-vacuous",
+                ["char", "roundtrip", "--seed", "seeds/B2.json", "--T=-5"]))
     out.append(("lattice-disc-e-plus-no-level-A2",
                 ["lattice", "disc", "--lattice", "e-plus", "--type", "A",
                  "--rank", "2"]))

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as Q
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,114 @@ def test_qseries_validity_is_sound(a, b, ta, tb, sh):
         for e, _ in got.items() + exact.items():
             if v is None or e <= v:
                 assert got.coefficient(e) == exact.coefficient(e), (e, v)
+
+
+class RefSeries:
+    """The Fraction-keyed series the integer grid replaced, kept as the
+    reference: exponent -> nonzero coefficient, validity a Fraction or None."""
+
+    def __init__(self, terms, validity=None):
+        self.terms = {e: c for e, c in terms.items() if c}
+        self.validity = validity
+
+    def items(self):
+        return tuple(sorted(self.terms.items()))
+
+    def shift(self, s):
+        v = None if self.validity is None else self.validity + s
+        return RefSeries({e + s: c for e, c in self.terms.items()}, v)
+
+    def truncate(self, T):
+        v = T if self.validity is None else min(self.validity, T)
+        return RefSeries({e: c for e, c in self.terms.items() if e <= v}, v)
+
+    def __add__(self, other):
+        bounds = [v for v in (self.validity, other.validity) if v is not None]
+        v = min(bounds) if bounds else None
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return RefSeries({e: c for e, c in out.items()
+                          if v is None or e <= v}, v)
+
+    def __mul__(self, other):
+        def floor(s):
+            return min(s.terms) if s.terms else s.validity
+        limits = [v + m for v, m in ((self.validity, floor(other)),
+                                     (other.validity, floor(self)))
+                  if v is not None and m is not None]
+        v = min(limits) if limits else None
+        out = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                if v is None or ea + eb <= v:
+                    out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+        return RefSeries(out, v)
+
+
+def reference_diff(a, b, order=None):
+    """qseries_diff spelled out on the reference."""
+    bounds = [v for v in (a.validity, b.validity, order) if v is not None]
+    to = min(bounds) if bounds else None
+    acc = {e: c for e, c in a.terms.items() if to is None or e <= to}
+    for e, c in b.terms.items():
+        if to is None or e <= to:
+            acc[e] = acc.get(e, 0) - c
+    return to, tuple(sorted((e, c) for e, c in acc.items() if c))
+
+
+def assert_same(got, want):
+    assert got.items() == want.items()
+    assert got.validity == want.validity
+    assert all(type(n) is int for n in got.terms)
+    assert got.cap is None or type(got.cap) is int
+
+
+GRID_DENS = (1, 2, 3, 24)
+grid_rationals = st.builds(Q, st.integers(-30, 60), st.sampled_from(GRID_DENS))
+
+
+@st.composite
+def grid_pairs(draw):
+    """A grid series and its reference on denominators 1, 2, 3 and 24, with
+    validity None or finite, and coefficients both integral and not."""
+    terms = draw(st.lists(st.tuples(
+        grid_rationals, st.builds(Q, st.integers(-3, 3),
+                                  st.sampled_from((1, 1, 2)))), max_size=5))
+    v = draw(st.one_of(st.none(), grid_rationals))
+    if v is not None:
+        terms = [(e, c) for e, c in terms if e <= v]
+    return grid_pair(terms, v)
+
+
+def grid_pair(terms, v=None):
+    ref = {}
+    for e, c in terms:
+        ref[e] = ref.get(e, 0) + c
+    return QSeries.from_terms(terms, v), RefSeries(ref, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_pairs(), grid_pairs(),
+       st.builds(Q, st.integers(-40, 40), st.sampled_from((1, 2, 5, 7, 24))),
+       st.builds(Q, st.integers(-40, 60), st.sampled_from((1, 3, 4, 24))),
+       st.one_of(st.none(), grid_rationals))
+@example(grid_pair([(0, 1), (1, 2)], Q(3)), grid_pair([(Q(1, 2), -1)], Q(5, 2)),
+         Q(1, 5), Q(7, 3), None)
+@example(grid_pair([(Q(-1, 2), 1)], Q(-1, 3)), grid_pair([(0, Q(1, 2))]),
+         Q(-2, 7), Q(-1, 4), Q(-1, 3))
+def test_grid_arithmetic_matches_the_fraction_reference(pa, pb, sh, T, order):
+    # shifts and truncation orders off the series' grids, and mixed grids on
+    # the two operands: every result must rescale terms and cap alike
+    (a, ra), (b, rb) = pa, pb
+    assert_same(a, ra)
+    assert_same(a + b, ra + rb)
+    assert_same(a * b, ra * rb)
+    assert_same(a.shift(sh), ra.shift(sh))
+    assert_same(a.truncate(T), ra.truncate(T))
+    assert_same(a.shift(sh).truncate(T) + b, ra.shift(sh).truncate(T) + rb)
+    assert qseries_diff(a, b, order) == reference_diff(ra, rb, order)
+    assert qseries_diff(a.shift(sh), b) == reference_diff(ra.shift(sh), rb)
 
 
 # ---------------------------------------------------------------- eta
@@ -486,9 +595,13 @@ def test_sliced_transport_matches_shift_then_truncate(s, T, shifts, pin):
     terms = s.items()
     if terms:
         shifts[0] = T - terms[pin % len(terms)][0]
-    vecs = [((i,), sh) for i, sh in enumerate(shifts)]
-    out = charflow._transport([(s, vecs)], 0, T)
-    for key, sh in vecs:
+    # shift numerators over sd, s on the transport grid of s, sd, T and 24
+    sd = lcm(*(sh.denominator for sh in shifts))
+    grid = lcm(24, s.den, sd, T.denominator)
+    s = QSeries(grid, *s._on(grid))
+    vecs = [((i,), int(sh * sd)) for i, sh in enumerate(shifts)]
+    out = charflow._transport([(s, vecs)], 0, T, sd)
+    for (key, _), sh in zip(vecs, shifts):
         want = s.shift(sh).truncate(T)
         assert out[key].terms == want.terms
         assert out[key].validity == want.validity
@@ -748,8 +861,10 @@ def reference_compare(rs, left, right, left_floor, right_floor):
     """_compare_supports spelled out on Fraction weight keys."""
     lsup, rsup = character_support(rs, left), character_support(rs, right)
     return {key: qseries_diff(
-                lsup[key] if key in lsup else QSeries({}, left_floor(key)),
-                rsup[key] if key in rsup else QSeries({}, right_floor(key)))
+                lsup[key] if key in lsup
+                else QSeries.from_terms((), left_floor(key)),
+                rsup[key] if key in rsup
+                else QSeries.from_terms((), right_floor(key)))
             for key in sorted(set(lsup) | set(rsup))}
 
 

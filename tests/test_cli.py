@@ -209,6 +209,27 @@ def test_T_above_the_limit_is_refused_before_the_seed_is_read(command,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [
+    ("char", "roundtrip"),
+    ("flow", "check", "--side", "sc", "--gamma", "1"),
+    ("flow", "check", "--side", "af", "--gamma", "1"),
+])
+def test_vacuous_comparison_exits_2(command, seed_path, capsys):
+    # every term lies above every compare order at T = -1/2
+    assert main([*command, "--seed", seed_path, "--T=-1/2"]) == 2
+    assert capsys.readouterr().err.endswith(" to order -1/2 is vacuous\n")
+
+
+def test_a_term_exactly_at_the_compare_order_is_compared(seed_path, capsys):
+    # the round trip compares weight 0 to order T = 0, where the seed's q^0
+    # term sits; weight 1 starts at 1/2 and is compared to a lower order
+    assert main(["char", "roundtrip", "--seed", seed_path, "--T", "0",
+                 "--format", "json"]) == 0
+    orders = [w["compare_order"] for w in json.loads(
+        capsys.readouterr().out)["weights"]]
+    assert orders[0] == "0"
+
+
 def test_flow_check_sc_side(seed_path, capsys):
     assert main(["flow", "check", "--seed", seed_path, "--side", "sc",
                  "--gamma", "1", "--T", "6"]) == 0

@@ -1,0 +1,82 @@
+"""The standing invariants of the runtime, read from the source with ``ast``.
+
+Every module under ``src/cosetlab`` imports only the standard library or
+cosetlab itself, and the core holds no floating point: no float or complex
+literal, no ``float(...)`` call, and no ``math.sqrt``, ``math.floor`` or
+``math.log``, called as attributes or imported by name.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cosetlab"
+MODULES = sorted(PACKAGE.glob("*.py"))
+FLOAT_MATH = {"sqrt", "floor", "log"}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_every_module_is_read():
+    names = {p.name for p in MODULES}
+    assert {"charflow.py", "cli.py", "latticekit.py", "ratlinalg.py"} <= names
+
+
+def foreign_imports(tree: ast.Module):
+    """Top-level names imported from outside the stdlib and cosetlab."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue  # relative imports stay inside cosetlab
+        for name in names:
+            top = name.split(".")[0]
+            if top != "cosetlab" and top not in sys.stdlib_module_names:
+                yield node.lineno, name
+
+
+def floating_point(tree: ast.Module):
+    """Float literals, float() calls and float-valued math functions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value,
+                                                         (float, complex)):
+            yield node.lineno, repr(node.value)
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == "float":
+                yield node.lineno, "float()"
+            elif (isinstance(f, ast.Attribute) and f.attr in FLOAT_MATH
+                  and isinstance(f.value, ast.Name) and f.value.id == "math"):
+                yield node.lineno, f"math.{f.attr}()"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            for alias in node.names:
+                if alias.name in FLOAT_MATH:
+                    yield node.lineno, f"from math import {alias.name}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_imports_are_stdlib_or_cosetlab(path):
+    assert list(foreign_imports(_tree(path))) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_core_has_no_floating_point(path):
+    assert list(floating_point(_tree(path))) == []
+
+
+def test_the_guards_see_what_they_forbid():
+    bad = ast.parse("import numpy\nfrom scipy.linalg import det\n"
+                    "from math import sqrt\nx = 0.5 + float(1) + math.log(2)\n"
+                    "from . import charflow\nimport fractions, cosetlab.cli\n")
+    assert list(foreign_imports(bad)) == [(1, "numpy"), (2, "scipy.linalg")]
+    assert sorted(floating_point(bad)) == [
+        (3, "from math import sqrt"), (4, "0.5"), (4, "float()"),
+        (4, "math.log()")]

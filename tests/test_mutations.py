@@ -9,7 +9,8 @@ raises some pole orders, by replacing ``opecalc._boson_patterns``.  They
 feed character transport a wrong eta power or a short lattice
 enumeration, by replacing ``charflow.eta_power`` or
 ``charflow.enumerate_by_norm``, and compare transports over other bases of
-the kernel lattice, by replacing ``charflow.kernel_K``.  Each pins the
+the kernel lattice, by replacing ``charflow.kernel_K``.  A series rescale
+that forgets the validity cap replaces ``QSeries._on``.  Each pins the
 failures its defect must cause.
 """
 
@@ -27,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetlab import charflow, opecalc
-from cosetlab.charflow import (QSeries, fermionize_character, roundtrip_check,
+from cosetlab.charflow import (QSeries, fermionize_character,
+                               flow_sc_equivariance_diff, roundtrip_check,
                                validate_seed)
 from cosetlab.latticekit import sublattice
 from cosetlab.opecalc import (OpeDiff, h_minus_field, h_plus_field,
@@ -40,6 +42,7 @@ REAL_BOSON_PATTERNS = opecalc._boson_patterns
 REAL_ETA_POWER = charflow.eta_power
 REAL_ENUMERATE = charflow.enumerate_by_norm
 REAL_KERNEL = charflow.kernel_K
+REAL_ON = QSeries._on
 SEEDS = Path(__file__).resolve().parent / "golden" / "seeds"
 B2_SEED = SEEDS / "B2.json"
 
@@ -286,3 +289,24 @@ def test_covariance_sees_a_dropped_last_vector(seed, T, monkeypatch):
     direct = _fermionized(seed, T)
     monkeypatch.setattr(charflow, "kernel_K", _other_kernel_basis)
     assert len(direct.keys() ^ _fermionized(seed, T).keys()) == 4
+
+
+def _on_keeping_cap(self, den):
+    """QSeries._on with the terms rescaled to den but the cap left on the
+    old grid."""
+    return REAL_ON(self, den)[0], self.cap
+
+
+def test_mixed_grids_see_a_cap_left_unscaled(b2_seed, monkeypatch):
+    # a sum and a product of series on the grids 1 and 1/2, and one weight
+    # of the B2 coset-side flow, whose sides lie on different grids; the
+    # Fraction-reference property test in test_charflow.py fails as well
+    a = QSeries.from_terms([(0, 1)], 3)
+    b = QSeries.from_terms([(Q(1, 2), 1)], Q(5, 2))
+    key = (Q(1, 4), Q(11, 4), 2, Q(-9, 4))
+    assert ((a + b).validity, (a * b).validity) == (Q(5, 2), Q(5, 2))
+    assert flow_sc_equivariance_diff(b2_seed, (0, 0), (0, 1), 6)[key] == (6, ())
+    monkeypatch.setattr(QSeries, "_on", _on_keeping_cap)
+    assert ((a + b).validity, (a * b).validity) == (Q(3, 2), 2)
+    flowed = flow_sc_equivariance_diff(b2_seed, (0, 0), (0, 1), 6)
+    assert flowed[key] == (Q(1, 4), ())
