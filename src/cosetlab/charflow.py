@@ -22,7 +22,6 @@ from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bilinear import (
-    LevelParams,
     ScWeight,
     conformal_weight_plus,
     gram_G_star,
@@ -199,68 +198,46 @@ def eta_power(m: int, T) -> QSeries:
 class FormalCharacter:
     """A branching character: base weight plus strings on an integer grid.
 
+    rs is the root system the character lives over and level its validated
+    level; every constructor checks both, so the transforms trust them.
     Affine-side strings sit at base + (integer combination of simple roots),
     with offsets in simple-root coordinates.  Coset-side strings sit at
     integer offsets on the dual-value grid relative to the base ScWeight.
     """
 
     side: str
-    family: str
-    rank: int
+    rs: RootSystem
     level: Q
     base: object
     strings: Dict[Tuple[int, ...], QSeries] = field(default_factory=dict)
 
 
-def _check_character(ch: FormalCharacter, rs: RootSystem) -> None:
-    if ch.side == "af":
-        if len(ch.base) != rs.rank:
-            raise ValueError("dimension mismatch")
-        width = rs.rank
-    elif ch.side == "sc":
-        ch.base._check(rs)
-        if ch.base.level != ch.level:
-            raise ValueError("weight level does not match")
-        width = rs.num_positive
-    else:
-        raise ValueError("side must be 'af' or 'sc'")
-    for off in ch.strings:
-        if len(off) != width or any(not isinstance(x, int) for x in off):
-            raise ValueError("string offsets must be integer grid vectors")
-
-
 _SIDE_NAMES = {"af": "affine", "sc": "coset"}
 
 
-def _char_rs(ch: FormalCharacter, side: Optional[str] = None,
-             k=None) -> Tuple[RootSystem, LevelParams]:
-    """Root system and level parameters of a well-formed character.
-
-    side, when given, is the side ch must be on; k, when given, is the level
-    ch must be at.
-    """
-    rs = build_root_system(ch.family, ch.rank)
-    _check_character(ch, rs)
-    if side is not None and ch.side != side:
+def _on_side(ch: FormalCharacter, side: str) -> RootSystem:
+    """The root system of ch, which must be on the given side."""
+    if ch.side != side:
         raise ValueError(f"character is not on the {_SIDE_NAMES[side]} side")
-    lp = level_params(rs, ch.level if k is None else k)
-    if lp.k != ch.level:
-        raise ValueError("level mismatch with the character")
-    return rs, lp
+    return ch.rs
 
 
 def affine_character(rs: RootSystem, k, base: Sequence,
                      strings: Dict[Tuple[int, ...], QSeries]) -> FormalCharacter:
     """Convenience constructor applying the same checks the seed reader does."""
     lp = level_params(rs, k)
-    ch = FormalCharacter("af", rs.family, rs.rank, lp.k, vec(base), dict(strings))
-    _check_character(ch, rs)
-    return ch
+    base = vec(base)
+    if len(base) != rs.rank:
+        raise ValueError("dimension mismatch")
+    for off in strings:
+        if len(off) != rs.rank or any(not isinstance(x, int) for x in off):
+            raise ValueError("string offsets must be integer grid vectors")
+    return FormalCharacter("af", rs, lp.k, base, dict(strings))
 
 
-def character_support(rs: RootSystem, ch: FormalCharacter):
+def character_support(ch: FormalCharacter):
     """Strings re-keyed by absolute weight: coordinates (af) or dual values (sc)."""
-    base = vec(ch.base) if ch.side == "af" else ch.base.jstar_values(rs)
+    base = vec(ch.base) if ch.side == "af" else ch.base.jstar_values(ch.rs)
     return {tuple(b + o for b, o in zip(base, off)): s
             for off, s in ch.strings.items()}
 
@@ -334,13 +311,13 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
     kernel basis B, |xi0 + kappa|^2 = |kappa + y|_K^2 + |xi0|^2 - y.B xi0,
     so the K-ball around -y holds exactly the vectors that enter.
     """
-    rs, lp = _char_rs(ch, "af")
+    rs, k = _on_side(ch, "af"), ch.level
     T = Q(T)
     mu = vec(mu)
     if len(mu) != rs.rank:
         raise ValueError("dimension mismatch")
     m0 = _grid_offset(mu, vec(ch.base))
-    delta = conformal_weight_plus(rs, lp.k, mu)
+    delta = conformal_weight_plus(rs, k, mu)
     p, q = (2 * delta).as_integer_ratio()  # shift (q|xi|^2 - p) / 2q
     n_extra = rs.num_positive - rs.rank
     kernel = kernel_K(rs)
@@ -368,8 +345,7 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
         if vecs:
             groups.append((s, vecs))
     out = _transport(groups, -n_extra, T, 2 * q)
-    return FormalCharacter("sc", ch.family, ch.rank, lp.k,
-                           weight_to_sc(rs, lp.k, mu), out)
+    return FormalCharacter("sc", rs, k, weight_to_sc(rs, k, mu), out)
 
 
 def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCharacter:
@@ -380,31 +356,28 @@ def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCha
     simple slots, and the simple slots then determine the vector uniquely.
     Each output string records the validity its inputs actually justify.
     """
-    rs, lp = _char_rs(ch, "sc")
+    rs, k = _on_side(ch, "sc"), ch.level
     T = Q(T)
-    mu_sc._check(rs)
-    if mu_sc.level != lp.k:
-        raise ValueError("weight level does not match")
+    mu = sc_weight_to_af(rs, k, mu_sc)  # checks the algebra and the level
     m0 = _grid_offset(mu_sc.jstar_values(rs), ch.base.jstar_values(rs))
-    mu = sc_weight_to_af(rs, lp.k, mu_sc)
-    p, q = (2 * conformal_weight_plus(rs, lp.k, mu)).as_integer_ratio()
+    fibre = m0[rs.rank:]
+    p, q = (2 * conformal_weight_plus(rs, k, mu)).as_integer_ratio()
     n_extra = rs.num_positive - rs.rank
     tn, td = (T - Q(n_extra, 24)).as_integer_ratio()
     groups = []
     for off, s in ch.strings.items():
-        rel = tuple(off[i] - m0[i] for i in range(rs.num_positive))
-        if any(rel[rs.rank:]):
+        if off[rs.rank:] != fibre:
             continue
         floor = min(s.terms, default=s.cap)
         if floor is None:
             continue
-        z = rel[: rs.rank]
+        z = tuple(off[i] - m0[i] for i in range(rs.rank))
         sh = p - q * sum(x * x for x in z)  # shift sh / 2q
         # floor/den + sh/2q > T - n_extra/24 = tn/td: it starts above T
         if (floor * 2 * q + sh * s.den) * td > tn * 2 * q * s.den:
             continue
         groups.append((s, [(z, sh)]))
-    return FormalCharacter("af", ch.family, ch.rank, lp.k, mu,
+    return FormalCharacter("af", rs, k, mu,
                            _transport(groups, n_extra, T, 2 * q))
 
 
@@ -413,8 +386,8 @@ class Comparison(dict):
     vacuous = True
 
 
-def _compare_supports(rs: RootSystem, left: FormalCharacter,
-                      right: FormalCharacter, left_floor, right_floor):
+def _compare_supports(left: FormalCharacter, right: FormalCharacter,
+                      left_floor, right_floor):
     """Per-weight (order, diff) over the union of two characters' supports,
     keyed by absolute weight (as character_support) in ascending order.
 
@@ -422,7 +395,7 @@ def _compare_supports(rs: RootSystem, left: FormalCharacter,
     up to the order its floor function gives for the weight; a floor of None
     means an exact zero.  The walk runs on integer numerators over one
     denominator D, which keeps the order of the weights."""
-    bases = [vec(ch.base) if ch.side == "af" else ch.base.jstar_values(rs)
+    bases = [vec(ch.base) if ch.side == "af" else ch.base.jstar_values(ch.rs)
              for ch in (left, right)]
     D = lcm(*(x.denominator for base in bases for x in base))
     shifts = [[int(D * b) for b in base] for base in bases]
@@ -448,7 +421,7 @@ class RoundTrip(NamedTuple):
     diffs: Comparison
 
 
-def roundtrip_check(ch: FormalCharacter, mu: Sequence, k, T) -> RoundTrip:
+def roundtrip_check(ch: FormalCharacter, mu: Sequence, T) -> RoundTrip:
     """Transport to the coset side and back, then compare weight by weight.
 
     Weights missing from the returned character are compared as certified
@@ -456,12 +429,12 @@ def roundtrip_check(ch: FormalCharacter, mu: Sequence, k, T) -> RoundTrip:
     to vanish up to T plus that vector's exponent shift, and the comparison
     stops there.  A nonempty diff is a verdict, not an exception.
     """
-    rs, lp = _char_rs(ch, k=k)
+    rs, k = ch.rs, ch.level
     T = Q(T)
     mu = vec(mu)
     sc = fermionize_character(ch, mu, T)
-    back = defermionize_character(sc, weight_to_sc(rs, lp.k, mu), T)
-    delta = conformal_weight_plus(rs, lp.k, mu)
+    back = defermionize_character(sc, weight_to_sc(rs, k, mu), T)
+    delta = conformal_weight_plus(rs, k, mu)
     n_extra = rs.num_positive - rs.rank
 
     def back_floor(key):
@@ -469,7 +442,7 @@ def roundtrip_check(ch: FormalCharacter, mu: Sequence, k, T) -> RoundTrip:
         sh = delta - Q(sum(x * x for x in z), 2) + Q(n_extra, 24)
         return min(T, T + sh)
 
-    diffs = _compare_supports(rs, ch, back, lambda key: None, back_floor)
+    diffs = _compare_supports(ch, back, lambda key: None, back_floor)
     return RoundTrip(all(not d for _, d in diffs.values()), diffs)
 
 
@@ -486,8 +459,8 @@ class SupportPairs(NamedTuple):
     diff: Tuple[Tuple[Q, Q], ...]
 
 
-def cflemma_check(rs: RootSystem, gamma: Sequence, seed: FormalCharacter,
-                  mu: Sequence, T, enumeration_bound) -> SupportPairs:
+def cflemma_check(gamma: Sequence, seed: FormalCharacter, mu: Sequence, T,
+                  enumeration_bound) -> SupportPairs:
     """Check the paired-lattice string identity at gamma by enumeration.
 
     The pair constraints force the minus vector coordinatewise and pin the
@@ -495,9 +468,7 @@ def cflemma_check(rs: RootSystem, gamma: Sequence, seed: FormalCharacter,
     the forced candidate, otherwise the check refuses rather than report a
     vacuous truth over an incomplete support set.
     """
-    if (rs.family, rs.rank) != (seed.family, seed.rank):
-        raise ValueError("root system does not match the character")
-    _, lp = _char_rs(seed, "af")
+    rs, k = _on_side(seed, "af"), seed.level
     g = _root_coords(gamma, rs)
     T = Q(T)
     bound = Q(enumeration_bound)
@@ -507,10 +478,10 @@ def cflemma_check(rs: RootSystem, gamma: Sequence, seed: FormalCharacter,
     forced = f_af(rs, g, "+").coords
     if Q(sum(x * x for x in forced)) > bound:
         raise ValueError("enumeration bound cannot certify the support set")
-    target = tuple(-x for x in g_sc_minus(rs, lp.k, zeta).jstar_values(rs))
+    target = tuple(-x for x in g_sc_minus(rs, k, zeta).jstar_values(rs))
     members = []
     for xi in enumerate_by_norm(build_L_plus(rs), bound):
-        if g_sc_plus(rs, lp.k, xi).jstar_values(rs) == target:
+        if g_sc_plus(rs, k, xi).jstar_values(rs) == target:
             members.append(xi)
     zeta_norm = -sum(x * x for x in zeta.coords)
     lhs = _EXACT_ZERO
@@ -531,7 +502,7 @@ def _sc_flow_form(rs: RootSystem, k, g: Sequence[int]):
     return gs, quad
 
 
-def spectral_flow_sc(ch: FormalCharacter, gamma: Sequence, k) -> FormalCharacter:
+def spectral_flow_sc(ch: FormalCharacter, gamma: Sequence) -> FormalCharacter:
     """Twist a coset character by a root-lattice vector.
 
     Closed form, locked by the transport-equivalence regression tests: the
@@ -539,17 +510,17 @@ def spectral_flow_sc(ch: FormalCharacter, gamma: Sequence, k) -> FormalCharacter
     string shifts by its dual values against gamma plus the quadratic
     dual-form term.
     """
-    rs, lp = _char_rs(ch, "sc", k)
+    rs, k = _on_side(ch, "sc"), ch.level
     g = _root_coords(gamma, rs)
     pad = f_af(rs, g, "+").coords
-    _, quad = _sc_flow_form(rs, lp.k, g)
+    _, quad = _sc_flow_form(rs, k, g)
     base_js = ch.base.jstar_values(rs)
     new_base = make_sc_weight(
-        rs, lp.k, tuple(v + p for v, p in zip(ch.base.j_values, pad)))
+        rs, k, tuple(v + p for v, p in zip(ch.base.j_values, pad)))
     const = quad + sum(x * b for x, b in zip(g, base_js))
     out = {off: s.shift(const + sum(x * o for x, o in zip(g, off)))
            for off, s in ch.strings.items()}
-    return FormalCharacter("sc", ch.family, ch.rank, lp.k, new_base, out)
+    return FormalCharacter("sc", rs, k, new_base, out)
 
 
 def _flow_coefficients(rs: RootSystem, gamma: ScWeight) -> Tuple[int, ...]:
@@ -557,7 +528,7 @@ def _flow_coefficients(rs: RootSystem, gamma: ScWeight) -> Tuple[int, ...]:
                         error="flow weight is not in the coset root lattice")
 
 
-def spectral_flow_af(ch: FormalCharacter, gamma: ScWeight, k) -> FormalCharacter:
+def spectral_flow_af(ch: FormalCharacter, gamma: ScWeight) -> FormalCharacter:
     """Twist an affine character by a coset-lattice weight.
 
     Any weight with integral dual values is accepted; only its simple-slot
@@ -567,21 +538,21 @@ def spectral_flow_af(ch: FormalCharacter, gamma: ScWeight, k) -> FormalCharacter
     and exponents shift so the two reference normalizations agree.  The
     constant part telescopes under composition, so flows add exactly.
     """
-    rs, lp = _char_rs(ch, "af", k)
-    if gamma.level != lp.k:
+    rs, k = _on_side(ch, "af"), ch.level
+    if gamma.level != k:
         raise ValueError("weight level does not match")
     n = _flow_coefficients(rs, gamma)[: rs.rank]
     base = vec(ch.base)
-    t = sc_weight_to_af(rs, lp.k, gamma)
+    t = sc_weight_to_af(rs, k, gamma)
     new_base = tuple(b + x for b, x in zip(base, t))
-    const = (conformal_weight_plus(rs, lp.k, new_base)
-             - conformal_weight_plus(rs, lp.k, base)
+    const = (conformal_weight_plus(rs, k, new_base)
+             - conformal_weight_plus(rs, k, base)
              - Q(sum(x * x for x in n), 2))
     out = {}
     for off, s in ch.strings.items():
         lin = sum(n[i] * off[i] for i in range(rs.rank))
         out[tuple(off[i] - n[i] for i in range(rs.rank))] = s.shift(lin + const)
-    return FormalCharacter("af", ch.family, ch.rank, lp.k, new_base, out)
+    return FormalCharacter("af", rs, k, new_base, out)
 
 
 class FlowFrame(NamedTuple):
@@ -627,13 +598,13 @@ def flow_sc_equivariance_diff(ch: FormalCharacter, mu: Sequence,
     side's provable order: T for the direct transport, T plus the flow's
     exponent shift for the flowed one.  Returns per-weight (order, diff).
     """
-    rs, lp = _char_rs(ch, "af")
+    rs = _on_side(ch, "af")
     T = Q(T)
     g = _root_coords(gamma, rs)
     mu = vec(mu)
     left = fermionize_character(ch, tuple(m - x for m, x in zip(mu, g)), T)
-    right = spectral_flow_sc(fermionize_character(ch, mu, T), g, lp.k)
-    gs, quad = _sc_flow_form(rs, lp.k, g)
+    right = spectral_flow_sc(fermionize_character(ch, mu, T), g)
+    gs, quad = _sc_flow_form(rs, ch.level, g)
     shift_js = tuple(sum((gs[b][i] * g[i] for i in range(rs.rank)), Q(0))
                      for b in range(rs.num_positive))
 
@@ -641,7 +612,7 @@ def flow_sc_equivariance_diff(ch: FormalCharacter, mu: Sequence,
         pre = tuple(x - s for x, s in zip(key, shift_js))
         return T + sum((g[i] * pre[i] for i in range(rs.rank)), Q(0)) + quad
 
-    return _compare_supports(rs, left, right, lambda key: T, flowed_floor)
+    return _compare_supports(left, right, lambda key: T, flowed_floor)
 
 
 def flow_af_equivariance_diff(ch: FormalCharacter, mu_sc: ScWeight,
@@ -651,11 +622,11 @@ def flow_af_equivariance_diff(ch: FormalCharacter, mu_sc: ScWeight,
     Weights absent from ch's support are taken to vanish up to order T.
     Returns per-weight (order, diff); all-empty diffs certify the identity.
     """
-    rs, lp = _char_rs(ch, "sc")
+    rs, k = _on_side(ch, "sc"), ch.level
     T = Q(T)
     n = _flow_coefficients(rs, gamma)[: rs.rank]
     left = defermionize_character(ch, mu_sc + gamma, T)
-    right = spectral_flow_af(defermionize_character(ch, mu_sc, T), gamma, lp.k)
+    right = spectral_flow_af(defermionize_character(ch, mu_sc, T), gamma)
     n_extra = rs.num_positive - rs.rank
     base_js = ch.base.jstar_values(rs)
 
@@ -673,12 +644,12 @@ def flow_af_equivariance_diff(ch: FormalCharacter, mu_sc: ScWeight,
     sides = []
     for lam in (mu_sc + gamma, mu_sc):
         m0 = _grid_offset(lam.jstar_values(rs), base_js)
-        mu_ref = sc_weight_to_af(rs, lp.k, lam)
-        sides.append((mu_ref, conformal_weight_plus(rs, lp.k, mu_ref), m0))
+        mu_ref = sc_weight_to_af(rs, k, lam)
+        sides.append((mu_ref, conformal_weight_plus(rs, k, mu_ref), m0))
     (mu_l, delta_l, m0_l), (mu_r, delta_r, m0_r) = sides
     # the flow sends the string at offset z to weight mu_r + t + (z - n)
-    flow_base = tuple(b + x for b, x in zip(mu_r, sc_weight_to_af(rs, lp.k, gamma)))
-    flow_const = (conformal_weight_plus(rs, lp.k, flow_base) - delta_r
+    flow_base = tuple(b + x for b, x in zip(mu_r, sc_weight_to_af(rs, k, gamma)))
+    flow_const = (conformal_weight_plus(rs, k, flow_base) - delta_r
                   - Q(sum(x * x for x in n), 2))
     wshift = tuple(f - mr - x for f, mr, x in zip(flow_base, mu_r, map(Q, n)))
 
@@ -690,7 +661,7 @@ def flow_af_equivariance_diff(ch: FormalCharacter, mu_sc: ScWeight,
         return floor + sum(n[i] * off[i] for i in range(rs.rank)) + flow_const
 
     return _compare_supports(
-        rs, left, right,
+        left, right,
         lambda key: absent_floor(key, mu_l, delta_l, m0_l)[0], flowed_floor)
 
 
@@ -806,7 +777,7 @@ def validate_seed(raw) -> SeedReport:
         strings[off] = QSeries.from_terms(terms)
     if problems:
         return SeedReport(None, tuple(problems))
-    ch = FormalCharacter("af", rs.family, rs.rank, Q(k), base, strings)
+    ch = FormalCharacter("af", rs, Q(k), base, strings)
     return SeedReport(ch, ())
 
 
@@ -827,8 +798,8 @@ def character_to_json(ch: FormalCharacter) -> dict:
         }
         strings.append(entry)
     return {
-        "type": ch.family,
-        "rank": ch.rank,
+        "type": ch.rs.family,
+        "rank": ch.rs.rank,
         "level": str(ch.level),
         "side": ch.side,
         "base_weight": base_out,

@@ -76,10 +76,7 @@ def _parse_int_vector(text: str, length: int, what: str) -> Tuple[int, ...]:
 
 
 def _header(args, rs, **fields) -> dict:
-    """A JSON report: the fields every command shares, then the given ones.
-
-    rs is anything with ``family`` and ``rank``: a root system or a character.
-    """
+    """A JSON report: the fields every command shares, then the given ones."""
     return {"schema": SCHEMA, "command": f"{args.group} {args.action}",
             "type": rs.family, "rank": rs.rank, **fields}
 
@@ -110,7 +107,7 @@ def _seed_request(args):
     ch = _load_seed(args.seed)
     if args.weight is None:
         return ch, T, ch.base
-    return ch, T, _parse_vector(args.weight, ch.rank, "--weight")
+    return ch, T, _parse_vector(args.weight, ch.rs.rank, "--weight")
 
 
 def _diff_report(args, ch, mu, T, diffs: Dict, verdict: str, **fields):
@@ -121,7 +118,7 @@ def _diff_report(args, ch, mu, T, diffs: Dict, verdict: str, **fields):
     ok = all(not terms for _, terms in diffs.values())
     entries = []
     lines = [
-        f"seed {ch.family}{ch.rank} at level {_rat(ch.level)},"
+        f"seed {ch.rs.family}{ch.rs.rank} at level {_rat(ch.level)},"
         f" {len(ch.strings)} strings",
         f"{verdict} to order {_rat(T)}: {'ok' if ok else 'FAIL'}",
     ]
@@ -137,7 +134,7 @@ def _diff_report(args, ch, mu, T, diffs: Dict, verdict: str, **fields):
         body = " ".join(f"{_rat(c)}*q^{_rat(e)}" for e, c in terms)
         lines.append(f"  weight {','.join(weight)} ({tag}): "
                      + (f"DIFF {body}" if terms else "ok"))
-    payload = _header(args, ch, level=_rat(ch.level),
+    payload = _header(args, ch.rs, level=_rat(ch.level),
                       reference_weight=[_rat(x) for x in mu],
                       truncation_order=_rat(T), ok=ok, weights=entries,
                       **fields)
@@ -326,18 +323,18 @@ def cmd_ope_verify(args):
 
 def cmd_char_roundtrip(args):
     ch, T, mu = _seed_request(args)
-    result = roundtrip_check(ch, mu, ch.level, T)
+    result = roundtrip_check(ch, mu, T)
     return _diff_report(args, ch, mu, T, result.diffs,
                         f"round trip at weight {_vec_str(mu)}")
 
 
 def cmd_flow_check(args):
     ch, T, mu = _seed_request(args)
-    gamma = _parse_int_vector(args.gamma, ch.rank, "--gamma")
+    rs = ch.rs
+    gamma = _parse_int_vector(args.gamma, rs.rank, "--gamma")
     if args.side == "sc":
         diffs = flow_sc_equivariance_diff(ch, mu, gamma, T)
     else:
-        rs = build_root_system(ch.family, ch.rank)
         sc_ch = fermionize_character(ch, mu, T)
         gamma_sc = g_sc_plus(rs, ch.level, f_af(rs, gamma, "+"))
         mu_sc = weight_to_sc(rs, ch.level, mu)

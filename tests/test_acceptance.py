@@ -160,7 +160,7 @@ def test_criterion_06_roundtrip_on_random_validated_seeds():
                 report = validate_seed(raw)
                 assert not report.problems, report.problems
                 ch = report.character
-                verdict = roundtrip_check(ch, ch.base, ch.level, 10)
+                verdict = roundtrip_check(ch, ch.base, 10)
                 assert verdict.ok, (family, rank, k, verdict.diffs)
 
 
@@ -191,7 +191,7 @@ def test_criterion_07_cflemma_certified_supports():
         for gamma in heights_up_to(rank, 3):
             xi = f_af(rs, gamma, "+")
             bound = int(xi.pair(xi))
-            report = cflemma_check(rs, gamma, seed, (0,) * rank, 6, bound)
+            report = cflemma_check(gamma, seed, (0,) * rank, 6, bound)
             assert report.ok, (family, rank, gamma)
             assert not report.diff, (family, rank, gamma)
 
@@ -223,25 +223,25 @@ def test_criterion_08_spectral_flow_equivariance():
         # flows compose additively
         sc = fermionize_character(seed, (0,) * rank, 6)
         g1, g2 = gammas[0], gammas[-1]
-        chained = spectral_flow_sc(spectral_flow_sc(sc, g1, 1), g2, 1)
-        joint = spectral_flow_sc(sc, tuple(a + b for a, b in zip(g1, g2)), 1)
+        chained = spectral_flow_sc(spectral_flow_sc(sc, g1), g2)
+        joint = spectral_flow_sc(sc, tuple(a + b for a, b in zip(g1, g2)))
         assert chained.base.j_values == joint.base.j_values
         for off, s in joint.strings.items():
             assert chained.strings[off].items() == s.items()
         e1 = g_sc_plus(rs, 1, f_af(rs, g1, "+"))
         e2 = g_sc_plus(rs, 1, f_af(rs, g2, "+"))
-        chained = spectral_flow_af(spectral_flow_af(seed, e1, 1), e2, 1)
-        joint = spectral_flow_af(seed, e1 + e2, 1)
+        chained = spectral_flow_af(spectral_flow_af(seed, e1), e2)
+        joint = spectral_flow_af(seed, e1 + e2)
         assert chained.base == joint.base
         for off, s in joint.strings.items():
             assert chained.strings[off].items() == s.items()
         # gamma = 0 is the identity on both sides
-        zero_sc = spectral_flow_sc(sc, (0,) * rank, 1)
+        zero_sc = spectral_flow_sc(sc, (0,) * rank)
         assert zero_sc.base.j_values == sc.base.j_values
         assert set(zero_sc.strings) == set(sc.strings)
         for off, s in sc.strings.items():
             assert zero_sc.strings[off].items() == s.items()
-        zero_af = spectral_flow_af(seed, weight_to_sc(rs, 1, (0,) * rank), 1)
+        zero_af = spectral_flow_af(seed, weight_to_sc(rs, 1, (0,) * rank))
         assert zero_af.base == seed.base
         assert set(zero_af.strings) == set(seed.strings)
         for off, s in seed.strings.items():

@@ -494,6 +494,16 @@ def test_validate_seed_reports_malformed_structure(raw, fragment):
     assert any(fragment in p for p in report.problems)
 
 
+@pytest.mark.parametrize("base, strings, fragment", [
+    ((0, 0, 0), {}, "dimension mismatch"),
+    ((0, 0), {(0,): series((0, 1))}, "integer grid vectors"),
+    ((0, 0), {(Q(1, 2), 0): series((0, 1))}, "integer grid vectors"),
+], ids=["base-length", "offset-length", "fractional-offset"])
+def test_affine_character_refuses_malformed_data(base, strings, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        affine_character(build_root_system("A", 2), 1, base, strings)
+
+
 def test_seed_json_round_trip():
     report = validate_seed(seed_dict())
     emitted = character_to_json(report.character)
@@ -577,7 +587,7 @@ def test_fermionize_empty_coset_ball_gives_empty_character():
     seed = affine_character(rs, 1, (0, 0), {(0, 1): series((0, 1))})
     out = fermionize_character(seed, (0, 0), Q(1, 3))
     assert out.strings == {}
-    report = roundtrip_check(seed, (0, 0), 1, Q(1, 3))
+    report = roundtrip_check(seed, (0, 0), Q(1, 3))
     assert report.ok
     assert report.diffs == {(0, 1): (Q(-1, 8), ())}
 
@@ -643,7 +653,7 @@ def test_defermionize_rejects_wrong_side_and_coset():
 def test_roundtrip_zero_character():
     rs = build_root_system("B", 2)
     empty = affine_character(rs, 2, (0, 0), {})
-    verdict = roundtrip_check(empty, (0, 0), 2, 6)
+    verdict = roundtrip_check(empty, (0, 0), 6)
     assert verdict.ok
     assert verdict.diffs == {}
 
@@ -661,22 +671,16 @@ def test_roundtrip_randomized_seeds_A1():
             if terms:
                 strings[(off,)] = series(*terms)
         ch = affine_character(rs, 1, (0,), strings)
-        verdict = roundtrip_check(ch, (0,), 1, 10)
+        verdict = roundtrip_check(ch, (0,), 10)
         assert verdict.ok, verdict.diffs
 
 
 def test_roundtrip_delta_at_simple_root_A2():
     rs = build_root_system("A", 2)
     ch = affine_character(rs, 2, (0, 0), {(1, 0): series((0, 1))})
-    verdict = roundtrip_check(ch, (0, 0), 2, 8)
+    verdict = roundtrip_check(ch, (0, 0), 8)
     assert verdict.ok, verdict.diffs
     assert all(not d for _, d in verdict.diffs.values())
-
-
-def test_roundtrip_level_mismatch():
-    rs = build_root_system("A", 1)
-    with pytest.raises(ValueError, match="level mismatch"):
-        roundtrip_check(delta_seed(rs, 1), (0,), 2, 5)
 
 
 # ---------------------------------------------------------------- lemma
@@ -684,7 +688,7 @@ def test_roundtrip_level_mismatch():
 def test_cflemma_singleton_at_simple_root_A1():
     rs = build_root_system("A", 1)
     seed = validate_seed(seed_dict()).character
-    report = cflemma_check(rs, (1,), seed, (0,), 6, 8)
+    report = cflemma_check((1,), seed, (0,), 6, 8)
     assert report.ok
     assert report.members == (((1,), (1,)),)
 
@@ -692,7 +696,7 @@ def test_cflemma_singleton_at_simple_root_A1():
 def test_cflemma_trivial_at_zero():
     rs = build_root_system("A", 1)
     seed = validate_seed(seed_dict()).character
-    report = cflemma_check(rs, (0,), seed, (0,), 6, 4)
+    report = cflemma_check((0,), seed, (0,), 6, 4)
     assert report.ok
     assert report.members == (((0,), (0,)),)
 
@@ -705,7 +709,7 @@ def test_cflemma_highest_root_A2_random_seed():
         terms = [(n, rng.randint(1, 4)) for n in range(3)]
         strings[off] = series(*terms)
     seed = affine_character(rs, 1, (0, 0), strings)
-    report = cflemma_check(rs, (1, 1), seed, (0, 0), 6, 10)
+    report = cflemma_check((1, 1), seed, (0, 0), 6, 10)
     assert report.ok
     assert report.members == (((1, 1, 0), (1, 1)),)
     assert not report.diff
@@ -715,14 +719,14 @@ def test_cflemma_refuses_uncertified_bound():
     rs = build_root_system("A", 2)
     seed = delta_seed(rs, 1)
     with pytest.raises(ValueError, match="cannot certify"):
-        cflemma_check(rs, (1, 1), seed, (0, 0), 6, 1)
+        cflemma_check((1, 1), seed, (0, 0), 6, 1)
 
 
 def test_cflemma_all_small_heights_B2():
     rs = build_root_system("B", 2)
     seed = delta_seed(rs, 2)
     for gamma in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 0), (3, 0)]:
-        report = cflemma_check(rs, gamma, seed, (0, 0), 5, 20)
+        report = cflemma_check(gamma, seed, (0, 0), 5, 20)
         assert report.ok, gamma
 
 
@@ -731,7 +735,7 @@ def test_cflemma_all_small_heights_B2():
 def test_flow_sc_zero_is_identity():
     rs = build_root_system("A", 2)
     sc = fermionize_character(delta_seed(rs, 1), (0, 0), 4)
-    flowed = spectral_flow_sc(sc, (0, 0), 1)
+    flowed = spectral_flow_sc(sc, (0, 0))
     assert flowed.base.j_values == sc.base.j_values
     assert set(flowed.strings) == set(sc.strings)
     for off, s in sc.strings.items():
@@ -745,8 +749,8 @@ def test_flow_sc_equivariance_A1_frozen_example():
     assert_no_diffs(diffs)
     # the same comparison, spelled out at the matching absolute weight
     left = fermionize_character(seed, (0,), 8)
-    right = spectral_flow_sc(fermionize_character(seed, (1,), 8), (1,), 1)
-    sup = character_support(rs, right)
+    right = spectral_flow_sc(fermionize_character(seed, (1,), 8), (1,))
+    sup = character_support(right)
     assert sup[(Q(0),)].items()[0] == (0, 1)
     assert left.strings[(0,)].items()[0] == (0, 1)
 
@@ -754,8 +758,8 @@ def test_flow_sc_equivariance_A1_frozen_example():
 def test_flow_sc_composition_additive_A2():
     rs = build_root_system("A", 2)
     sc = fermionize_character(delta_seed(rs, 1), (0, 0), 5)
-    one = spectral_flow_sc(spectral_flow_sc(sc, (1, 0), 1), (0, 1), 1)
-    both = spectral_flow_sc(sc, (1, 1), 1)
+    one = spectral_flow_sc(spectral_flow_sc(sc, (1, 0)), (0, 1))
+    both = spectral_flow_sc(sc, (1, 1))
     assert one.base.j_values == both.base.j_values
     for off, s in both.strings.items():
         assert one.strings[off].items() == s.items()
@@ -765,14 +769,14 @@ def test_flow_sc_rejects_non_lattice_gamma():
     rs = build_root_system("A", 1)
     sc = fermionize_character(delta_seed(rs, 1), (0,), 4)
     with pytest.raises(ValueError, match="root lattice"):
-        spectral_flow_sc(sc, (Q(1, 2),), 1)
+        spectral_flow_sc(sc, (Q(1, 2),))
 
 
 def test_flow_af_zero_is_identity():
     rs = build_root_system("A", 1)
     ch = delta_seed(rs, 1)
     gamma = make_sc_weight(rs, 1, (0,))
-    flowed = spectral_flow_af(ch, gamma, 1)
+    flowed = spectral_flow_af(ch, gamma)
     assert flowed.base == ch.base
     assert flowed.strings[(0,)].items() == ch.strings[(0,)].items()
 
@@ -786,8 +790,8 @@ def test_flow_af_equivariance_A1_frozen_example():
     assert_no_diffs(diffs)
     # hand values: the flowed side carries weight 1/2 with exponent 1/4
     right = spectral_flow_af(
-        defermionize_character(sc, weight_to_sc(rs, 1, (0,)), 8), gamma, 1)
-    sup = character_support(rs, right)
+        defermionize_character(sc, weight_to_sc(rs, 1, (0,)), 8), gamma)
+    sup = character_support(right)
     assert sup[(Q(1, 2),)].items()[0] == (Q(1, 4), 1)
 
 
@@ -799,8 +803,8 @@ def test_flow_af_composition_additive_A2():
     })
     g1 = g_sc_plus(rs, 2, f_af(rs, (1, 0), "+"))
     g2 = g_sc_plus(rs, 2, f_af(rs, (0, 1), "+"))
-    one = spectral_flow_af(spectral_flow_af(ch, g1, 2), g2, 2)
-    both = spectral_flow_af(ch, g1 + g2, 2)
+    one = spectral_flow_af(spectral_flow_af(ch, g1), g2)
+    both = spectral_flow_af(ch, g1 + g2)
     assert one.base == both.base
     for off, s in both.strings.items():
         assert one.strings[off].items() == s.items()
@@ -811,7 +815,7 @@ def test_flow_af_rejects_fractional_dual_values():
     ch = delta_seed(rs, 1)
     gamma = sc_weight_from_jstar(rs, 1, (Q(1, 2),))
     with pytest.raises(ValueError, match="coset root lattice"):
-        spectral_flow_af(ch, gamma, 1)
+        spectral_flow_af(ch, gamma)
 
 
 def test_flow_af_frame_A2():
@@ -857,9 +861,9 @@ def test_validity_is_never_optimistic_on_recompute():
 
 # ------------------------------------------------- weight-keyed comparison
 
-def reference_compare(rs, left, right, left_floor, right_floor):
+def reference_compare(left, right, left_floor, right_floor):
     """_compare_supports spelled out on Fraction weight keys."""
-    lsup, rsup = character_support(rs, left), character_support(rs, right)
+    lsup, rsup = character_support(left), character_support(right)
     return {key: qseries_diff(
                 lsup[key] if key in lsup
                 else QSeries.from_terms((), left_floor(key)),
@@ -868,11 +872,10 @@ def reference_compare(rs, left, right, left_floor, right_floor):
             for key in sorted(set(lsup) | set(rsup))}
 
 
-def compare_against_reference(compare, rs, left, right, left_floor,
+def compare_against_reference(compare, left, right, left_floor,
                               right_floor):
-    diffs = compare(rs, left, right, left_floor, right_floor)
-    assert diffs == reference_compare(rs, left, right, left_floor,
-                                      right_floor)
+    diffs = compare(left, right, left_floor, right_floor)
+    assert diffs == reference_compare(left, right, left_floor, right_floor)
     # the report renders the weights in this order without sorting
     assert list(diffs) == sorted(diffs)
     return diffs
@@ -894,7 +897,7 @@ def test_integer_key_comparison_matches_fraction_keys(lbase, rbase, lstrings,
     rs = build_root_system("B", 2)
     left = affine_character(rs, 1, lbase, lstrings)
     right = affine_character(rs, 1, rbase, rstrings)
-    compare_against_reference(charflow._compare_supports, rs, left, right,
+    compare_against_reference(charflow._compare_supports, left, right,
                               lambda key: sum(key),
                               lambda key: None if key[0] < 0 else key[1])
 
@@ -908,10 +911,10 @@ def test_integer_key_comparison_on_the_verdicts(monkeypatch):
     real = charflow._compare_supports
     seen = []
 
-    def checked(rs, left, right, left_floor, right_floor):
-        seen.append(len(character_support(rs, left).keys()
-                        ^ character_support(rs, right).keys()))
-        return compare_against_reference(real, rs, left, right, left_floor,
+    def checked(left, right, left_floor, right_floor):
+        seen.append(len(character_support(left).keys()
+                        ^ character_support(right).keys()))
+        return compare_against_reference(real, left, right, left_floor,
                                          right_floor)
 
     monkeypatch.setattr(charflow, "_compare_supports", checked)
@@ -923,11 +926,11 @@ def test_integer_key_comparison_on_the_verdicts(monkeypatch):
     b2 = validate_seed(json.loads((seeds / "B2.json").read_text())).character
     rs = build_root_system("B", 2)
     half = affine_character(rs, 1, (Q(1, 2), 0), b2.strings)
-    assert roundtrip_check(half, (Q(3, 2), 0), 1, 6).ok
-    assert roundtrip_check(b2, (0, 0), 1, Q(1, 4)).ok
+    assert roundtrip_check(half, (Q(3, 2), 0), 6).ok
+    assert roundtrip_check(b2, (0, 0), Q(1, 4)).ok
     # the off-coset golden request refuses before any comparison
     with pytest.raises(ValueError, match="not in the coset"):
-        roundtrip_check(b2, (Q(1, 2), 0), 1, 6)
+        roundtrip_check(b2, (Q(1, 2), 0), 6)
     b3 = validate_seed(json.loads((seeds / "B3.json").read_text())).character
     assert_no_diffs(flow_sc_equivariance_diff(b3, b3.base, (0, 1, 0), 2))
     assert seen == [0, 0, 1, 47]

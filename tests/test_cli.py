@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from cosetlab import rootsys
 from cosetlab.cli import MAX_T, build_parser, main
 
 A1_SEED = {
@@ -242,6 +243,29 @@ def test_flow_check_af_side(seed_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert payload["weights"]
+
+
+@pytest.mark.parametrize("command", [
+    ("char", "roundtrip"),
+    ("flow", "check", "--side", "sc", "--gamma", "1"),
+    ("flow", "check", "--side", "af", "--gamma", "1"),
+])
+def test_a_seed_request_builds_one_root_system(command, seed_path, capsys,
+                                               monkeypatch):
+    # the seed reader builds it; every later step reads it off the character
+    real = rootsys.build_root_system
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "build_root_system", None) is real:
+            monkeypatch.setattr(module, "build_root_system", counted)
+    assert main([*command, "--seed", seed_path, "--T", "6"]) == 0
+    capsys.readouterr()
+    assert calls == [("A", 1)]
 
 
 def test_flow_check_fractional_gamma_is_usage_error(seed_path, capsys):

@@ -3,7 +3,9 @@
 Every module under ``src/cosetlab`` imports only the standard library or
 cosetlab itself, and the core holds no floating point: no float or complex
 literal, no ``float(...)`` call, and no ``math.sqrt``, ``math.floor`` or
-``math.log``, called as attributes or imported by name.
+``math.log``, called as attributes or imported by name.  Within
+``charflow`` only the seed reader builds a root system; every character
+carries the one it was validated against.
 """
 
 from __future__ import annotations
@@ -62,6 +64,17 @@ def floating_point(tree: ast.Module):
                     yield node.lineno, f"from math import {alias.name}"
 
 
+def callers_of(tree: ast.Module, name: str):
+    """Top-level definitions (or "<module>") whose code calls name, plainly
+    or as an attribute."""
+    for node in tree.body:
+        if any(isinstance(sub, ast.Call)
+               and name in (getattr(sub.func, "id", None),
+                            getattr(sub.func, "attr", None))
+               for sub in ast.walk(node)):
+            yield getattr(node, "name", "<module>")
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_imports_are_stdlib_or_cosetlab(path):
     assert list(foreign_imports(_tree(path))) == []
@@ -72,6 +85,11 @@ def test_core_has_no_floating_point(path):
     assert list(floating_point(_tree(path))) == []
 
 
+def test_only_the_seed_reader_builds_a_root_system_in_charflow():
+    tree = _tree(PACKAGE / "charflow.py")
+    assert list(callers_of(tree, "build_root_system")) == ["validate_seed"]
+
+
 def test_the_guards_see_what_they_forbid():
     bad = ast.parse("import numpy\nfrom scipy.linalg import det\n"
                     "from math import sqrt\nx = 0.5 + float(1) + math.log(2)\n"
@@ -80,3 +98,7 @@ def test_the_guards_see_what_they_forbid():
     assert sorted(floating_point(bad)) == [
         (3, "from math import sqrt"), (4, "0.5"), (4, "float()"),
         (4, "math.log()")]
+    calls = ast.parse("def f():\n    return [rootsys.build()]\n"
+                      "class C:\n    def m(self):\n        build()\n"
+                      "def g():\n    build\nx = build()\n")
+    assert list(callers_of(calls, "build")) == ["f", "C", "<module>"]

@@ -9,9 +9,11 @@ raises some pole orders, by replacing ``opecalc._boson_patterns``.  They
 feed character transport a wrong eta power or a short lattice
 enumeration, by replacing ``charflow.eta_power`` or
 ``charflow.enumerate_by_norm``, and compare transports over other bases of
-the kernel lattice, by replacing ``charflow.kernel_K``.  A series rescale
-that forgets the validity cap replaces ``QSeries._on``.  Each pins the
-failures its defect must cause.
+the kernel lattice, by replacing ``charflow.kernel_K``.  A coset-side flow
+that reads g* at level 1 replaces ``charflow._sc_flow_form``; flows that
+ignore the character's level fail the level-3/2 equivariance check.  A
+series rescale that forgets the validity cap replaces ``QSeries._on``.
+Each pins the failures its defect must cause.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetlab import charflow, opecalc
-from cosetlab.charflow import (QSeries, fermionize_character,
+from cosetlab.bilinear import weight_to_sc
+from cosetlab.charflow import (QSeries, affine_character, fermionize_character,
+                               flow_af_equivariance_diff,
                                flow_sc_equivariance_diff, roundtrip_check,
                                validate_seed)
-from cosetlab.latticekit import sublattice
+from cosetlab.latticekit import f_af, g_sc_plus, sublattice
 from cosetlab.opecalc import (OpeDiff, h_minus_field, h_plus_field,
                               h_tilde_field, j_field, jstar_field,
                               lambda_bracket_skew_check, x_tilde_field)
@@ -43,6 +47,7 @@ REAL_ETA_POWER = charflow.eta_power
 REAL_ENUMERATE = charflow.enumerate_by_norm
 REAL_KERNEL = charflow.kernel_K
 REAL_ON = QSeries._on
+REAL_SC_FLOW_FORM = charflow._sc_flow_form
 SEEDS = Path(__file__).resolve().parent / "golden" / "seeds"
 B2_SEED = SEEDS / "B2.json"
 
@@ -195,7 +200,7 @@ def b2_seed():
 
 def test_roundtrip_sees_a_wrong_eta_coefficient(b2_seed, monkeypatch):
     monkeypatch.setattr(charflow, "eta_power", _bump_eta)
-    report = roundtrip_check(b2_seed, (0, 0), 1, 6)
+    report = roundtrip_check(b2_seed, (0, 0), 6)
     assert not report.ok
     assert report.diffs == {
         (0, 0): (6, ((1, -2), (2, 3), (3, -8), (4, -7), (5, -9), (6, -32))),
@@ -206,7 +211,7 @@ def test_roundtrip_sees_a_wrong_eta_coefficient(b2_seed, monkeypatch):
 
 def test_roundtrip_sees_a_dropped_lattice_vector(b2_seed, monkeypatch):
     monkeypatch.setattr(charflow, "enumerate_by_norm", _drop_zero_vector)
-    report = roundtrip_check(b2_seed, (0, 0), 1, 6)
+    report = roundtrip_check(b2_seed, (0, 0), 6)
     assert not report.ok
     # each string comes back as zero: the diff is the seed string itself
     assert report.diffs == {
@@ -310,3 +315,43 @@ def test_mixed_grids_see_a_cap_left_unscaled(b2_seed, monkeypatch):
     assert ((a + b).validity, (a * b).validity) == (Q(3, 2), 2)
     flowed = flow_sc_equivariance_diff(b2_seed, (0, 0), (0, 1), 6)
     assert flowed[key] == (Q(1, 4), ())
+
+
+def _flow_sides_at_level_3_2():
+    """Both flow-equivariance comparisons of a B2 seed at level 3/2, for
+    gamma (1, 0) to order 4.
+
+    At level 1 a flow that took its level to be 1 would agree with the true
+    one, so only a level other than 1 sees it.
+    """
+    rs = build_root_system("B", 2)
+    k, gamma, T = Q(3, 2), (1, 0), 4
+    seed = affine_character(rs, k, (0, 0), {
+        (0, 0): QSeries.from_terms([(0, 1), (1, -2), (2, 3)]),
+        (0, 1): QSeries.from_terms([(Q(1, 2), 2), (Q(3, 2), -1)])})
+    sc = flow_sc_equivariance_diff(seed, (0, 0), gamma, T)
+    af = flow_af_equivariance_diff(
+        fermionize_character(seed, (0, 0), T), weight_to_sc(rs, k, (0, 0)),
+        g_sc_plus(rs, k, f_af(rs, gamma, "+")), T)
+    return sc, af
+
+
+def _failing_weights(diffs):
+    return sum(1 for _, terms in diffs.values() if terms)
+
+
+def test_flows_keep_the_character_level():
+    # spectral_flow_sc with g* at level 1, or spectral_flow_af with the
+    # level-1 conformal weight in its constant, fails one side here
+    sc, af = _flow_sides_at_level_3_2()
+    assert not (sc.vacuous or af.vacuous)
+    assert (len(sc), _failing_weights(sc)) == (19, 0)
+    assert (len(af), _failing_weights(af)) == (2, 0)
+
+
+def test_flow_sc_sees_g_star_at_level_one(monkeypatch):
+    monkeypatch.setattr(charflow, "_sc_flow_form",
+                        lambda rs, k, g: REAL_SC_FLOW_FORM(rs, 1, g))
+    sc, af = _flow_sides_at_level_3_2()
+    assert (len(sc), _failing_weights(sc)) == (19, 13)
+    assert _failing_weights(af) == 0
