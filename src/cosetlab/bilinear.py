@@ -15,7 +15,7 @@ from itertools import chain
 from operator import mul
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .ratlinalg import Matrix, Vector, dot, integer_rows, mat_vec, vec
+from .ratlinalg import Matrix, Vector, integer_rows, mat_vec, vec
 from .rootsys import RootSystem
 
 
@@ -159,8 +159,7 @@ def sc_weight_from_jstar(rs: RootSystem, k, jstar: Sequence) -> ScWeight:
 def weight_to_sc(rs: RootSystem, k, mu: Sequence) -> ScWeight:
     """Affine weight to coset weight: value (mu, alpha)/k on each J_alpha."""
     lp = level_params(rs, k)
-    fm = mat_vec(rs.form_matrix, vec(mu))
-    return make_sc_weight(rs, k, tuple(dot(fm, a) / lp.k for a in rs.positive_roots))
+    return make_sc_weight(rs, k, tuple(x / lp.k for x in rs.root_pairings(mu)))
 
 
 def sc_weight_to_af(rs: RootSystem, k, lam: ScWeight) -> Vector:

@@ -40,7 +40,7 @@ from .latticekit import (
     g_sc_plus,
     kernel_K,
 )
-from .ratlinalg import dot, mat_inv, mat_vec, parse_rational, vec
+from .ratlinalg import dot, integer_vector, mat_inv, mat_vec, parse_rational, vec
 from .rootsys import RootSystem, build_root_system
 
 
@@ -96,9 +96,6 @@ class QSeries:
     def min_bound(self) -> Optional[Q]:
         """Certified lower bound on every exponent; None means plus infinity."""
         return self.min_exponent if self.terms else self.validity
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def coefficient(self, e):
         return self.terms.get(Q(e) * self.den, 0)  # hashes as an int key
@@ -245,27 +242,20 @@ def character_support(ch: FormalCharacter):
 _OFF_COSET = "weight is not in the coset of the character"
 
 
-def _grid_offset(target: Sequence, base: Optional[Sequence] = None,
+def _grid_offset(target: Sequence, base: Sequence,
                  error: Optional[str] = _OFF_COSET):
-    """target - base (zero when base is None) as a tuple of integers.
+    """target - base as a tuple of integers.
 
     Off the integer grid it raises ValueError(error), or returns None when
     error is None.
     """
-    if base is None:
-        base = (0,) * len(target)
-    diff = [Q(t) - b for t, b in zip(target, base)]
-    if all(d.denominator == 1 for d in diff):
-        return tuple(int(d) for d in diff)
-    if error is None:
-        return None
-    raise ValueError(error)
+    return integer_vector((t - b for t, b in zip(target, base)), error)
 
 
 def _root_coords(gamma: Sequence, rs: RootSystem) -> Tuple[int, ...]:
     if len(gamma) != rs.rank:
         raise ValueError("dimension mismatch")
-    return _grid_offset(gamma, error="weight is not in the root lattice")
+    return integer_vector(gamma, "weight is not in the root lattice")
 
 
 _EXACT_ZERO = QSeries(1, {})
@@ -328,7 +318,7 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
         if floor is None:
             continue
         d = tuple(off[i] - m0[i] for i in range(rs.rank))
-        xi0 = f_af(rs, d, "+").coords
+        xi0 = f_af(rs, d, "+")
         bxi0 = tuple(dot(row, xi0) for row in kernel.basis_in_ambient)
         y = mat_vec(ginv, bxi0)
         bound = (2 * (T - floor + delta + Q(n_extra, 24))
@@ -475,7 +465,7 @@ def cflemma_check(gamma: Sequence, seed: FormalCharacter, mu: Sequence, T,
     mu = vec(mu)
     _grid_offset(mu, vec(seed.base))
     zeta = f_af(rs, g, "-")
-    forced = f_af(rs, g, "+").coords
+    forced = f_af(rs, g, "+")
     if Q(sum(x * x for x in forced)) > bound:
         raise ValueError("enumeration bound cannot certify the support set")
     target = tuple(-x for x in g_sc_minus(rs, k, zeta).jstar_values(rs))
@@ -483,7 +473,7 @@ def cflemma_check(gamma: Sequence, seed: FormalCharacter, mu: Sequence, T,
     for xi in enumerate_by_norm(build_L_plus(rs), bound):
         if g_sc_plus(rs, k, xi).jstar_values(rs) == target:
             members.append(xi)
-    zeta_norm = -sum(x * x for x in zeta.coords)
+    zeta_norm = -sum(x * x for x in zeta)
     lhs = _EXACT_ZERO
     for xi in members:
         sh = Q(sum(x * x for x in xi) + zeta_norm, 2)
@@ -491,7 +481,7 @@ def cflemma_check(gamma: Sequence, seed: FormalCharacter, mu: Sequence, T,
         lhs = lhs + _string_at(seed, w).shift(sh)
     rhs = _string_at(seed, tuple(m + c for m, c in zip(mu, g)))
     to, d = qseries_diff(lhs, rhs, T)
-    return SupportPairs(not d, tuple((xi, zeta.coords) for xi in members), to, d)
+    return SupportPairs(not d, tuple((xi, zeta) for xi in members), to, d)
 
 
 def _sc_flow_form(rs: RootSystem, k, g: Sequence[int]):
@@ -512,7 +502,7 @@ def spectral_flow_sc(ch: FormalCharacter, gamma: Sequence) -> FormalCharacter:
     """
     rs, k = _on_side(ch, "sc"), ch.level
     g = _root_coords(gamma, rs)
-    pad = f_af(rs, g, "+").coords
+    pad = f_af(rs, g, "+")
     _, quad = _sc_flow_form(rs, k, g)
     base_js = ch.base.jstar_values(rs)
     new_base = make_sc_weight(
@@ -524,8 +514,8 @@ def spectral_flow_sc(ch: FormalCharacter, gamma: Sequence) -> FormalCharacter:
 
 
 def _flow_coefficients(rs: RootSystem, gamma: ScWeight) -> Tuple[int, ...]:
-    return _grid_offset(gamma.jstar_values(rs),
-                        error="flow weight is not in the coset root lattice")
+    return integer_vector(gamma.jstar_values(rs),
+                          "flow weight is not in the coset root lattice")
 
 
 def spectral_flow_af(ch: FormalCharacter, gamma: ScWeight) -> FormalCharacter:
@@ -722,7 +712,7 @@ def validate_seed(raw) -> SeedReport:
         except ValueError as exc:
             problems.append(f"bad weight offset {label}: {exc}")
             continue
-        off = _grid_offset(off_q, error=None)
+        off = integer_vector(off_q, None)
         if off is None:
             problems.append(
                 f"weight offset is not in the root lattice: {label}")

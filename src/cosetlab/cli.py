@@ -30,7 +30,7 @@ from .latticekit import (build_E_minus_lattice, build_E_plus_lattice,
                          discriminant_group, f_af, g_sc_plus)
 from .opecalc import (verify_Hminus_heisenberg, verify_Jalpha_heisenberg,
                       verify_fst_homomorphism)
-from .ratlinalg import mat_mul, parse_rational
+from .ratlinalg import integer_vector, mat_mul, parse_rational
 from .rootsys import build_root_system, check_hvee_identity
 
 SCHEMA = "cosetlab/1"
@@ -69,10 +69,8 @@ def _parse_vector(text: str, length: int, what: str) -> Tuple[Q, ...]:
 
 
 def _parse_int_vector(text: str, length: int, what: str) -> Tuple[int, ...]:
-    v = _parse_vector(text, length, what)
-    if any(x.denominator != 1 for x in v):
-        raise ValueError(f"{what} must have integer entries")
-    return tuple(int(x) for x in v)
+    return integer_vector(_parse_vector(text, length, what),
+                          f"{what} must have integer entries")
 
 
 def _header(args, rs, **fields) -> dict:

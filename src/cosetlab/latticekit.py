@@ -16,8 +16,8 @@ from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .bilinear import ScWeight, sc_weight_from_jstar
-from .ratlinalg import (Vector, bareiss, determinant, dot, integer_rows,
-                        leading_minors, mat_vec, smith_normal_form, vec)
+from .ratlinalg import (Vector, bareiss, determinant, integer_rows,
+                        integer_vector, leading_minors, smith_normal_form, vec)
 from .rootsys import RootSystem
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -114,28 +114,6 @@ def _lattice(name: str, labels: Sequence[str], gram: IntMatrix,
     return IntegralLattice(name, tuple(labels), gram, eps, _signature(gram))
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    """An integer coordinate vector over a named lattice basis."""
-
-    lattice: IntegralLattice
-    coords: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.lattice.rank:
-            raise ValueError("dimension mismatch")
-        if any(not isinstance(x, int) for x in self.coords):
-            raise ValueError("coordinates must be integers")
-
-    def norm(self) -> int:
-        return int(self.lattice.norm(self.coords))
-
-    def pair(self, other: "LatticeVector") -> int:
-        if self.lattice != other.lattice:
-            raise ValueError("vectors live on different lattices")
-        return int(self.lattice.pair(self.coords, other.coords))
-
-
 def _root_label(coords: Sequence[int]) -> str:
     return "(" + ",".join(str(int(x)) for x in coords) + ")"
 
@@ -203,7 +181,7 @@ class EmbeddedLattice:
 def sublattice(ambient: IntegralLattice, basis: Sequence[Sequence[int]],
                name: str, labels: Sequence[str]) -> EmbeddedLattice:
     """Sublattice with Gram and cocycle pulled back along the embedding."""
-    rows = tuple(tuple(int(x) for x in row) for row in basis)
+    rows = tuple(integer_vector(row, "basis vectors must be integers") for row in basis)
     if any(len(row) != ambient.rank for row in rows):
         raise ValueError("dimension mismatch")
     gram = tuple(tuple(_bilinear(u, ambient.gram, v) for v in rows) for u in rows)
@@ -211,38 +189,28 @@ def sublattice(ambient: IntegralLattice, basis: Sequence[Sequence[int]],
     return EmbeddedLattice(_lattice(name, labels, gram, eps), ambient, rows)
 
 
-def f_af(rs: RootSystem, gamma: Sequence, sign: str) -> LatticeVector:
-    """Embed a root-lattice element: gamma -> sum_i gamma_i alpha_i^(sign)."""
+def f_af(rs: RootSystem, gamma: Sequence, sign: str) -> Tuple[int, ...]:
+    """Embed a root-lattice element: gamma -> sum_i gamma_i alpha_i^(sign),
+    as integer coordinates over the L+ or L- basis."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     if len(gamma) != rs.rank:
         raise ValueError("dimension mismatch")
-    coeffs = []
-    for x in gamma:
-        q = Q(x)
-        if q.denominator != 1:
-            raise ValueError("weight is not in the root lattice")
-        coeffs.append(int(q))
-    if sign == "+":
-        lat = build_L_plus(rs)
-        coords = tuple(coeffs) + (0,) * (rs.num_positive - rs.rank)
-    else:
-        lat = build_L_minus(rs)
-        coords = tuple(coeffs)
-    return LatticeVector(lat, coords)
+    coeffs = integer_vector(gamma, "weight is not in the root lattice")
+    if sign == "-":
+        return coeffs
+    return coeffs + (0,) * (rs.num_positive - rs.rank)
 
 
-def _coords(xi) -> Tuple[int, ...]:
-    if isinstance(xi, LatticeVector):
-        return xi.coords
-    return tuple(int(x) for x in xi)
-
-
-def g_af_plus(rs: RootSystem, xi) -> Vector:
-    """Pair against the plus generators: sum over positive roots of <xi, a+> a."""
-    c = _coords(xi)
-    if len(c) != rs.num_positive:
+def _lattice_coords(v: Sequence, rank: int) -> Tuple[int, ...]:
+    if len(v) != rank:
         raise ValueError("dimension mismatch")
+    return integer_vector(v, "coordinates must be integers")
+
+
+def g_af_plus(rs: RootSystem, xi: Sequence) -> Vector:
+    """Pair against the plus generators: sum over positive roots of <xi, a+> a."""
+    c = _lattice_coords(xi, rs.num_positive)
     out = [Q(0)] * rs.rank
     # the plus-side pairing is the identity form, so <xi, a+> is a coordinate
     for coeff, alpha in zip(c, rs.positive_roots):
@@ -251,11 +219,9 @@ def g_af_plus(rs: RootSystem, xi) -> Vector:
     return tuple(out)
 
 
-def g_af_minus(rs: RootSystem, zeta) -> Vector:
+def g_af_minus(rs: RootSystem, zeta: Sequence) -> Vector:
     """Pair against the minus generators: sum over simples of <zeta, a-> a."""
-    c = _coords(zeta)
-    if len(c) != rs.rank:
-        raise ValueError("dimension mismatch")
+    c = _lattice_coords(zeta, rs.rank)
     out = [Q(0)] * rs.rank
     for coeff, alpha in zip(c, rs.simple_roots):
         for j in range(rs.rank):
@@ -263,19 +229,14 @@ def g_af_minus(rs: RootSystem, zeta) -> Vector:
     return tuple(out)
 
 
-def g_sc_plus(rs: RootSystem, k, xi) -> ScWeight:
+def g_sc_plus(rs: RootSystem, k, xi: Sequence) -> ScWeight:
     """Coset weight with value <xi, beta+> on each dual generator J*_beta."""
-    c = _coords(xi)
-    if len(c) != rs.num_positive:
-        raise ValueError("dimension mismatch")
-    return sc_weight_from_jstar(rs, k, c)
+    return sc_weight_from_jstar(rs, k, _lattice_coords(xi, rs.num_positive))
 
 
-def g_sc_minus(rs: RootSystem, k, zeta) -> ScWeight:
+def g_sc_minus(rs: RootSystem, k, zeta: Sequence) -> ScWeight:
     """Coset weight with value <zeta, beta-> on J*_beta for simple beta, else 0."""
-    c = _coords(zeta)
-    if len(c) != rs.rank:
-        raise ValueError("dimension mismatch")
+    c = _lattice_coords(zeta, rs.rank)
     jstar = tuple(-x for x in c) + (0,) * (rs.num_positive - rs.rank)
     return sc_weight_from_jstar(rs, k, jstar)
 
@@ -284,10 +245,9 @@ def form_profile(rs: RootSystem, gamma: Sequence) -> Vector:
     """Coordinates of sum over positive roots of (gamma, beta) beta+ in L+.
 
     The coefficients are rational for short inputs in some types, so the
-    result is a plain coefficient vector rather than a LatticeVector.
+    result is a plain coefficient vector, not integer lattice coordinates.
     """
-    fg = mat_vec(rs.form_matrix, vec(gamma))
-    return tuple(dot(fg, beta) for beta in rs.positive_roots)
+    return rs.root_pairings(gamma)
 
 
 def kernel_K(rs: RootSystem) -> EmbeddedLattice:

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 from .bilinear import gram_G, gram_g, gram_g_star, level_params
 from .latticekit import (IntegralLattice, IntMatrix, build_L_minus, build_L_plus, direct_sum,
                          form_profile)
-from .ratlinalg import vec
+from .ratlinalg import integer_vector
 from .rootsys import RootSystem
 
 Symbol = Tuple
@@ -219,11 +219,10 @@ def boson_minus(table: ContractionTable, coeffs: Sequence, d: int = 0) -> Field:
 
 
 def exp_field(table: ContractionTable, plus: Sequence[int], minus: Sequence[int]) -> Field:
-    xi = vec(tuple(plus) + tuple(minus))
-    if (len(plus) != table.n_plus or len(minus) != table.ell
-            or any(c.denominator != 1 for c in xi)):
+    if len(plus) != table.n_plus or len(minus) != table.ell:
         raise ValueError("unregistered lattice vector")
-    return {(None, (), tuple(int(c) for c in xi)): sc_from(1)}
+    xi = integer_vector(tuple(plus) + tuple(minus), "unregistered lattice vector")
+    return {(None, (), xi): sc_from(1)}
 
 
 # named fields used by the verification routines

@@ -29,6 +29,20 @@ def parse_rational(x, name: Optional[str] = None) -> Q:
     raise ValueError(f"{prefix}not an exact rational: {x!r}")
 
 
+def integer_vector(values: Iterable,
+                   error: Optional[str]) -> Optional[Tuple[int, ...]]:
+    """values as a tuple of ints when every entry is an exact integer.
+
+    Otherwise raises ValueError(error), or returns None when error is None.
+    """
+    v = vec(values)
+    if all(x.denominator == 1 for x in v):
+        return tuple(x.numerator for x in v)
+    if error is None:
+        return None
+    raise ValueError(error)
+
+
 def vec(entries: Iterable) -> Vector:
     return tuple(Q(e) for e in entries)
 

@@ -13,7 +13,7 @@ from math import lcm
 from operator import mul
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .ratlinalg import Matrix, Vector, dot, integer_rows, mat, mat_inv, mat_vec, vec
+from .ratlinalg import Matrix, Vector, integer_rows, mat_inv, vec
 
 Coords = Tuple[int, ...]
 
@@ -122,16 +122,14 @@ def _positive_roots(a: Tuple[Tuple[int, ...], ...]) -> Tuple[Coords, ...]:
 class RootSystem:
     family: str
     rank: int
-    cartan: Tuple[Tuple[int, ...], ...]
     d: Tuple[Q, ...]
-    form_matrix: Matrix
     form_inverse: Matrix
     positive_roots: Tuple[Coords, ...]
     root_index: Dict[Coords, int]
     highest_root: Coords
     dual_coxeter: int
-    # form_matrix == form_numerators / pair_den, and (alpha_a, alpha_b) over
-    # the positive roots == pair_table[a][b] / pair_den
+    # the form on simple roots == form_numerators / pair_den, and
+    # (alpha_a, alpha_b) over the positive roots == pair_table[a][b] / pair_den
     form_numerators: Tuple[Tuple[int, ...], ...]
     pair_table: Tuple[Tuple[int, ...], ...]
     pair_den: int
@@ -163,6 +161,16 @@ class RootSystem:
     def norm(self, u: Sequence) -> Q:
         return self.form(u, u)
 
+    def root_pairings(self, w: Sequence) -> Vector:
+        """(w, beta) for every positive root beta, in one integer pass over
+        the simple-root columns of pair_table."""
+        if len(w) != self.rank:
+            raise ValueError("dimension mismatch")
+        (iw,), d = integer_rows((vec(w),))
+        den = d * self.pair_den
+        # map stops at the end of iw: row[:rank] holds (beta, alpha_i)
+        return tuple(Q(sum(map(mul, iw, row)), den) for row in self.pair_table)
+
     def is_root(self, coords: Sequence) -> bool:
         # exact coordinates: a Fraction hashes and compares as the equal int
         c = vec(coords)
@@ -172,10 +180,6 @@ class RootSystem:
         """2 alpha / (alpha, alpha) as a vector in simple-root coordinates."""
         n = self.norm(alpha)
         return tuple(Q(2) * Q(x) / n for x in alpha)
-
-    def coweight(self, i: int) -> Vector:
-        """Vector w_i with (alpha_j, w_i) = delta_ij, in simple-root coordinates."""
-        return tuple(row[i] for row in self.form_inverse)
 
     def fundamental_weight(self, i: int) -> Vector:
         """Vector with <w, alpha_j-vee> = delta_ij."""
@@ -190,32 +194,19 @@ class RootSystem:
         basis = self.long_root_basis()
         return tuple(tuple(self.form(u, v) for v in basis) for u in basis)
 
-    def is_long(self, alpha: Sequence) -> bool:
-        return self.norm(alpha) == 2
 
-
-def _root_sum(form: Matrix, positives: Sequence[Coords], w: Sequence) -> Vector:
-    """sum over positive roots of (w, alpha) alpha, from one product form.w."""
-    fw = mat_vec(form, w)
-    image = [Q(0)] * len(w)
-    for alpha in positives:
-        c = dot(fw, alpha)
-        for j, x in enumerate(alpha):
-            image[j] += c * x
-    return tuple(image)
-
-
-def _dual_coxeter(form: Matrix, table: Tuple[Tuple[int, ...], ...],
+def _dual_coxeter(table: Tuple[Tuple[int, ...], ...], den: int,
                   positives: Tuple[Coords, ...], theta: Coords) -> int:
-    """Eigenvalue of w -> sum over positive roots of (w, alpha) alpha.
+    """Eigenvalue of w -> sum over positive roots of (w, alpha) alpha at alpha_1.
 
     Cross-checked against 1 + (rho, theta-vee); both must agree and be integral.
     """
-    lam = positives[0]
-    image = _root_sum(form, positives, lam)
-    ratio = image[0] / Q(lam[0])
-    if any(x != ratio * y for x, y in zip(image, lam)):
+    # den (alpha_1, beta) is column 0 of the pair table
+    image = [sum(row[0] * beta[j] for row, beta in zip(table, positives))
+             for j in range(len(theta))]
+    if any(image[1:]):
         raise ValueError("form sum is not proportional to the test weight")
+    ratio = Q(image[0], den)
     # (rho, theta-vee) = 2 (rho, theta) / (theta, theta), rho the half sum
     top = positives.index(theta)
     alt = 1 + Q(sum(row[top] for row in table), table[top][top])
@@ -235,8 +226,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the full root-system data for one finite simple type."""
     a = cartan_matrix(family, rank)
     d = _symmetrizer(a)
-    form = mat([[d[i] * a[i][j] for j in range(rank)] for i in range(rank)])
-    form_inv = mat_inv(form)
+    form_inv = mat_inv([[d[i] * x for x in row] for i, row in enumerate(a)])
     positives = _positive_roots(a)
     index = {r: i for i, r in enumerate(positives)}
     top_height = max(sum(r) for r in positives)
@@ -250,14 +240,12 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return RootSystem(
         family=family,
         rank=rank,
-        cartan=a,
         d=d,
-        form_matrix=form,
         form_inverse=form_inv,
         positive_roots=positives,
         root_index=index,
         highest_root=theta,
-        dual_coxeter=_dual_coxeter(form, table, positives, theta),
+        dual_coxeter=_dual_coxeter(table, den, positives, theta),
         form_numerators=form_int,
         pair_table=table,
         pair_den=den,
@@ -278,6 +266,7 @@ class HveeWitness(NamedTuple):
 def check_hvee_identity(rs: RootSystem, weight: Sequence) -> HveeWitness:
     """Evaluate both sides of sum over positive roots of (w, alpha) alpha == h-vee * w."""
     w = vec(weight)
-    lhs = _root_sum(rs.form_matrix, rs.positive_roots, w)
+    pairings = rs.root_pairings(w)
+    lhs = tuple(sum(map(mul, pairings, col)) for col in zip(*rs.positive_roots))
     rhs = tuple(rs.dual_coxeter * x for x in w)
     return HveeWitness(lhs, rhs, lhs == rhs)

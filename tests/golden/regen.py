@@ -31,6 +31,11 @@ TYPES = [
     ("E", 6, "1,0,1/2,0,-1,1/2", True),
 ]
 LEVELS = ("7/2", "-5/3")  # one positive and one negative fractional level
+# the largest types: root data and the weight map only
+LARGE_TYPES = [
+    ("E", 7, "1,0,1/2,0,-1,1/2,0"),
+    ("E", 8, "1,0,1/2,0,-1,1/2,0,-1/2"),
+]
 
 
 def cases():
@@ -53,6 +58,13 @@ def cases():
             out.append((f"lattice-disc-{lattice}-{tag}",
                         ["lattice", "disc", "--lattice", lattice, *rs,
                          *extra]))
+    for family, rank, weight in LARGE_TYPES:
+        tag = f"{family}{rank}"
+        rs = ["--type", family, "--rank", str(rank)]
+        out.append((f"rootsys-info-{tag}", ["rootsys", "info", *rs]))
+        out.append((f"weights-map-{tag}",
+                    ["weights", "map", *rs, "--level=7/2",
+                     f"--weight={weight}"]))
     # both read gram_g_star: the dual generators and the coset-side weights
     for check in ("jalpha", "hminus", "fst"):
         out.append((f"ope-verify-{check}-A2",

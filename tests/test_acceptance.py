@@ -24,8 +24,8 @@ from cosetlab.charflow import (QSeries, affine_character, cflemma_check,
                                flow_sc_equivariance_diff, roundtrip_check,
                                spectral_flow_af, spectral_flow_sc,
                                validate_seed)
-from cosetlab.latticekit import (build_E_minus_lattice, build_L_plus,
-                                 build_Qsc_dual_lattice, discriminant_group,
+from cosetlab.latticekit import (build_E_minus_lattice, build_L_minus,
+                                 build_L_plus, build_Qsc_dual_lattice, discriminant_group,
                                  enumerate_by_norm, f_af, g_af_plus,
                                  g_sc_plus, kernel_K)
 from cosetlab.opecalc import (h_minus_field, h_plus_field, h_tilde_field,
@@ -103,8 +103,10 @@ def test_criterion_03_lattice_layer():
         assert emb.lattice.rank == rs.num_positive - rs.rank
         for a in rs.simple_roots:
             for b in rs.simple_roots:
-                plus = f_af(rs, a, "+").pair(f_af(rs, b, "+"))
-                minus = f_af(rs, a, "-").pair(f_af(rs, b, "-"))
+                plus = build_L_plus(rs).pair(f_af(rs, a, "+"),
+                                             f_af(rs, b, "+"))
+                minus = build_L_minus(rs).pair(f_af(rs, a, "-"),
+                                               f_af(rs, b, "-"))
                 assert plus + minus == 0, (family, rank, a, b)
     # brute-force confirmation of the kernel, where the ambient ball is small
     for family, rank in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
@@ -190,7 +192,7 @@ def test_criterion_07_cflemma_certified_supports():
         seed = affine_character(rs, 1, (0,) * rank, strings)
         for gamma in heights_up_to(rank, 3):
             xi = f_af(rs, gamma, "+")
-            bound = int(xi.pair(xi))
+            bound = build_L_plus(rs).pair(xi, xi)
             report = cflemma_check(gamma, seed, (0,) * rank, 6, bound)
             assert report.ok, (family, rank, gamma)
             assert not report.diff, (family, rank, gamma)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cosetlab.latticekit import (
     EmbeddedLattice,
     IntegralLattice,
-    LatticeVector,
     build_E_minus_lattice,
     build_E_plus_lattice,
     build_L_minus,
@@ -122,12 +121,12 @@ def test_f_af_values():
     rs = build_root_system("A", 2)
     theta = rs.highest_root
     v = f_af(rs, theta, "+")
-    assert v.coords == (1, 1, 0)
-    assert f_af(rs, (0, 0), "+").coords == (0, 0, 0)
+    assert v == (1, 1, 0)
+    assert f_af(rs, (0, 0), "+") == (0, 0, 0)
     rs1 = build_root_system("A", 1)
     w = f_af(rs1, (1,), "-")
-    assert w.coords == (1,)
-    assert w.norm() == -1
+    assert w == (1,)
+    assert build_L_minus(rs1).norm(w) == -1
 
 
 def test_f_af_rejects_non_lattice_weights():
@@ -138,13 +137,30 @@ def test_f_af_rejects_non_lattice_weights():
         f_af(rs, (1, 0), "x")
 
 
+@pytest.mark.parametrize("lattice_map, plus", [
+    (g_af_plus, True),
+    (g_af_minus, False),
+    (lambda rs, v: g_sc_plus(rs, 1, v), True),
+    (lambda rs, v: g_sc_minus(rs, 1, v), False),
+    (lambda rs, v: sublattice(build_L_plus(rs), [v], "W", ("u",)), True),
+], ids=["g_af_plus", "g_af_minus", "g_sc_plus", "g_sc_minus", "sublattice"])
+def test_lattice_maps_refuse_fractional_coordinates(lattice_map, plus):
+    # a half-integer coordinate is off the lattice, not truncated onto it
+    rs = build_root_system("A", 2)
+    n = rs.num_positive if plus else rs.rank
+    with pytest.raises(ValueError):
+        lattice_map(rs, (Q(1, 2),) + (0,) * (n - 1))
+
+
 def test_f_norm_cancellation():
     for family, rank in [("A", 2), ("B", 2), ("C", 3), ("G", 2)]:
         rs = build_root_system(family, rank)
         for a in rs.simple_roots:
             for b in rs.simple_roots:
-                plus = f_af(rs, a, "+").pair(f_af(rs, b, "+"))
-                minus = f_af(rs, a, "-").pair(f_af(rs, b, "-"))
+                plus = build_L_plus(rs).pair(f_af(rs, a, "+"),
+                                             f_af(rs, b, "+"))
+                minus = build_L_minus(rs).pair(f_af(rs, a, "-"),
+                                               f_af(rs, b, "-"))
                 assert plus + minus == 0
 
 
@@ -475,17 +491,6 @@ def test_bad_cocycle_rejected():
     with pytest.raises(ValueError):
         IntegralLattice("bad", ("a", "b"), ((1, 0), (0, 1)),
                         ((0, 0), (0, 0)), "positive")
-
-
-def test_lattice_vector_validation():
-    rs = build_root_system("A", 2)
-    lp = build_L_plus(rs)
-    with pytest.raises(ValueError):
-        LatticeVector(lp, (1, 0))
-    v = LatticeVector(lp, (1, 0, 0))
-    w = LatticeVector(build_L_minus(rs), (0, 1))
-    with pytest.raises(ValueError):
-        v.pair(w)
 
 
 def _dense(u, m, v):
