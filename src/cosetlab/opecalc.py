@@ -155,8 +155,11 @@ class ContractionTable:
     n_plus: int
     ell: int
     gstar: Tuple[Tuple[Q, ...], ...]
-    # _contract results by (key A, key B, max order); dataclasses.replace empties it
-    memo: Dict[Tuple[TermKey, TermKey, int], Tuple] = dc_field(
+    # term key -> (id, parity), and _contract results in rows by (id of key A,
+    # max order) that map the id of key B to its terms; replace empties both
+    registry: Dict[TermKey, Tuple[int, int]] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    memo: Dict[Tuple[int, int], Dict[int, Tuple]] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -236,12 +239,14 @@ def j_field(table: ContractionTable, index: int) -> Field:
 
 
 def jstar_field(table: ContractionTable, index: int) -> Field:
-    """Dual generator: the g*-combination of the J fields."""
-    out: Field = {}
-    for b in range(table.n_plus):
-        coef = table.gstar[index][b]
-        if coef:
-            out = field_add(out, field_scale(j_field(table, b), coef))
+    """Dual generator sum_b g*_ab J_b, in closed form:
+    H of (1/k) sum_b g*_ab alpha_b, plus sum_b g*_ab b_b."""
+    row = table.gstar[index]
+    roots = table.rs.positive_roots
+    out = h_field(table, [sum(g * r[i] for g, r in zip(row, roots)) / table.k
+                          for i in range(table.ell)])
+    for b, g in enumerate(row):
+        field_add_into(out, (None, ((b, 0),), _zero_exp(table)), sc_from(g))
     return out
 
 
@@ -405,20 +410,28 @@ class SingularPart:
 
 def field_parity(table: ContractionTable, f: Field) -> int:
     """Shape-check a field and return its parity; reject mixed parity."""
-    parities = set()
-    for (affine, bosons, exp), coef in f.items():
-        if affine is not None:
-            if affine[0] not in ("X", "H") or len(affine) != 3:
+    return _term_ids(table, f)[0]
+
+
+def _term_ids(table: ContractionTable, f: Field) -> Tuple[int, List[int]]:
+    """A field's parity and the registry id of each term key; a key is
+    shape-checked, and its norm taken, once per table, when it is registered."""
+    registry = table.registry
+    ids, parities = [], set()
+    for key in f:
+        entry = registry.get(key)
+        if entry is None:
+            affine, bosons, exp = key
+            if affine is not None and (affine[0] not in ("X", "H") or len(affine) != 3):
                 raise ValueError("unknown affine symbol")
-        if len(exp) != table.dim:
-            raise ValueError("unregistered lattice vector")
-        for i, d in bosons:
-            if not 0 <= i < table.dim or d < 0:
+            if len(exp) != table.dim or any(not 0 <= i < table.dim or d < 0 for i, d in bosons):
                 raise ValueError("unregistered lattice vector")
-        parities.add(int(table.lattice.norm(exp)) % 2)
+            entry = registry[key] = (len(registry), int(table.lattice.norm(exp)) % 2)
+        ids.append(entry[0])
+        parities.add(entry[1])
     if len(parities) > 1:
         raise ValueError("field is not parity-homogeneous")
-    return parities.pop() if parities else 0
+    return (parities.pop() if parities else 0), ids
 
 
 def _boson_patterns(gram: IntMatrix, bosA: BosonKey, xiA: Tuple[int, ...],
@@ -465,24 +478,38 @@ def ope_singular(table: ContractionTable, A: Field, B: Field,
     """Complete singular part of A(z)B(w) plus regular_orders Taylor terms.
     A regular term keeping affine symbols of both A and B has no single-term
     key and raises ValueError("unsupported composite of affine symbols")."""
-    field_parity(table, A)
-    field_parity(table, B)
+    idsA = _term_ids(table, A)[1]
+    termsB = list(zip(_term_ids(table, B)[1], B.items()))
     max_order = regular_orders - 1
     sink: Dict[int, Field] = {}
-    memo = table.memo
-    for keyA, cA in A.items():
-        for keyB, cB in B.items():
-            terms = memo.get((keyA, keyB, max_order))
+    for idA, (keyA, cA) in zip(idsA, A.items()):
+        row = table.memo.setdefault((idA, max_order), {})
+        for idB, (keyB, cB) in termsB:
+            terms = row.get(idB)
             if terms is None:
-                terms = memo[keyA, keyB, max_order] = _contract(table, keyA, keyB, max_order)
+                terms = row[idB] = _contract(table, keyA, keyB, max_order)
             if not terms:
                 continue
-            c = sc_mul(cA, cB)
+            c = [(ka + kb, va * vb) for ka, va in cA.items() for kb, vb in cB.items()]
             for order, key, coef in terms:
-                field_add_into(sink.setdefault(order, {}), key, sc_mul(c, coef))
+                acc = sink.setdefault(order, {}).setdefault(key, {})
+                for kab, vab in c:
+                    for kc, vc in coef.items():
+                        _add_at(acc, tuple(sorted(kab + kc)), vab * vc)
+    sink = {order: {key: coef for key, coef in fld.items() if coef} for order, fld in sink.items()}
     poles = {-order: fld for order, fld in sink.items() if order < 0 and fld}
     regular = tuple(sink.get(m, {}) for m in range(regular_orders))
     return SingularPart(poles, regular)
+
+
+def _dead_pair(base: int, patterns: Sequence, affA: AffineKey, affB: AffineKey,
+               max_order: int) -> bool:
+    """True when no term of the pair reaches max_order.  Each pattern's
+    shift plus the deepest affine entry, -(2 + dA + dB), bounds the order of
+    its terms from below: Bell tails and Taylor slots only raise it."""
+    deepest = -(2 + affA[2] + affB[2]) if affA is not None and affB is not None else 0
+    return all(base - sum(order for _, order in links) + deepest > max_order
+               for links, _, _ in patterns)
 
 
 def _contract(table: ContractionTable, keyA: TermKey, keyB: TermKey,
@@ -493,6 +520,9 @@ def _contract(table: ContractionTable, keyA: TermKey, keyB: TermKey,
     affB, bosB, xiB = keyB
     lattice = table.lattice
     base = int(lattice.pair(xiA, xiB))
+    patterns = list(_boson_patterns(lattice.gram, bosA, xiA, bosB, xiB))
+    if _dead_pair(base, patterns, affA, affB, max_order):
+        return ()
     c0 = sc_from(lattice.eps(xiA, xiB))
     out_exp = tuple(a + b for a, b in zip(xiA, xiB))
     sink: Dict[int, Field] = {}
@@ -503,7 +533,7 @@ def _contract(table: ContractionTable, keyA: TermKey, keyB: TermKey,
     if affA is not None and affB is not None:
         fates += [(entry, None, None) for entry in _affine_contractions(table, affA, affB)]
 
-    for links, kept, stay in _boson_patterns(lattice.gram, bosA, xiA, bosB, xiB):
+    for links, kept, stay in patterns:
         coef_links = sc_scale(c0, prod(w for w, _ in links))
         shift = base - sum(order for _, order in links)
 

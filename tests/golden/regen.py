@@ -71,9 +71,12 @@ def cases():
                     ["ope", "verify", "--check", check, "--type", "A",
                      "--rank", "2", "--level=3/2"]))
     # every check at once: rank 1, a non-simply-laced pair, both level signs,
-    # and rank 3, where each term pair recurs across many field pairs
+    # and rank 3, where each term pair recurs across many field pairs; then
+    # off A1-B3: A3 and D4 at integer levels, C3 at a negative fraction
     for family, rank, level in (("A", 1, "7/2"), ("B", 2, "-5/3"),
-                                ("G", 2, "7/2"), ("B", 3, "-5/3")):
+                                ("G", 2, "7/2"), ("B", 3, "-5/3"),
+                                ("A", 3, "1"), ("C", 3, "-1/3"),
+                                ("D", 4, "2")):
         out.append((f"ope-verify-all-{family}{rank}",
                     ["ope", "verify", "--type", family, "--rank", str(rank),
                      f"--level={level}", "--check", "all"]))

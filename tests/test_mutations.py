@@ -5,9 +5,10 @@ reproduce every golden byte.  These tests feed the OPE verifiers a
 contraction table with one deliberate defect, by replacing
 ``opecalc.make_table`` (the defect is applied both to a fresh table and
 to one whose contraction memo a clean run has filled), or an engine that
-raises some pole orders, by replacing ``opecalc._boson_patterns``.  They
-feed character transport a wrong eta power or a short lattice
-enumeration, by replacing ``charflow.eta_power`` or
+raises some pole orders, by replacing ``opecalc._boson_patterns``, or one
+whose dead-pair exit skips live term pairs, by replacing
+``opecalc._dead_pair``.  They feed character transport a wrong eta power
+or a short lattice enumeration, by replacing ``charflow.eta_power`` or
 ``charflow.enumerate_by_norm``, and compare transports over other bases of
 the kernel lattice, by replacing ``charflow.kernel_K``.  A coset-side flow
 that reads g* at level 1 replaces ``charflow._sc_flow_form``; flows that
@@ -174,6 +175,31 @@ def test_skew_check_sees_a_raised_pole_order(family, rank, k, failing,
     assert _skew_failures(family, rank, k) == 0
     monkeypatch.setattr(opecalc, "_boson_patterns", _bump_pole_orders)
     assert _skew_failures(family, rank, k) == failing
+
+
+def _exit_without_affine_entries(base, patterns, affA, affB, max_order):
+    """A dead-pair exit that bounds each pattern by its shift alone."""
+    return all(base - sum(o for _, o in links) > max_order
+               for links, _, _ in patterns)
+
+
+def _exit_without_boson_links(base, patterns, affA, affB, max_order):
+    """A dead-pair exit that takes every pattern's shift as the bare
+    charge pairing, as if no boson link lowered it."""
+    both = affA is not None and affB is not None
+    deepest = -(2 + affA[2] + affB[2]) if both else 0
+    return all(base + deepest > max_order for _ in patterns)
+
+
+@pytest.mark.parametrize("exit_rule, verify, diffs", [
+    (_exit_without_affine_entries, opecalc.verify_fst_homomorphism, 76),
+    (_exit_without_boson_links, opecalc.verify_Jalpha_heisenberg, 21),
+])
+def test_verifiers_see_an_unsafe_dead_pair_exit(a2, exit_rule, verify, diffs,
+                                                monkeypatch):
+    # an exit that drops live term pairs loses poles the verifiers compare
+    monkeypatch.setattr(opecalc, "_dead_pair", exit_rule)
+    assert len(verify(a2, 1).diffs) == diffs
 
 
 def _bump_eta(m, T):

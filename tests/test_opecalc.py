@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
@@ -117,6 +118,17 @@ def test_jstar_matches_shifted_form_expansion(fam, rank, k):
         unit = tuple(Q(1) if i == a else Q(0) for i in range(t.n_plus))
         direct = oc.field_add(direct, oc.boson_plus(t, unit))
         assert oc.jstar_field(t, a) == direct
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 2), ("B", 2), ("G", 2), ("B", 3)])
+@pytest.mark.parametrize("k", [1, Q(7, 2), Q(-5, 3)])
+def test_jstar_is_the_gstar_combination_of_j(fam, rank, k):
+    t = table(fam, rank, k)
+    for a in range(t.n_plus):
+        combination = {}
+        for b, g in enumerate(t.gstar[a]):
+            combination = oc.field_add(combination, oc.field_scale(oc.j_field(t, b), g))
+        assert oc.jstar_field(t, a) == combination
 
 
 def test_j_field_pole_two_is_gram_g():
@@ -278,6 +290,17 @@ def skew_generators(t):
             oc.x_tilde_field(t, tuple(-x for x in rs.simple_roots[-1]))]
 
 
+def generators_and_free_parts(t):
+    """The skew generators, then their free-field parts (symbols dropped)."""
+    gens = skew_generators(t)
+    for g in skew_generators(t):
+        free = {}
+        for (_, bosons, exp), coef in g.items():
+            oc.field_add_into(free, (None, bosons, exp), coef)
+        gens.append(free)
+    return gens
+
+
 def _outcome(t, A, B, orders):
     """The OPE, or the refusal of a Taylor term holding two affine symbols."""
     try:
@@ -295,12 +318,7 @@ def test_memo_answers_as_a_fresh_table(fam, rank, k):
     # the regular terms
     rs = build_root_system(fam, rank)
     t = oc.make_table(rs, k)
-    gens = skew_generators(t)
-    for g in skew_generators(t):
-        free = {}
-        for (_, bosons, exp), coef in g.items():
-            oc.field_add_into(free, (None, bosons, exp), coef)
-        gens.append(free)
+    gens = generators_and_free_parts(t)
     regular = 0
     for orders in (0, 2, 0):
         for A in gens:
@@ -309,6 +327,36 @@ def test_memo_answers_as_a_fresh_table(fam, rank, k):
                 assert _outcome(t, A, B, orders) == fresh
                 regular += not isinstance(fresh, str) and any(fresh.regular)
     assert t.memo and regular
+
+
+def _contracted(t, keyA, keyB, max_order):
+    """One term pair's terms, or the refusal of a composite Taylor term."""
+    try:
+        return oc._contract(t, keyA, keyB, max_order)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("fam,rank,k", [("A", 2, Q(3, 2)), ("B", 2, Q(5, 2)),
+                                        ("G", 2, Q(7, 2))])
+def test_dead_pair_exit_is_exact(fam, rank, k, monkeypatch):
+    # every term pair the generators and their free-field parts can form,
+    # at regular_orders 0 and 2, contracts alike with the exit disabled
+    t = table(fam, rank, k)
+    keys = list(dict.fromkeys(key for f in generators_and_free_parts(t) for key in f))
+    calls = [(a, b, orders - 1) for a in keys for b in keys for orders in (0, 2)]
+    exits = []
+    real = oc._dead_pair
+
+    def recorded(*args):
+        exits.append(real(*args))
+        return exits[-1]
+
+    monkeypatch.setattr(oc, "_dead_pair", recorded)
+    with_exit = [_contracted(t, *call) for call in calls]
+    monkeypatch.setattr(oc, "_dead_pair", lambda *args: False)
+    assert [_contracted(t, *call) for call in calls] == with_exit
+    assert any(exits) and not all(exits)
 
 
 def test_regular_orders_is_required_and_refused_on_two_affine_fields():
@@ -370,6 +418,40 @@ def test_mixed_parity_rejected():
     f = oc.field_add(oc.exp_field(t, (1,), (0,)), oc.identity_field(t))
     with pytest.raises(ValueError, match="parity"):
         oc.ope_singular(t, f, f, 0)
+    # still refused once each key has passed alone and sits in the registry
+    t = table("A", 1, 1)
+    for key, coef in f.items():
+        oc.ope_singular(t, {key: coef}, {key: coef}, 0)
+    assert set(t.registry) == set(f)
+    with pytest.raises(ValueError, match="parity"):
+        oc.ope_singular(t, f, f, 0)
+    with pytest.raises(ValueError, match="parity"):
+        oc.field_parity(t, f)
+
+
+def test_a_table_holding_keys_still_refuses_malformed_ones():
+    t = table("A", 1, 1)
+    J = oc.j_field(t, 0)
+    oc.ope_singular(t, J, J, 0)
+    assert t.registry
+    unregistered = "unregistered lattice vector"
+    for key, reason in (((None, (), (1, 0, 0)), unregistered),
+                        ((None, ((2, 0),), (0, 0)), unregistered),
+                        ((None, ((0, -1),), (0, 0)), unregistered),
+                        ((("Y", 0, 0), (), (0, 0)), "unknown affine symbol")):
+        with pytest.raises(ValueError, match=reason):
+            oc.ope_singular(t, J, {key: {(): Q(1)}}, 0)
+        assert key not in t.registry
+
+
+def test_replace_starts_with_an_empty_registry_and_memo():
+    t = table("A", 2, 1)
+    J = oc.j_field(t, 0)
+    oc.ope_singular(t, J, J, 0)
+    assert t.registry and t.memo
+    fresh = dataclasses.replace(t, k=Q(2))
+    assert fresh.registry == {} and fresh.memo == {}
+    assert t.registry and t.memo
 
 
 def test_unregistered_vector_rejected():
