@@ -16,8 +16,8 @@ from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .bilinear import ScWeight, sc_weight_from_jstar
-from .ratlinalg import (Vector, bareiss, determinant, integer_rows,
-                        integer_vector, leading_minors, smith_normal_form, vec)
+from .ratlinalg import (Vector, bareiss, integer_rows, integer_vector,
+                        leading_minors, smith_normal_form, vec)
 from .rootsys import RootSystem
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -309,7 +309,6 @@ def build_E_minus_lattice(rs: RootSystem, k) -> IntegralLattice:
     base = _long_root_gram_int(rs)
     ell = rs.rank
     tail = rs.num_positive - ell
-    n = ell + tail
     gram = []
     for i in range(ell):
         gram.append(tuple(-scale * x for x in base[i]) + (0,) * tail)
@@ -322,12 +321,7 @@ def build_E_minus_lattice(rs: RootSystem, k) -> IntegralLattice:
 
 def discriminant_group(lattice: IntegralLattice) -> List[int]:
     """Elementary divisors (>1) of the Gram matrix, in divisibility order."""
-    if lattice.rank == 0:
-        return []
-    if determinant(lattice.gram) == 0:
-        raise ValueError("gram matrix is singular")
-    divisors = smith_normal_form(lattice.gram)
-    return [d for d in divisors if d > 1]
+    return [d for d in smith_normal_form(lattice.gram) if d > 1]
 
 
 def enumerate_by_norm(lattice: IntegralLattice, bound,

@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals, plus integer Smith normal form.
 
 Products and determinants run on Python integers: each operand is scaled by
-the lcm of its denominators and the result is divided once per entry.
+the lcm of its denominators and the result is divided once per entry.  The
+Smith form of a nonsingular matrix eliminates modulo its determinant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -146,63 +147,56 @@ def determinant(a: Matrix) -> Q:
     return Q(sign * pivots[-1], d ** len(a)) if pivots else Q(1)
 
 
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> List[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, u, v) with u*a + v*b = g = gcd(a, b) for a, b >= 0; exactly
+    (a, 1, 0) when a divides b, so a pass that leaves the pivot alone cannot
+    undo the pass before it."""
+    if a and b % a == 0:
+        return a, 1, 0
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
+    return a, u0, v0
 
-    Returns the absolute diagonal entries in divisibility order,
-    including any trailing zeros for rank deficiency.
+
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> List[int]:
+    """Diagonal of the Smith normal form of a nonsingular square integer
+    matrix, in divisibility order.
+
+    Elimination modulo D = |det| (Hafner-McCurley 1991; Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4.2): the row lattice holds
+    D Z^n, so rows reduced mod D span it together with D Z^n.  Unimodular
+    extended-gcd row steps clear the pivot's column, and the matrix is
+    transposed until its row is clear too; pivot p splits off gcd(p, D),
+    and a gcd/lcm pass puts the divisors in divisibility order.
     """
     m = [[int(x) for x in row] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    pivots, _ = bareiss([row[:] for row in m], pivoting=True)
+    D = abs(pivots[-1]) if pivots else 1
+    if D == 0:
+        raise ValueError("matrix is singular")
+    m = [[x % D for x in row] for row in m]
     diag: List[int] = []
-    t = 0
-    while t < min(nr, nc):
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        m[t], m[i0] = m[i0], m[t]
-        for row in m:
-            row[t], row[j0] = row[j0], row[t]
+    for t in range(n):
         while True:
-            reduced = True
-            for i in range(t + 1, nr):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    m[i] = [x - q * y for x, y in zip(m[i], m[t])]
-                    if m[i][t] != 0:
-                        m[t], m[i] = m[i], m[t]
-                        reduced = False
-            for j in range(t + 1, nc):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    for row in m:
-                        row[j] -= q * row[t]
-                    if m[t][j] != 0:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        reduced = False
-            if not reduced:
-                continue
-            # pivot must divide the remaining block for the divisor chain
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if m[i][j] % m[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            for i in range(t + 1, n):
+                if m[i][t]:
+                    g, u, v = _xgcd(m[t][t], m[i][t])
+                    a, b = m[t][t] // g, m[i][t] // g
+                    top, row = m[t][t:], m[i][t:]
+                    if v:
+                        m[t][t:] = [(u * x + v * y) % D for x, y in zip(top, row)]
+                    m[i][t:] = [(a * y - b * x) % D for x, y in zip(top, row)]
+            if not any(m[t][t + 1:]):
                 break
-            m[t] = [x + y for x, y in zip(m[t], m[offender])]
-        diag.append(abs(m[t][t]))
-        t += 1
-    while len(diag) < min(nr, nc):
-        diag.append(0)
+            m = [list(col) for col in zip(*m)]
+        diag.append(gcd(m[t][t], D))
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
     return diag

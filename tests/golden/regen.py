@@ -65,6 +65,21 @@ def cases():
         out.append((f"weights-map-{tag}",
                     ["weights", "map", *rs, "--level=7/2",
                      f"--weight={weight}"]))
+    # every lattice on the largest types, in text only: in JSON the 120x120
+    # gram of E8 takes one line per entry.  E7 qsc-dual also pins the closed
+    # form 19^7 of its discriminant group through --expect
+    large_lattices = [("l-plus", []), ("l-minus", []),
+                      ("e-plus", ["--level=2"]), ("e-minus", ["--level=1"]),
+                      ("qsc-dual", [])]
+    large_disc = []
+    for family, rank, _ in LARGE_TYPES:
+        rs = ["--type", family, "--rank", str(rank)]
+        for lattice, extra in large_lattices:
+            if (family, rank, lattice) == ("E", 7, "qsc-dual"):
+                extra = ["--expect", ",".join(["19"] * 7)]
+            large_disc.append((f"lattice-disc-{lattice}-{family}{rank}-text",
+                               ["lattice", "disc", "--lattice", lattice, *rs,
+                                *extra, "--format", "text"]))
     # both read gram_g_star: the dual generators and the coset-side weights
     for check in ("jalpha", "hminus", "fst"):
         out.append((f"ope-verify-{check}-A2",
@@ -128,7 +143,7 @@ def cases():
     json_cases = [(name, argv + ["--format", "json"]) for name, argv in out]
     text_cases = [(name + "-text", argv + ["--format", "text"])
                   for name, argv in out if name in TEXT_TWINS]
-    return json_cases + text_cases
+    return json_cases + text_cases + large_disc
 
 
 # one case per command, plus the exit-1 and exit-2 cases, in text mode too

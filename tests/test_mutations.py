@@ -14,7 +14,9 @@ the kernel lattice, by replacing ``charflow.kernel_K``.  A coset-side flow
 that reads g* at level 1 replaces ``charflow._sc_flow_form``; flows that
 ignore the character's level fail the level-3/2 equivariance check.  A
 series rescale that forgets the validity cap replaces ``QSeries._on``.
-Each pins the failures its defect must cause.
+A discriminant group whose largest divisor is one prime too big replaces
+``latticekit.smith_normal_form``.  Each pins the failures its defect must
+cause.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetlab import charflow, opecalc
+from cosetlab import charflow, latticekit, opecalc
 from cosetlab.bilinear import weight_to_sc
 from cosetlab.charflow import (QSeries, affine_character, fermionize_character,
                                flow_af_equivariance_diff,
@@ -49,6 +51,7 @@ REAL_ENUMERATE = charflow.enumerate_by_norm
 REAL_KERNEL = charflow.kernel_K
 REAL_ON = QSeries._on
 REAL_SC_FLOW_FORM = charflow._sc_flow_form
+REAL_SMITH = latticekit.smith_normal_form
 SEEDS = Path(__file__).resolve().parent / "golden" / "seeds"
 B2_SEED = SEEDS / "B2.json"
 
@@ -381,3 +384,22 @@ def test_flow_sc_sees_g_star_at_level_one(monkeypatch):
     sc, af = _flow_sides_at_level_3_2()
     assert (len(sc), _failing_weights(sc)) == (19, 13)
     assert _failing_weights(af) == 0
+
+
+def _inflated_smith(rows):
+    """The Smith diagonal with its largest divisor times its least prime."""
+    divisors = REAL_SMITH(rows)
+    last = divisors[-1]
+    divisors[-1] *= next(p for p in range(2, last + 1) if last % p == 0)
+    return divisors
+
+
+@pytest.mark.parametrize("family, rank, inflated", [
+    ("A", 3, [5, 5, 25]), ("D", 4, [7, 7, 7, 49])])
+def test_criterion_04_sees_an_inflated_divisor(family, rank, inflated,
+                                               monkeypatch):
+    rs = build_root_system(family, rank)
+    lattice = latticekit.build_Qsc_dual_lattice(rs)
+    assert latticekit.discriminant_group(lattice) == [1 + rs.dual_coxeter] * rank
+    monkeypatch.setattr(latticekit, "smith_normal_form", _inflated_smith)
+    assert latticekit.discriminant_group(lattice) == inflated

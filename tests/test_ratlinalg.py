@@ -1,8 +1,9 @@
 from fractions import Fraction as Q
-from itertools import permutations
+from itertools import combinations, permutations
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cosetlab.latticekit import _signature
@@ -47,33 +48,40 @@ def test_smith_normal_form_frozen_cases():
     assert smith_normal_form([[4, 0], [0, 6]]) == [2, 12]
     assert smith_normal_form([[3, 1], [1, 3]]) == [1, 8]
     assert smith_normal_form([[0, 1], [1, 0]]) == [1, 1]
-    assert smith_normal_form([[2, 0], [0, 0]]) == [2, 0]
+    # eliminating over Z without reduction, the entries of this one reach
+    # millions of bits on the fourth pivot; modulo |det| they stay below it
+    blowup = [[4, 6, -2, -1, 9, 4], [9, -5, -6, 7, -4, -7],
+              [3, 0, 5, -9, -1, -6], [2, -2, -4, -9, -5, 4],
+              [-7, 1, 5, -8, 6, -2], [-7, 6, -5, 8, -9, -5]]
+    assert smith_normal_form(blowup) == [1, 1, 1, 1, 1, 1860234]
+    with pytest.raises(ValueError, match="singular"):
+        smith_normal_form([[2, 0], [0, 0]])
+    with pytest.raises(ValueError, match="not square"):
+        smith_normal_form([[1, 0, 0], [0, 1, 0]])
+
+
+def _determinantal_divisors(rows):
+    """Smith diagonal from its definition: d_1...d_k is the gcd of all the
+    k x k minors, each one a Leibniz determinant."""
+    n = len(rows)
+    divisors, previous = [], 1
+    for k in range(1, n + 1):
+        g = 0
+        for r in combinations(range(n), k):
+            for c in combinations(range(n), k):
+                g = gcd(g, int(_leibniz_det([[rows[i][j] for j in c] for i in r])))
+        divisors.append(g // previous)
+        previous = g
+    return divisors
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
-        min_size=3,
-        max_size=3,
-    )
-)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_smith_normal_form_properties(rows):
+    assume(_leibniz_det(rows) != 0)
     divisors = smith_normal_form(rows)
-    nonzero = [d for d in divisors if d != 0]
-    # divisibility chain and nonnegativity
-    assert all(d >= 0 for d in divisors)
-    for a, b in zip(nonzero, nonzero[1:]):
-        assert b % a == 0
-    # zeros trail the chain
-    if 0 in divisors:
-        assert all(d == 0 for d in divisors[divisors.index(0):])
-    # product of the divisors recovers |det|
-    det = determinant(mat(rows))
-    prod = 1
-    for d in divisors:
-        prod *= d
-    assert prod == abs(det)
+    assert divisors == _determinantal_divisors(rows)
     # invariant under transposition
     assert smith_normal_form(tuple(zip(*rows))) == divisors
 
