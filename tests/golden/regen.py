@@ -95,6 +95,13 @@ def cases():
         out.append((f"ope-verify-all-{family}{rank}",
                     ["ope", "verify", "--type", family, "--rank", str(rank),
                      f"--level={level}", "--check", "all"]))
+    # every check at one negative and one positive fractional level off the
+    # cases above, so fractional g*, G and kappa k coefficients are pinned
+    for family, rank in (("A", 2), ("G", 2), ("B", 3)):
+        for level, sign in (("-1/3", "neg"), ("5/3", "pos")):
+            out.append((f"ope-verify-all-{family}{rank}-{sign}",
+                        ["ope", "verify", "--type", family, "--rank",
+                         str(rank), f"--level={level}", "--check", "all"]))
     out.append(("char-roundtrip-B2",
                 ["char", "roundtrip", "--seed", "seeds/B2.json", "--T", "6"]))
     # spectral flow on both sides, the second seed with an explicit weight.
