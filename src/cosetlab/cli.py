@@ -28,8 +28,8 @@ from .charflow import (fermionize_character, flow_af_equivariance_diff,
 from .latticekit import (build_E_minus_lattice, build_E_plus_lattice,
                          build_L_minus, build_L_plus, build_Qsc_dual_lattice,
                          discriminant_group, f_af, g_sc_plus)
-from .opecalc import (verify_Hminus_heisenberg, verify_Jalpha_heisenberg,
-                      verify_fst_homomorphism)
+from .opecalc import (make_table, verify_Hminus_heisenberg,
+                      verify_Jalpha_heisenberg, verify_fst_homomorphism)
 from .ratlinalg import integer_vector, mat_mul, parse_rational
 from .rootsys import build_root_system, check_hvee_identity
 
@@ -304,7 +304,8 @@ _OPE_CHECKS = (
 
 def cmd_ope_verify(args):
     rs, lp = _rs_at_level(args)
-    reports = [fn(rs, lp.k) for name, fn in _OPE_CHECKS
+    table = make_table(rs, lp.k)
+    reports = [fn(table) for name, fn in _OPE_CHECKS
                if args.check in (name, "all")]
     ok = all(r.ok for r in reports)
     payload = _header(args, rs, level=_rat(lp.k), ok=ok,

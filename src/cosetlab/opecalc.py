@@ -21,7 +21,7 @@ from fractions import Fraction as Q
 from itertools import product
 from math import comb, factorial, perm, prod
 from operator import mul
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .bilinear import gram_G, gram_g, gram_g_star, level_params
 from .latticekit import (IntegralLattice, IntMatrix, build_L_minus, build_L_plus, direct_sum,
@@ -30,7 +30,7 @@ from .ratlinalg import integer_vector
 from .rootsys import RootSystem
 
 Symbol = Tuple
-SymCoef = Dict[Tuple[Symbol, ...], Q]
+SymCoef = Dict[Tuple[Symbol, ...], Union[int, Q]]
 AffineKey = Optional[Tuple]
 BosonKey = Tuple[Tuple[int, int], ...]
 TermKey = Tuple[AffineKey, BosonKey, Tuple[int, ...]]
@@ -40,25 +40,36 @@ Field = Dict[TermKey, SymCoef]
 # ---------------------------------------------------------------------------
 # coefficients: sparse polynomials in the opaque structure constants
 
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction: the two compare,
+    hash and print alike, and integral products stay off Fraction."""
+    if type(x) is int:
+        return x
+    q = x if type(x) is Q else Q(x)
+    return q.numerator if q.denominator == 1 else q
+
+
 def sc_from(x) -> SymCoef:
-    q = Q(x)
+    q = _exact(x)
     return {(): q} if q else {}
 
 
 def sc_scale(c: SymCoef, x) -> SymCoef:
-    q = Q(x)
+    q = _exact(x)
     if not q:
         return {}
-    return {key: val * q for key, val in c.items()}
+    return {key: _exact(val * q) for key, val in c.items()}
 
 
 def _add_at(out: dict, key, x) -> None:
     """out[key] += x in a sparse map: a key whose sum is zero is dropped."""
     s = out.get(key, 0) + x
-    if s:
+    if not s:
+        out.pop(key, None)
+    elif type(s) is int or s.denominator != 1:
         out[key] = s
     else:
-        out.pop(key, None)
+        out[key] = s.numerator
 
 
 def sc_add(a: SymCoef, b: SymCoef) -> SymCoef:
@@ -79,16 +90,14 @@ def sc_mul(a: SymCoef, b: SymCoef) -> SymCoef:
 def n_symbol_coef(a: Tuple[int, ...], b: Tuple[int, ...]) -> SymCoef:
     """Structure constant N[a,b] with antisymmetry folded into the sign."""
     if a <= b:
-        return {(("N", a, b),): Q(1)}
-    return {(("N", b, a),): Q(-1)}
+        return {(("N", a, b),): 1}
+    return {(("N", b, a),): -1}
 
 
 # ---------------------------------------------------------------------------
 # fields
 
 def field_add_into(dst: Field, key: TermKey, coef: SymCoef) -> None:
-    if not coef:
-        return
     merged = sc_add(dst.get(key, {}), coef)
     if merged:
         dst[key] = merged
@@ -104,7 +113,7 @@ def field_add(a: Field, b: Field) -> Field:
 
 
 def field_scale(a: Field, x) -> Field:
-    q = Q(x)
+    q = _exact(x)
     if not q:
         return {}
     return {key: sc_scale(coef, q) for key, coef in a.items()}
@@ -293,7 +302,7 @@ def coroot_tilde_field(table: ContractionTable, alpha: Sequence[int]) -> Field:
     a = _root(table, alpha)
     out = h_field(table, a)
     out = field_add(out, field_scale(boson_field(table, _xi_root(table, a)), table.k))
-    return field_scale(out, Q(2) / table.rs.norm(a))
+    return field_scale(out, _kappa(table.rs, a))
 
 
 # ---------------------------------------------------------------------------
@@ -316,24 +325,18 @@ def derivative(table: ContractionTable, f: Field) -> Field:
     return out
 
 
-def _derivative_pow(table: ContractionTable, f: Field, m: int) -> Field:
-    for _ in range(m):
-        f = derivative(table, f)
-    return f
-
-
-def _bell_tails(xi: Tuple[int, ...], orders: int) -> List[Dict[BosonKey, Q]]:
+def _bell_tails(xi: Tuple[int, ...], orders: int) -> List[SymCoef]:
     """Boson monomial corrections P_0 .. P_(orders-1) left by a moved charge.
 
     P_m = (1/m) sum_{j=1..m} (1/(j-1)!) d^(j-1) b_xi . P_{m-j}, with P_0 = 1.
     A zero charge leaves no corrections, so only P_0 is returned for it.
     """
-    tails: List[Dict[BosonKey, Q]] = [{(): Q(1)}]
+    tails: List[SymCoef] = [{(): 1}]
     support = [(i, c) for i, c in enumerate(xi) if c]
     for m in range(1, orders if support else 1):
-        acc: Dict[BosonKey, Q] = {}
+        acc: SymCoef = {}
         for j in range(1, m + 1):
-            scale = Q(1, factorial(j - 1)) / m
+            scale = _exact(Q(1, factorial(j - 1) * m))
             for mono, q in tails[m - j].items():
                 for i, c in support:
                     _add_at(acc, tuple(sorted(mono + ((i, j - 1),))), q * scale * c)
@@ -344,6 +347,19 @@ def _bell_tails(xi: Tuple[int, ...], orders: int) -> List[Dict[BosonKey, Q]]:
 # ---------------------------------------------------------------------------
 # the affine contraction table
 
+def _root_form(rs: RootSystem, alpha: Tuple[int, ...], beta: Tuple[int, ...]):
+    """(alpha, beta) of two roots, read from the integer pair table through
+    the positive root of each sign."""
+    (a, sa), (b, sb) = [(rs.root_index[r], 1) if r in rs.root_index
+                        else (rs.root_index[tuple(-x for x in r)], -1) for r in (alpha, beta)]
+    return _exact(Q(sa * sb * rs.pair_table[a][b], rs.pair_den))
+
+
+def _kappa(rs: RootSystem, alpha: Tuple[int, ...]):
+    """2 / (alpha, alpha) of a root."""
+    return _exact(2 / Q(_root_form(rs, alpha, alpha)))
+
+
 def _affine_base(table: ContractionTable, affA, affB) -> List[Tuple[int, SymCoef, AffineKey]]:
     """Base contractions (pole, coefficient, symbol at w) at derivative zero."""
     rs = table.rs
@@ -352,27 +368,21 @@ def _affine_base(table: ContractionTable, affA, affB) -> List[Tuple[int, SymCoef
     if kindA == "X" and kindB == "X":
         total = tuple(a + b for a, b in zip(dataA, dataB))
         if not any(total):
-            kappa = Q(2) / rs.norm(dataA)
-            entries: List[Tuple[int, SymCoef, AffineKey]] = [
-                (2, sc_from(table.k * kappa), None)
-            ]
-            for i, c in enumerate(rs.coroot(dataA)):
-                if c:
-                    entries.append((1, sc_from(c), ("H", i, 0)))
-            return entries
+            # the central term, then the coroot kappa alpha over the H_i
+            kappa = _kappa(rs, dataA)
+            return [(2, sc_from(table.k * kappa), None)] + [
+                (1, sc_from(c * kappa), ("H", i, 0)) for i, c in enumerate(dataA) if c]
         if rs.is_root(total):
             return [(1, n_symbol_coef(dataA, dataB), ("X", total, 0))]
         return []
     if kindA == "H" and kindB == "X":
-        c = rs.form(rs.simple_roots[dataA], dataB)
+        c = _root_form(rs, rs.simple_roots[dataA], dataB)
         return [(1, sc_from(c), ("X", dataB, 0))] if c else []
     if kindA == "X" and kindB == "H":
-        c = -rs.form(dataA, rs.simple_roots[dataB])
+        c = -_root_form(rs, dataA, rs.simple_roots[dataB])
         return [(1, sc_from(c), ("X", dataA, 0))] if c else []
-    if kindA == "H" and kindB == "H":
-        c = table.k * rs.form(rs.simple_roots[dataA], rs.simple_roots[dataB])
-        return [(2, sc_from(c), None)] if c else []
-    raise ValueError("unknown affine symbol")
+    c = table.k * _root_form(rs, rs.simple_roots[dataA], rs.simple_roots[dataB])
+    return [(2, sc_from(c), None)] if c else []
 
 
 def _affine_contractions(table: ContractionTable, affA, affB) -> List[Tuple[int, SymCoef, AffineKey]]:
@@ -422,7 +432,9 @@ def _term_ids(table: ContractionTable, f: Field) -> Tuple[int, List[int]]:
         entry = registry.get(key)
         if entry is None:
             affine, bosons, exp = key
-            if affine is not None and (affine[0] not in ("X", "H") or len(affine) != 3):
+            if affine is not None and not (len(affine) == 3 and (
+                    affine[0] == "X" and table.rs.is_root(affine[1])
+                    or affine[0] == "H" and affine[1] in range(table.ell))):
                 raise ValueError("unknown affine symbol")
             if len(exp) != table.dim or any(not 0 <= i < table.dim or d < 0 for i, d in bosons):
                 raise ValueError("unregistered lattice vector")
@@ -466,11 +478,6 @@ def _boson_patterns(gram: IntMatrix, bosA: BosonKey, xiA: Tuple[int, ...],
                 yield from assign(pos + 1, used + (j,), links + (link,), kept)
 
     yield from assign(0, (), (), ())
-
-
-def _compositions(budget: int, slots: int) -> Iterator[Tuple[int, ...]]:
-    """Tuples of `slots` nonnegative integers with sum <= budget, in order."""
-    return (ms for ms in product(range(budget + 1), repeat=slots) if sum(ms) <= budget)
 
 
 def ope_singular(table: ContractionTable, A: Field, B: Field,
@@ -528,8 +535,7 @@ def _contract(table: ContractionTable, keyA: TermKey, keyB: TermKey,
     sink: Dict[int, Field] = {}
 
     # affine fates (contraction entry, symbol kept at z, symbol kept at w)
-    fates: List[Tuple[Optional[Tuple[int, SymCoef, AffineKey]], AffineKey, AffineKey]]
-    fates = [(None, affA, affB)]
+    fates: List[Tuple[Optional[Tuple], AffineKey, AffineKey]] = [(None, affA, affB)]
     if affA is not None and affB is not None:
         fates += [(entry, None, None) for entry in _affine_contractions(table, affA, affB)]
 
@@ -549,8 +555,11 @@ def _contract(table: ContractionTable, keyA: TermKey, keyB: TermKey,
             slots = len(kept) + (aff_z is not None)
             budget = max_order - min_exp
             for m_bell, tail in enumerate(_bell_tails(xiA, budget + 1)):
-                for ms in _compositions(budget - m_bell, slots):
-                    scale = Q(1, prod(map(factorial, ms)))
+                # slot orders ms with sum(ms) <= budget - m_bell, in order
+                for ms in product(range(budget - m_bell + 1), repeat=slots):
+                    if sum(ms) > budget - m_bell:
+                        continue
+                    scale = _exact(Q(1, prod(map(factorial, ms))))
                     relocated = tuple((i, d + m) for (i, d), m in zip(kept, ms))
                     aff = aff_out if aff_z is None else (aff_z[0], aff_z[1], aff_z[2] + ms[-1])
                     fld = sink.setdefault(min_exp + m_bell + sum(ms), {})
@@ -590,7 +599,9 @@ def lambda_bracket_skew_check(table: ContractionTable, A: Field, B: Field) -> Sk
             part = sba.pole(m + j)
             if not part:
                 continue
-            moved = _derivative_pow(table, part, j)
+            moved = part
+            for _ in range(j):
+                moved = derivative(table, moved)
             acc = field_add(acc, field_scale(moved, Q((-1) ** (m + j), factorial(j))))
         acc = field_scale(acc, sign)
         if acc != sab.pole(m):
@@ -608,7 +619,7 @@ class OpeDiff(NamedTuple):
 
 class CentralTerm(NamedTuple):
     root: Tuple[int, ...]
-    computed: Q
+    computed: Union[int, Q]
     normalized_expected: Q
     literal_expected: Q
 
@@ -663,15 +674,14 @@ def _report(name: str, cases: Iterable[Tuple[str, str, SingularPart, Dict[int, F
 
 
 def _scalar_field(table: ContractionTable, x) -> Field:
-    coef = sc_from(x)
-    return {(None, (), _zero_exp(table)): coef} if coef else {}
+    return field_scale(identity_field(table), x)
 
 
-def verify_Jalpha_heisenberg(rs: RootSystem, k) -> VerifyReport:
+def verify_Jalpha_heisenberg(table: ContractionTable) -> VerifyReport:
     """The J fields close a rank-N Heisenberg algebra with Gram gram_g."""
-    table = make_table(rs, k)
+    rs = table.rs
     n = rs.num_positive
-    g = gram_g(rs, k)
+    g = gram_g(rs, table.k)
     gs = table.gstar
     js = [j_field(table, a) for a in range(n)]
     jstars = [jstar_field(table, a) for a in range(n)]
@@ -689,11 +699,11 @@ def verify_Jalpha_heisenberg(rs: RootSystem, k) -> VerifyReport:
     return _report("jalpha", cases())
 
 
-def verify_Hminus_heisenberg(rs: RootSystem, k) -> VerifyReport:
+def verify_Hminus_heisenberg(table: ContractionTable) -> VerifyReport:
     """The minus-side Heisenberg generators close with Gram gram_G."""
-    table = make_table(rs, k)
+    rs = table.rs
     n = rs.num_positive
-    big_g = gram_G(rs, k)
+    big_g = gram_G(rs, table.k)
     hs = [h_minus_field(table, a) for a in range(n)]
     labels = [f"H-{r}" for r in rs.positive_roots]
     return _report("hminus", (
@@ -702,10 +712,10 @@ def verify_Hminus_heisenberg(rs: RootSystem, k) -> VerifyReport:
         for a in range(n) for b in range(n)))
 
 
-def verify_fst_homomorphism(rs: RootSystem, k) -> VerifyReport:
+def verify_fst_homomorphism(table: ContractionTable) -> VerifyReport:
     """The dressed currents reproduce the affine OPE table, and both
     candidate commutants actually commute with them."""
-    table = make_table(rs, k)
+    rs = table.rs
     kq = table.k
     all_roots = list(rs.positive_roots) + [tuple(-c for c in a) for a in rs.positive_roots]
     xt = {a: x_tilde_field(table, a) for a in all_roots}
@@ -718,10 +728,10 @@ def verify_fst_homomorphism(rs: RootSystem, k) -> VerifyReport:
                 got = ope_singular(table, xt[a], xt[b], 0)
                 total = tuple(x + y for x, y in zip(a, b))
                 if not any(total):
-                    kappa = Q(2) / rs.norm(a)
+                    kappa = _kappa(rs, a)
                     want = {1: coroot_tilde_field(table, a),
                             2: _scalar_field(table, kq * kappa)}
-                    computed = got.pole(2).get(idkey, {}).get((), Q(0))
+                    computed = got.pole(2).get(idkey, {}).get((), 0)
                     central.append(CentralTerm(a, computed, kq * kappa, kq))
                 elif rs.is_root(total):
                     key = (("X", total, 0), (), _xi_root(table, total))
@@ -733,11 +743,11 @@ def verify_fst_homomorphism(rs: RootSystem, k) -> VerifyReport:
             ht_i = h_tilde_field(table, i)
             for a in all_roots:
                 yield (f"Ht{si}", f"Xt{a}", ope_singular(table, ht_i, xt[a], 0),
-                       {1: field_scale(xt[a], rs.form(si, a))})
+                       {1: field_scale(xt[a], _root_form(rs, si, a))})
             for j, sj in enumerate(rs.simple_roots):
                 yield (f"Ht{si}", f"Ht{sj}",
                        ope_singular(table, ht_i, h_tilde_field(table, j), 0),
-                       {2: _scalar_field(table, kq * rs.form(si, sj))})
+                       {2: _scalar_field(table, kq * _root_form(rs, si, sj))})
         for idx, root in enumerate(rs.positive_roots):
             hp = h_plus_field(table, idx)
             hm = h_minus_field(table, idx)

@@ -173,7 +173,7 @@ class RootSystem:
 
     def is_root(self, coords: Sequence) -> bool:
         # exact coordinates: a Fraction hashes and compares as the equal int
-        c = vec(coords)
+        c = tuple(coords)
         return c in self.root_index or tuple(-x for x in c) in self.root_index
 
     def coroot(self, alpha: Sequence) -> Vector:

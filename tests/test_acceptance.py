@@ -136,7 +136,7 @@ def test_criterion_05_ope_engine():
         for k in (Q(1), Q(2), Q(5, 2)):
             for verify in (verify_Jalpha_heisenberg, verify_Hminus_heisenberg,
                            verify_fst_homomorphism):
-                report = verify(rs, k)
+                report = verify(make_table(rs, k))
                 assert report.ok, (family, rank, k, report.name, report.diffs)
                 assert report.diffs == []
             t = make_table(rs, k)

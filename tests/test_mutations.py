@@ -2,9 +2,9 @@
 
 Every golden case passes, so a verifier that stopped comparing would still
 reproduce every golden byte.  These tests feed the OPE verifiers a
-contraction table with one deliberate defect, by replacing
-``opecalc.make_table`` (the defect is applied both to a fresh table and
-to one whose contraction memo a clean run has filled), or an engine that
+contraction table with one deliberate defect (applied both to a fresh
+table and to one whose contraction memo a clean run has filled), or an
+engine that
 raises some pole orders, by replacing ``opecalc._boson_patterns``, or one
 whose dead-pair exit skips live term pairs, by replacing
 ``opecalc._dead_pair``.  They feed character transport a wrong eta power
@@ -44,7 +44,6 @@ from cosetlab.opecalc import (OpeDiff, h_minus_field, h_plus_field,
                               lambda_bracket_skew_check, x_tilde_field)
 from cosetlab.rootsys import build_root_system
 
-REAL_MAKE_TABLE = opecalc.make_table
 REAL_BOSON_PATTERNS = opecalc._boson_patterns
 REAL_ETA_POWER = charflow.eta_power
 REAL_ENUMERATE = charflow.enumerate_by_norm
@@ -81,16 +80,10 @@ def _flip_cocycle(table):
     return dataclasses.replace(table, lattice=lattice)
 
 
-def _true_then(mutate):
-    """A make_table that returns the mutated true table."""
-    return lambda rs, k: mutate(REAL_MAKE_TABLE(rs, k))
-
-
 def _used_table(rs, k):
     """The true table after every verifier has run on it and filled its memo."""
-    table = REAL_MAKE_TABLE(rs, k)
-    with mock.patch.object(opecalc, "make_table", lambda *_: table):
-        assert all(verify(rs, k).ok for verify in VERIFIERS)
+    table = opecalc.make_table(rs, k)
+    assert all(verify(table).ok for verify in VERIFIERS)
     return table
 
 
@@ -101,12 +94,11 @@ def a2():
 
 @pytest.mark.parametrize("verify", VERIFIERS)
 def test_unmutated_table_passes(a2, verify):
-    assert verify(a2, 1).ok
+    assert verify(opecalc.make_table(a2, 1)).ok
 
 
-def test_jalpha_sees_a_wrong_gstar_entry(a2, monkeypatch):
-    monkeypatch.setattr(opecalc, "make_table", _true_then(_bump_gstar))
-    report = opecalc.verify_Jalpha_heisenberg(a2, 1)
+def test_jalpha_sees_a_wrong_gstar_entry(a2):
+    report = opecalc.verify_Jalpha_heisenberg(_bump_gstar(opecalc.make_table(a2, 1)))
     assert not report.ok
     assert report.checks == 27
     assert len(report.diffs) == 4
@@ -114,17 +106,15 @@ def test_jalpha_sees_a_wrong_gstar_entry(a2, monkeypatch):
                                       "(1)*1", "(4)*1")
 
 
-def test_hminus_sees_a_wrong_gstar_entry(a2, monkeypatch):
-    monkeypatch.setattr(opecalc, "make_table", _true_then(_bump_gstar))
-    report = opecalc.verify_Hminus_heisenberg(a2, 1)
+def test_hminus_sees_a_wrong_gstar_entry(a2):
+    report = opecalc.verify_Hminus_heisenberg(_bump_gstar(opecalc.make_table(a2, 1)))
     assert report.checks == 9
     assert report.diffs == [OpeDiff("H-(1, 0)", "H-(1, 0)", 2,
                                     "(-1/2)*1", "(9/2)*1")]
 
 
-def test_fst_sees_a_flipped_cocycle_bit(a2, monkeypatch):
-    monkeypatch.setattr(opecalc, "make_table", _true_then(_flip_cocycle))
-    report = opecalc.verify_fst_homomorphism(a2, 1)
+def test_fst_sees_a_flipped_cocycle_bit(a2):
+    report = opecalc.verify_fst_homomorphism(_flip_cocycle(opecalc.make_table(a2, 1)))
     assert not report.ok
     assert report.checks == 88
     assert len(report.diffs) == 12
@@ -134,18 +124,34 @@ def test_fst_sees_a_flipped_cocycle_bit(a2, monkeypatch):
     assert first.got == "(1*N[0,1|1,0])*X(1,1) E(1,1,0,1,1)"
 
 
+@pytest.mark.parametrize("verify, checks, diffs", [
+    (opecalc.verify_Jalpha_heisenberg, 48, [
+        ("J*(1, 0)", "J(1, 0)", 2, "(1)*1", "(-4)*1"),
+        ("J*(1, 0)", "J*(1, 0)", 2, "(5/4)*1", "(-11/4)*1"),
+        ("J*(1, 0)", "J(0, 1)", 2, "0", "(3)*1"),
+        ("J*(1, 0)", "J(1, 1)", 2, "0", "(-3)*1")]),
+    (opecalc.verify_Hminus_heisenberg, 16, [
+        ("H-(1, 0)", "H-(1, 0)", 2, "(-3/4)*1", "(-15/4)*1")]),
+])
+def test_wrong_gstar_entry_off_level_one(verify, checks, diffs):
+    # every rendered field of every diff on B2 at level -1/3, where the
+    # wanted and the computed coefficients are not all integers
+    rs = build_root_system("B", 2)
+    report = verify(_bump_gstar(opecalc.make_table(rs, Q(-1, 3))))
+    assert report.checks == checks
+    assert report.diffs == [OpeDiff(*d) for d in diffs]
+
+
 @pytest.mark.parametrize("mutate, verify, diffs", [
     (_bump_gstar, opecalc.verify_Jalpha_heisenberg, 4),
     (_bump_gstar, opecalc.verify_Hminus_heisenberg, 1),
     (_flip_cocycle, opecalc.verify_fst_homomorphism, 12),
 ])
-def test_mutant_of_a_used_table_fails_alike(a2, mutate, verify, diffs,
-                                            monkeypatch):
+def test_mutant_of_a_used_table_fails_alike(a2, mutate, verify, diffs):
     # a contraction cached before the defect must not hide it
     used = _used_table(a2, 1)
     assert used.memo
-    monkeypatch.setattr(opecalc, "make_table", lambda rs, k: mutate(used))
-    assert len(verify(a2, 1).diffs) == diffs
+    assert len(verify(mutate(used)).diffs) == diffs
 
 
 def _bump_pole_orders(*args):
@@ -202,7 +208,7 @@ def test_verifiers_see_an_unsafe_dead_pair_exit(a2, exit_rule, verify, diffs,
                                                 monkeypatch):
     # an exit that drops live term pairs loses poles the verifiers compare
     monkeypatch.setattr(opecalc, "_dead_pair", exit_rule)
-    assert len(verify(a2, 1).diffs) == diffs
+    assert len(verify(opecalc.make_table(a2, 1)).diffs) == diffs
 
 
 def _bump_eta(m, T):

@@ -184,7 +184,7 @@ GRID = [("A", 1, 1), ("A", 1, 2), ("A", 1, Q(5, 2)),
 @pytest.mark.parametrize("fam,rank,k", GRID)
 def test_verify_jalpha(fam, rank, k):
     rs = build_root_system(fam, rank)
-    report = oc.verify_Jalpha_heisenberg(rs, k)
+    report = oc.verify_Jalpha_heisenberg(oc.make_table(rs, k))
     assert report.ok
     assert report.checks == 3 * rs.num_positive ** 2
 
@@ -192,7 +192,7 @@ def test_verify_jalpha(fam, rank, k):
 @pytest.mark.parametrize("fam,rank,k", GRID)
 def test_verify_hminus(fam, rank, k):
     rs = build_root_system(fam, rank)
-    report = oc.verify_Hminus_heisenberg(rs, k)
+    report = oc.verify_Hminus_heisenberg(oc.make_table(rs, k))
     assert report.ok
     assert report.checks == rs.num_positive ** 2
 
@@ -200,7 +200,7 @@ def test_verify_hminus(fam, rank, k):
 @pytest.mark.parametrize("fam,rank,k", GRID)
 def test_verify_fst(fam, rank, k):
     rs = build_root_system(fam, rank)
-    report = oc.verify_fst_homomorphism(rs, k)
+    report = oc.verify_fst_homomorphism(oc.make_table(rs, k))
     assert report.ok
     n = 2 * rs.num_positive
     assert report.checks == n * n + rs.rank * n + rs.rank ** 2 + 2 * n * rs.num_positive
@@ -210,7 +210,7 @@ def test_verify_fst(fam, rank, k):
 def test_fst_central_terms_report_both_conventions():
     # on the short roots of B2 the normalized value is 2k, the literal one k
     rs = build_root_system("B", 2)
-    report = oc.verify_fst_homomorphism(rs, Q(5, 2))
+    report = oc.verify_fst_homomorphism(oc.make_table(rs, Q(5, 2)))
     by_root = {c.root: c for c in report.central_terms}
     long_term = by_root[(1, 0)]
     short_term = by_root[(0, 1)]
@@ -243,7 +243,7 @@ def test_hminus_pole_two_matches_gram_G():
 
 def test_report_json_shape():
     rs = build_root_system("A", 1)
-    d = oc.verify_fst_homomorphism(rs, 1).to_json_dict()
+    d = oc.verify_fst_homomorphism(oc.make_table(rs, 1)).to_json_dict()
     assert d["ok"] is True
     assert d["diffs"] == []
     assert d["central_terms"][0]["computed"] == "1"
@@ -383,6 +383,47 @@ def test_skew_detects_a_wrong_table():
     assert s.poles == {2: scalar(t, 1)}
 
 
+BILINEAR_CASES = [(fam, rank, k) for fam, rank in (("A", 2), ("B", 2), ("G", 2))
+                  for k in (1, Q(-1, 3), Q(7, 2))]
+SCALARS = st.builds(Q, st.integers(-4, 4).filter(bool), st.sampled_from([1, 2, 3]))
+
+
+def _combination(gens, terms):
+    """The sum of c * gens[i] over the (i, c) terms."""
+    out = {}
+    for i, c in terms:
+        out = oc.field_add(out, oc.field_scale(gens[i], c))
+    return out
+
+
+def _integral_values_are_ints(poles):
+    """Every integral coefficient of the poles is an int."""
+    return all(type(v) is int or v.denominator != 1
+               for f in poles.values() for coef in f.values() for v in coef.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), case=st.sampled_from(BILINEAR_CASES))
+def test_ope_singular_is_bilinear(data, case):
+    t = table(*case)
+    # all even, so every combination is parity-homogeneous
+    gens = skew_generators(t)
+    assert {oc.field_parity(t, g) for g in gens} == {0}
+    terms = st.lists(st.tuples(st.integers(0, len(gens) - 1), SCALARS),
+                     min_size=1, max_size=3)
+    left, right = data.draw(terms, label="left"), data.draw(terms, label="right")
+    got = oc.ope_singular(t, _combination(gens, left), _combination(gens, right), 0)
+    want = {}
+    for i, a in left:
+        for j, b in right:
+            part = oc.ope_singular(t, gens[i], gens[j], 0)
+            assert _integral_values_are_ints(part.poles)
+            for n, f in part.poles.items():
+                want[n] = oc.field_add(want.get(n, {}), oc.field_scale(f, a * b))
+    assert got.poles == {n: f for n, f in want.items() if f}
+    assert _integral_values_are_ints(got.poles)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     data=st.data(),
@@ -438,7 +479,9 @@ def test_a_table_holding_keys_still_refuses_malformed_ones():
     for key, reason in (((None, (), (1, 0, 0)), unregistered),
                         ((None, ((2, 0),), (0, 0)), unregistered),
                         ((None, ((0, -1),), (0, 0)), unregistered),
-                        ((("Y", 0, 0), (), (0, 0)), "unknown affine symbol")):
+                        ((("Y", 0, 0), (), (0, 0)), "unknown affine symbol"),
+                        ((("X", (2,), 0), (), (0, 0)), "unknown affine symbol"),
+                        ((("H", 1, 0), (), (0, 0)), "unknown affine symbol")):
         with pytest.raises(ValueError, match=reason):
             oc.ope_singular(t, J, {key: {(): Q(1)}}, 0)
         assert key not in t.registry

@@ -201,6 +201,9 @@ def test_is_root_is_exact():
     # (3/2, 0) is not truncated to the root (1, 0)
     for coords in ((Q(3, 2), 0), (Q(1, 2), Q(1, 2)), (0, Q(-3, 2)), (2, 0)):
         assert not rs.is_root(coords)
+    # a list is looked up like the tuple; half-integral entries never match
+    assert rs.is_root([0, -1]) and rs.is_root([Q(1), 1])
+    assert not rs.is_root([Q(1, 2), Q(1, 2)]) and not rs.is_root([Q(-1, 2), 0])
 
 
 def test_unknown_family_rejected():
