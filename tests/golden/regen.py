@@ -65,6 +65,14 @@ def cases():
         out.append((f"weights-map-{tag}",
                     ["weights", "map", *rs, "--level=7/2",
                      f"--weight={weight}"]))
+    # two long-root lengths above rank 4 (pair_den 2): the integer long-root
+    # Gram in the root data and in the e-plus lattice built on it
+    for family in ("B", "C"):
+        rs = ["--type", family, "--rank", "6"]
+        out.append((f"rootsys-info-{family}6", ["rootsys", "info", *rs]))
+        out.append((f"lattice-disc-e-plus-{family}6",
+                    ["lattice", "disc", "--lattice", "e-plus", *rs,
+                     "--level=2"]))
     # every lattice on the largest types, in text only: in JSON the 120x120
     # gram of E8 takes one line per entry.  E7 qsc-dual also pins the closed
     # form 19^7 of its discriminant group through --expect
