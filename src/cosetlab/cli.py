@@ -144,16 +144,15 @@ def _diff_report(args, ch, mu, T, diffs: Dict, verdict: str, **fields):
 
 def cmd_rootsys_info(args):
     rs = build_root_system(args.type, args.rank)
-    witnesses = [check_hvee_identity(rs, rs.fundamental_weight(i))
-                 for i in range(rs.rank)]
-    ok = all(w.ok for w in witnesses)
+    ok = check_hvee_identity(rs)
+    gram = rs.long_root_gram()
     payload = _header(
         args, rs,
         num_positive=rs.num_positive,
         dual_coxeter=rs.dual_coxeter,
         simply_laced=rs.is_simply_laced,
         positive_roots=[list(a) for a in rs.positive_roots],
-        long_root_gram=_mat_json(rs.long_root_gram()),
+        long_root_gram=_mat_json(gram),
         hvee_identity_ok=ok,
     )
     lines = [
@@ -166,7 +165,7 @@ def cmd_rootsys_info(args):
     ]
     lines += [f"  {_vec_str(a)}" for a in rs.positive_roots]
     lines.append("long-root gram:")
-    lines += _mat_lines(rs.long_root_gram())
+    lines += _mat_lines(gram)
     lines.append("hvee identity on fundamental weights: "
                  + ("ok" if ok else "FAIL"))
     return ok, payload, lines
@@ -210,23 +209,26 @@ def cmd_weights_map(args):
     sc = weight_to_sc(rs, lp.k, mu)
     back = sc_weight_to_af(rs, lp.k, sc)
     ok = tuple(back) == tuple(Q(x) for x in mu)
+    jstar = sc.jstar_values(rs)
+    in_qsc = sc.in_Qsc(rs)
+    delta = conformal_weight_plus(rs, lp.k, mu)
     payload = _header(
         args, rs,
         level=_rat(lp.k),
         weight=[_rat(x) for x in mu],
         j_values=[_rat(x) for x in sc.j_values],
-        jstar_values=[_rat(x) for x in sc.jstar_values(rs)],
-        in_Qsc=sc.in_Qsc(rs),
-        conformal_weight=_rat(conformal_weight_plus(rs, lp.k, mu)),
+        jstar_values=[_rat(x) for x in jstar],
+        in_Qsc=in_qsc,
+        conformal_weight=_rat(delta),
         roundtrip_ok=ok,
     )
     lines = [
         f"{rs.family}{rs.rank} at level {_rat(lp.k)}",
         f"weight          {_vec_str(mu)}",
         f"J values        {_vec_str(sc.j_values)}",
-        f"J* values       {_vec_str(sc.jstar_values(rs))}",
-        f"in Q_sc         {'yes' if sc.in_Qsc(rs) else 'no'}",
-        f"conformal (D+)  {_rat(conformal_weight_plus(rs, lp.k, mu))}",
+        f"J* values       {_vec_str(jstar)}",
+        f"in Q_sc         {'yes' if in_qsc else 'no'}",
+        f"conformal (D+)  {_rat(delta)}",
         f"round trip      {'ok' if ok else 'FAIL'}",
     ]
     return ok, payload, lines

@@ -115,7 +115,7 @@ def _lattice(name: str, labels: Sequence[str], gram: IntMatrix,
 
 
 def _root_label(coords: Sequence[int]) -> str:
-    return "(" + ",".join(str(int(x)) for x in coords) + ")"
+    return "(" + ",".join(map(str, coords)) + ")"
 
 
 def build_L_plus(rs: RootSystem) -> IntegralLattice:
@@ -287,16 +287,11 @@ def _positive_integer_level(k) -> int:
     return int(q)
 
 
-def _long_root_gram_int(rs: RootSystem) -> IntMatrix:
-    gram = rs.long_root_gram()
-    return tuple(tuple(int(x) for x in row) for row in gram)
-
-
 def build_E_plus_lattice(rs: RootSystem, k) -> IntegralLattice:
     """Long-root lattice rescaled by k + h_vee."""
     kk = _positive_integer_level(k)
     scale = kk + rs.dual_coxeter
-    base = _long_root_gram_int(rs)
+    base = rs.long_root_gram()
     gram = tuple(tuple(scale * x for x in row) for row in base)
     labels = tuple(_root_label(a) + "v" for a in rs.simple_roots)
     return _lattice("E+", labels, gram)
@@ -306,7 +301,7 @@ def build_E_minus_lattice(rs: RootSystem, k) -> IntegralLattice:
     """Long-root lattice rescaled by -(k + h_vee), plus a unimodular tail."""
     kk = _positive_integer_level(k)
     scale = kk + rs.dual_coxeter
-    base = _long_root_gram_int(rs)
+    base = rs.long_root_gram()
     ell = rs.rank
     tail = rs.num_positive - ell
     gram = []

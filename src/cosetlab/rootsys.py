@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import lcm
 from operator import mul
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .ratlinalg import Matrix, Vector, integer_rows, mat_inv, vec
+from .ratlinalg import Matrix, Vector, integer_rows, integer_vector, mat_inv, vec
 
 Coords = Tuple[int, ...]
 
@@ -78,8 +78,9 @@ def cartan_matrix(family: str, rank: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-def _symmetrizer(a: Tuple[Tuple[int, ...], ...]) -> Tuple[Q, ...]:
-    """Positive d_i with d_i a_ij symmetric, normalized so max(d_i) = 1."""
+def _symmetrizer(a: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
+    """Least positive integers D_i with D_i a_ij symmetric; the largest is
+    pair_den, so the form D_i a_ij / pair_den gives long roots norm 2."""
     rank = len(a)
     d: List[Q] = [Q(0)] * rank
     d[0] = Q(1)
@@ -92,8 +93,9 @@ def _symmetrizer(a: Tuple[Tuple[int, ...], ...]) -> Tuple[Q, ...]:
                 todo.append(j)
     if any(x <= 0 for x in d):
         raise ValueError("Cartan matrix is not connected")
-    top = max(d)
-    return tuple(x / top for x in d)
+    den = lcm(*(x.denominator for x in d))
+    # exact: den clears every denominator, and d_1 = 1 leaves no common factor
+    return tuple((x * den).numerator for x in d)
 
 
 def _positive_roots(a: Tuple[Tuple[int, ...], ...]) -> Tuple[Coords, ...]:
@@ -122,7 +124,6 @@ def _positive_roots(a: Tuple[Tuple[int, ...], ...]) -> Tuple[Coords, ...]:
 class RootSystem:
     family: str
     rank: int
-    d: Tuple[Q, ...]
     form_inverse: Matrix
     positive_roots: Tuple[Coords, ...]
     root_index: Dict[Coords, int]
@@ -148,7 +149,7 @@ class RootSystem:
 
     @property
     def is_simply_laced(self) -> bool:
-        return all(x == self.d[0] for x in self.d)
+        return self.pair_den == 1
 
     def form(self, u: Sequence, v: Sequence) -> Q:
         """Normalized invariant form on simple-root coordinates."""
@@ -182,17 +183,20 @@ class RootSystem:
         return tuple(Q(2) * Q(x) / n for x in alpha)
 
     def fundamental_weight(self, i: int) -> Vector:
-        """Vector with <w, alpha_j-vee> = delta_ij."""
-        half = self.d[i]  # (alpha_i, alpha_i)/2
+        """Vector with <w, alpha_j-vee> = delta_ij; half is (alpha_i, alpha_i)/2."""
+        half = Q(self.form_numerators[i][i], 2 * self.pair_den)
         return tuple(half * row[i] for row in self.form_inverse)
 
     def long_root_basis(self) -> Tuple[Vector, ...]:
         """Coroots of the simple roots; they span the long-root sublattice."""
         return tuple(self.coroot(alpha) for alpha in self.simple_roots)
 
-    def long_root_gram(self) -> Matrix:
-        basis = self.long_root_basis()
-        return tuple(tuple(self.form(u, v) for v in basis) for u in basis)
+    def long_root_gram(self) -> Tuple[Tuple[int, ...], ...]:
+        """Gram of the simple coroots, 4 den t_ij / (t_ii t_jj) from the table."""
+        t, den, simple = self.pair_table, self.pair_den, range(self.rank)
+        return tuple(integer_vector([Q(4 * den * t[i][j], t[i][i] * t[j][j])
+                                     for j in simple], "long-root Gram is not integral")
+                     for i in simple)
 
 
 def _dual_coxeter(table: Tuple[Tuple[int, ...], ...], den: int,
@@ -212,7 +216,7 @@ def _dual_coxeter(table: Tuple[Tuple[int, ...], ...], den: int,
     alt = 1 + Q(sum(row[top] for row in table), table[top][top])
     if ratio != alt or ratio.denominator != 1:
         raise ValueError("dual Coxeter number consistency check failed")
-    return int(ratio)
+    return ratio.numerator
 
 
 def _pair_table(form: Tuple[Tuple[int, ...], ...],
@@ -225,8 +229,10 @@ def _pair_table(form: Tuple[Tuple[int, ...], ...],
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the full root-system data for one finite simple type."""
     a = cartan_matrix(family, rank)
-    d = _symmetrizer(a)
-    form_inv = mat_inv([[d[i] * x for x in row] for i, row in enumerate(a)])
+    sym = _symmetrizer(a)
+    den = max(sym)
+    form_int = tuple(tuple(s * x for x in row) for s, row in zip(sym, a))
+    form_inv = mat_inv([[Q(x, den) for x in row] for row in form_int])
     positives = _positive_roots(a)
     index = {r: i for i, r in enumerate(positives)}
     top_height = max(sum(r) for r in positives)
@@ -234,13 +240,10 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     if len(tops) != 1:
         raise ValueError("highest root is not unique")
     theta = tops[0]
-    den = lcm(*(x.denominator for x in d))
-    form_int = tuple(tuple(int(d[i] * den) * x for x in row) for i, row in enumerate(a))
     table = _pair_table(form_int, positives)
     return RootSystem(
         family=family,
         rank=rank,
-        d=d,
         form_inverse=form_inv,
         positive_roots=positives,
         root_index=index,
@@ -257,16 +260,15 @@ def normalized_form(rs: RootSystem, lam: Sequence, mu: Sequence) -> Q:
     return rs.form(vec(lam), vec(mu))
 
 
-class HveeWitness(NamedTuple):
-    lhs: Vector
-    rhs: Vector
-    ok: bool
+def check_hvee_identity(rs: RootSystem) -> bool:
+    """sum over positive roots of (w, alpha) alpha == h-vee * w for every w.
 
-
-def check_hvee_identity(rs: RootSystem, weight: Sequence) -> HveeWitness:
-    """Evaluate both sides of sum over positive roots of (w, alpha) alpha == h-vee * w."""
-    w = vec(weight)
-    pairings = rs.root_pairings(w)
-    lhs = tuple(sum(map(mul, pairings, col)) for col in zip(*rs.positive_roots))
-    rhs = tuple(rs.dual_coxeter * x for x in w)
-    return HveeWitness(lhs, rhs, lhs == rhs)
+    Both sides are linear in w, so the simple roots, a basis, suffice.
+    Column j < rank of pair_table holds den (alpha, alpha_j), which makes the
+    identity one integer matrix equation (sum alpha alpha^T) S == h-vee den I.
+    """
+    rank, scale = rs.rank, rs.dual_coxeter * rs.pair_den
+    coords = list(zip(*rs.positive_roots))
+    columns = list(zip(*(row[:rank] for row in rs.pair_table)))
+    return all(sum(map(mul, coords[i], col)) == (scale if i == j else 0)
+               for i in range(rank) for j, col in enumerate(columns))

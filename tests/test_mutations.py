@@ -15,8 +15,9 @@ that reads g* at level 1 replaces ``charflow._sc_flow_form``; flows that
 ignore the character's level fail the level-3/2 equivariance check.  A
 series rescale that forgets the validity cap replaces ``QSeries._on``.
 A discriminant group whose largest divisor is one prime too big replaces
-``latticekit.smith_normal_form``.  Each pins the failures its defect must
-cause.
+``latticekit.smith_normal_form``.  A dual Coxeter number one too big,
+from replacing ``rootsys._dual_coxeter``, fails acceptance criterion 02.
+Each pins the failures its defect must cause.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import sys
 from fractions import Fraction as Q
 from pathlib import Path
 from unittest import mock
@@ -32,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetlab import charflow, latticekit, opecalc
+from cosetlab import charflow, latticekit, opecalc, rootsys
 from cosetlab.bilinear import weight_to_sc
 from cosetlab.charflow import (QSeries, affine_character, fermionize_character,
                                flow_af_equivariance_diff,
@@ -42,7 +44,10 @@ from cosetlab.latticekit import f_af, g_sc_plus, sublattice
 from cosetlab.opecalc import (OpeDiff, h_minus_field, h_plus_field,
                               h_tilde_field, j_field, jstar_field,
                               lambda_bracket_skew_check, x_tilde_field)
-from cosetlab.rootsys import build_root_system
+from cosetlab.rootsys import build_root_system, check_hvee_identity
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import test_acceptance  # noqa: E402
 
 REAL_BOSON_PATTERNS = opecalc._boson_patterns
 REAL_ETA_POWER = charflow.eta_power
@@ -51,6 +56,7 @@ REAL_KERNEL = charflow.kernel_K
 REAL_ON = QSeries._on
 REAL_SC_FLOW_FORM = charflow._sc_flow_form
 REAL_SMITH = latticekit.smith_normal_form
+REAL_DUAL_COXETER = rootsys._dual_coxeter
 SEEDS = Path(__file__).resolve().parent / "golden" / "seeds"
 B2_SEED = SEEDS / "B2.json"
 
@@ -409,3 +415,13 @@ def test_criterion_04_sees_an_inflated_divisor(family, rank, inflated,
     assert latticekit.discriminant_group(lattice) == [1 + rs.dual_coxeter] * rank
     monkeypatch.setattr(latticekit, "smith_normal_form", _inflated_smith)
     assert latticekit.discriminant_group(lattice) == inflated
+
+
+def test_criterion_02_sees_h_vee_plus_one(monkeypatch):
+    monkeypatch.setattr(rootsys, "_dual_coxeter",
+                        lambda *args: REAL_DUAL_COXETER(*args) + 1)
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_02_hvee_identity_on_fundamental_weights()
+    # not only the first type of the grid: every one fails
+    for family, rank in test_acceptance.TYPE_GRID:
+        assert not check_hvee_identity(build_root_system(family, rank))

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 
+from cosetlab import cli
+from cosetlab.latticekit import build_E_minus_lattice, build_E_plus_lattice
 from cosetlab.ratlinalg import mat_vec
 from cosetlab.rootsys import (
     _dual_coxeter,
@@ -130,33 +135,54 @@ def test_fundamental_weights_dual_to_simple_coroots():
 
 
 def test_hvee_identity_on_fundamental_weights():
+    # the integer check on the simple roots, against both sides evaluated on
+    # each fundamental weight in Fraction arithmetic
     for family, rank in [("A", 2), ("B", 2), ("C", 3), ("D", 4), ("G", 2)]:
         rs = build_root_system(family, rank)
+        assert check_hvee_identity(rs)
         for i in range(rank):
-            witness = check_hvee_identity(rs, rs.fundamental_weight(i))
-            assert witness.ok
-            assert witness.lhs == witness.rhs
+            w = rs.fundamental_weight(i)
+            pairings = rs.root_pairings(w)
+            lhs = tuple(sum(map(mul, pairings, col))
+                        for col in zip(*rs.positive_roots))
+            assert lhs == tuple(rs.dual_coxeter * x for x in w)
 
 
-def test_hvee_identity_witness_reports_both_sides():
-    rs = build_root_system("A", 2)
-    witness = check_hvee_identity(rs, (1, 0))
-    assert witness.lhs == (3, 0)
-    assert witness.rhs == (3, 0)
-    assert witness.ok
+def _bump_pair_table(rs, row, col):
+    """rs with 1 added to pair_table[row][col]."""
+    table = [list(r) for r in rs.pair_table]
+    table[row][col] += 1
+    return dataclasses.replace(rs, pair_table=tuple(map(tuple, table)))
+
+
+def _hvee_mutants(rs):
+    """One simple-root column entry of the pair table bumped, and h-vee + 1."""
+    top = rs.root_index[rs.highest_root]
+    return (_bump_pair_table(rs, top, rs.rank - 1),
+            dataclasses.replace(rs, dual_coxeter=rs.dual_coxeter + 1))
 
 
 def test_hvee_identity_fails_off_eigenvalue():
-    rs = build_root_system("A", 2)
-    # a deliberately wrong weight map: scale one coordinate
-    assert check_hvee_identity(rs, (1, 0)).ok
-    bad = build_root_system("A", 2)
-    image = [Q(0), Q(0)]
-    for alpha in bad.positive_roots:
-        c = bad.form((1, 0), alpha)
-        image[0] += c * alpha[0]
-        image[1] += c * alpha[1]
-    assert tuple(image) == (3, 0)  # eigenvalue is exactly h-vee, not h-vee + 1
+    for family, rank in [("A", 2), ("B", 3), ("G", 2), ("D", 4)]:
+        rs = build_root_system(family, rank)
+        assert check_hvee_identity(rs)
+        for mutant in _hvee_mutants(rs):
+            assert not check_hvee_identity(mutant), (family, rank)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_rootsys_info_exits_1_on_a_failed_hvee_identity(fmt, capsys,
+                                                        monkeypatch):
+    for mutant in _hvee_mutants(build_root_system("B", 3)):
+        monkeypatch.setattr(cli, "build_root_system", lambda *_: mutant)
+        rc = cli.main(["rootsys", "info", "--type", "B", "--rank", "3",
+                       "--format", fmt])
+        out = capsys.readouterr().out
+        assert rc == 1
+        if fmt == "json":
+            assert json.loads(out)["hvee_identity_ok"] is False
+        else:
+            assert out.endswith("hvee identity on fundamental weights: FAIL\n")
 
 
 def test_long_root_gram_is_even_integral():
@@ -165,9 +191,19 @@ def test_long_root_gram_is_even_integral():
         gram = rs.long_root_gram()
         for i, row in enumerate(gram):
             for j, entry in enumerate(row):
-                assert entry.denominator == 1
+                assert isinstance(entry, int)
                 if i == j:
                     assert entry % 2 == 0
+
+
+def test_long_root_gram_refuses_a_fractional_entry():
+    # t_00 = 3 on A2 makes (alpha_1-vee, alpha_1-vee) = 4 * 3 / 9 = 4/3
+    rs = _bump_pair_table(build_root_system("A", 2), 0, 0)
+    for read in (rs.long_root_gram,
+                 lambda: build_E_plus_lattice(rs, 2),
+                 lambda: build_E_minus_lattice(rs, 1)):
+        with pytest.raises(ValueError, match="long-root Gram is not integral"):
+            read()
 
 
 def test_long_roots_lie_in_long_root_lattice():
@@ -223,4 +259,5 @@ def test_pair_table_matches_form(family, rank):
         for b, x in zip(roots, row):
             assert isinstance(x, int)
             assert Q(x, rs.pair_den) == rs.form(a, b)
-    assert rs.pair_den == (1 if rs.is_simply_laced else {"G": 3}.get(family, 2))
+    assert rs.pair_den == {"B": 2, "C": 2, "F": 2, "G": 3}.get(family, 1)
+    assert rs.is_simply_laced == (family in "ADE")
