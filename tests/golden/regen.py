@@ -110,6 +110,11 @@ def cases():
             out.append((f"ope-verify-all-{family}{rank}-{sign}",
                         ["ope", "verify", "--type", family, "--rank",
                          str(rank), f"--level={level}", "--check", "all"]))
+    # an exceptional type: 36 positive roots, so every field pair meets
+    # term keys that recur across many other pairs
+    out.append(("ope-verify-all-E6-pos",
+                ["ope", "verify", "--type", "E", "--rank", "6", "--level=5/3",
+                 "--check", "all"]))
     out.append(("char-roundtrip-B2",
                 ["char", "roundtrip", "--seed", "seeds/B2.json", "--T", "6"]))
     # spectral flow on both sides, the second seed with an explicit weight.
