@@ -121,9 +121,10 @@ class ScWeight:
         lp = level_params(rs, self.level)
         return _pair_gram_apply(rs, -1 / lp.shifted, self.j_values)
 
-    def in_Qsc(self, rs: RootSystem) -> bool:
-        """Membership in the J-span lattice: all dual-basis values integral."""
-        return all(x.denominator == 1 for x in self.jstar_values(rs))
+    def in_Qsc(self, rs: RootSystem, jstar: Optional[Vector] = None) -> bool:
+        """Membership in the J-span lattice: all dual-basis values integral;
+        a caller that holds jstar_values(rs) already passes them as jstar."""
+        return all(x.denominator == 1 for x in (self.jstar_values(rs) if jstar is None else jstar))
 
     def _compatible(self, other: "ScWeight") -> None:
         if (self.family, self.rank) != (other.family, other.rank):

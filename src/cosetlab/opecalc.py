@@ -12,6 +12,12 @@ pairs contribute a cocycle sign and a (z-w)^<xi,eta> prefactor, and the
 abstract affine symbols contract through a fixed table.  Uncontracted factors
 on the z side are Taylor-relocated to w; a relocated exponential leaves the
 usual tail of normally ordered boson corrections behind.
+
+The engine is ope_table, the OPE of every field of one list with every field
+of another; ope_singular is its 1x1 case.  The OPE is bilinear, so each left
+field is contracted once against each distinct term key on the right.  A
+table registers a term key once, as (id, parity, G xi, E xi): with the Gram
+and cocycle images of its charge xi, a charge pairing or sign is one lookup.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction as Q
 from itertools import product
 from math import comb, factorial, perm, prod
-from operator import mul
+from operator import add, mul
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .bilinear import gram_G, gram_g, gram_g_star, level_params
@@ -79,11 +85,16 @@ def sc_add(a: SymCoef, b: SymCoef) -> SymCoef:
     return out
 
 
-def sc_mul(a: SymCoef, b: SymCoef) -> SymCoef:
-    out: SymCoef = {}
+def _mul_into(acc: SymCoef, a: SymCoef, b: SymCoef) -> None:
+    """acc += a * b in the sparse coefficient polynomials."""
     for ka, va in a.items():
         for kb, vb in b.items():
-            _add_at(out, tuple(sorted(ka + kb)), va * vb)
+            _add_at(acc, tuple(sorted(ka + kb)) if ka and kb else ka or kb, va * vb)
+
+
+def sc_mul(a: SymCoef, b: SymCoef) -> SymCoef:
+    out: SymCoef = {}
+    _mul_into(out, a, b)
     return out
 
 
@@ -164,9 +175,10 @@ class ContractionTable:
     n_plus: int
     ell: int
     gstar: Tuple[Tuple[Q, ...], ...]
-    # term key -> (id, parity), and _contract results in rows by (id of key A,
-    # max order) that map the id of key B to its terms; replace empties both
-    registry: Dict[TermKey, Tuple[int, int]] = dc_field(
+    # term key -> (id, parity, G xi, E xi), and _contract results in rows by
+    # (id of key A, max order) mapping the id of key B to its terms; replace
+    # empties both, so a replaced lattice gets its own charge images
+    registry: Dict[TermKey, Tuple] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False)
     memo: Dict[Tuple[int, int], Dict[int, Tuple]] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -352,7 +364,8 @@ def _root_form(rs: RootSystem, alpha: Tuple[int, ...], beta: Tuple[int, ...]):
     the positive root of each sign."""
     (a, sa), (b, sb) = [(rs.root_index[r], 1) if r in rs.root_index
                         else (rs.root_index[tuple(-x for x in r)], -1) for r in (alpha, beta)]
-    return _exact(Q(sa * sb * rs.pair_table[a][b], rs.pair_den))
+    x = sa * sb * rs.pair_table[a][b]
+    return x // rs.pair_den if x % rs.pair_den == 0 else Q(x, rs.pair_den)
 
 
 def _kappa(rs: RootSystem, alpha: Tuple[int, ...]):
@@ -423,41 +436,44 @@ def field_parity(table: ContractionTable, f: Field) -> int:
     return _term_ids(table, f)[0]
 
 
+def _entry(table: ContractionTable, key: TermKey) -> Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]:
+    """A term key's registry entry (id, parity, G xi, E xi), shape-checked and
+    with the Gram and cocycle images of its charge xi, once per table."""
+    entry = table.registry.get(key)
+    if entry is None:
+        affine, bosons, xi = key
+        if affine is not None and not (len(affine) == 3 and (
+                affine[0] == "X" and table.rs.is_root(affine[1])
+                or affine[0] == "H" and affine[1] in range(table.ell))):
+            raise ValueError("unknown affine symbol")
+        if len(xi) != table.dim or any(not 0 <= i < table.dim or d < 0 for i, d in bosons):
+            raise ValueError("unregistered lattice vector")
+        support = [(i, c) for i, c in enumerate(xi) if c]
+        gxi, exi = (tuple(sum(row[i] * c for i, c in support) for row in m)
+                    for m in (table.lattice.gram, table.lattice.eps_exponents))
+        entry = table.registry[key] = (len(table.registry), sum(map(mul, xi, gxi)) % 2, gxi, exi)
+    return entry
+
+
 def _term_ids(table: ContractionTable, f: Field) -> Tuple[int, List[int]]:
-    """A field's parity and the registry id of each term key; a key is
-    shape-checked, and its norm taken, once per table, when it is registered."""
-    registry = table.registry
-    ids, parities = [], set()
-    for key in f:
-        entry = registry.get(key)
-        if entry is None:
-            affine, bosons, exp = key
-            if affine is not None and not (len(affine) == 3 and (
-                    affine[0] == "X" and table.rs.is_root(affine[1])
-                    or affine[0] == "H" and affine[1] in range(table.ell))):
-                raise ValueError("unknown affine symbol")
-            if len(exp) != table.dim or any(not 0 <= i < table.dim or d < 0 for i, d in bosons):
-                raise ValueError("unregistered lattice vector")
-            entry = registry[key] = (len(registry), int(table.lattice.norm(exp)) % 2)
-        ids.append(entry[0])
-        parities.add(entry[1])
-    if len(parities) > 1:
+    """A field's parity and the registry id of each term key."""
+    entries = [_entry(table, key) for key in f]
+    if len({entry[1] for entry in entries}) > 1:
         raise ValueError("field is not parity-homogeneous")
-    return (parities.pop() if parities else 0), ids
+    return (entries[0][1] if entries else 0), [entry[0] for entry in entries]
 
 
-def _boson_patterns(gram: IntMatrix, bosA: BosonKey, xiA: Tuple[int, ...],
-                    bosB: BosonKey, xiB: Tuple[int, ...]) -> Iterator[Tuple]:
+def _boson_patterns(gram: IntMatrix, bosA: BosonKey, gxiA: Tuple[int, ...],
+                    bosB: BosonKey, gxiB: Tuple[int, ...]) -> Iterator[Tuple]:
     """Live contraction fates: (links, A bosons kept, B bosons kept).
 
     A link is (pairing * weight, pole order) for a boson-boson pair, a
-    z-boson against the w charge, or a w-boson against the z charge.  A fate
-    with a zero pairing contributes nothing and is never offered.
+    z-boson against the w charge (G xi[i] for a boson b_i), or a w-boson
+    against the z charge.  A fate with a zero pairing is never offered.
     """
     na = len(bosA)
-    # charge links; the Gram matrix is symmetric, so one row gives a pairing
-    hitB = [(sum(map(mul, gram[i], xiB)) * (-1) ** d * factorial(d), 1 + d) for i, d in bosA]
-    hitA = [(-sum(map(mul, gram[j], xiA)) * factorial(e), 1 + e) for j, e in bosB]
+    hitB = [(gxiB[i] * (-1) ** d * factorial(d), 1 + d) for i, d in bosA]
+    hitA = [(-gxiA[j] * factorial(e), 1 + e) for j, e in bosB]
 
     def assign(pos: int, used: Tuple[int, ...], links, kept):
         if pos == na:
@@ -480,33 +496,45 @@ def _boson_patterns(gram: IntMatrix, bosA: BosonKey, xiA: Tuple[int, ...],
     yield from assign(0, (), (), ())
 
 
+def ope_table(table: ContractionTable, As: Sequence[Field], Bs: Sequence[Field],
+              regular_orders: int) -> List[List[SingularPart]]:
+    """ope_singular(table, A, B, regular_orders) for every A in As and B in Bs:
+    U_A[key] = sum_i c_A,i * contract(key_A,i, key) over the distinct term keys
+    of the Bs, then one pass over B's terms per pair.  Any refusal refuses all."""
+    max_order = regular_orders - 1
+    termsA = [list(zip(_term_ids(table, A)[1], A.items())) for A in As]
+    idsB = [_term_ids(table, B)[1] for B in Bs]
+    keysB = {idB: keyB for B, ids in zip(Bs, idsB) for idB, keyB in zip(ids, B)}
+    out = []
+    for terms in termsA:
+        unit: Dict[int, Dict[Tuple[int, TermKey], SymCoef]] = {}
+        for idA, (keyA, cA) in terms:
+            row = table.memo.setdefault((idA, max_order), {})
+            for idB, keyB in keysB.items():
+                contracted = row.get(idB)
+                if contracted is None:
+                    contracted = row[idB] = _contract(table, keyA, keyB, max_order)
+                for order, key, coef in contracted:
+                    _mul_into(unit.setdefault(idB, {}).setdefault((order, key), {}), cA, coef)
+        parts = []
+        for B, ids in zip(Bs, idsB):
+            sink: Dict[int, Field] = {}
+            for idB, cB in zip(ids, B.values()):
+                for (order, key), coef in unit.get(idB, {}).items():
+                    _mul_into(sink.setdefault(order, {}).setdefault(key, {}), cB, coef)
+            sink = {order: {key: c for key, c in fld.items() if c} for order, fld in sink.items()}
+            poles = {-order: fld for order, fld in sink.items() if order < 0 and fld}
+            parts.append(SingularPart(poles, tuple(sink.get(m, {}) for m in range(regular_orders))))
+        out.append(parts)
+    return out
+
+
 def ope_singular(table: ContractionTable, A: Field, B: Field,
                  regular_orders: int) -> SingularPart:
     """Complete singular part of A(z)B(w) plus regular_orders Taylor terms.
     A regular term keeping affine symbols of both A and B has no single-term
     key and raises ValueError("unsupported composite of affine symbols")."""
-    idsA = _term_ids(table, A)[1]
-    termsB = list(zip(_term_ids(table, B)[1], B.items()))
-    max_order = regular_orders - 1
-    sink: Dict[int, Field] = {}
-    for idA, (keyA, cA) in zip(idsA, A.items()):
-        row = table.memo.setdefault((idA, max_order), {})
-        for idB, (keyB, cB) in termsB:
-            terms = row.get(idB)
-            if terms is None:
-                terms = row[idB] = _contract(table, keyA, keyB, max_order)
-            if not terms:
-                continue
-            c = [(ka + kb, va * vb) for ka, va in cA.items() for kb, vb in cB.items()]
-            for order, key, coef in terms:
-                acc = sink.setdefault(order, {}).setdefault(key, {})
-                for kab, vab in c:
-                    for kc, vc in coef.items():
-                        _add_at(acc, tuple(sorted(kab + kc)), vab * vc)
-    sink = {order: {key: coef for key, coef in fld.items() if coef} for order, fld in sink.items()}
-    poles = {-order: fld for order, fld in sink.items() if order < 0 and fld}
-    regular = tuple(sink.get(m, {}) for m in range(regular_orders))
-    return SingularPart(poles, regular)
+    return ope_table(table, [A], [B], regular_orders)[0][0]
 
 
 def _dead_pair(base: int, patterns: Sequence, affA: AffineKey, affB: AffineKey,
@@ -525,13 +553,13 @@ def _contract(table: ContractionTable, keyA: TermKey, keyB: TermKey,
     cocycle sign included, up to the Taylor order max_order."""
     affA, bosA, xiA = keyA
     affB, bosB, xiB = keyB
-    lattice = table.lattice
-    base = int(lattice.pair(xiA, xiB))
-    patterns = list(_boson_patterns(lattice.gram, bosA, xiA, bosB, xiB))
+    (_, _, gxiA, _), (_, _, gxiB, exiB) = _entry(table, keyA), _entry(table, keyB)
+    base = sum(map(mul, xiA, gxiB))
+    patterns = list(_boson_patterns(table.lattice.gram, bosA, gxiA, bosB, gxiB))
     if _dead_pair(base, patterns, affA, affB, max_order):
         return ()
-    c0 = sc_from(lattice.eps(xiA, xiB))
-    out_exp = tuple(a + b for a, b in zip(xiA, xiB))
+    c0 = {(): -1 if sum(map(mul, xiA, exiB)) % 2 else 1}
+    out_exp = tuple(map(add, xiA, xiB))
     sink: Dict[int, Field] = {}
 
     # affine fates (contraction entry, symbol kept at z, symbol kept at w)
@@ -559,7 +587,7 @@ def _contract(table: ContractionTable, keyA: TermKey, keyB: TermKey,
                 for ms in product(range(budget - m_bell + 1), repeat=slots):
                     if sum(ms) > budget - m_bell:
                         continue
-                    scale = _exact(Q(1, prod(map(factorial, ms))))
+                    scale = Q(1, f) if (f := prod(map(factorial, ms))) > 1 else 1
                     relocated = tuple((i, d + m) for (i, d), m in zip(kept, ms))
                     aff = aff_out if aff_z is None else (aff_z[0], aff_z[1], aff_z[2] + ms[-1])
                     fld = sink.setdefault(min_exp + m_bell + sum(ms), {})
@@ -685,16 +713,15 @@ def verify_Jalpha_heisenberg(table: ContractionTable) -> VerifyReport:
     gs = table.gstar
     js = [j_field(table, a) for a in range(n)]
     jstars = [jstar_field(table, a) for a in range(n)]
+    jj = ope_table(table, js, js, 0)
+    sj = ope_table(table, jstars, js + jstars, 0)
 
     def cases():
         for a, ra in enumerate(rs.positive_roots):
             for b, rb in enumerate(rs.positive_roots):
-                yield (f"J{ra}", f"J{rb}", ope_singular(table, js[a], js[b], 0),
-                       {2: _scalar_field(table, g[a][b])})
-                yield (f"J*{ra}", f"J{rb}", ope_singular(table, jstars[a], js[b], 0),
-                       {2: _scalar_field(table, int(a == b))})
-                yield (f"J*{ra}", f"J*{rb}", ope_singular(table, jstars[a], jstars[b], 0),
-                       {2: _scalar_field(table, gs[a][b])})
+                yield (f"J{ra}", f"J{rb}", jj[a][b], {2: _scalar_field(table, g[a][b])})
+                yield (f"J*{ra}", f"J{rb}", sj[a][b], {2: _scalar_field(table, int(a == b))})
+                yield (f"J*{ra}", f"J*{rb}", sj[a][n + b], {2: _scalar_field(table, gs[a][b])})
 
     return _report("jalpha", cases())
 
@@ -705,10 +732,10 @@ def verify_Hminus_heisenberg(table: ContractionTable) -> VerifyReport:
     n = rs.num_positive
     big_g = gram_G(rs, table.k)
     hs = [h_minus_field(table, a) for a in range(n)]
+    hh = ope_table(table, hs, hs, 0)
     labels = [f"H-{r}" for r in rs.positive_roots]
     return _report("hminus", (
-        (labels[a], labels[b], ope_singular(table, hs[a], hs[b], 0),
-         {2: _scalar_field(table, big_g[a][b])})
+        (labels[a], labels[b], hh[a][b], {2: _scalar_field(table, big_g[a][b])})
         for a in range(n) for b in range(n)))
 
 
@@ -718,41 +745,42 @@ def verify_fst_homomorphism(table: ContractionTable) -> VerifyReport:
     rs = table.rs
     kq = table.k
     all_roots = list(rs.positive_roots) + [tuple(-c for c in a) for a in rs.positive_roots]
-    xt = {a: x_tilde_field(table, a) for a in all_roots}
+    xts = [x_tilde_field(table, a) for a in all_roots]
+    hts = [h_tilde_field(table, i) for i in range(table.ell)]
+    xx = ope_table(table, xts, xts, 0)
+    hx = ope_table(table, hts, xts + hts, 0)
+    cx = ope_table(table, [f(table, i) for i in range(rs.num_positive)
+                           for f in (h_plus_field, h_minus_field)], xts, 0)
     central: List[CentralTerm] = []
 
     def cases():
         idkey = (None, (), _zero_exp(table))
-        for a in all_roots:
-            for b in all_roots:
-                got = ope_singular(table, xt[a], xt[b], 0)
-                total = tuple(x + y for x, y in zip(a, b))
+        for a, ra in enumerate(all_roots):
+            for b, rb in enumerate(all_roots):
+                got = xx[a][b]
+                total = tuple(x + y for x, y in zip(ra, rb))
                 if not any(total):
-                    kappa = _kappa(rs, a)
-                    want = {1: coroot_tilde_field(table, a),
+                    kappa = _kappa(rs, ra)
+                    want = {1: coroot_tilde_field(table, ra),
                             2: _scalar_field(table, kq * kappa)}
                     computed = got.pole(2).get(idkey, {}).get((), 0)
-                    central.append(CentralTerm(a, computed, kq * kappa, kq))
+                    central.append(CentralTerm(ra, computed, kq * kappa, kq))
                 elif rs.is_root(total):
                     key = (("X", total, 0), (), _xi_root(table, total))
-                    want = {1: {key: n_symbol_coef(a, b)}}
+                    want = {1: {key: n_symbol_coef(ra, rb)}}
                 else:
                     want = {}
-                yield f"Xt{a}", f"Xt{b}", got, want
+                yield f"Xt{ra}", f"Xt{rb}", got, want
         for i, si in enumerate(rs.simple_roots):
-            ht_i = h_tilde_field(table, i)
-            for a in all_roots:
-                yield (f"Ht{si}", f"Xt{a}", ope_singular(table, ht_i, xt[a], 0),
-                       {1: field_scale(xt[a], _root_form(rs, si, a))})
+            for a, ra in enumerate(all_roots):
+                yield (f"Ht{si}", f"Xt{ra}", hx[i][a],
+                       {1: field_scale(xts[a], _root_form(rs, si, ra))})
             for j, sj in enumerate(rs.simple_roots):
-                yield (f"Ht{si}", f"Ht{sj}",
-                       ope_singular(table, ht_i, h_tilde_field(table, j), 0),
+                yield (f"Ht{si}", f"Ht{sj}", hx[i][len(xts) + j],
                        {2: _scalar_field(table, kq * _root_form(rs, si, sj))})
         for idx, root in enumerate(rs.positive_roots):
-            hp = h_plus_field(table, idx)
-            hm = h_minus_field(table, idx)
-            for a in all_roots:
-                yield f"H+{root}", f"Xt{a}", ope_singular(table, hp, xt[a], 0), {}
-                yield f"H-{root}", f"Xt{a}", ope_singular(table, hm, xt[a], 0), {}
+            for a, ra in enumerate(all_roots):
+                yield f"H+{root}", f"Xt{ra}", cx[2 * idx][a], {}
+                yield f"H-{root}", f"Xt{ra}", cx[2 * idx + 1][a], {}
 
     return _report("fst", cases(), central)

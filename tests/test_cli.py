@@ -8,6 +8,7 @@ import time
 import pytest
 
 from cosetlab import rootsys
+from cosetlab.bilinear import ScWeight
 from cosetlab.cli import MAX_T, build_parser, main
 
 A1_SEED = {
@@ -92,6 +93,19 @@ def test_weights_map_roundtrip(capsys):
     assert payload["jstar_values"] == ["2/3"]
     assert payload["in_Qsc"] is False
     assert payload["roundtrip_ok"] is True
+
+
+def test_weights_map_takes_jstar_once(capsys, monkeypatch):
+    # membership in Q_sc is read from the J* values the report prints
+    calls = []
+    real = ScWeight.jstar_values
+    monkeypatch.setattr(ScWeight, "jstar_values",
+                        lambda self, rs: calls.append(rs) or real(self, rs))
+    for weight, member in (("1", False), ("3", True)):
+        assert main(["weights", "map", "--type", "A", "--rank", "1",
+                     "--level", "1", "--weight", weight, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["in_Qsc"] is member
+    assert len(calls) == 2
 
 
 def test_weights_map_wrong_arity_is_usage_error(capsys):

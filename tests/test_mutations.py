@@ -3,18 +3,19 @@
 Every golden case passes, so a verifier that stopped comparing would still
 reproduce every golden byte.  These tests feed the OPE verifiers a
 contraction table with one deliberate defect (applied both to a fresh
-table and to one whose contraction memo a clean run has filled), or an
-engine that
-raises some pole orders, by replacing ``opecalc._boson_patterns``, or one
-whose dead-pair exit skips live term pairs, by replacing
-``opecalc._dead_pair``.  They feed character transport a wrong eta power
-or a short lattice enumeration, by replacing ``charflow.eta_power`` or
-``charflow.enumerate_by_norm``, and compare transports over other bases of
-the kernel lattice, by replacing ``charflow.kernel_K``.  A coset-side flow
-that reads g* at level 1 replaces ``charflow._sc_flow_form``; flows that
-ignore the character's level fail the level-3/2 equivariance check.  A
-series rescale that forgets the validity cap replaces ``QSeries._on``.
-A discriminant group whose largest divisor is one prime too big replaces
+table and to one whose contraction memo and term-key registry, with the
+Gram and cocycle images of each charge, a clean run has filled), or an
+engine that raises some pole orders, by replacing
+``opecalc._boson_patterns``, or one whose dead-pair exit skips live term
+pairs, by replacing ``opecalc._dead_pair``.  They feed character
+transport a wrong eta power or a short lattice enumeration, by replacing
+``charflow.eta_power`` or ``charflow.enumerate_by_norm``, and compare
+transports over other bases of the kernel lattice, by replacing
+``charflow.kernel_K``.  A coset-side flow that reads g* at level 1
+replaces ``charflow._sc_flow_form``; flows that ignore the character's
+level fail the level-3/2 equivariance check.  A series rescale that
+forgets the validity cap replaces ``QSeries._on``.  A discriminant group
+whose largest divisor is one prime too big replaces
 ``latticekit.smith_normal_form``.  A dual Coxeter number one too big,
 from replacing ``rootsys._dual_coxeter``, fails acceptance criterion 02.
 Each pins the failures its defect must cause.
@@ -154,10 +155,17 @@ def test_wrong_gstar_entry_off_level_one(verify, checks, diffs):
     (_flip_cocycle, opecalc.verify_fst_homomorphism, 12),
 ])
 def test_mutant_of_a_used_table_fails_alike(a2, mutate, verify, diffs):
-    # a contraction cached before the defect must not hide it
+    # a contraction or a charge image cached before the defect must not hide
+    # it: the replaced table registers every key again, with images taken
+    # from its own Gram and cocycle matrices
+    assert len(verify(mutate(opecalc.make_table(a2, 1))).diffs) == diffs
     used = _used_table(a2, 1)
-    assert used.memo
-    assert len(verify(mutate(used)).diffs) == diffs
+    assert used.memo and used.registry
+    mutant = mutate(used)
+    assert len(verify(mutant).diffs) == diffs
+    moved = [key for key, entry in mutant.registry.items()
+             if entry[2:] != used.registry[key][2:]]
+    assert bool(moved) == (mutate is _flip_cocycle)
 
 
 def _bump_pole_orders(*args):

@@ -359,6 +359,55 @@ def test_dead_pair_exit_is_exact(fam, rank, k, monkeypatch):
     assert any(exits) and not all(exits)
 
 
+@pytest.mark.parametrize("fam,rank,k", [("A", 2, Q(3, 2)), ("B", 2, Q(5, 2)),
+                                        ("G", 2, Q(7, 2))])
+def test_ope_table_is_ope_singular_per_pair(fam, rank, k):
+    # every entry of the batched table equals the single pair on a fresh
+    # table; at regular_orders 2 one side is the free-field parts, since a
+    # Taylor term keeping the symbols of two generators is refused
+    rs = build_root_system(fam, rank)
+    fields = generators_and_free_parts(oc.make_table(rs, k))
+    free = fields[len(fields) // 2:]
+    for As, Bs, orders in ((fields, fields, 0), (free, fields, 2), (fields, free, 2)):
+        got = oc.ope_table(oc.make_table(rs, k), As, Bs, orders)
+        assert got == [[oc.ope_singular(oc.make_table(rs, k), A, B, orders) for B in Bs]
+                       for A in As]
+        assert any(any(part.regular) for row in got for part in row) == bool(orders)
+
+
+def test_ope_table_refuses_a_bad_field_on_either_side():
+    t = table("A", 2, 1)
+    good = oc.boson_plus(t, (1, 0, 0))
+    X = oc.x_field(t, (1, 0))
+    mixed = oc.field_add(oc.exp_field(t, (1, 0, 0), (0, 0)), oc.identity_field(t))
+    unknown = {(("Y", 0, 0), (), (0,) * t.dim): {(): 1}}
+    assert oc.ope_table(t, [good, X], [X, good], 0)[1][0].poles == {}
+    for bad, orders, reason in ((X, 1, "unsupported composite of affine"),
+                                (mixed, 0, "not parity-homogeneous"),
+                                (unknown, 0, "unknown affine symbol")):
+        for As, Bs in (([good, bad], [good, X]), ([good, X], [good, bad])):
+            with pytest.raises(ValueError, match=reason):
+                oc.ope_table(table("A", 2, 1), As, Bs, orders)
+
+
+def test_registry_holds_the_gram_and_cocycle_images_of_each_charge():
+    # <eta, xi> and the cocycle sign of every pair of registered charges are
+    # one dot product with the registered images of xi
+    t = table("B", 2, Q(5, 2))
+    n = t.dim
+    xis = [tuple(int(j in (a, b)) for j in range(n)) for a in range(n) for b in range(a, n)]
+    exps = [oc.exp_field(t, xi[:t.n_plus], xi[t.n_plus:]) for xi in xis]
+    oc.ope_table(t, exps, exps, 0)
+    lattice = t.lattice
+    charges = {key[2]: entry for key, entry in t.registry.items()}
+    assert len(charges) == n * (n + 1) // 2
+    for eta in charges:
+        for xi, (_, parity, gxi, exi) in charges.items():
+            assert sum(a * b for a, b in zip(eta, gxi)) == lattice.pair(eta, xi)
+            assert (-1) ** sum(a * b for a, b in zip(eta, exi)) == lattice.eps(eta, xi)
+            assert parity == lattice.norm(xi) % 2
+
+
 def test_regular_orders_is_required_and_refused_on_two_affine_fields():
     # regular_orders has no default; at 2 every criterion-05 generator pair
     # is refused, at 0 the singular part comes back
