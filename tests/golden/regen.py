@@ -140,6 +140,19 @@ def cases():
     # truncation order itself, which the comparison must keep
     out.append(("char-roundtrip-A2-edge",
                 ["char", "roundtrip", "--seed", "seeds/A2.json", "--T", "1"]))
+    # the B2 and G2 seed strings off level 1, at a positive (3/2) and a
+    # negative (-1/2) fractional level: the round trip at a non-base weight,
+    # so delta is nonzero, and the flow on both sides
+    for seed in ("B2", "G2"):
+        for tag in ("k3_2", "k-1_2"):
+            path = f"seeds/{seed}-{tag}.json"
+            out.append((f"char-roundtrip-{seed}-{tag}",
+                        ["char", "roundtrip", "--seed", path, "--T", "4",
+                         "--weight=1,0"]))
+            for side, gamma in (("sc", "1,0"), ("af", "0,1")):
+                out.append((f"flow-check-{side}-{seed}-{tag}",
+                            ["flow", "check", "--seed", path, "--side", side,
+                             f"--gamma={gamma}", "--T", "4"]))
     # unusable requests: exit 2 with the reason on stderr
     out.append(("flow-check-fractional-gamma-B2",
                 ["flow", "check", "--seed", "seeds/B2.json", "--side", "sc",

@@ -8,6 +8,7 @@ here.  Regenerate only when an output change is intended.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -58,3 +59,32 @@ def test_golden_output_is_byte_identical(case):
     assert err == case["stderr"]
     expected = regen.output_file(case["name"], case["argv"])
     assert out == expected.read_text(encoding="utf-8")
+
+
+# ope verify --check all on eight small types at four levels, in both
+# formats: 64 outputs pinned by one SHA-256 over each call's exit code,
+# stdout and stderr, so an engine change that moves any byte fails here
+OPE_GRID_TYPES = (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                  ("C", 3), ("G", 2))
+OPE_GRID_LEVELS = ("1", "-1/3", "5/3", "7/2")
+OPE_GRID_SHA256 = "f4987aec18365f88287c17959997d9a6aa406fdb22cbf5d890e8d451cbbe6c5f"
+
+
+def ope_grid_digest():
+    """The SHA-256 of the ope verify grid's outputs, each call hashed as
+    its exit code, a newline, its stdout and its stderr; and the call count."""
+    digest = hashlib.sha256()
+    calls = 0
+    for family, rank in OPE_GRID_TYPES:
+        for level in OPE_GRID_LEVELS:
+            for fmt in ("json", "text"):
+                rc, out, err = regen.run(["ope", "verify", "--type", family,
+                                          "--rank", str(rank), f"--level={level}",
+                                          "--check", "all", "--format", fmt])
+                digest.update(f"{rc}\n{out}{err}".encode("utf-8"))
+                calls += 1
+    return digest.hexdigest(), calls
+
+
+def test_ope_verify_grid_digest():
+    assert ope_grid_digest() == (OPE_GRID_SHA256, 64)
