@@ -15,7 +15,7 @@ from itertools import chain
 from operator import mul
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .ratlinalg import Matrix, Vector, integer_rows, mat_vec, vec
+from .ratlinalg import Matrix, Vector, integer_rows, integer_vector, mat_vec, vec
 from .rootsys import RootSystem
 
 
@@ -121,10 +121,9 @@ class ScWeight:
         lp = level_params(rs, self.level)
         return _pair_gram_apply(rs, -1 / lp.shifted, self.j_values)
 
-    def in_Qsc(self, rs: RootSystem, jstar: Optional[Vector] = None) -> bool:
-        """Membership in the J-span lattice: all dual-basis values integral;
-        a caller that holds jstar_values(rs) already passes them as jstar."""
-        return all(x.denominator == 1 for x in (self.jstar_values(rs) if jstar is None else jstar))
+    def in_Qsc(self, rs: RootSystem) -> bool:
+        """Membership in the J-span lattice: all dual-basis values integral."""
+        return integer_vector(self.jstar_values(rs), None) is not None
 
     def _compatible(self, other: "ScWeight") -> None:
         if (self.family, self.rank) != (other.family, other.rank):

@@ -210,7 +210,7 @@ def cmd_weights_map(args):
     back = sc_weight_to_af(rs, lp.k, sc)
     ok = tuple(back) == tuple(Q(x) for x in mu)
     jstar = sc.jstar_values(rs)
-    in_qsc = sc.in_Qsc(rs, jstar)
+    in_qsc = integer_vector(jstar, None) is not None
     delta = conformal_weight_plus(rs, lp.k, mu)
     payload = _header(
         args, rs,

@@ -13,11 +13,13 @@ abstract affine symbols contract through a fixed table.  Uncontracted factors
 on the z side are Taylor-relocated to w; a relocated exponential leaves the
 usual tail of normally ordered boson corrections behind.
 
-The engine is ope_table, the OPE of every field of one list with every field
-of another; ope_singular is its 1x1 case.  The OPE is bilinear, so each left
-field is contracted once against each distinct term key on the right.  A
-table registers a term key once, as (id, parity, G xi, E xi): with the Gram
-and cocycle images of its charge xi, a charge pairing or sign is one lookup.
+The engine is ope_table, the singular part of the OPE of every field of one
+list with every field of another, as {pole order: Field}; ope_singular is its
+1x1 case.  Commutation relations read poles only, so no regular term is ever
+built.  The OPE is bilinear, so each left field is contracted once against
+each distinct term key on the right.  A table registers a term key once, as
+(id, parity, G xi, E xi): with the Gram and cocycle images of its charge xi,
+a charge pairing or sign is one lookup.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ AffineKey = Optional[Tuple]
 BosonKey = Tuple[Tuple[int, int], ...]
 TermKey = Tuple[AffineKey, BosonKey, Tuple[int, ...]]
 Field = Dict[TermKey, SymCoef]
+Poles = Dict[int, Field]
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +179,11 @@ class ContractionTable:
     ell: int
     gstar: Tuple[Tuple[Q, ...], ...]
     # term key -> (id, parity, G xi, E xi), and _contract results in rows by
-    # (id of key A, max order) mapping the id of key B to its terms; replace
-    # empties both, so a replaced lattice gets its own charge images
+    # the id of key A mapping the id of key B to its terms; replace empties
+    # both, so a replaced lattice gets its own charge images
     registry: Dict[TermKey, Tuple] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False)
-    memo: Dict[Tuple[int, int], Dict[int, Tuple]] = dc_field(
+    memo: Dict[int, Dict[int, Tuple]] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -418,19 +421,6 @@ def _affine_contractions(table: ContractionTable, affA, affB) -> List[Tuple[int,
 # ---------------------------------------------------------------------------
 # the engine
 
-@dataclass
-class SingularPart:
-    poles: Dict[int, Field]
-    regular: Tuple[Field, ...]
-
-    def pole(self, n: int) -> Field:
-        return self.poles.get(n, {})
-
-    @property
-    def max_pole(self) -> int:
-        return max(self.poles) if self.poles else 0
-
-
 def field_parity(table: ContractionTable, f: Field) -> int:
     """Shape-check a field and return its parity; reject mixed parity."""
     return _term_ids(table, f)[0]
@@ -496,12 +486,11 @@ def _boson_patterns(gram: IntMatrix, bosA: BosonKey, gxiA: Tuple[int, ...],
     yield from assign(0, (), (), ())
 
 
-def ope_table(table: ContractionTable, As: Sequence[Field], Bs: Sequence[Field],
-              regular_orders: int) -> List[List[SingularPart]]:
-    """ope_singular(table, A, B, regular_orders) for every A in As and B in Bs:
+def ope_table(table: ContractionTable, As: Sequence[Field],
+              Bs: Sequence[Field]) -> List[List[Poles]]:
+    """ope_singular(table, A, B) for every A in As and B in Bs:
     U_A[key] = sum_i c_A,i * contract(key_A,i, key) over the distinct term keys
     of the Bs, then one pass over B's terms per pair.  Any refusal refuses all."""
-    max_order = regular_orders - 1
     termsA = [list(zip(_term_ids(table, A)[1], A.items())) for A in As]
     idsB = [_term_ids(table, B)[1] for B in Bs]
     keysB = {idB: keyB for B, ids in zip(Bs, idsB) for idB, keyB in zip(ids, B)}
@@ -509,79 +498,65 @@ def ope_table(table: ContractionTable, As: Sequence[Field], Bs: Sequence[Field],
     for terms in termsA:
         unit: Dict[int, Dict[Tuple[int, TermKey], SymCoef]] = {}
         for idA, (keyA, cA) in terms:
-            row = table.memo.setdefault((idA, max_order), {})
+            row = table.memo.setdefault(idA, {})
             for idB, keyB in keysB.items():
                 contracted = row.get(idB)
                 if contracted is None:
-                    contracted = row[idB] = _contract(table, keyA, keyB, max_order)
-                for order, key, coef in contracted:
-                    _mul_into(unit.setdefault(idB, {}).setdefault((order, key), {}), cA, coef)
+                    contracted = row[idB] = _contract(table, keyA, keyB)
+                for pole, key, coef in contracted:
+                    _mul_into(unit.setdefault(idB, {}).setdefault((pole, key), {}), cA, coef)
         parts = []
         for B, ids in zip(Bs, idsB):
-            sink: Dict[int, Field] = {}
+            sink: Poles = {}
             for idB, cB in zip(ids, B.values()):
-                for (order, key), coef in unit.get(idB, {}).items():
-                    _mul_into(sink.setdefault(order, {}).setdefault(key, {}), cB, coef)
-            sink = {order: {key: c for key, c in fld.items() if c} for order, fld in sink.items()}
-            poles = {-order: fld for order, fld in sink.items() if order < 0 and fld}
-            parts.append(SingularPart(poles, tuple(sink.get(m, {}) for m in range(regular_orders))))
+                for (pole, key), coef in unit.get(idB, {}).items():
+                    _mul_into(sink.setdefault(pole, {}).setdefault(key, {}), cB, coef)
+            parts.append({pole: live for pole, fld in sink.items()
+                          if (live := {key: c for key, c in fld.items() if c})})
         out.append(parts)
     return out
 
 
-def ope_singular(table: ContractionTable, A: Field, B: Field,
-                 regular_orders: int) -> SingularPart:
-    """Complete singular part of A(z)B(w) plus regular_orders Taylor terms.
-    A regular term keeping affine symbols of both A and B has no single-term
-    key and raises ValueError("unsupported composite of affine symbols")."""
-    return ope_table(table, [A], [B], regular_orders)[0][0]
+def ope_singular(table: ContractionTable, A: Field, B: Field) -> Poles:
+    """Complete singular part of A(z)B(w) as {pole order: Field}.  A singular
+    term keeping affine symbols of both A and B has no single-term key and
+    raises ValueError("unsupported composite of affine symbols")."""
+    return ope_table(table, [A], [B])[0][0]
 
 
-def _dead_pair(base: int, patterns: Sequence, affA: AffineKey, affB: AffineKey,
-               max_order: int) -> bool:
-    """True when no term of the pair reaches max_order.  Each pattern's
-    shift plus the deepest affine entry, -(2 + dA + dB), bounds the order of
-    its terms from below: Bell tails and Taylor slots only raise it."""
-    deepest = -(2 + affA[2] + affB[2]) if affA is not None and affB is not None else 0
-    return all(base - sum(order for _, order in links) + deepest > max_order
-               for links, _, _ in patterns)
-
-
-def _contract(table: ContractionTable, keyA: TermKey, keyB: TermKey,
-              max_order: int) -> Tuple[Tuple[int, TermKey, SymCoef], ...]:
-    """Unit-coefficient terms (order, key, coefficient) of keyA(z) keyB(w),
-    cocycle sign included, up to the Taylor order max_order."""
+def _contract(table: ContractionTable, keyA: TermKey,
+              keyB: TermKey) -> Tuple[Tuple[int, TermKey, SymCoef], ...]:
+    """Unit-coefficient singular terms (pole order, key, coefficient) of
+    keyA(z) keyB(w), cocycle sign included."""
     affA, bosA, xiA = keyA
     affB, bosB, xiB = keyB
     (_, _, gxiA, _), (_, _, gxiB, exiB) = _entry(table, keyA), _entry(table, keyB)
     base = sum(map(mul, xiA, gxiB))
-    patterns = list(_boson_patterns(table.lattice.gram, bosA, gxiA, bosB, gxiB))
-    if _dead_pair(base, patterns, affA, affB, max_order):
-        return ()
     c0 = {(): -1 if sum(map(mul, xiA, exiB)) % 2 else 1}
     out_exp = tuple(map(add, xiA, xiB))
-    sink: Dict[int, Field] = {}
+    sink: Poles = {}
 
     # affine fates (contraction entry, symbol kept at z, symbol kept at w)
     fates: List[Tuple[Optional[Tuple], AffineKey, AffineKey]] = [(None, affA, affB)]
     if affA is not None and affB is not None:
         fates += [(entry, None, None) for entry in _affine_contractions(table, affA, affB)]
 
-    for links, kept, stay in patterns:
+    for links, kept, stay in _boson_patterns(table.lattice.gram, bosA, gxiA, bosB, gxiB):
         coef_links = sc_scale(c0, prod(w for w, _ in links))
         shift = base - sum(order for _, order in links)
 
         for entry, aff_z, aff_w in fates:
             min_exp = shift + (entry[0] if entry else 0)
-            if min_exp > max_order:
+            if min_exp >= 0:
                 continue
             if aff_z is not None and aff_w is not None:
                 raise ValueError("unsupported composite of affine symbols")
             coef = sc_mul(coef_links, entry[1]) if entry else coef_links
             aff_out = entry[2] if entry else aff_w
-            # taylor slots: kept z-side bosons, then the z-side affine if any
+            # taylor slots: kept z-side bosons, then the z-side affine if any;
+            # the budget carries a term up to order -1, the last singular one
             slots = len(kept) + (aff_z is not None)
-            budget = max_order - min_exp
+            budget = -1 - min_exp
             for m_bell, tail in enumerate(_bell_tails(xiA, budget + 1)):
                 # slot orders ms with sum(ms) <= budget - m_bell, in order
                 for ms in product(range(budget - m_bell + 1), repeat=slots):
@@ -590,11 +565,11 @@ def _contract(table: ContractionTable, keyA: TermKey, keyB: TermKey,
                     scale = Q(1, f) if (f := prod(map(factorial, ms))) > 1 else 1
                     relocated = tuple((i, d + m) for (i, d), m in zip(kept, ms))
                     aff = aff_out if aff_z is None else (aff_z[0], aff_z[1], aff_z[2] + ms[-1])
-                    fld = sink.setdefault(min_exp + m_bell + sum(ms), {})
+                    fld = sink.setdefault(-(min_exp + m_bell + sum(ms)), {})
                     for mono, qbell in tail.items():
                         key = (aff, tuple(sorted(relocated + stay + mono)), out_exp)
                         field_add_into(fld, key, sc_scale(coef, scale * qbell))
-    return tuple((order, key, coef) for order, fld in sink.items()
+    return tuple((pole, key, coef) for pole, fld in sink.items()
                  for key, coef in fld.items())
 
 
@@ -616,15 +591,15 @@ def lambda_bracket_skew_check(table: ContractionTable, A: Field, B: Field) -> Sk
     """Check the skew-symmetry relation between the two OPE orders."""
     pa = field_parity(table, A)
     pb = field_parity(table, B)
-    sab = ope_singular(table, A, B, 0)
-    sba = ope_singular(table, B, A, 0)
-    top = max(sab.max_pole, sba.max_pole)
+    sab = ope_singular(table, A, B)
+    sba = ope_singular(table, B, A)
+    top = max((*sab, *sba), default=0)
     sign = (-1) ** (pa * pb)
     mismatches = []
     for m in range(1, top + 1):
         acc: Field = {}
         for j in range(top - m + 1):
-            part = sba.pole(m + j)
+            part = sba.get(m + j)
             if not part:
                 continue
             moved = part
@@ -632,8 +607,8 @@ def lambda_bracket_skew_check(table: ContractionTable, A: Field, B: Field) -> Sk
                 moved = derivative(table, moved)
             acc = field_add(acc, field_scale(moved, Q((-1) ** (m + j), factorial(j))))
         acc = field_scale(acc, sign)
-        if acc != sab.pole(m):
-            mismatches.append(SkewMismatch(m, field_repr(sab.pole(m)), field_repr(acc)))
+        if acc != sab.get(m, {}):
+            mismatches.append(SkewMismatch(m, field_repr(sab.get(m, {})), field_repr(acc)))
     return SkewVerdict(not mismatches, tuple(mismatches))
 
 
@@ -681,19 +656,19 @@ class VerifyReport:
         }
 
 
-def _report(name: str, cases: Iterable[Tuple[str, str, SingularPart, Dict[int, Field]]],
+def _report(name: str, cases: Iterable[Tuple[str, str, Poles, Poles]],
             central: Sequence[CentralTerm] = ()) -> VerifyReport:
     """Compare each case's poles with the wanted ones; one check per case.
 
-    A case is (left label, right label, singular part, wanted poles).
+    A case is (left label, right label, computed poles, wanted poles).
     central is read only after cases is exhausted, so a case generator may
     fill it as it goes.
     """
     diffs: List[OpeDiff] = []
     checks = 0
     for left, right, got, want in cases:
-        for n in sorted(set(got.poles) | set(want), reverse=True):
-            g = got.poles.get(n, {})
+        for n in sorted(set(got) | set(want), reverse=True):
+            g = got.get(n, {})
             w = want.get(n, {})
             if g != w:
                 diffs.append(OpeDiff(left, right, n, field_repr(w), field_repr(g)))
@@ -713,8 +688,8 @@ def verify_Jalpha_heisenberg(table: ContractionTable) -> VerifyReport:
     gs = table.gstar
     js = [j_field(table, a) for a in range(n)]
     jstars = [jstar_field(table, a) for a in range(n)]
-    jj = ope_table(table, js, js, 0)
-    sj = ope_table(table, jstars, js + jstars, 0)
+    jj = ope_table(table, js, js)
+    sj = ope_table(table, jstars, js + jstars)
 
     def cases():
         for a, ra in enumerate(rs.positive_roots):
@@ -732,7 +707,7 @@ def verify_Hminus_heisenberg(table: ContractionTable) -> VerifyReport:
     n = rs.num_positive
     big_g = gram_G(rs, table.k)
     hs = [h_minus_field(table, a) for a in range(n)]
-    hh = ope_table(table, hs, hs, 0)
+    hh = ope_table(table, hs, hs)
     labels = [f"H-{r}" for r in rs.positive_roots]
     return _report("hminus", (
         (labels[a], labels[b], hh[a][b], {2: _scalar_field(table, big_g[a][b])})
@@ -747,10 +722,10 @@ def verify_fst_homomorphism(table: ContractionTable) -> VerifyReport:
     all_roots = list(rs.positive_roots) + [tuple(-c for c in a) for a in rs.positive_roots]
     xts = [x_tilde_field(table, a) for a in all_roots]
     hts = [h_tilde_field(table, i) for i in range(table.ell)]
-    xx = ope_table(table, xts, xts, 0)
-    hx = ope_table(table, hts, xts + hts, 0)
+    xx = ope_table(table, xts, xts)
+    hx = ope_table(table, hts, xts + hts)
     cx = ope_table(table, [f(table, i) for i in range(rs.num_positive)
-                           for f in (h_plus_field, h_minus_field)], xts, 0)
+                           for f in (h_plus_field, h_minus_field)], xts)
     central: List[CentralTerm] = []
 
     def cases():
@@ -763,7 +738,7 @@ def verify_fst_homomorphism(table: ContractionTable) -> VerifyReport:
                     kappa = _kappa(rs, ra)
                     want = {1: coroot_tilde_field(table, ra),
                             2: _scalar_field(table, kq * kappa)}
-                    computed = got.pole(2).get(idkey, {}).get((), 0)
+                    computed = got.get(2, {}).get(idkey, {}).get((), 0)
                     central.append(CentralTerm(ra, computed, kq * kappa, kq))
                 elif rs.is_root(total):
                     key = (("X", total, 0), (), _xi_root(table, total))

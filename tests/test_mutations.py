@@ -6,8 +6,9 @@ contraction table with one deliberate defect (applied both to a fresh
 table and to one whose contraction memo and term-key registry, with the
 Gram and cocycle images of each charge, a clean run has filled), or an
 engine that raises some pole orders, by replacing
-``opecalc._boson_patterns``, or one whose dead-pair exit skips live term
-pairs, by replacing ``opecalc._dead_pair``.  They feed character
+``opecalc._boson_patterns``, or one whose Taylor budget stops an order
+short of the simple pole, by recompiling ``opecalc._contract`` with that
+one line changed.  They feed character
 transport a wrong eta power or a short lattice enumeration, by replacing
 ``charflow.eta_power`` or ``charflow.enumerate_by_norm``, and compare
 transports over other bases of the kernel lattice, by replacing
@@ -18,13 +19,17 @@ forgets the validity cap replaces ``QSeries._on``.  A discriminant group
 whose largest divisor is one prime too big replaces
 ``latticekit.smith_normal_form``.  A dual Coxeter number one too big,
 from replacing ``rootsys._dual_coxeter``, fails acceptance criterion 02.
-Each pins the failures its defect must cause.
+A g* built at level k instead of k + h_vee fails criterion 01, and a coset
+central charge without its -rank term fails criterion 10; each replaces the
+``bilinear`` function and the name the acceptance module imported.  Each
+pins the failures its defect must cause.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import json
 import sys
 from fractions import Fraction as Q
@@ -35,7 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetlab import charflow, latticekit, opecalc, rootsys
+from cosetlab import bilinear, charflow, latticekit, opecalc, rootsys
 from cosetlab.bilinear import weight_to_sc
 from cosetlab.charflow import (QSeries, affine_character, fermionize_character,
                                flow_af_equivariance_diff,
@@ -45,6 +50,7 @@ from cosetlab.latticekit import f_af, g_sc_plus, sublattice
 from cosetlab.opecalc import (OpeDiff, h_minus_field, h_plus_field,
                               h_tilde_field, j_field, jstar_field,
                               lambda_bracket_skew_check, x_tilde_field)
+from cosetlab.ratlinalg import identity, mat_mul
 from cosetlab.rootsys import build_root_system, check_hvee_identity
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -58,6 +64,7 @@ REAL_ON = QSeries._on
 REAL_SC_FLOW_FORM = charflow._sc_flow_form
 REAL_SMITH = latticekit.smith_normal_form
 REAL_DUAL_COXETER = rootsys._dual_coxeter
+REAL_CENTRAL_CHARGES = bilinear.central_charges
 SEEDS = Path(__file__).resolve().parent / "golden" / "seeds"
 B2_SEED = SEEDS / "B2.json"
 
@@ -200,29 +207,26 @@ def test_skew_check_sees_a_raised_pole_order(family, rank, k, failing,
     assert _skew_failures(family, rank, k) == failing
 
 
-def _exit_without_affine_entries(base, patterns, affA, affB, max_order):
-    """A dead-pair exit that bounds each pattern by its shift alone."""
-    return all(base - sum(o for _, o in links) > max_order
-               for links, _, _ in patterns)
+def _recompiled(function, old, new):
+    """function compiled again from its source with the one line old
+    replaced by new, against the globals of its module."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]
 
 
-def _exit_without_boson_links(base, patterns, affA, affB, max_order):
-    """A dead-pair exit that takes every pattern's shift as the bare
-    charge pairing, as if no boson link lowered it."""
-    both = affA is not None and affB is not None
-    deepest = -(2 + affA[2] + affB[2]) if both else 0
-    return all(base + deepest > max_order for _ in patterns)
-
-
-@pytest.mark.parametrize("exit_rule, verify, diffs", [
-    (_exit_without_affine_entries, opecalc.verify_fst_homomorphism, 76),
-    (_exit_without_boson_links, opecalc.verify_Jalpha_heisenberg, 21),
-])
-def test_verifiers_see_an_unsafe_dead_pair_exit(a2, exit_rule, verify, diffs,
-                                                monkeypatch):
-    # an exit that drops live term pairs loses poles the verifiers compare
-    monkeypatch.setattr(opecalc, "_dead_pair", exit_rule)
-    assert len(verify(opecalc.make_table(a2, 1)).diffs) == diffs
+def test_fst_sees_a_taylor_budget_one_order_short(a2, monkeypatch):
+    # the budget carries each term up to order -1; one order short, every
+    # simple pole is lost, and fst is the verifier that reads simple poles
+    monkeypatch.setattr(opecalc, "_contract", _recompiled(
+        opecalc._contract, "budget = -1 - min_exp", "budget = -2 - min_exp"))
+    table = opecalc.make_table(a2, 1)
+    assert [len(verify(table).diffs) for verify in VERIFIERS] == [0, 0, 30]
+    first = opecalc.verify_fst_homomorphism(table).diffs[0]
+    assert first == OpeDiff("Xt(1, 0)", "Xt(0, 1)", 1,
+                            "(-1*N[0,1|1,0])*X(1,1) E(1,1,0,1,1)", "0")
 
 
 def _bump_eta(m, T):
@@ -433,3 +437,40 @@ def test_criterion_02_sees_h_vee_plus_one(monkeypatch):
     # not only the first type of the grid: every one fails
     for family, rank in test_acceptance.TYPE_GRID:
         assert not check_hvee_identity(build_root_system(family, rank))
+
+
+def _replace_in_bilinear(monkeypatch, name, mutant):
+    """The bilinear function and the name the acceptance module imported."""
+    for module in (bilinear, test_acceptance):
+        monkeypatch.setattr(module, name, mutant)
+
+
+def _gstar_at_level_k(rs, k):
+    """g* as -(alpha, beta)/k + delta: the level k in place of k + h_vee."""
+    return bilinear._pair_gram(rs, -1 / bilinear.level_params(rs, k).k)
+
+
+def test_criterion_01_sees_g_star_at_level_k(monkeypatch):
+    _replace_in_bilinear(monkeypatch, "gram_g_star", _gstar_at_level_k)
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_01_gram_inverse_identities()
+    # every type and level of the grid fails, for both inverse pairs
+    for family, rank in test_acceptance.TYPE_GRID:
+        rs = build_root_system(family, rank)
+        eye = identity(rs.num_positive)
+        for k in test_acceptance.level_grid(rs):
+            assert mat_mul(bilinear.gram_g(rs, k), _gstar_at_level_k(rs, k)) != eye
+            assert mat_mul(bilinear.gram_G(rs, k), bilinear.gram_G_star(rs, k)) != eye
+
+
+def _central_charges_without_rank(rs, k):
+    """(c_af, c_af + N): the coset central charge without its -rank."""
+    c_af, c_sc = REAL_CENTRAL_CHARGES(rs, k)
+    return c_af, c_sc + rs.rank
+
+
+def test_criterion_10_sees_a_central_charge_without_rank(monkeypatch):
+    _replace_in_bilinear(monkeypatch, "central_charges",
+                         _central_charges_without_rank)
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_10_central_charges()

@@ -44,36 +44,43 @@ def test_boson_boson_pairing_through_gram():
     t = table("A", 1, 1)
     plus = oc.boson_plus(t, (1,))
     minus = oc.boson_minus(t, (1,))
-    s = oc.ope_singular(t, plus, plus, 0)
-    assert s.poles == {2: scalar(t, 1)}
-    s = oc.ope_singular(t, minus, minus, 0)
-    assert s.poles == {2: scalar(t, -1)}
-    s = oc.ope_singular(t, plus, minus, 0)
-    assert s.poles == {}
+    s = oc.ope_singular(t, plus, plus)
+    assert s == {2: scalar(t, 1)}
+    s = oc.ope_singular(t, minus, minus)
+    assert s == {2: scalar(t, -1)}
+    s = oc.ope_singular(t, plus, minus)
+    assert s == {}
 
 
 def test_boson_derivative_rule():
     # b'(z) b(w) has a third-order pole with coefficient -2<u,u>
     t = table("A", 1, 1)
     b = oc.boson_plus(t, (1,))
-    s = oc.ope_singular(t, oc.derivative(t, b), b, 0)
-    assert s.poles == {3: scalar(t, -2)}
-    s = oc.ope_singular(t, b, oc.derivative(t, b), 0)
-    assert s.poles == {3: scalar(t, 2)}
+    s = oc.ope_singular(t, oc.derivative(t, b), b)
+    assert s == {3: scalar(t, -2)}
+    s = oc.ope_singular(t, b, oc.derivative(t, b))
+    assert s == {3: scalar(t, 2)}
 
 
 def test_charge_pair_example():
-    # e(a+) against e(-a+): first-order pole with a plain cocycle sign,
-    # then the boson correction left behind by the moved charge
+    # e(a+) against e(-a+): first-order pole with a plain cocycle sign
     t = table("A", 1, 1)
     A = oc.exp_field(t, (1,), (0,))
     B = oc.exp_field(t, (-1,), (0,))
-    s = oc.ope_singular(t, A, B, 2)
-    assert s.poles == {1: scalar(t, 1)}
-    assert s.regular[0] == {(None, ((0, 0),), (0, 0)): {(): Q(1)}}
-    assert s.regular[1] == {
-        (None, ((0, 0), (0, 0)), (0, 0)): {(): Q(1, 2)},
-        (None, ((0, 1),), (0, 0)): {(): Q(1, 2)},
+    assert oc.ope_singular(t, A, B) == {1: scalar(t, 1)}
+    # e(2a+) against e(-2a+): (z-w)^-4 exp(2 sum_n (z-w)^n b^(n-1)/n!), so
+    # the boson corrections left behind by the moved charge fill the poles
+    # below the fourth: 2b, then b' + 2b^2, then b''/3 + 2bb' + 4b^3/3
+    A = oc.exp_field(t, (2,), (0,))
+    B = oc.exp_field(t, (-2,), (0,))
+    assert oc.ope_singular(t, A, B) == {
+        4: scalar(t, 1),
+        3: {(None, ((0, 0),), (0, 0)): {(): 2}},
+        2: {(None, ((0, 0), (0, 0)), (0, 0)): {(): 2},
+            (None, ((0, 1),), (0, 0)): {(): 1}},
+        1: {(None, ((0, 0), (0, 0), (0, 0)), (0, 0)): {(): Q(4, 3)},
+            (None, ((0, 0), (0, 1)), (0, 0)): {(): 2},
+            (None, ((0, 2),), (0, 0)): {(): Q(1, 3)}},
     }
 
 
@@ -87,18 +94,18 @@ def test_dressed_charge_pairs_are_nonsingular():
             pad = (0,) * (t.n_plus - t.ell)
             A = oc.exp_field(t, ga + pad, ga)
             B = oc.exp_field(t, gb + pad, gb)
-            s = oc.ope_singular(t, A, B, 0)
-            assert s.poles == {}
+            s = oc.ope_singular(t, A, B)
+            assert s == {}
 
 
 def test_boson_against_charge_both_orders():
     t = table("A", 1, 1)
     b = oc.boson_plus(t, (1,))
     e = oc.exp_field(t, (1,), (0,))
-    s = oc.ope_singular(t, b, e, 0)
-    assert s.poles == {1: {(None, (), (1, 0)): {(): Q(1)}}}
-    s = oc.ope_singular(t, e, b, 0)
-    assert s.poles == {1: {(None, (), (1, 0)): {(): Q(-1)}}}
+    s = oc.ope_singular(t, b, e)
+    assert s == {1: {(None, (), (1, 0)): {(): Q(1)}}}
+    s = oc.ope_singular(t, e, b)
+    assert s == {1: {(None, (), (1, 0)): {(): Q(-1)}}}
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +142,8 @@ def test_j_field_pole_two_is_gram_g():
     rs = build_root_system("A", 1)
     t = oc.make_table(rs, 1)
     J = oc.j_field(t, 0)
-    s = oc.ope_singular(t, J, J, 0)
-    assert s.poles == {2: scalar(t, 3)}
+    s = oc.ope_singular(t, J, J)
+    assert s == {2: scalar(t, 3)}
     assert gram_g(rs, 1)[0][0] == Q(3)
 
 
@@ -145,25 +152,25 @@ def test_jstar_against_j_is_kronecker():
     t = oc.make_table(rs, 2)
     for a in range(3):
         for b in range(3):
-            s = oc.ope_singular(t, oc.jstar_field(t, a), oc.j_field(t, b), 0)
+            s = oc.ope_singular(t, oc.jstar_field(t, a), oc.j_field(t, b))
             want = {2: scalar(t, 1)} if a == b else {}
-            assert s.poles == want
+            assert s == want
 
 
 def test_x_tilde_pair_gives_dressed_coroot():
     t = table("A", 1, 1)
-    s = oc.ope_singular(t, oc.x_tilde_field(t, (1,)), oc.x_tilde_field(t, (-1,)), 0)
-    assert s.pole(2) == scalar(t, 1)
-    assert s.pole(1) == oc.coroot_tilde_field(t, (1,))
+    s = oc.ope_singular(t, oc.x_tilde_field(t, (1,)), oc.x_tilde_field(t, (-1,)))
+    assert s.get(2, {}) == scalar(t, 1)
+    assert s.get(1, {}) == oc.coroot_tilde_field(t, (1,))
 
 
 def test_x_tilde_pair_structure_constant_is_symbolic():
     rs = build_root_system("A", 2)
     t = oc.make_table(rs, 1)
-    s = oc.ope_singular(t, oc.x_tilde_field(t, (1, 0)), oc.x_tilde_field(t, (0, 1)), 0)
+    s = oc.ope_singular(t, oc.x_tilde_field(t, (1, 0)), oc.x_tilde_field(t, (0, 1)))
     theta = (1, 1)
     key = (("X", theta, 0), (), theta + (0,) + theta)
-    assert s.poles == {1: {key: oc.n_symbol_coef((1, 0), (0, 1))}}
+    assert s == {1: {key: oc.n_symbol_coef((1, 0), (0, 1))}}
 
 
 def test_field_parity():
@@ -226,8 +233,8 @@ def test_commutant_pairs_are_regular():
     for idx in range(rs.num_positive):
         for alpha in [(1, 0), (0, 1), (1, 1), (-1, -1)]:
             xt = oc.x_tilde_field(t, alpha)
-            assert oc.ope_singular(t, oc.h_plus_field(t, idx), xt, 0).poles == {}
-            assert oc.ope_singular(t, oc.h_minus_field(t, idx), xt, 0).poles == {}
+            assert oc.ope_singular(t, oc.h_plus_field(t, idx), xt) == {}
+            assert oc.ope_singular(t, oc.h_minus_field(t, idx), xt) == {}
 
 
 def test_hminus_pole_two_matches_gram_G():
@@ -236,9 +243,9 @@ def test_hminus_pole_two_matches_gram_G():
     big_g = gram_G(rs, 3)
     for a in range(rs.num_positive):
         for b in range(rs.num_positive):
-            s = oc.ope_singular(t, oc.h_minus_field(t, a), oc.h_minus_field(t, b), 0)
+            s = oc.ope_singular(t, oc.h_minus_field(t, a), oc.h_minus_field(t, b))
             want = {2: scalar(t, big_g[a][b])} if big_g[a][b] else {}
-            assert s.poles == want
+            assert s == want
 
 
 def test_report_json_shape():
@@ -264,8 +271,8 @@ def test_skew_exercises_deep_charge_tails():
     t = table("A", 1, 1)
     A = oc.exp_field(t, (2,), (0,))
     B = oc.exp_field(t, (-2,), (0,))
-    s = oc.ope_singular(t, A, B, 0)
-    assert s.max_pole == 4
+    s = oc.ope_singular(t, A, B)
+    assert max(s) == 4
     assert oc.lambda_bracket_skew_check(t, A, B).ok
 
 
@@ -301,93 +308,54 @@ def generators_and_free_parts(t):
     return gens
 
 
-def _outcome(t, A, B, orders):
-    """The OPE, or the refusal of a Taylor term holding two affine symbols."""
-    try:
-        return oc.ope_singular(t, A, B, orders)
-    except ValueError as err:
-        return str(err)
-
-
 @pytest.mark.parametrize("fam,rank,k", [("A", 2, Q(3, 2)), ("B", 2, Q(5, 2))])
 def test_memo_answers_as_a_fresh_table(fam, rank, k):
-    # the memo key holds the Taylor order, and its terms carry unit
-    # coefficients: J and J* share keys under different coefficients.  Every
-    # generator holds an affine symbol, and a Taylor term keeping two of them
-    # is refused, so the generators' free-field parts (symbols dropped) give
-    # the regular terms
+    # memo terms carry unit coefficients: J and J* share keys under
+    # different coefficients, and so do the generators and their free-field
+    # parts; a dead term pair is memoized too, as no terms
     rs = build_root_system(fam, rank)
     t = oc.make_table(rs, k)
     gens = generators_and_free_parts(t)
-    regular = 0
-    for orders in (0, 2, 0):
+    for _ in range(2):
         for A in gens:
             for B in gens:
-                fresh = _outcome(oc.make_table(rs, k), A, B, orders)
-                assert _outcome(t, A, B, orders) == fresh
-                regular += not isinstance(fresh, str) and any(fresh.regular)
-    assert t.memo and regular
-
-
-def _contracted(t, keyA, keyB, max_order):
-    """One term pair's terms, or the refusal of a composite Taylor term."""
-    try:
-        return oc._contract(t, keyA, keyB, max_order)
-    except ValueError as err:
-        return str(err)
-
-
-@pytest.mark.parametrize("fam,rank,k", [("A", 2, Q(3, 2)), ("B", 2, Q(5, 2)),
-                                        ("G", 2, Q(7, 2))])
-def test_dead_pair_exit_is_exact(fam, rank, k, monkeypatch):
-    # every term pair the generators and their free-field parts can form,
-    # at regular_orders 0 and 2, contracts alike with the exit disabled
-    t = table(fam, rank, k)
-    keys = list(dict.fromkeys(key for f in generators_and_free_parts(t) for key in f))
-    calls = [(a, b, orders - 1) for a in keys for b in keys for orders in (0, 2)]
-    exits = []
-    real = oc._dead_pair
-
-    def recorded(*args):
-        exits.append(real(*args))
-        return exits[-1]
-
-    monkeypatch.setattr(oc, "_dead_pair", recorded)
-    with_exit = [_contracted(t, *call) for call in calls]
-    monkeypatch.setattr(oc, "_dead_pair", lambda *args: False)
-    assert [_contracted(t, *call) for call in calls] == with_exit
-    assert any(exits) and not all(exits)
+                assert oc.ope_singular(t, A, B) == oc.ope_singular(oc.make_table(rs, k), A, B)
+    rows = list(t.memo.values())
+    assert any(() in row.values() for row in rows)
+    assert any(any(row.values()) for row in rows)
 
 
 @pytest.mark.parametrize("fam,rank,k", [("A", 2, Q(3, 2)), ("B", 2, Q(5, 2)),
                                         ("G", 2, Q(7, 2))])
 def test_ope_table_is_ope_singular_per_pair(fam, rank, k):
-    # every entry of the batched table equals the single pair on a fresh
-    # table; at regular_orders 2 one side is the free-field parts, since a
-    # Taylor term keeping the symbols of two generators is refused
+    # every entry of the batched table equals the single pair on a fresh table
     rs = build_root_system(fam, rank)
     fields = generators_and_free_parts(oc.make_table(rs, k))
-    free = fields[len(fields) // 2:]
-    for As, Bs, orders in ((fields, fields, 0), (free, fields, 2), (fields, free, 2)):
-        got = oc.ope_table(oc.make_table(rs, k), As, Bs, orders)
-        assert got == [[oc.ope_singular(oc.make_table(rs, k), A, B, orders) for B in Bs]
-                       for A in As]
-        assert any(any(part.regular) for row in got for part in row) == bool(orders)
+    got = oc.ope_table(oc.make_table(rs, k), fields, fields)
+    assert got == [[oc.ope_singular(oc.make_table(rs, k), A, B) for B in fields]
+                   for A in fields]
+    assert any(any(row) for row in got)
+
+
+def _composite(t):
+    """H_0 times the first plus boson: against X~(1, 0) the boson meets the
+    charge in a simple pole, with both affine symbols still in place."""
+    return {(("H", 0, 0), ((0, 0),), (0,) * t.dim): {(): 1}}
 
 
 def test_ope_table_refuses_a_bad_field_on_either_side():
     t = table("A", 2, 1)
     good = oc.boson_plus(t, (1, 0, 0))
-    X = oc.x_field(t, (1, 0))
+    X = oc.x_tilde_field(t, (1, 0))
     mixed = oc.field_add(oc.exp_field(t, (1, 0, 0), (0, 0)), oc.identity_field(t))
     unknown = {(("Y", 0, 0), (), (0,) * t.dim): {(): 1}}
-    assert oc.ope_table(t, [good, X], [X, good], 0)[1][0].poles == {}
-    for bad, orders, reason in ((X, 1, "unsupported composite of affine"),
-                                (mixed, 0, "not parity-homogeneous"),
-                                (unknown, 0, "unknown affine symbol")):
+    assert oc.ope_table(t, [good, X], [X, good])[1][0] == {}
+    for bad, reason in ((_composite(t), "unsupported composite of affine"),
+                        (mixed, "not parity-homogeneous"),
+                        (unknown, "unknown affine symbol")):
         for As, Bs in (([good, bad], [good, X]), ([good, X], [good, bad])):
             with pytest.raises(ValueError, match=reason):
-                oc.ope_table(table("A", 2, 1), As, Bs, orders)
+                oc.ope_table(table("A", 2, 1), As, Bs)
 
 
 def test_registry_holds_the_gram_and_cocycle_images_of_each_charge():
@@ -397,7 +365,7 @@ def test_registry_holds_the_gram_and_cocycle_images_of_each_charge():
     n = t.dim
     xis = [tuple(int(j in (a, b)) for j in range(n)) for a in range(n) for b in range(a, n)]
     exps = [oc.exp_field(t, xi[:t.n_plus], xi[t.n_plus:]) for xi in xis]
-    oc.ope_table(t, exps, exps, 0)
+    oc.ope_table(t, exps, exps)
     lattice = t.lattice
     charges = {key[2]: entry for key, entry in t.registry.items()}
     assert len(charges) == n * (n + 1) // 2
@@ -408,28 +376,14 @@ def test_registry_holds_the_gram_and_cocycle_images_of_each_charge():
             assert parity == lattice.norm(xi) % 2
 
 
-def test_regular_orders_is_required_and_refused_on_two_affine_fields():
-    # regular_orders has no default; at 2 every criterion-05 generator pair
-    # is refused, at 0 the singular part comes back
-    t = table("A", 2, Q(3, 2))
-    J = oc.j_field(t, 0)
-    with pytest.raises(TypeError):
-        oc.ope_singular(t, J, J)
-    with pytest.raises(ValueError, match="unsupported composite of affine"):
-        oc.ope_singular(t, J, J, 2)
-    s = oc.ope_singular(t, J, J, 0)
-    assert s.poles == {2: scalar(t, gram_g(t.rs, Q(3, 2))[0][0])}
-    assert s.regular == ()
-
-
 def test_skew_detects_a_wrong_table():
     # a sign error in one direction cannot satisfy the relation
     t = table("A", 1, 1)
     A = oc.boson_plus(t, (1,))
     good = oc.lambda_bracket_skew_check(t, A, A)
     assert good.ok
-    s = oc.ope_singular(t, A, A, 0)
-    assert s.poles == {2: scalar(t, 1)}
+    s = oc.ope_singular(t, A, A)
+    assert s == {2: scalar(t, 1)}
 
 
 BILINEAR_CASES = [(fam, rank, k) for fam, rank in (("A", 2), ("B", 2), ("G", 2))
@@ -461,16 +415,16 @@ def test_ope_singular_is_bilinear(data, case):
     terms = st.lists(st.tuples(st.integers(0, len(gens) - 1), SCALARS),
                      min_size=1, max_size=3)
     left, right = data.draw(terms, label="left"), data.draw(terms, label="right")
-    got = oc.ope_singular(t, _combination(gens, left), _combination(gens, right), 0)
+    got = oc.ope_singular(t, _combination(gens, left), _combination(gens, right))
     want = {}
     for i, a in left:
         for j, b in right:
-            part = oc.ope_singular(t, gens[i], gens[j], 0)
-            assert _integral_values_are_ints(part.poles)
-            for n, f in part.poles.items():
+            part = oc.ope_singular(t, gens[i], gens[j])
+            assert _integral_values_are_ints(part)
+            for n, f in part.items():
                 want[n] = oc.field_add(want.get(n, {}), oc.field_scale(f, a * b))
-    assert got.poles == {n: f for n, f in want.items() if f}
-    assert _integral_values_are_ints(got.poles)
+    assert got == {n: f for n, f in want.items() if f}
+    assert _integral_values_are_ints(got)
 
 
 @settings(max_examples=80, deadline=None)
@@ -507,14 +461,14 @@ def test_mixed_parity_rejected():
     t = table("A", 1, 1)
     f = oc.field_add(oc.exp_field(t, (1,), (0,)), oc.identity_field(t))
     with pytest.raises(ValueError, match="parity"):
-        oc.ope_singular(t, f, f, 0)
+        oc.ope_singular(t, f, f)
     # still refused once each key has passed alone and sits in the registry
     t = table("A", 1, 1)
     for key, coef in f.items():
-        oc.ope_singular(t, {key: coef}, {key: coef}, 0)
+        oc.ope_singular(t, {key: coef}, {key: coef})
     assert set(t.registry) == set(f)
     with pytest.raises(ValueError, match="parity"):
-        oc.ope_singular(t, f, f, 0)
+        oc.ope_singular(t, f, f)
     with pytest.raises(ValueError, match="parity"):
         oc.field_parity(t, f)
 
@@ -522,7 +476,7 @@ def test_mixed_parity_rejected():
 def test_a_table_holding_keys_still_refuses_malformed_ones():
     t = table("A", 1, 1)
     J = oc.j_field(t, 0)
-    oc.ope_singular(t, J, J, 0)
+    oc.ope_singular(t, J, J)
     assert t.registry
     unregistered = "unregistered lattice vector"
     for key, reason in (((None, (), (1, 0, 0)), unregistered),
@@ -532,14 +486,14 @@ def test_a_table_holding_keys_still_refuses_malformed_ones():
                         ((("X", (2,), 0), (), (0, 0)), "unknown affine symbol"),
                         ((("H", 1, 0), (), (0, 0)), "unknown affine symbol")):
         with pytest.raises(ValueError, match=reason):
-            oc.ope_singular(t, J, {key: {(): Q(1)}}, 0)
+            oc.ope_singular(t, J, {key: {(): Q(1)}})
         assert key not in t.registry
 
 
 def test_replace_starts_with_an_empty_registry_and_memo():
     t = table("A", 2, 1)
     J = oc.j_field(t, 0)
-    oc.ope_singular(t, J, J, 0)
+    oc.ope_singular(t, J, J)
     assert t.registry and t.memo
     fresh = dataclasses.replace(t, k=Q(2))
     assert fresh.registry == {} and fresh.memo == {}
@@ -550,7 +504,7 @@ def test_unregistered_vector_rejected():
     t = table("A", 1, 1)
     bad = {(None, (), (1, 0, 0)): {(): Q(1)}}
     with pytest.raises(ValueError, match="unregistered lattice vector"):
-        oc.ope_singular(t, bad, oc.identity_field(t), 0)
+        oc.ope_singular(t, bad, oc.identity_field(t))
     with pytest.raises(ValueError, match="unregistered lattice vector"):
         oc.boson_field(t, (1, 0, 0))
     # a fractional charge is not a lattice vector, not a truncated one
@@ -561,14 +515,17 @@ def test_unregistered_vector_rejected():
     assert oc.exp_field(t2, (Q(1), 0, 0), (0, 0)) == oc.exp_field(t2, (1, 0, 0), (0, 0))
 
 
-def test_composite_regular_term_rejected():
-    # two surviving affine symbols cannot be represented in a single term
+def test_composite_singular_term_rejected():
+    # two surviving affine symbols cannot be represented in a single term,
+    # in either order of the pair
     t = table("A", 2, 1)
+    X = oc.x_tilde_field(t, (1, 0))
+    for A, B in ((X, _composite(t)), (_composite(t), X)):
+        with pytest.raises(ValueError, match="composite"):
+            oc.ope_singular(t, A, B)
+    # two symbols kept at order 0 or above are regular and never built
     X = oc.x_field(t, (1, 0))
-    with pytest.raises(ValueError, match="composite"):
-        oc.ope_singular(t, X, X, 1)
-    # singular data alone never needs the composite, so this succeeds
-    assert oc.ope_singular(t, X, X, 0).poles == {}
+    assert oc.ope_singular(t, X, X) == {}
 
 
 def test_x_field_requires_root():
