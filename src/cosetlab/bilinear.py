@@ -207,7 +207,7 @@ def converse_congruence_check(rs: RootSystem, k, mu: ScWeight) -> CongruenceVerd
             )
     back = weight_to_sc(rs, k, sc_weight_to_af(rs, k, mu))
     differences = tuple(a - b for a, b in zip(mu.j_values, back.j_values))
-    ok = all(d.denominator == 1 for d in differences)
+    ok = integer_vector(differences, None) is not None
     return CongruenceVerdict(ok, None, None, differences)
 
 

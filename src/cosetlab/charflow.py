@@ -19,7 +19,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import lcm
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from operator import sub
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bilinear import (
     ScWeight,
@@ -200,6 +201,9 @@ class FormalCharacter:
     Affine-side strings sit at base + (integer combination of simple roots),
     with offsets in simple-root coordinates.  Coset-side strings sit at
     integer offsets on the dual-value grid relative to the base ScWeight.
+
+    floor maps a weight without a string, keyed as in character_support, to
+    the order up to which it is certified zero; None, the default, is exact.
     """
 
     side: str
@@ -207,6 +211,8 @@ class FormalCharacter:
     level: Q
     base: object
     strings: Dict[Tuple[int, ...], QSeries] = field(default_factory=dict)
+    floor: Callable[[Tuple[Q, ...]], Optional[Q]] = field(
+        default=lambda weight: None, compare=False, repr=False)
 
 
 _SIDE_NAMES = {"af": "affine", "sc": "coset"}
@@ -299,7 +305,8 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
     contribution is at most T, so the result is certified to order T.  The
     coset xi0 + K is enumerated directly: with y = G_K^-1 B xi0 for the
     kernel basis B, |xi0 + kappa|^2 = |kappa + y|_K^2 + |xi0|^2 - y.B xi0,
-    so the K-ball around -y holds exactly the vectors that enter.
+    so the K-ball around -y holds exactly the vectors that enter.  A weight
+    the result lacks is certified zero up to T.
     """
     rs, k = _on_side(ch, "af"), ch.level
     T = Q(T)
@@ -335,7 +342,8 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
         if vecs:
             groups.append((s, vecs))
     out = _transport(groups, -n_extra, T, 2 * q)
-    return FormalCharacter("sc", rs, k, weight_to_sc(rs, k, mu), out)
+    return FormalCharacter("sc", rs, k, weight_to_sc(rs, k, mu), out,
+                           lambda weight: T)
 
 
 def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCharacter:
@@ -345,6 +353,8 @@ def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCha
     string feeds the sum only when its offset agrees with mu_sc outside the
     simple slots, and the simple slots then determine the vector uniquely.
     Each output string records the validity its inputs actually justify.
+    A weight it lacks is exactly zero off mu's grid, else zero up to T, less
+    a negative shift of the weight when no input string would feed it.
     """
     rs, k = _on_side(ch, "sc"), ch.level
     T = Q(T)
@@ -354,6 +364,10 @@ def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCha
     p, q = (2 * conformal_weight_plus(rs, k, mu)).as_integer_ratio()
     n_extra = rs.num_positive - rs.rank
     tn, td = (T - Q(n_extra, 24)).as_integer_ratio()
+
+    def shift(z):  # the exponent shift of the string at z, over 2q
+        return p - q * sum(x * x for x in z)
+
     groups = []
     for off, s in ch.strings.items():
         if off[rs.rank:] != fibre:
@@ -362,13 +376,22 @@ def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCha
         if floor is None:
             continue
         z = tuple(off[i] - m0[i] for i in range(rs.rank))
-        sh = p - q * sum(x * x for x in z)  # shift sh / 2q
+        sh = shift(z)
         # floor/den + sh/2q > T - n_extra/24 = tn/td: it starts above T
         if (floor * 2 * q + sh * s.den) * td > tn * 2 * q * s.den:
             continue
         groups.append((s, [(z, sh)]))
+
+    def absent(weight):
+        z = _grid_offset(weight, mu, error=None)
+        if z is None:
+            return None
+        if tuple(m + x for m, x in zip(m0, z)) + fibre in ch.strings:
+            return T
+        return T + min(Q(shift(z), 2 * q) + Q(n_extra, 24), 0)
+
     return FormalCharacter("af", rs, k, mu,
-                           _transport(groups, n_extra, T, 2 * q))
+                           _transport(groups, n_extra, T, 2 * q), absent)
 
 
 class Comparison(dict):
@@ -376,15 +399,13 @@ class Comparison(dict):
     vacuous = True
 
 
-def _compare_supports(left: FormalCharacter, right: FormalCharacter,
-                      left_floor, right_floor):
+def _compare_supports(left: FormalCharacter, right: FormalCharacter):
     """Per-weight (order, diff) over the union of two characters' supports,
     keyed by absolute weight (as character_support) in ascending order.
 
     A weight missing on one side is compared as that side's zero, certified
-    up to the order its floor function gives for the weight; a floor of None
-    means an exact zero.  The walk runs on integer numerators over one
-    denominator D, which keeps the order of the weights."""
+    up to the side's floor there.  The walk runs on integer numerators over
+    one denominator D, which keeps the order of the weights."""
     bases = [vec(ch.base) if ch.side == "af" else ch.base.jstar_values(ch.rs)
              for ch in (left, right)]
     D = lcm(*(x.denominator for base in bases for x in base))
@@ -397,8 +418,8 @@ def _compare_supports(left: FormalCharacter, right: FormalCharacter,
     diffs = Comparison()
     for num in nums:
         key = tuple(weight[x] for x in num)
-        a = lsup.get(num) or QSeries.from_terms((), left_floor(key))
-        b = rsup.get(num) or QSeries.from_terms((), right_floor(key))
+        a = lsup.get(num) or QSeries.from_terms((), left.floor(key))
+        b = rsup.get(num) or QSeries.from_terms((), right.floor(key))
         order, _ = diffs[key] = qseries_diff(a, b)
         if diffs.vacuous:
             lows = [s.min_exponent for s in (a, b) if s.terms]
@@ -414,25 +435,12 @@ class RoundTrip(NamedTuple):
 def roundtrip_check(ch: FormalCharacter, mu: Sequence, T) -> RoundTrip:
     """Transport to the coset side and back, then compare weight by weight.
 
-    Weights missing from the returned character are compared as certified
-    zeros: a weight reachable only through a heavier lattice vector is known
-    to vanish up to T plus that vector's exponent shift, and the comparison
-    stops there.  A nonempty diff is a verdict, not an exception.
+    A weight missing from either character is compared as a zero certified
+    up to that character's floor.  A nonempty diff is a verdict, not an
+    exception.
     """
-    rs, k = ch.rs, ch.level
-    T = Q(T)
-    mu = vec(mu)
     sc = fermionize_character(ch, mu, T)
-    back = defermionize_character(sc, weight_to_sc(rs, k, mu), T)
-    delta = conformal_weight_plus(rs, k, mu)
-    n_extra = rs.num_positive - rs.rank
-
-    def back_floor(key):
-        z = _grid_offset(key, mu)
-        sh = delta - Q(sum(x * x for x in z), 2) + Q(n_extra, 24)
-        return min(T, T + sh)
-
-    diffs = _compare_supports(ch, back, lambda key: None, back_floor)
+    diffs = _compare_supports(ch, defermionize_character(sc, sc.base, T))
     return RoundTrip(all(not d for _, d in diffs.values()), diffs)
 
 
@@ -485,11 +493,10 @@ def cflemma_check(gamma: Sequence, seed: FormalCharacter, mu: Sequence, T,
 
 
 def _sc_flow_form(rs: RootSystem, k, g: Sequence[int]):
-    """g* at level k and the quadratic term g.g*.g / 2 of a coset flow by g."""
+    """The quadratic term g.g*.g / 2 of a coset flow by g, g* at level k."""
     gs = gram_g_star(rs, k)
-    quad = sum(g[i] * g[j] * gs[i][j]
+    return sum(g[i] * g[j] * gs[i][j]
                for i in range(rs.rank) for j in range(rs.rank)) / 2
-    return gs, quad
 
 
 def spectral_flow_sc(ch: FormalCharacter, gamma: Sequence) -> FormalCharacter:
@@ -498,19 +505,29 @@ def spectral_flow_sc(ch: FormalCharacter, gamma: Sequence) -> FormalCharacter:
     Closed form, locked by the transport-equivalence regression tests: the
     base translates by the plus embedding of gamma on the J grid, and each
     string shifts by its dual values against gamma plus the quadratic
-    dual-form term.
+    dual-form term.  The floor moves and shifts with the strings.
     """
     rs, k = _on_side(ch, "sc"), ch.level
     g = _root_coords(gamma, rs)
     pad = f_af(rs, g, "+")
-    _, quad = _sc_flow_form(rs, k, g)
+    quad = _sc_flow_form(rs, k, g)
     base_js = ch.base.jstar_values(rs)
     new_base = make_sc_weight(
         rs, k, tuple(v + p for v, p in zip(ch.base.j_values, pad)))
     const = quad + sum(x * b for x, b in zip(g, base_js))
-    out = {off: s.shift(const + sum(x * o for x, o in zip(g, off)))
-           for off, s in ch.strings.items()}
-    return FormalCharacter("sc", rs, k, new_base, out)
+
+    def shift(off):
+        return const + sum(x * o for x, o in zip(g, off))
+
+    out = {off: s.shift(shift(off)) for off, s in ch.strings.items()}
+    move = tuple(map(sub, new_base.jstar_values(rs), base_js))
+
+    def floor(weight):
+        pre = tuple(map(sub, weight, move))
+        f = ch.floor(pre)
+        return None if f is None else f + shift(map(sub, pre, base_js))
+
+    return FormalCharacter("sc", rs, k, new_base, out, floor)
 
 
 def _flow_coefficients(rs: RootSystem, gamma: ScWeight) -> Tuple[int, ...]:
@@ -524,8 +541,8 @@ def spectral_flow_af(ch: FormalCharacter, gamma: ScWeight) -> FormalCharacter:
     Any weight with integral dual values is accepted; only its simple-slot
     coefficients enter the twist.  Closed form, locked by the
     transport-equivalence regression tests: the base translates by the
-    affine image of gamma, strings re-key by the simple-slot coefficients,
-    and exponents shift so the two reference normalizations agree.  The
+    affine image of gamma, strings and floor re-key by the simple-slot
+    coefficients and shift so the two reference normalizations agree.  The
     constant part telescopes under composition, so flows add exactly.
     """
     rs, k = _on_side(ch, "af"), ch.level
@@ -538,11 +555,20 @@ def spectral_flow_af(ch: FormalCharacter, gamma: ScWeight) -> FormalCharacter:
     const = (conformal_weight_plus(rs, k, new_base)
              - conformal_weight_plus(rs, k, base)
              - Q(sum(x * x for x in n), 2))
-    out = {}
-    for off, s in ch.strings.items():
-        lin = sum(n[i] * off[i] for i in range(rs.rank))
-        out[tuple(off[i] - n[i] for i in range(rs.rank))] = s.shift(lin + const)
-    return FormalCharacter("af", rs, k, new_base, out)
+
+    def shift(off):
+        return sum(x * o for x, o in zip(n, off)) + const
+
+    out = {tuple(off[i] - n[i] for i in range(rs.rank)): s.shift(shift(off))
+           for off, s in ch.strings.items()}
+    move = tuple(map(sub, t, n))
+
+    def floor(weight):
+        pre = tuple(map(sub, weight, move))
+        f = ch.floor(pre)
+        return None if f is None else f + shift(map(sub, pre, base))
+
+    return FormalCharacter("af", rs, k, new_base, out, floor)
 
 
 class FlowFrame(NamedTuple):
@@ -584,75 +610,28 @@ def flow_sc_equivariance_diff(ch: FormalCharacter, mu: Sequence,
                               gamma: Sequence, T):
     """Compare transport at mu - gamma with the flow of transport at mu.
 
-    Weights absent from one side are compared as certified zeros up to that
-    side's provable order: T for the direct transport, T plus the flow's
-    exponent shift for the flowed one.  Returns per-weight (order, diff).
+    Weights absent from one side are compared as zeros certified up to that
+    side's floor.  Returns per-weight (order, diff).
     """
-    rs = _on_side(ch, "af")
-    T = Q(T)
-    g = _root_coords(gamma, rs)
+    g = _root_coords(gamma, _on_side(ch, "af"))
     mu = vec(mu)
     left = fermionize_character(ch, tuple(m - x for m, x in zip(mu, g)), T)
     right = spectral_flow_sc(fermionize_character(ch, mu, T), g)
-    gs, quad = _sc_flow_form(rs, ch.level, g)
-    shift_js = tuple(sum((gs[b][i] * g[i] for i in range(rs.rank)), Q(0))
-                     for b in range(rs.num_positive))
-
-    def flowed_floor(key):
-        pre = tuple(x - s for x, s in zip(key, shift_js))
-        return T + sum((g[i] * pre[i] for i in range(rs.rank)), Q(0)) + quad
-
-    return _compare_supports(left, right, lambda key: T, flowed_floor)
+    return _compare_supports(left, right)
 
 
 def flow_af_equivariance_diff(ch: FormalCharacter, mu_sc: ScWeight,
                               gamma: ScWeight, T):
     """Compare transport at mu_sc + gamma with the flow of transport at mu_sc.
 
-    Weights absent from ch's support are taken to vanish up to order T.
-    Returns per-weight (order, diff); all-empty diffs certify the identity.
+    Weights absent from one side are compared as zeros certified up to that
+    side's floor.  Returns per-weight (order, diff); all-empty diffs certify
+    the identity.
     """
-    rs, k = _on_side(ch, "sc"), ch.level
-    T = Q(T)
-    n = _flow_coefficients(rs, gamma)[: rs.rank]
+    _flow_coefficients(_on_side(ch, "sc"), gamma)  # refuse gamma first
     left = defermionize_character(ch, mu_sc + gamma, T)
     right = spectral_flow_af(defermionize_character(ch, mu_sc, T), gamma)
-    n_extra = rs.num_positive - rs.rank
-    base_js = ch.base.jstar_values(rs)
-
-    def absent_floor(key, mu_ref, delta_ref, m0):
-        """Certified-zero order of a transported side at a missing weight."""
-        off = _grid_offset(key, mu_ref, error=None)
-        if off is None:
-            return None, None  # off the reachable grid: exactly zero
-        v = tuple(m + z for m, z in zip(m0, off)) + tuple(m0[rs.rank:])
-        if v in ch.strings:
-            return T, off  # its contribution starts above T
-        sh = delta_ref - Q(sum(z * z for z in off), 2) + Q(n_extra, 24)
-        return T + min(sh, 0), off
-
-    sides = []
-    for lam in (mu_sc + gamma, mu_sc):
-        m0 = _grid_offset(lam.jstar_values(rs), base_js)
-        mu_ref = sc_weight_to_af(rs, k, lam)
-        sides.append((mu_ref, conformal_weight_plus(rs, k, mu_ref), m0))
-    (mu_l, delta_l, m0_l), (mu_r, delta_r, m0_r) = sides
-    # the flow sends the string at offset z to weight mu_r + t + (z - n)
-    flow_base = tuple(b + x for b, x in zip(mu_r, sc_weight_to_af(rs, k, gamma)))
-    flow_const = (conformal_weight_plus(rs, k, flow_base) - delta_r
-                  - Q(sum(x * x for x in n), 2))
-    wshift = tuple(f - mr - x for f, mr, x in zip(flow_base, mu_r, map(Q, n)))
-
-    def flowed_floor(key):
-        pre = tuple(x - s for x, s in zip(key, wshift))
-        floor, off = absent_floor(pre, mu_r, delta_r, m0_r)
-        if floor is None:
-            return None
-        return floor + sum(n[i] * off[i] for i in range(rs.rank)) + flow_const
-
-    return _compare_supports(
-        left, right,
-        lambda key: absent_floor(key, mu_l, delta_l, m0_l)[0], flowed_floor)
+    return _compare_supports(left, right)
 
 
 class SeedReport(NamedTuple):

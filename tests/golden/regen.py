@@ -141,10 +141,11 @@ def cases():
     out.append(("char-roundtrip-A2-edge",
                 ["char", "roundtrip", "--seed", "seeds/A2.json", "--T", "1"]))
     # the B2 and G2 seed strings off level 1, at a positive (3/2) and a
-    # negative (-1/2) fractional level: the round trip at a non-base weight,
-    # so delta is nonzero, and the flow on both sides
+    # negative (-1/2) fractional level and at the integer level 2: the round
+    # trip at a non-base weight, so delta is nonzero, and the flow on both
+    # sides
     for seed in ("B2", "G2"):
-        for tag in ("k3_2", "k-1_2"):
+        for tag in ("k3_2", "k-1_2", "k2"):
             path = f"seeds/{seed}-{tag}.json"
             out.append((f"char-roundtrip-{seed}-{tag}",
                         ["char", "roundtrip", "--seed", path, "--T", "4",

@@ -198,51 +198,77 @@ def assert_no_diffs(diffs):
         assert not terms, (key, order, terms)
 
 
-def test_criterion_08_spectral_flow_equivariance():
-    for family, rank in [("A", 1), ("A", 2)]:
+# level 1 and one level of each other kind: at level 1 a flow that took its
+# level to be 1 would agree with the true one
+FLOW_LEVELS = (Q(1), Q(3, 2), Q(-1, 2), Q(2))
+FLOW_TYPES = (("A", 1), ("A", 2))
+
+
+def flow_gammas(rank):
+    """Each simple root and each sum of two simple roots."""
+    simples = [tuple(1 if j == i else 0 for j in range(rank))
+               for i in range(rank)]
+    return simples + [tuple(a + b for a, b in zip(simples[i], simples[j]))
+                      for i in range(rank) for j in range(i, rank)]
+
+
+def delta_character(rs, k):
+    """The character with the single string 1 at weight 0, at level k."""
+    zero = (0,) * rs.rank
+    return affine_character(rs, k, zero, {zero: QSeries.from_terms([(0, 1)])})
+
+
+def flow_equivariance_comparisons(k):
+    """Both sides' flow-equivariance comparisons of criterion 08 at level k."""
+    out = []
+    for family, rank in FLOW_TYPES:
         rs = build_root_system(family, rank)
-        strings = {(0,) * rank: QSeries.from_terms([(0, 1)])}
-        seed = affine_character(rs, 1, (0,) * rank, strings)
-        simples = [tuple(1 if j == i else 0 for j in range(rank))
-                   for i in range(rank)]
-        gammas = list(simples)
-        for i in range(rank):
-            for j in range(i, rank):
-                gammas.append(tuple(a + b
-                                    for a, b in zip(simples[i], simples[j])))
-        for gamma in gammas:
-            assert_no_diffs(flow_sc_equivariance_diff(seed, gamma, gamma, 8))
-            sc = fermionize_character(seed, (0,) * rank, 8)
-            gw = g_sc_plus(rs, 1, f_af(rs, gamma, "+"))
-            diffs = flow_af_equivariance_diff(
-                sc, weight_to_sc(rs, 1, (0,) * rank), gw, 8)
+        seed = delta_character(rs, k)
+        zero = (0,) * rank
+        for gamma in flow_gammas(rank):
+            out.append(flow_sc_equivariance_diff(seed, gamma, gamma, 8))
+            sc = fermionize_character(seed, zero, 8)
+            gw = g_sc_plus(rs, k, f_af(rs, gamma, "+"))
+            out.append(flow_af_equivariance_diff(
+                sc, weight_to_sc(rs, k, zero), gw, 8))
+    return out
+
+
+def test_criterion_08_spectral_flow_equivariance():
+    for k in FLOW_LEVELS:
+        for diffs in flow_equivariance_comparisons(k):
+            assert not diffs.vacuous, k
             assert_no_diffs(diffs)
-        # flows compose additively
-        sc = fermionize_character(seed, (0,) * rank, 6)
-        g1, g2 = gammas[0], gammas[-1]
-        chained = spectral_flow_sc(spectral_flow_sc(sc, g1), g2)
-        joint = spectral_flow_sc(sc, tuple(a + b for a, b in zip(g1, g2)))
-        assert chained.base.j_values == joint.base.j_values
-        for off, s in joint.strings.items():
-            assert chained.strings[off].items() == s.items()
-        e1 = g_sc_plus(rs, 1, f_af(rs, g1, "+"))
-        e2 = g_sc_plus(rs, 1, f_af(rs, g2, "+"))
-        chained = spectral_flow_af(spectral_flow_af(seed, e1), e2)
-        joint = spectral_flow_af(seed, e1 + e2)
-        assert chained.base == joint.base
-        for off, s in joint.strings.items():
-            assert chained.strings[off].items() == s.items()
-        # gamma = 0 is the identity on both sides
-        zero_sc = spectral_flow_sc(sc, (0,) * rank)
-        assert zero_sc.base.j_values == sc.base.j_values
-        assert set(zero_sc.strings) == set(sc.strings)
-        for off, s in sc.strings.items():
-            assert zero_sc.strings[off].items() == s.items()
-        zero_af = spectral_flow_af(seed, weight_to_sc(rs, 1, (0,) * rank))
-        assert zero_af.base == seed.base
-        assert set(zero_af.strings) == set(seed.strings)
-        for off, s in seed.strings.items():
-            assert zero_af.strings[off].items() == s.items()
+        for family, rank in FLOW_TYPES:
+            rs = build_root_system(family, rank)
+            seed = delta_character(rs, k)
+            gammas = flow_gammas(rank)
+            # flows compose additively
+            sc = fermionize_character(seed, (0,) * rank, 6)
+            g1, g2 = gammas[0], gammas[-1]
+            chained = spectral_flow_sc(spectral_flow_sc(sc, g1), g2)
+            joint = spectral_flow_sc(sc, tuple(a + b for a, b in zip(g1, g2)))
+            assert chained.base.j_values == joint.base.j_values
+            for off, s in joint.strings.items():
+                assert chained.strings[off].items() == s.items()
+            e1 = g_sc_plus(rs, k, f_af(rs, g1, "+"))
+            e2 = g_sc_plus(rs, k, f_af(rs, g2, "+"))
+            chained = spectral_flow_af(spectral_flow_af(seed, e1), e2)
+            joint = spectral_flow_af(seed, e1 + e2)
+            assert chained.base == joint.base
+            for off, s in joint.strings.items():
+                assert chained.strings[off].items() == s.items()
+            # gamma = 0 is the identity on both sides
+            zero_sc = spectral_flow_sc(sc, (0,) * rank)
+            assert zero_sc.base.j_values == sc.base.j_values
+            assert set(zero_sc.strings) == set(sc.strings)
+            for off, s in sc.strings.items():
+                assert zero_sc.strings[off].items() == s.items()
+            zero_af = spectral_flow_af(seed, weight_to_sc(rs, k, (0,) * rank))
+            assert zero_af.base == seed.base
+            assert set(zero_af.strings) == set(seed.strings)
+            for off, s in seed.strings.items():
+                assert zero_af.strings[off].items() == s.items()
 
 
 def test_criterion_09_e_minus_isometry():

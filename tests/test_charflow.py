@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction as Q
@@ -861,21 +862,20 @@ def test_validity_is_never_optimistic_on_recompute():
 
 # ------------------------------------------------- weight-keyed comparison
 
-def reference_compare(left, right, left_floor, right_floor):
+def reference_compare(left, right):
     """_compare_supports spelled out on Fraction weight keys."""
     lsup, rsup = character_support(left), character_support(right)
     return {key: qseries_diff(
                 lsup[key] if key in lsup
-                else QSeries.from_terms((), left_floor(key)),
+                else QSeries.from_terms((), left.floor(key)),
                 rsup[key] if key in rsup
-                else QSeries.from_terms((), right_floor(key)))
+                else QSeries.from_terms((), right.floor(key)))
             for key in sorted(set(lsup) | set(rsup))}
 
 
-def compare_against_reference(compare, left, right, left_floor,
-                              right_floor):
-    diffs = compare(left, right, left_floor, right_floor)
-    assert diffs == reference_compare(left, right, left_floor, right_floor)
+def compare_against_reference(compare, left, right):
+    diffs = compare(left, right)
+    assert diffs == reference_compare(left, right)
     # the report renders the weights in this order without sorting
     assert list(diffs) == sorted(diffs)
     return diffs
@@ -895,11 +895,11 @@ def test_integer_key_comparison_matches_fraction_keys(lbase, rbase, lstrings,
     # bases of different denominators interleave the two supports, and most
     # keys are then present on one side only; the floors read the weight
     rs = build_root_system("B", 2)
-    left = affine_character(rs, 1, lbase, lstrings)
-    right = affine_character(rs, 1, rbase, rstrings)
-    compare_against_reference(charflow._compare_supports, left, right,
-                              lambda key: sum(key),
-                              lambda key: None if key[0] < 0 else key[1])
+    left = dataclasses.replace(affine_character(rs, 1, lbase, lstrings),
+                               floor=lambda key: sum(key))
+    right = dataclasses.replace(affine_character(rs, 1, rbase, rstrings),
+                                floor=lambda key: None if key[0] < 0 else key[1])
+    compare_against_reference(charflow._compare_supports, left, right)
 
 
 def test_integer_key_comparison_on_the_verdicts(monkeypatch):
@@ -911,11 +911,10 @@ def test_integer_key_comparison_on_the_verdicts(monkeypatch):
     real = charflow._compare_supports
     seen = []
 
-    def checked(left, right, left_floor, right_floor):
+    def checked(left, right):
         seen.append(len(character_support(left).keys()
                         ^ character_support(right).keys()))
-        return compare_against_reference(real, left, right, left_floor,
-                                         right_floor)
+        return compare_against_reference(real, left, right)
 
     monkeypatch.setattr(charflow, "_compare_supports", checked)
     a1 = build_root_system("A", 1)
@@ -934,3 +933,55 @@ def test_integer_key_comparison_on_the_verdicts(monkeypatch):
     b3 = validate_seed(json.loads((seeds / "B3.json").read_text())).character
     assert_no_diffs(flow_sc_equivariance_diff(b3, b3.base, (0, 1, 0), 2))
     assert seen == [0, 0, 1, 47]
+
+
+# ------------------------------------------------------- floors under flows
+
+FLOOR_SEEDS = ("A2", "A3", "B2", "B2-k3_2", "B2-k-1_2", "B2-k2", "G2",
+               "G2-k3_2", "G2-k-1_2", "G2-k2")
+
+
+def flowed_floors(ch, flow):
+    """(floor, validity) per string of ch: with the string dropped and its
+    validity put as the floor at its weight (exact zero elsewhere), the
+    floor the flow gives the weight the string moves to; and the validity
+    of the flowed string."""
+    flowed = character_support(flow(ch))
+    out = []
+    for off, weight in zip(ch.strings, character_support(ch)):
+        v = ch.strings[off].validity
+        dropped = dataclasses.replace(
+            ch, strings={o: s for o, s in ch.strings.items() if o != off},
+            floor=lambda w, weight=weight, v=v: v if w == weight else None)
+        moved = flow(dropped)
+        (image,) = flowed.keys() - character_support(moved).keys()
+        out.append((moved.floor(image), flowed[image].validity))
+    return out
+
+
+def floors_under_flows():
+    """flowed_floors for both flows, by the first simple root on the coset
+    side and the last one on the affine side, of each seed transported to
+    order 3 and back."""
+    seeds = Path(__file__).parent / "golden" / "seeds"
+    out = []
+    for name in FLOOR_SEEDS:
+        raw = json.loads((seeds / f"{name}.json").read_text(encoding="utf-8"))
+        ch = validate_seed(raw).character
+        rs, k = ch.rs, ch.level
+        sc = fermionize_character(ch, ch.base, 3)
+        af = defermionize_character(sc, sc.base, 3)
+        first = (1,) + (0,) * (rs.rank - 1)
+        gamma = g_sc_plus(rs, k, f_af(rs, first[::-1], "+"))
+        out += flowed_floors(sc, lambda c: spectral_flow_sc(c, first))
+        out += flowed_floors(af, lambda c: spectral_flow_af(c, gamma))
+    return out
+
+
+def test_flows_move_the_floor_with_the_strings():
+    # a transported string certifies its weight up to its validity, and a
+    # missing one up to the floor: the flow must shift both alike
+    pairs = floors_under_flows()
+    assert len(pairs) == 308
+    assert all(floor == validity for floor, validity in pairs)
+    assert all(validity is not None for _, validity in pairs)

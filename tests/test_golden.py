@@ -88,3 +88,43 @@ def ope_grid_digest():
 
 def test_ope_verify_grid_digest():
     assert ope_grid_digest() == (OPE_GRID_SHA256, 64)
+
+
+# the character layer on five seeds (level 1, 3/2 and -1/2) at two orders,
+# in both formats: the round trip at the base weight and at 1,0, and the
+# flow on both sides at three gammas: 160 outputs pinned by one SHA-256 in
+# the form of the ope grid's.  Some af-side flows here compare weights that
+# only one side holds; two requests are vacuous and exit 2
+CHAR_GRID_SEEDS = ("A2", "B2", "G2", "B2-k3_2", "G2-k-1_2")
+CHAR_GRID_GAMMAS = ("1,0", "0,1", "2,1")
+CHAR_GRID_SHA256 = "d7d14955b3545233f12ea4f6bb5f9dff680c82f50c1d1c15b16ceac414c2b25c"
+
+
+def char_grid_argvs():
+    for seed in CHAR_GRID_SEEDS:
+        path = ["--seed", f"seeds/{seed}.json"]
+        for T in ("2", "4"):
+            for fmt in ("json", "text"):
+                tail = ["--T", T, "--format", fmt]
+                yield ["char", "roundtrip", *path, *tail]
+                yield ["char", "roundtrip", *path, "--weight=1,0", *tail]
+                for side in ("sc", "af"):
+                    for gamma in CHAR_GRID_GAMMAS:
+                        yield ["flow", "check", *path, "--side", side,
+                               f"--gamma={gamma}", *tail]
+
+
+def char_grid_digest():
+    """The SHA-256 of the character grid's outputs, hashed as the ope
+    grid's; the call count; and the count of calls per exit code."""
+    digest = hashlib.sha256()
+    exits = {}
+    for argv in char_grid_argvs():
+        rc, out, err = regen.run(argv)
+        digest.update(f"{rc}\n{out}{err}".encode("utf-8"))
+        exits[rc] = exits.get(rc, 0) + 1
+    return digest.hexdigest(), sum(exits.values()), exits
+
+
+def test_char_grid_digest():
+    assert char_grid_digest() == (CHAR_GRID_SHA256, 160, {0: 158, 2: 2})

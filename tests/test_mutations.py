@@ -13,8 +13,12 @@ transport a wrong eta power or a short lattice enumeration, by replacing
 ``charflow.eta_power`` or ``charflow.enumerate_by_norm``, and compare
 transports over other bases of the kernel lattice, by replacing
 ``charflow.kernel_K``.  A coset-side flow that reads g* at level 1
-replaces ``charflow._sc_flow_form``; flows that ignore the character's
-level fail the level-3/2 equivariance check.  A series rescale that
+replaces ``charflow._sc_flow_form``, and an affine-side flow with the
+level-1 conformal weight in its constant recompiles
+``charflow.spectral_flow_af``; both fail the level-3/2 equivariance check
+and acceptance criterion 08 at every level but 1.  An affine-side flow
+that raises the floor it moves by one, recompiled the same way, fails the
+property test that flows move floors with strings.  A series rescale that
 forgets the validity cap replaces ``QSeries._on``.  A discriminant group
 whose largest divisor is one prime too big replaces
 ``latticekit.smith_normal_form``.  A dual Coxeter number one too big,
@@ -55,6 +59,7 @@ from cosetlab.rootsys import build_root_system, check_hvee_identity
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import test_acceptance  # noqa: E402
+import test_charflow  # noqa: E402
 
 REAL_BOSON_PATTERNS = opecalc._boson_patterns
 REAL_ETA_POWER = charflow.eta_power
@@ -208,7 +213,7 @@ def test_skew_check_sees_a_raised_pole_order(family, rank, k, failing,
 
 
 def _recompiled(function, old, new):
-    """function compiled again from its source with the one line old
+    """function compiled again from its source with the one text old
     replaced by new, against the globals of its module."""
     source = inspect.getsource(function)
     assert source.count(old) == 1
@@ -408,6 +413,43 @@ def test_flow_sc_sees_g_star_at_level_one(monkeypatch):
     sc, af = _flow_sides_at_level_3_2()
     assert (len(sc), _failing_weights(sc)) == (19, 13)
     assert _failing_weights(af) == 0
+
+
+def _af_flow_at_level_one():
+    """spectral_flow_af with the level-1 conformal weight in both terms of
+    its constant."""
+    return _recompiled(
+        charflow.spectral_flow_af,
+        "conformal_weight_plus(rs, k, new_base)\n"
+        "             - conformal_weight_plus(rs, k, base)",
+        "conformal_weight_plus(rs, 1, new_base)\n"
+        "             - conformal_weight_plus(rs, 1, base)")
+
+
+@pytest.mark.parametrize("name, mutant, failing", [
+    ("_sc_flow_form", lambda: lambda rs, k, g: REAL_SC_FLOW_FORM(rs, 1, g),
+     [0, 22, 24, 22]),
+    ("spectral_flow_af", _af_flow_at_level_one, [0, 7, 7, 7]),
+])
+def test_criterion_08_sees_a_flow_that_ignores_the_level(name, mutant, failing,
+                                                         monkeypatch):
+    monkeypatch.setattr(charflow, name, mutant())
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_08_spectral_flow_equivariance()
+    # failing weights per level: level 1 cannot tell, every other level fails
+    assert [sum(map(_failing_weights,
+                    test_acceptance.flow_equivariance_comparisons(k)))
+            for k in test_acceptance.FLOW_LEVELS] == failing
+
+
+def test_flowed_floors_see_an_af_floor_one_too_high(monkeypatch):
+    mutant = _recompiled(charflow.spectral_flow_af, "else f + shift(",
+                         "else f + 1 + shift(")
+    for module in (charflow, test_charflow):
+        monkeypatch.setattr(module, "spectral_flow_af", mutant)
+    # every affine-side string of the property test, none on the coset side
+    pairs = test_charflow.floors_under_flows()
+    assert sum(floor != validity for floor, validity in pairs) == 20
 
 
 def _inflated_smith(rows):
