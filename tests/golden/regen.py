@@ -136,6 +136,13 @@ def cases():
         out.append((f"char-roundtrip-{seed}",
                     ["char", "roundtrip", "--seed", f"seeds/{seed}.json",
                      "--T", "6"]))
+    # a rank-4 seed, the B3 one zero-padded: a plus-kernel lattice of rank
+    # 12, at a T small enough to pin byte for byte
+    out.append(("char-roundtrip-B4",
+                ["char", "roundtrip", "--seed", "seeds/B4.json", "--T", "3"]))
+    out.append(("flow-check-af-B4",
+                ["flow", "check", "--seed", "seeds/B4.json", "--side", "af",
+                 "--gamma=0,0,0,1", "--T", "3"]))
     # the seed's q^1 term sits exactly at T: its back transport lands on the
     # truncation order itself, which the comparison must keep
     out.append(("char-roundtrip-A2-edge",
