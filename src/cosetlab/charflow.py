@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import lcm
-from operator import sub
+from operator import add, mul, sub
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bilinear import (
@@ -305,8 +305,9 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
     contribution is at most T, so the result is certified to order T.  The
     coset xi0 + K is enumerated directly: with y = G_K^-1 B xi0 for the
     kernel basis B, |xi0 + kappa|^2 = |kappa + y|_K^2 + |xi0|^2 - y.B xi0,
-    so the K-ball around -y holds exactly the vectors that enter.  A weight
-    the result lacks is certified zero up to T.
+    so the K-ball around -y holds exactly the vectors that enter; the search
+    returns them embedded in L+, so each costs one xi0 addition and one
+    norm.  A weight the result lacks is certified zero up to T.
     """
     rs, k = _on_side(ch, "af"), ch.level
     T = Q(T)
@@ -333,10 +334,9 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
         if bound < 0:
             continue
         vecs = []
-        for kap in enumerate_by_norm(kernel.lattice, bound,
-                                     tuple(-x for x in y)):
-            xi = tuple(a + b for a, b in zip(xi0, kernel.embed(kap)))
-            vecs.append((xi, q * sum(x * x for x in xi) - p))
+        for kap in enumerate_by_norm(kernel, bound, tuple(-x for x in y)):
+            xi = tuple(map(add, xi0, kap))
+            vecs.append((xi, q * sum(map(mul, xi, xi)) - p))
         # the ball can be empty even for bound >= 0: its centre need not
         # be a lattice point
         if vecs:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import isqrt, lcm
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .bilinear import ScWeight, sc_weight_from_jstar
@@ -319,9 +320,9 @@ def discriminant_group(lattice: IntegralLattice) -> List[int]:
     return [d for d in smith_normal_form(lattice.gram) if d > 1]
 
 
-def enumerate_by_norm(lattice: IntegralLattice, bound,
+def enumerate_by_norm(lattice: IntegralLattice | EmbeddedLattice, bound,
                       center: Optional[Sequence] = None) -> List[Tuple[int, ...]]:
-    """All vectors v with |<v-z,v-z>| <= bound, in sorted coordinate order.
+    """All vectors v with |<v-z,v-z>| <= bound.
 
     z is the rational center, the origin when None.  Only definite lattices
     are accepted; on an indefinite one the solution set is infinite.  The
@@ -330,7 +331,17 @@ def enumerate_by_norm(lattice: IntegralLattice, bound,
     of z and w = q(v - z), |v-z|^2 = sum_k (U_k.w)^2 / (q^2 D_(k-1) D_k).
     Scaled by q^2 lcm(D_(k-1) D_k), the bound leaves each coordinate an exact
     integer interval, read with isqrt.
+
+    An IntegralLattice gives sorted coordinate vectors.  An EmbeddedLattice,
+    z in its own coordinates, gives each v's ambient image embed(v), unsorted
+    in search order: a running sum down the recursion, where each level with
+    a nonzero coordinate x adds x times its basis row.
     """
+    embedded = isinstance(lattice, EmbeddedLattice)
+    m = lattice.ambient.rank if embedded else lattice.rank
+    rows = lattice.basis_in_ambient if embedded else tuple(
+        tuple(int(i == j) for j in range(m)) for i in range(m))
+    lattice = lattice.lattice if embedded else lattice
     b = Q(bound)
     if b < 0:
         raise ValueError("bound must be nonnegative")
@@ -338,8 +349,6 @@ def enumerate_by_norm(lattice: IntegralLattice, bound,
     z = (Q(0),) * n if center is None else vec(center)
     if len(z) != n:
         raise ValueError("dimension mismatch")
-    if n == 0:
-        return [()]
     if lattice.signature == "indefinite":
         raise ValueError("lattice is not definite")
     sign = -1 if lattice.signature == "negative" else 1
@@ -353,22 +362,23 @@ def enumerate_by_norm(lattice: IntegralLattice, bound,
     weight = [scale // x for x in dens]
 
     results: List[Tuple[int, ...]] = []
-    partial = [0] * n
-    w = [0] * n  # q * partial - p
+    w = [0] * n  # q * v - p over the coordinates fixed so far
 
-    def search(k: int, remaining: int) -> None:
+    def search(k: int, remaining: int, image: Tuple[int, ...]) -> None:
         if k < 0:
-            results.append(tuple(partial))
+            results.append(image)
             return
-        # U_k.w = a x + c at partial[k] = x; weight[k] (a x + c)^2 <= remaining
+        # U_k.w = a x + c at v_k = x; weight[k] (a x + c)^2 <= remaining
         a = minors[k] * q
         c = sum(map(mul, u[k][k + 1:], w[k + 1:])) - minors[k] * p[k]
         r = isqrt(remaining // weight[k])
+        row = rows[k]
         for x in range(-((r + c) // a), (r - c) // a + 1):
             t = a * x + c
-            partial[k] = x
             w[k] = q * x - p[k]
-            search(k - 1, remaining - weight[k] * t * t)
+            search(k - 1, remaining - weight[k] * t * t,
+                   tuple(map(add, image, map(mul, repeat(x), row)))
+                   if x else image)
 
-    search(n - 1, b.numerator * q * q * scale // b.denominator)
-    return sorted(results)
+    search(n - 1, b.numerator * q * q * scale // b.denominator, (0,) * m)
+    return results if embedded else sorted(results)

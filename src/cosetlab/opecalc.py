@@ -95,12 +95,6 @@ def _mul_into(acc: SymCoef, a: SymCoef, b: SymCoef) -> None:
             _add_at(acc, tuple(sorted(ka + kb)) if ka and kb else ka or kb, va * vb)
 
 
-def sc_mul(a: SymCoef, b: SymCoef) -> SymCoef:
-    out: SymCoef = {}
-    _mul_into(out, a, b)
-    return out
-
-
 def n_symbol_coef(a: Tuple[int, ...], b: Tuple[int, ...]) -> SymCoef:
     """Structure constant N[a,b] with antisymmetry folded into the sign."""
     if a <= b:
@@ -532,9 +526,7 @@ def _contract(table: ContractionTable, keyA: TermKey,
     affB, bosB, xiB = keyB
     (_, _, gxiA, _), (_, _, gxiB, exiB) = _entry(table, keyA), _entry(table, keyB)
     base = sum(map(mul, xiA, gxiB))
-    c0 = {(): -1 if sum(map(mul, xiA, exiB)) % 2 else 1}
-    out_exp = tuple(map(add, xiA, xiB))
-    sink: Poles = {}
+    sink: Optional[Poles] = None  # made with the sign and out_exp by the first live fate
 
     # affine fates (contraction entry, symbol kept at z, symbol kept at w)
     fates: List[Tuple[Optional[Tuple], AffineKey, AffineKey]] = [(None, affA, affB)]
@@ -542,7 +534,6 @@ def _contract(table: ContractionTable, keyA: TermKey,
         fates += [(entry, None, None) for entry in _affine_contractions(table, affA, affB)]
 
     for links, kept, stay in _boson_patterns(table.lattice.gram, bosA, gxiA, bosB, gxiB):
-        coef_links = sc_scale(c0, prod(w for w, _ in links))
         shift = base - sum(order for _, order in links)
 
         for entry, aff_z, aff_w in fates:
@@ -551,7 +542,10 @@ def _contract(table: ContractionTable, keyA: TermKey,
                 continue
             if aff_z is not None and aff_w is not None:
                 raise ValueError("unsupported composite of affine symbols")
-            coef = sc_mul(coef_links, entry[1]) if entry else coef_links
+            if sink is None:
+                sink, out_exp = {}, tuple(map(add, xiA, xiB))
+                sign = -1 if sum(map(mul, xiA, exiB)) % 2 else 1
+            coef = sc_scale(entry[1] if entry else {(): 1}, sign * prod(w for w, _ in links))
             aff_out = entry[2] if entry else aff_w
             # taylor slots: kept z-side bosons, then the z-side affine if any;
             # the budget carries a term up to order -1, the last singular one
@@ -569,8 +563,8 @@ def _contract(table: ContractionTable, keyA: TermKey,
                     for mono, qbell in tail.items():
                         key = (aff, tuple(sorted(relocated + stay + mono)), out_exp)
                         field_add_into(fld, key, sc_scale(coef, scale * qbell))
-    return tuple((pole, key, coef) for pole, fld in sink.items()
-                 for key, coef in fld.items())
+    return () if sink is None else tuple(
+        (pole, key, coef) for pole, fld in sink.items() for key, coef in fld.items())
 
 
 # ---------------------------------------------------------------------------

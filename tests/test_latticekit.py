@@ -472,6 +472,25 @@ def test_enumerate_rejects_indefinite():
 def test_enumerate_rank_zero():
     rs = build_root_system("A", 1)
     assert enumerate_by_norm(kernel_K(rs).lattice, 5) == [()]
+    # embedded, the one vector is the ambient zero, not the empty tuple
+    assert enumerate_by_norm(kernel_K(rs), 5) == [(0,)]
+    assert enumerate_by_norm(kernel_K(rs), 0, ()) == [(0,)]
+
+
+@pytest.mark.parametrize("family, rank", [("A", 2), ("B", 2), ("G", 2),
+                                          ("A", 3), ("B", 3)])
+@pytest.mark.parametrize("fractional", [False, True], ids=["origin", "frac"])
+def test_embedded_enumeration_is_the_embedded_coordinate_one(family, rank,
+                                                             fractional):
+    # the running-sum images against embed() of each coordinate vector;
+    # only the order may differ
+    emb = kernel_K(build_root_system(family, rank))
+    centre = tuple(Q((-1) ** i * (i + 1), i + 2) for i in range(emb.lattice.rank))
+    z = centre if fractional else None
+    images = enumerate_by_norm(emb, 6, z)
+    reference = [emb.embed(c) for c in enumerate_by_norm(emb.lattice, 6, z)]
+    assert len(reference) > 1
+    assert sorted(images) == sorted(reference)
 
 
 def test_default_cocycle_satisfies_identity():

@@ -10,7 +10,9 @@ engine that raises some pole orders, by replacing
 short of the simple pole, by recompiling ``opecalc._contract`` with that
 one line changed.  They feed character
 transport a wrong eta power or a short lattice enumeration, by replacing
-``charflow.eta_power`` or ``charflow.enumerate_by_norm``, and compare
+``charflow.eta_power`` or ``charflow.enumerate_by_norm``, or an enumeration
+whose running sum skips one basis row, by recompiling
+``latticekit.enumerate_by_norm`` with that one line changed, and compare
 transports over other bases of the kernel lattice, by replacing
 ``charflow.kernel_K``.  A coset-side flow that reads g* at level 1
 replaces ``charflow._sc_flow_form``, and an affine-side flow with the
@@ -275,6 +277,23 @@ def test_roundtrip_sees_a_dropped_lattice_vector(b2_seed, monkeypatch):
     assert report.diffs == {
         (0, 0): (6, ((0, 1), (1, -2), (2, 3))),
         (0, 1): (Q(67, 12), ((Q(1, 2), 2), (Q(3, 2), -1))),
+    }
+
+
+def test_roundtrip_sees_a_skipped_row_add(b2_seed, monkeypatch):
+    # the search builds each kernel image as a running sum of basis rows;
+    # skipping the row of the first coordinate maps every kernel vector to
+    # the image of one with that coordinate zeroed, so strings pile up on
+    # the same coset-side keys; the golden char-roundtrip and coset-side
+    # flow-check cases of B2, G2, A3, B3 and B4 then exit 1
+    monkeypatch.setattr(charflow, "enumerate_by_norm", _recompiled(
+        latticekit.enumerate_by_norm, "if x else image",
+        "if x and k else image"))
+    report = roundtrip_check(b2_seed, (0, 0), 6)
+    assert not report.ok
+    assert report.diffs == {
+        (0, 0): (6, ((0, -4), (1, 8), (2, -12))),
+        (0, 1): (Q(67, 12), ((Q(1, 2), -6), (Q(3, 2), 3))),
     }
 
 

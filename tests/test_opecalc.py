@@ -31,8 +31,9 @@ def test_n_symbol_antisymmetry():
     assert oc.n_symbol_coef(b, a) == {(("N", a, b),): Q(-1)}
 
 
-def test_sc_mul_collects_products():
-    c = oc.sc_mul(oc.n_symbol_coef((0, 1), (1, 0)), oc.sc_from(Q(3, 2)))
+def test_mul_into_collects_products():
+    c = {}
+    oc._mul_into(c, oc.n_symbol_coef((0, 1), (1, 0)), oc.sc_from(Q(3, 2)))
     assert c == {(("N", (0, 1), (1, 0)),): Q(3, 2)}
     assert oc.sc_add(c, oc.sc_scale(c, -1)) == {}
 
