@@ -85,21 +85,22 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_inv(a: Matrix) -> Matrix:
-    """Invert a square rational matrix by Gauss-Jordan elimination."""
+    """Invert a square rational matrix from one Bareiss pass over [a | I],
+    scaled to integers.  Row i of the echelon U satisfies U_left a^-1 =
+    U_right, so with D the last pivot, D a^-1 follows by exact integer back
+    substitution."""
     n = len(a)
-    work = [list(row) + [Q(1) if i == j else Q(0) for j in range(n)] for i, row in enumerate(mat(a))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv_p = Q(1) / work[col][col]
-        work[col] = [x * inv_p for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    m, _ = integer_rows([tuple(row) + e for row, e in zip(a, identity(n))])
+    pivots, _ = bareiss(m, pivoting=True)
+    D = pivots[-1] if pivots else 1
+    if D == 0:
+        raise ValueError("matrix is singular")
+    adj: List[List[int]] = [[]] * n
+    for i in reversed(range(n)):
+        row = m[i]
+        adj[i] = [(D * row[n + j] - sum(row[c] * adj[c][j] for c in range(i + 1, n)))
+                  // row[i] for j in range(n)]
+    return tuple(tuple(Q(x, D) for x in row) for row in adj)
 
 
 def solve(a: Matrix, b: Sequence) -> Vector:
@@ -108,8 +109,8 @@ def solve(a: Matrix, b: Sequence) -> Vector:
 
 
 def bareiss(m: List[List[int]], pivoting: bool) -> Tuple[List[int], int]:
-    """Fraction-free elimination (Bareiss 1968) of a square integer matrix,
-    in place: its pivots and the sign of the row swaps made.
+    """Fraction-free elimination (Bareiss 1968) of n integer rows, at least n
+    long, in place: its pivots and the sign of the row swaps made.
 
     The k-th pivot is the k-th leading principal minor of the row-swapped
     matrix, and row k keeps its fraction-free upper row from column k on.

@@ -99,24 +99,22 @@ def _symmetrizer(a: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
 
 
 def _positive_roots(a: Tuple[Tuple[int, ...], ...]) -> Tuple[Coords, ...]:
-    """Close the simple roots under simple reflections, keeping positives.
-
-    Ordered by height, then by simple-root coordinates so that alpha_1
-    precedes alpha_2 within each height class.
-    """
+    """Close the simple roots under the ascending simple reflections, which
+    reach every positive root: beta -> beta - c alpha_i where the pairing
+    c = <beta, alpha_i-vee> < 0.  Each root carries its pairings (alpha_k's
+    are column k of a); a reflection subtracts c times column i.  Ordered by
+    height, then by coordinates so alpha_1 precedes alpha_2 within a height."""
     rank = len(a)
+    columns = tuple(zip(*a))
     simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     roots = set(simples)
-    frontier = list(simples)
+    frontier = list(zip(simples, columns))
     while frontier:
-        beta = frontier.pop()
-        for i in range(rank):
-            # <beta, alpha_i-vee> from the Cartan matrix rows
-            c = sum(beta[j] * a[i][j] for j in range(rank))
-            refl = tuple(beta[j] - (c if j == i else 0) for j in range(rank))
-            if all(x >= 0 for x in refl) and any(refl) and refl not in roots:
+        beta, pairings = frontier.pop()
+        for i, c in enumerate(pairings):
+            if c < 0 and (refl := beta[:i] + (beta[i] - c,) + beta[i + 1:]) not in roots:
                 roots.add(refl)
-                frontier.append(refl)
+                frontier.append((refl, tuple(p - c * x for p, x in zip(pairings, columns[i]))))
     return tuple(sorted(roots, key=lambda r: (sum(r), tuple(-x for x in r))))
 
 

@@ -73,6 +73,18 @@ def cases():
         out.append((f"lattice-disc-e-plus-{family}6",
                     ["lattice", "disc", "--lattice", "e-plus", *rs,
                      "--level=2"]))
+    # long chains: the Cartan inverse and the positive-root closure of A12
+    # (78 roots) and D10 (90 roots), through G* and the weight map
+    a12 = ["--type", "A", "--rank", "12"]
+    d10 = ["--type", "D", "--rank", "10"]
+    out.append(("rootsys-info-A12", ["rootsys", "info", *a12]))
+    out.append(("forms-verify-D10-pos",
+                ["forms", "verify", *d10, "--level=7/2"]))
+    out.append(("forms-verify-A12-neg",
+                ["forms", "verify", *a12, "--level=-5/3"]))
+    out.append(("weights-map-D10",
+                ["weights", "map", *d10, "--level=7/2",
+                 "--weight=1/2,0,-1,1,0,1/2,0,-1/2,1,0"]))
     # every lattice on the largest types, in text only: in JSON the 120x120
     # gram of E8 takes one line per entry.  E7 qsc-dual also pins the closed
     # form 19^7 of its discriminant group through --expect

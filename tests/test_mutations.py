@@ -25,6 +25,8 @@ forgets the validity cap replaces ``QSeries._on``.  A discriminant group
 whose largest divisor is one prime too big replaces
 ``latticekit.smith_normal_form``.  A dual Coxeter number one too big,
 from replacing ``rootsys._dual_coxeter``, fails acceptance criterion 02.
+A Cartan inverse with 1/2 added at (0, 1) and (1, 0), from replacing
+``rootsys.mat_inv``, fails criteria 01 and 09 at A2, level 1.
 A g* built at level k instead of k + h_vee fails criterion 01, and a coset
 central charge without its -rank term fails criterion 10; each replaces the
 ``bilinear`` function and the name the acceptance module imported.  Each
@@ -71,6 +73,7 @@ REAL_ON = QSeries._on
 REAL_SC_FLOW_FORM = charflow._sc_flow_form
 REAL_SMITH = latticekit.smith_normal_form
 REAL_DUAL_COXETER = rootsys._dual_coxeter
+REAL_MAT_INV = rootsys.mat_inv
 REAL_CENTRAL_CHARGES = bilinear.central_charges
 SEEDS = Path(__file__).resolve().parent / "golden" / "seeds"
 B2_SEED = SEEDS / "B2.json"
@@ -498,6 +501,26 @@ def test_criterion_02_sees_h_vee_plus_one(monkeypatch):
     # not only the first type of the grid: every one fails
     for family, rank in test_acceptance.TYPE_GRID:
         assert not check_hvee_identity(build_root_system(family, rank))
+
+
+def _skewed_inverse(a):
+    """The inverse with 1/2 added at (0, 1) and (1, 0), where it has them."""
+    rows = [list(row) for row in REAL_MAT_INV(a)]
+    if len(rows) > 1:
+        rows[0][1] += Q(1, 2)
+        rows[1][0] += Q(1, 2)
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("criterion, level", [
+    (test_acceptance.test_criterion_09_e_minus_isometry, "1"),
+    (test_acceptance.test_criterion_01_gram_inverse_identities,
+     r"Fraction\(1, 1\)")])
+def test_criteria_01_and_09_see_a_skewed_cartan_inverse(criterion, level,
+                                                        monkeypatch):
+    monkeypatch.setattr(rootsys, "mat_inv", _skewed_inverse)
+    with pytest.raises(AssertionError, match=rf"^\('A', 2, {level}\)"):
+        criterion()
 
 
 def _replace_in_bilinear(monkeypatch, name, mutant):

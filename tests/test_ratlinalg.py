@@ -22,10 +22,32 @@ from cosetlab.ratlinalg import (
 
 
 def test_mat_inv_round_trip():
-    a = mat([(2, 1), (1, 1)])
-    assert mat_mul(a, mat_inv(a)) == identity(2)
-    with pytest.raises(ValueError):
-        mat_inv(mat([(1, 2), (2, 4)]))
+    # plain; a zero (0, 0) entry, so a row swap; fractional entries
+    for a in (mat([(2, 1), (1, 1)]), mat([(0, 1, 2), (1, 0, 3), (4, -3, 8)]),
+              mat([("1/2", "-2/3"), ("3/4", "5/7")])):
+        assert mat_mul(a, mat_inv(a)) == identity(len(a))
+    assert mat_inv(()) == ()
+    # leading minors 1, 0 and 1, 1, 0: each singular only at its last pivot
+    for singular in (mat([(1, 2), (2, 4)]),
+                     mat([(1, 0, 0), (0, 1, 0), (1, 1, 0)])):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            mat_inv(singular)
+
+
+_ENTRY = st.one_of(st.just(Q(0)), st.fractions(-5, 5, max_denominator=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_mat_inv_is_an_exact_two_sided_inverse(rows):
+    a = mat(rows)
+    if determinant(a) == 0:
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            mat_inv(a)
+    else:
+        inv = mat_inv(a)
+        assert mat_mul(a, inv) == mat_mul(inv, a) == identity(len(a))
 
 
 def test_solve_against_known_solution():
