@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import inspect
 import json
 import sys
@@ -62,6 +63,8 @@ from cosetlab.ratlinalg import identity, mat_mul
 from cosetlab.rootsys import build_root_system, check_hvee_identity
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
+import regen  # noqa: E402
 import test_acceptance  # noqa: E402
 import test_charflow  # noqa: E402
 
@@ -435,6 +438,29 @@ def test_flow_sc_sees_g_star_at_level_one(monkeypatch):
     sc, af = _flow_sides_at_level_3_2()
     assert (len(sc), _failing_weights(sc)) == (19, 13)
     assert _failing_weights(af) == 0
+
+
+# exit code, stdout and stderr of the failing B2-k3_2 coset-side flow report
+# below, JSON then text, hashed as test_golden.py hashes its grids
+FAILING_REPORT_SHA256 = \
+    "cfd2e181693bf921b74a033fa46cb58fde082446b4049d4b8990bc0ff1fc29c6"
+
+
+def test_failing_flow_report_bytes(monkeypatch):
+    # no golden case exits 1 with a character report; this one does, with
+    # 13 DIFF lines whose exponents lie on mixed grids (7/6 against 43/36)
+    monkeypatch.setattr(charflow, "_sc_flow_form",
+                        lambda rs, k, g: REAL_SC_FLOW_FORM(rs, 1, g))
+    digest = hashlib.sha256()
+    for fmt in ("json", "text"):
+        rc, out, err = regen.run(
+            ["flow", "check", "--seed", "seeds/B2-k3_2.json", "--side", "sc",
+             "--gamma=1,0", "--T", "4", "--format", fmt])
+        assert rc == 1
+        digest.update(f"{rc}\n{out}{err}".encode("utf-8"))
+    assert out.count("DIFF") == 13
+    assert "1*q^79/36" in out
+    assert digest.hexdigest() == FAILING_REPORT_SHA256
 
 
 def _af_flow_at_level_one():
