@@ -103,9 +103,12 @@ class QSeries:
 
     def shift(self, s) -> "QSeries":
         """Multiply by q^s."""
-        s = Q(s)
-        den = lcm(self.den, s.denominator)
-        (terms, cap), k = self._on(den), s.numerator * (den // s.denominator)
+        return self._shift(*Q(s).as_integer_ratio())
+
+    def _shift(self, n: int, d: int) -> "QSeries":
+        """Multiply by q^(n/d), for integers n and d > 0."""
+        den = lcm(self.den, d)
+        (terms, cap), k = self._on(den), n * (den // d)
         return QSeries(den, {e + k: c for e, c in terms.items()},
                        None if cap is None else cap + k)
 
@@ -202,7 +205,7 @@ class FormalCharacter:
     with offsets in simple-root coordinates.  Coset-side strings sit at
     integer offsets on the dual-value grid relative to the base ScWeight.
 
-    floor maps a weight without a string, keyed as in character_support, to
+    floor maps a stringless weight, a Fraction tuple of base plus offset, to
     the order up to which it is certified zero; None, the default, is exact.
     """
 
@@ -327,10 +330,10 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
             continue
         d = tuple(off[i] - m0[i] for i in range(rs.rank))
         xi0 = f_af(rs, d, "+")
-        bxi0 = tuple(dot(row, xi0) for row in kernel.basis_in_ambient)
+        bxi0 = tuple(sum(map(mul, r, xi0)) for r in kernel.basis_in_ambient)
         y = mat_vec(ginv, bxi0)
         bound = (2 * (T - floor + delta + Q(n_extra, 24))
-                 - dot(xi0, xi0) + dot(y, bxi0))
+                 - sum(map(mul, xi0, xi0)) + dot(y, bxi0))
         if bound < 0:
             continue
         vecs = []
@@ -395,17 +398,17 @@ def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCha
 
 
 class Comparison(dict):
-    """(order, diff) per weight; vacuous if no term is at or below its order."""
+    """(order, diff) per weight, keyed by the weight's integer numerators
+    over den; vacuous if no term is at or below its order."""
     vacuous = True
 
 
 def _compare_supports(left: FormalCharacter, right: FormalCharacter):
     """Per-weight (order, diff) over the union of two characters' supports,
-    keyed by absolute weight (as character_support) in ascending order.
-
-    A weight missing on one side is compared as that side's zero, certified
-    up to the side's floor there.  The walk runs on integer numerators over
-    one denominator D, which keeps the order of the weights."""
+    in ascending order of the weights base + offset (simple-root coordinates
+    on the af side, dual values on the sc side) as integer numerators over D,
+    the lcm of both bases' denominators.  A weight missing on one side is
+    that side's zero up to its floor there, asked with a Fraction tuple."""
     bases = [vec(ch.base) if ch.side == "af" else ch.base.jstar_values(ch.rs)
              for ch in (left, right)]
     D = lcm(*(x.denominator for base in bases for x in base))
@@ -413,17 +416,36 @@ def _compare_supports(left: FormalCharacter, right: FormalCharacter):
     lsup, rsup = ({tuple(n + D * o for n, o in zip(shift, off)): s
                    for off, s in ch.strings.items()}
                   for ch, shift in zip((left, right), shifts))
-    nums = sorted(lsup.keys() | rsup.keys())
-    weight = {x: Q(x, D) for x in {x for num in nums for x in num}}
+    # one Fraction per distinct coordinate of a one-sided weight and order
+    weight = {x: Q(x, D)
+              for x in {x for num in lsup.keys() ^ rsup.keys() for x in num}}
+    orders: Dict[Tuple[int, int], Q] = {}
     diffs = Comparison()
-    for num in nums:
-        key = tuple(weight[x] for x in num)
-        a = lsup.get(num) or QSeries.from_terms((), left.floor(key))
-        b = rsup.get(num) or QSeries.from_terms((), right.floor(key))
-        order, _ = diffs[key] = qseries_diff(a, b)
+    diffs.den = D
+    for num in sorted(lsup.keys() | rsup.keys()):
+        a, b = lsup.get(num), rsup.get(num)
+        if a is None or b is None:
+            f = (left if a is None else right).floor(
+                tuple(weight[x] for x in num))
+            zero = (_EXACT_ZERO if f is None
+                    else QSeries(f.denominator, {}, f.numerator))
+            a, b = zero if a is None else a, zero if b is None else b
+        den = lcm(a.den, b.den)
+        (ta, va), (tb, vb) = a._on(den), b._on(den)
+        v = va if vb is None else vb if va is None else min(va, vb)
+        out = {}
+        if ta != tb:
+            out = dict(ta)
+            for e, c in tb.items():
+                out[e] = out.get(e, 0) - c
+        if v is not None and (v, den) not in orders:
+            orders[v, den] = Q(v, den)
+        diffs[num] = (v if v is None else orders[v, den],
+                      tuple((Q(e, den), c) for e, c in sorted(out.items())
+                            if c and (v is None or e <= v)))
         if diffs.vacuous:
-            lows = [s.min_exponent for s in (a, b) if s.terms]
-            diffs.vacuous = not any(order is None or e <= order for e in lows)
+            diffs.vacuous = not any(v is None or min(t) <= v
+                                    for t in (ta, tb) if t)
     return diffs
 
 
@@ -514,18 +536,16 @@ def spectral_flow_sc(ch: FormalCharacter, gamma: Sequence) -> FormalCharacter:
     base_js = ch.base.jstar_values(rs)
     new_base = make_sc_weight(
         rs, k, tuple(v + p for v, p in zip(ch.base.j_values, pad)))
-    const = quad + sum(x * b for x, b in zip(g, base_js))
-
-    def shift(off):
-        return const + sum(x * o for x, o in zip(g, off))
-
-    out = {off: s.shift(shift(off)) for off, s in ch.strings.items()}
+    # a string at dual values w shifts by quad + g.w = (cn + cd g.off) / cd
+    cn, cd = (quad + sum(map(mul, g, base_js))).as_integer_ratio()
+    out = {off: s._shift(cn + cd * sum(map(mul, g, off)), cd)
+           for off, s in ch.strings.items()}
     move = tuple(map(sub, new_base.jstar_values(rs), base_js))
 
     def floor(weight):
         pre = tuple(map(sub, weight, move))
         f = ch.floor(pre)
-        return None if f is None else f + shift(map(sub, pre, base_js))
+        return None if f is None else f + quad + sum(map(mul, g, pre))
 
     return FormalCharacter("sc", rs, k, new_base, out, floor)
 
@@ -555,18 +575,19 @@ def spectral_flow_af(ch: FormalCharacter, gamma: ScWeight) -> FormalCharacter:
     const = (conformal_weight_plus(rs, k, new_base)
              - conformal_weight_plus(rs, k, base)
              - Q(sum(x * x for x in n), 2))
+    cn, cd = const.as_integer_ratio()
 
-    def shift(off):
-        return sum(x * o for x, o in zip(n, off)) + const
+    def shift(off):  # the exponent shift of the string at off, over cd
+        return cn + cd * sum(map(mul, n, off))
 
-    out = {tuple(off[i] - n[i] for i in range(rs.rank)): s.shift(shift(off))
+    out = {tuple(map(sub, off, n)): s._shift(shift(off), cd)
            for off, s in ch.strings.items()}
     move = tuple(map(sub, t, n))
 
     def floor(weight):
         pre = tuple(map(sub, weight, move))
         f = ch.floor(pre)
-        return None if f is None else f + shift(map(sub, pre, base))
+        return None if f is None else f + Q(shift(map(sub, pre, base)), cd)
 
     return FormalCharacter("af", rs, k, new_base, out, floor)
 

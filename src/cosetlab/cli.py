@@ -16,15 +16,15 @@ import math
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .bilinear import (central_charge_sc_direct, central_charges,
                        conformal_weight_plus, gram_G, gram_G_star, gram_g,
                        gram_g_star, level_params, sc_weight_to_af,
                        weight_to_sc)
-from .charflow import (fermionize_character, flow_af_equivariance_diff,
-                       flow_sc_equivariance_diff, roundtrip_check,
-                       validate_seed)
+from .charflow import (Comparison, fermionize_character,
+                       flow_af_equivariance_diff, flow_sc_equivariance_diff,
+                       roundtrip_check, validate_seed)
 from .latticekit import (build_E_minus_lattice, build_E_plus_lattice,
                          build_L_minus, build_L_plus, build_Qsc_dual_lattice,
                          discriminant_group, f_af, g_sc_plus)
@@ -108,9 +108,9 @@ def _seed_request(args):
     return ch, T, _parse_vector(args.weight, ch.rs.rank, "--weight")
 
 
-def _diff_report(args, ch, mu, T, diffs: Dict, verdict: str, **fields):
-    """Report of a weight-ordered map of (compare order, diff terms); ok when
-    no weight differs.  verdict names the comparison on the summary line."""
+def _diff_report(args, ch, mu, T, diffs: Comparison, verdict: str, **fields):
+    """Report of a weight-ordered Comparison; ok when no weight differs.
+    verdict names the comparison on the summary line."""
     if diffs.vacuous:
         raise ValueError(f"{verdict} to order {_rat(T)} is vacuous")
     ok = all(not terms for _, terms in diffs.values())
@@ -120,18 +120,24 @@ def _diff_report(args, ch, mu, T, diffs: Dict, verdict: str, **fields):
         f" {len(ch.strings)} strings",
         f"{verdict} to order {_rat(T)}: {'ok' if ok else 'FAIL'}",
     ]
+    # each distinct coordinate numerator and order object is rendered once
+    coord = {x: _rat(Q(x, diffs.den))
+             for x in {x for key in diffs for x in key}}
+    orders = {id(order): order for order, _ in diffs.values()}
+    order_text = {i: o if o is None else _rat(o) for i, o in orders.items()}
     for key, (order, terms) in diffs.items():
-        weight = [_rat(x) for x in key]
+        weight = [coord[x] for x in key]
+        order = order_text[id(order)]
         entries.append({
             "weight": weight,
-            "compare_order": None if order is None else _rat(order),
+            "compare_order": order,
             "diff_terms": [{"exp": _rat(e), "coef": _rat(c)}
                            for e, c in terms],
         })
-        tag = "unbounded" if order is None else f"to order {_rat(order)}"
-        body = " ".join(f"{_rat(c)}*q^{_rat(e)}" for e, c in terms)
-        lines.append(f"  weight {','.join(weight)} ({tag}): "
-                     + (f"DIFF {body}" if terms else "ok"))
+        tag = "unbounded" if order is None else f"to order {order}"
+        body = ("DIFF " + " ".join(f"{_rat(c)}*q^{_rat(e)}" for e, c in terms)
+                if terms else "ok")
+        lines.append(f"  weight {','.join(weight)} ({tag}): {body}")
     payload = _header(args, ch.rs, level=_rat(ch.level),
                       reference_weight=[_rat(x) for x in mu],
                       truncation_order=_rat(T), ok=ok, weights=entries,

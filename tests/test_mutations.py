@@ -20,7 +20,11 @@ level-1 conformal weight in its constant recompiles
 ``charflow.spectral_flow_af``; both fail the level-3/2 equivariance check
 and acceptance criterion 08 at every level but 1.  An affine-side flow
 that raises the floor it moves by one, recompiled the same way, fails the
-property test that flows move floors with strings.  A series rescale that
+property test that flows move floors with strings.  Under the level-1 g*
+mutant, the bytes of one failing coset-side flow report are pinned by
+SHA-256.  A weight comparison that keeps terms above the certified order,
+or compares a one-sided weight up to its string's own cap, recompiles
+``charflow._compare_supports``.  A series rescale that
 forgets the validity cap replaces ``QSeries._on``.  A discriminant group
 whose largest divisor is one prime too big replaces
 ``latticekit.smith_normal_form``.  A dual Coxeter number one too big,
@@ -393,11 +397,41 @@ def test_mixed_grids_see_a_cap_left_unscaled(b2_seed, monkeypatch):
     b = QSeries.from_terms([(Q(1, 2), 1)], Q(5, 2))
     key = (Q(1, 4), Q(11, 4), 2, Q(-9, 4))
     assert ((a + b).validity, (a * b).validity) == (Q(5, 2), Q(5, 2))
-    assert flow_sc_equivariance_diff(b2_seed, (0, 0), (0, 1), 6)[key] == (6, ())
+    flowed = flow_sc_equivariance_diff(b2_seed, (0, 0), (0, 1), 6)
+    num = tuple(int(x * flowed.den) for x in key)
+    assert flowed[num] == (6, ())
     monkeypatch.setattr(QSeries, "_on", _on_keeping_cap)
     assert ((a + b).validity, (a * b).validity) == (Q(3, 2), 2)
     flowed = flow_sc_equivariance_diff(b2_seed, (0, 0), (0, 1), 6)
-    assert flowed[key] == (Q(1, 4), ())
+    assert flowed[num] == (Q(1, 4), ())
+
+
+@pytest.mark.parametrize("old, new, diff_lines", [
+    # the walk keeps terms above the jointly certified order
+    ("if c and (v is None or e <= v)", "if c", 21),
+    # a one-sided weight compared up to its string's own cap, not the lower
+    # of that cap and the other side's floor
+    ("QSeries(f.denominator, {}, f.numerator)", "QSeries(f.denominator, {})",
+     5),
+])
+def test_comparison_walk_sees_an_order_too_high(old, new, diff_lines,
+                                                monkeypatch):
+    # each fails the Fraction-keyed reference property (here on the example
+    # its search shrinks to: an exact q^1 on the right only, where the left
+    # floor is 0), criterion 08 and the golden flow-check-sc-B2 case, which
+    # then exits 1
+    monkeypatch.setattr(charflow, "_compare_supports", _recompiled(
+        charflow._compare_supports, old, new))
+    prop = test_charflow.test_integer_key_comparison_matches_fraction_keys
+    with pytest.raises(AssertionError):
+        prop.hypothesis.inner_test((0, 0), (0, 0), {},
+                                   {(0, 0): QSeries.from_terms([(1, 1)])})
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_08_spectral_flow_equivariance()
+    rc, out, _ = regen.run(["flow", "check", "--seed", "seeds/B2.json",
+                            "--side", "sc", "--gamma=0,1", "--T", "6",
+                            "--format", "text"])
+    assert (rc, out.count("DIFF")) == (1, diff_lines)
 
 
 def _flow_sides_at_level_3_2():
@@ -491,8 +525,8 @@ def test_criterion_08_sees_a_flow_that_ignores_the_level(name, mutant, failing,
 
 
 def test_flowed_floors_see_an_af_floor_one_too_high(monkeypatch):
-    mutant = _recompiled(charflow.spectral_flow_af, "else f + shift(",
-                         "else f + 1 + shift(")
+    mutant = _recompiled(charflow.spectral_flow_af, "else f + Q(shift(",
+                         "else f + 1 + Q(shift(")
     for module in (charflow, test_charflow):
         monkeypatch.setattr(module, "spectral_flow_af", mutant)
     # every affine-side string of the property test, none on the coset side
