@@ -136,11 +136,6 @@ class ScWeight:
         values = tuple(a + b for a, b in zip(self.j_values, other.j_values))
         return ScWeight(self.family, self.rank, self.level, values)
 
-    def __sub__(self, other: "ScWeight") -> "ScWeight":
-        self._compatible(other)
-        values = tuple(a - b for a, b in zip(self.j_values, other.j_values))
-        return ScWeight(self.family, self.rank, self.level, values)
-
 
 def make_sc_weight(rs: RootSystem, k, j_values: Sequence) -> ScWeight:
     lp = level_params(rs, k)

@@ -205,8 +205,8 @@ class FormalCharacter:
     with offsets in simple-root coordinates.  Coset-side strings sit at
     integer offsets on the dual-value grid relative to the base ScWeight.
 
-    floor maps a stringless weight, a Fraction tuple of base plus offset, to
-    the order up to which it is certified zero; None, the default, is exact.
+    floor maps the offset of a stringless weight, its string key, to the
+    order up to which it is certified zero; None, the default, is exact.
     """
 
     side: str
@@ -214,8 +214,8 @@ class FormalCharacter:
     level: Q
     base: object
     strings: Dict[Tuple[int, ...], QSeries] = field(default_factory=dict)
-    floor: Callable[[Tuple[Q, ...]], Optional[Q]] = field(
-        default=lambda weight: None, compare=False, repr=False)
+    floor: Callable[[Tuple[int, ...]], Optional[Q]] = field(
+        default=lambda off: None, compare=False, repr=False)
 
 
 _SIDE_NAMES = {"af": "affine", "sc": "coset"}
@@ -296,6 +296,7 @@ def _transport(groups, m: int, T: Q, sd: int) -> Dict[Tuple[int, ...], QSeries]:
             v = t - sh if cap is None else min(cap, t - sh)
             kept = exps[:bisect_right(exps, v)]
             term = QSeries(den, {e + sh: terms[e] for e in kept}, v + sh)
+            # sum: only test_roundtrip_sees_a_skipped_row_add's mutant collides keys
             out[key] = out[key] + term if key in out else term
     return out
 
@@ -346,7 +347,7 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
             groups.append((s, vecs))
     out = _transport(groups, -n_extra, T, 2 * q)
     return FormalCharacter("sc", rs, k, weight_to_sc(rs, k, mu), out,
-                           lambda weight: T)
+                           lambda off: T)
 
 
 def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCharacter:
@@ -356,8 +357,8 @@ def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCha
     string feeds the sum only when its offset agrees with mu_sc outside the
     simple slots, and the simple slots then determine the vector uniquely.
     Each output string records the validity its inputs actually justify.
-    A weight it lacks is exactly zero off mu's grid, else zero up to T, less
-    a negative shift of the weight when no input string would feed it.
+    A weight it lacks is zero up to T, less a negative shift of the weight
+    when no input string would feed it.
     """
     rs, k = _on_side(ch, "sc"), ch.level
     T = Q(T)
@@ -385,10 +386,7 @@ def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCha
             continue
         groups.append((s, [(z, sh)]))
 
-    def absent(weight):
-        z = _grid_offset(weight, mu, error=None)
-        if z is None:
-            return None
+    def absent(z):
         if tuple(m + x for m, x in zip(m0, z)) + fibre in ch.strings:
             return T
         return T + min(Q(shift(z), 2 * q) + Q(n_extra, 24), 0)
@@ -408,7 +406,7 @@ def _compare_supports(left: FormalCharacter, right: FormalCharacter):
     in ascending order of the weights base + offset (simple-root coordinates
     on the af side, dual values on the sc side) as integer numerators over D,
     the lcm of both bases' denominators.  A weight missing on one side is
-    that side's zero up to its floor there, asked with a Fraction tuple."""
+    that side's zero up to its floor at that offset, exact off its grid."""
     bases = [vec(ch.base) if ch.side == "af" else ch.base.jstar_values(ch.rs)
              for ch in (left, right)]
     D = lcm(*(x.denominator for base in bases for x in base))
@@ -416,17 +414,15 @@ def _compare_supports(left: FormalCharacter, right: FormalCharacter):
     lsup, rsup = ({tuple(n + D * o for n, o in zip(shift, off)): s
                    for off, s in ch.strings.items()}
                   for ch, shift in zip((left, right), shifts))
-    # one Fraction per distinct coordinate of a one-sided weight and order
-    weight = {x: Q(x, D)
-              for x in {x for num in lsup.keys() ^ rsup.keys() for x in num}}
     orders: Dict[Tuple[int, int], Q] = {}
     diffs = Comparison()
     diffs.den = D
     for num in sorted(lsup.keys() | rsup.keys()):
         a, b = lsup.get(num), rsup.get(num)
         if a is None or b is None:
-            f = (left if a is None else right).floor(
-                tuple(weight[x] for x in num))
+            ch, shift = (left, shifts[0]) if a is None else (right, shifts[1])
+            qr = [divmod(n - s, D) for n, s in zip(num, shift)]
+            f = None if any(r for _, r in qr) else ch.floor(tuple(o for o, _ in qr))
             zero = (_EXACT_ZERO if f is None
                     else QSeries(f.denominator, {}, f.numerator))
             a, b = zero if a is None else a, zero if b is None else b
@@ -521,33 +517,39 @@ def _sc_flow_form(rs: RootSystem, k, g: Sequence[int]):
                for i in range(rs.rank) for j in range(rs.rank)) / 2
 
 
+def _flow(ch: FormalCharacter, new_base, rekey, g, const) -> FormalCharacter:
+    """ch at new_base, the string or floor at off moved to off - rekey and
+    times q^(const + g.off), on integer numerators over den(const)."""
+    cn, cd = const.as_integer_ratio()
+
+    def shift(off):  # the exponent shift at off, over cd
+        return cn + cd * sum(map(mul, g, off))
+
+    out = {tuple(map(sub, off, rekey)): s._shift(shift(off), cd)
+           for off, s in ch.strings.items()}
+
+    def floor(off):
+        pre = tuple(map(add, off, rekey))
+        f = ch.floor(pre)
+        return None if f is None else f + Q(shift(pre), cd)
+
+    return FormalCharacter(ch.side, ch.rs, ch.level, new_base, out, floor)
+
+
 def spectral_flow_sc(ch: FormalCharacter, gamma: Sequence) -> FormalCharacter:
     """Twist a coset character by a root-lattice vector.
 
     Closed form, locked by the transport-equivalence regression tests: the
     base translates by the plus embedding of gamma on the J grid, and each
-    string shifts by its dual values against gamma plus the quadratic
-    dual-form term.  The floor moves and shifts with the strings.
+    string and the floor shift by their dual values against gamma plus the
+    quadratic dual-form term.
     """
     rs, k = _on_side(ch, "sc"), ch.level
     g = _root_coords(gamma, rs)
-    pad = f_af(rs, g, "+")
-    quad = _sc_flow_form(rs, k, g)
-    base_js = ch.base.jstar_values(rs)
     new_base = make_sc_weight(
-        rs, k, tuple(v + p for v, p in zip(ch.base.j_values, pad)))
-    # a string at dual values w shifts by quad + g.w = (cn + cd g.off) / cd
-    cn, cd = (quad + sum(map(mul, g, base_js))).as_integer_ratio()
-    out = {off: s._shift(cn + cd * sum(map(mul, g, off)), cd)
-           for off, s in ch.strings.items()}
-    move = tuple(map(sub, new_base.jstar_values(rs), base_js))
-
-    def floor(weight):
-        pre = tuple(map(sub, weight, move))
-        f = ch.floor(pre)
-        return None if f is None else f + quad + sum(map(mul, g, pre))
-
-    return FormalCharacter("sc", rs, k, new_base, out, floor)
+        rs, k, tuple(map(add, ch.base.j_values, f_af(rs, g, "+"))))
+    const = _sc_flow_form(rs, k, g) + sum(map(mul, g, ch.base.jstar_values(rs)))
+    return _flow(ch, new_base, (0,) * rs.num_positive, g, const)
 
 
 def _flow_coefficients(rs: RootSystem, gamma: ScWeight) -> Tuple[int, ...]:
@@ -570,26 +572,11 @@ def spectral_flow_af(ch: FormalCharacter, gamma: ScWeight) -> FormalCharacter:
         raise ValueError("weight level does not match")
     n = _flow_coefficients(rs, gamma)[: rs.rank]
     base = vec(ch.base)
-    t = sc_weight_to_af(rs, k, gamma)
-    new_base = tuple(b + x for b, x in zip(base, t))
+    new_base = tuple(map(add, base, sc_weight_to_af(rs, k, gamma)))
     const = (conformal_weight_plus(rs, k, new_base)
              - conformal_weight_plus(rs, k, base)
              - Q(sum(x * x for x in n), 2))
-    cn, cd = const.as_integer_ratio()
-
-    def shift(off):  # the exponent shift of the string at off, over cd
-        return cn + cd * sum(map(mul, n, off))
-
-    out = {tuple(map(sub, off, n)): s._shift(shift(off), cd)
-           for off, s in ch.strings.items()}
-    move = tuple(map(sub, t, n))
-
-    def floor(weight):
-        pre = tuple(map(sub, weight, move))
-        f = ch.floor(pre)
-        return None if f is None else f + Q(shift(map(sub, pre, base)), cd)
-
-    return FormalCharacter("af", rs, k, new_base, out, floor)
+    return _flow(ch, new_base, n, n, const)
 
 
 class FlowFrame(NamedTuple):

@@ -31,6 +31,7 @@ from cosetlab.charflow import (
     validate_seed,
 )
 from cosetlab.latticekit import f_af, g_sc_plus, kernel_K
+from cosetlab.ratlinalg import integer_vector, vec
 from cosetlab.rootsys import build_root_system
 
 
@@ -863,13 +864,18 @@ def test_validity_is_never_optimistic_on_recompute():
 # ------------------------------------------------- weight-keyed comparison
 
 def reference_compare(left, right):
-    """_compare_supports spelled out on Fraction weight keys."""
+    """_compare_supports spelled out on Fraction weight keys: a weight
+    missing from a character is its exact zero off the character's grid,
+    else zero up to its floor at the weight's offset."""
+    def at(ch, sup, key):
+        if key in sup:
+            return sup[key]
+        base = vec(ch.base) if ch.side == "af" else ch.base.jstar_values(ch.rs)
+        off = integer_vector((w - b for w, b in zip(key, base)), None)
+        return QSeries.from_terms((), None if off is None else ch.floor(off))
+
     lsup, rsup = character_support(left), character_support(right)
-    return {key: qseries_diff(
-                lsup[key] if key in lsup
-                else QSeries.from_terms((), left.floor(key)),
-                rsup[key] if key in rsup
-                else QSeries.from_terms((), right.floor(key)))
+    return {key: qseries_diff(at(left, lsup, key), at(right, rsup, key))
             for key in sorted(set(lsup) | set(rsup))}
 
 
@@ -894,13 +900,28 @@ BASES_B2 = [(0, 0), (Q(1, 2), 0), (Q(1, 3), Q(-1, 2)), (Q(-3, 4), 2)]
 def test_integer_key_comparison_matches_fraction_keys(lbase, rbase, lstrings,
                                                      rstrings):
     # bases of different denominators interleave the two supports, and most
-    # keys are then present on one side only; the floors read the weight
+    # keys are then present on one side only; the floors read the offset
     rs = build_root_system("B", 2)
     left = dataclasses.replace(affine_character(rs, 1, lbase, lstrings),
-                               floor=lambda key: sum(key))
+                               floor=lambda off: sum(off))
     right = dataclasses.replace(affine_character(rs, 1, rbase, rstrings),
-                                floor=lambda key: None if key[0] < 0 else key[1])
+                                floor=lambda off: None if off[0] < 0 else off[1])
     compare_against_reference(charflow._compare_supports, left, right)
+
+
+def test_a_weight_off_the_grid_is_exactly_zero():
+    # the bases differ by half a simple root, so no left weight is on the
+    # right grid: the right floor is never asked, and an exact zero on the
+    # left compares exactly
+    rs = build_root_system("B", 2)
+    zero = QSeries.from_terms(())
+    left = affine_character(rs, 1, (0, 0), {(0, 0): zero, (1, -1): zero})
+    right = dataclasses.replace(
+        affine_character(rs, 1, (Q(1, 2), 0), {(0, 0): zero}),
+        floor=lambda off: 3)
+    diffs = charflow._compare_supports(left, right)
+    left_only = [tuple(diffs.den * o for o in off) for off in left.strings]
+    assert [diffs[num] for num in left_only] == [(None, ())] * 2
 
 
 def test_integer_key_comparison_on_the_verdicts(monkeypatch):
@@ -944,18 +965,17 @@ FLOOR_SEEDS = ("A2", "A3", "B2", "B2-k3_2", "B2-k-1_2", "B2-k2", "G2",
 
 def flowed_floors(ch, flow):
     """(floor, validity) per string of ch: with the string dropped and its
-    validity put as the floor at its weight (exact zero elsewhere), the
-    floor the flow gives the weight the string moves to; and the validity
+    validity put as the floor at its offset (exact zero elsewhere), the
+    floor the flow gives the offset the string moves to; and the validity
     of the flowed string."""
-    flowed = character_support(flow(ch))
+    flowed = flow(ch).strings
     out = []
-    for off, weight in zip(ch.strings, character_support(ch)):
-        v = ch.strings[off].validity
+    for off, s in ch.strings.items():
         dropped = dataclasses.replace(
-            ch, strings={o: s for o, s in ch.strings.items() if o != off},
-            floor=lambda w, weight=weight, v=v: v if w == weight else None)
+            ch, strings={o: t for o, t in ch.strings.items() if o != off},
+            floor=lambda o, off=off, v=s.validity: v if o == off else None)
         moved = flow(dropped)
-        (image,) = flowed.keys() - character_support(moved).keys()
+        (image,) = flowed.keys() - moved.strings.keys()
         out.append((moved.floor(image), flowed[image].validity))
     return out
 

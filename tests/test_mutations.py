@@ -18,9 +18,10 @@ transports over other bases of the kernel lattice, by replacing
 replaces ``charflow._sc_flow_form``, and an affine-side flow with the
 level-1 conformal weight in its constant recompiles
 ``charflow.spectral_flow_af``; both fail the level-3/2 equivariance check
-and acceptance criterion 08 at every level but 1.  An affine-side flow
-that raises the floor it moves by one, recompiled the same way, fails the
-property test that flows move floors with strings.  Under the level-1 g*
+and acceptance criterion 08 at every level but 1.  A flow that raises the
+floor it moves by one, from recompiling ``charflow._flow``, the one helper
+both flows call, fails the property test that flows move floors with
+strings at every string on both sides.  Under the level-1 g*
 mutant, the bytes of one failing coset-side flow report are pinned by
 SHA-256.  A weight comparison that keeps terms above the certified order,
 or compares a one-sided weight up to its string's own cap, recompiles
@@ -524,14 +525,12 @@ def test_criterion_08_sees_a_flow_that_ignores_the_level(name, mutant, failing,
             for k in test_acceptance.FLOW_LEVELS] == failing
 
 
-def test_flowed_floors_see_an_af_floor_one_too_high(monkeypatch):
-    mutant = _recompiled(charflow.spectral_flow_af, "else f + Q(shift(",
-                         "else f + 1 + Q(shift(")
-    for module in (charflow, test_charflow):
-        monkeypatch.setattr(module, "spectral_flow_af", mutant)
-    # every affine-side string of the property test, none on the coset side
+def test_flowed_floors_see_a_floor_one_too_high(monkeypatch):
+    monkeypatch.setattr(charflow, "_flow", _recompiled(
+        charflow._flow, "else f + Q(shift(", "else f + 1 + Q(shift("))
+    # every string of the property test, on both sides
     pairs = test_charflow.floors_under_flows()
-    assert sum(floor != validity for floor, validity in pairs) == 20
+    assert sum(floor != validity for floor, validity in pairs) == 308
 
 
 def _inflated_smith(rows):
