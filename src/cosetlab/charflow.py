@@ -251,14 +251,9 @@ def character_support(ch: FormalCharacter):
 _OFF_COSET = "weight is not in the coset of the character"
 
 
-def _grid_offset(target: Sequence, base: Sequence,
-                 error: Optional[str] = _OFF_COSET):
-    """target - base as a tuple of integers.
-
-    Off the integer grid it raises ValueError(error), or returns None when
-    error is None.
-    """
-    return integer_vector((t - b for t, b in zip(target, base)), error)
+def _grid_offset(target: Sequence, base: Sequence) -> Tuple[int, ...]:
+    """target - base as a tuple of integers; off the grid it raises."""
+    return integer_vector((t - b for t, b in zip(target, base)), _OFF_COSET)
 
 
 def _root_coords(gamma: Sequence, rs: RootSystem) -> Tuple[int, ...]:
@@ -464,7 +459,7 @@ def roundtrip_check(ch: FormalCharacter, mu: Sequence, T) -> RoundTrip:
 
 def _string_at(ch: FormalCharacter, weight: Sequence) -> QSeries:
     """The string at an absolute affine weight; absent weights are zero."""
-    off = _grid_offset(weight, vec(ch.base), error=None)
+    off = integer_vector((w - b for w, b in zip(weight, vec(ch.base))), None)
     return _EXACT_ZERO if off is None else ch.strings.get(off, _EXACT_ZERO)
 
 

@@ -1,10 +1,11 @@
 """Symbolic operator-product engine for the free-field computations.
 
-A Field is a finite sum of terms: an optional abstract affine symbol (a root
-current or a Cartan current over the simple basis), a normally ordered boson
-monomial over the merged plus/minus lattice basis, and a lattice exponential.
-Coefficients are polynomials in opaque structure constants N[a,b] with exact
-rational coefficients, so every identity checked here holds or fails exactly.
+A Field is one sparse map from a term key to an exact int or Fraction.  A
+term key is an optional abstract affine symbol (a root current or a Cartan
+current over the simple basis), a normally ordered boson monomial over the
+merged plus/minus lattice basis, a lattice exponential, and a monomial in the
+opaque structure constants N[a,b] (empty but for the X~ X~ contraction that
+lands on a root), so every identity checked here holds or fails exactly.
 
 Contractions follow the standard free-field rules: bosons pair through the
 lattice Gram matrix, bosons contract against exponential charges, exponential
@@ -37,17 +38,18 @@ from .latticekit import (IntegralLattice, IntMatrix, build_L_minus, build_L_plus
 from .ratlinalg import integer_vector
 from .rootsys import RootSystem
 
-Symbol = Tuple
-SymCoef = Dict[Tuple[Symbol, ...], Union[int, Q]]
+Monomial = Tuple[Tuple, ...]  # sorted structure constants ("N", a, b)
 AffineKey = Optional[Tuple]
 BosonKey = Tuple[Tuple[int, int], ...]
-TermKey = Tuple[AffineKey, BosonKey, Tuple[int, ...]]
-Field = Dict[TermKey, SymCoef]
+TermKey = Tuple[AffineKey, BosonKey, Tuple[int, ...], Monomial]
+Coef = Union[int, Q]
+Field = Dict[TermKey, Coef]
+Contraction = Tuple[int, Coef, Monomial, AffineKey]
 Poles = Dict[int, Field]
 
 
 # ---------------------------------------------------------------------------
-# coefficients: sparse polynomials in the opaque structure constants
+# coefficients and fields
 
 def _exact(x):
     """x as an int when it is integral, else as a Fraction: the two compare,
@@ -56,18 +58,6 @@ def _exact(x):
         return x
     q = x if type(x) is Q else Q(x)
     return q.numerator if q.denominator == 1 else q
-
-
-def sc_from(x) -> SymCoef:
-    q = _exact(x)
-    return {(): q} if q else {}
-
-
-def sc_scale(c: SymCoef, x) -> SymCoef:
-    q = _exact(x)
-    if not q:
-        return {}
-    return {key: _exact(val * q) for key, val in c.items()}
 
 
 def _add_at(out: dict, key, x) -> None:
@@ -81,42 +71,18 @@ def _add_at(out: dict, key, x) -> None:
         out[key] = s.numerator
 
 
-def sc_add(a: SymCoef, b: SymCoef) -> SymCoef:
-    out = dict(a)
-    for key, val in b.items():
-        _add_at(out, key, val)
-    return out
-
-
-def _mul_into(acc: SymCoef, a: SymCoef, b: SymCoef) -> None:
-    """acc += a * b in the sparse coefficient polynomials."""
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            _add_at(acc, tuple(sorted(ka + kb)) if ka and kb else ka or kb, va * vb)
-
-
-def n_symbol_coef(a: Tuple[int, ...], b: Tuple[int, ...]) -> SymCoef:
-    """Structure constant N[a,b] with antisymmetry folded into the sign."""
+def n_symbol(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[Monomial, int]:
+    """Structure constant N[a,b] as (monomial, sign), antisymmetry folded
+    into the sign."""
     if a <= b:
-        return {(("N", a, b),): 1}
-    return {(("N", b, a),): -1}
-
-
-# ---------------------------------------------------------------------------
-# fields
-
-def field_add_into(dst: Field, key: TermKey, coef: SymCoef) -> None:
-    merged = sc_add(dst.get(key, {}), coef)
-    if merged:
-        dst[key] = merged
-    else:
-        dst.pop(key, None)
+        return (("N", a, b),), 1
+    return (("N", b, a),), -1
 
 
 def field_add(a: Field, b: Field) -> Field:
-    out = {k: dict(v) for k, v in a.items()}
+    out = dict(a)
     for key, coef in b.items():
-        field_add_into(out, key, coef)
+        _add_at(out, key, coef)
     return out
 
 
@@ -124,26 +90,27 @@ def field_scale(a: Field, x) -> Field:
     q = _exact(x)
     if not q:
         return {}
-    return {key: sc_scale(coef, q) for key, coef in a.items()}
+    return {key: _exact(coef * q) for key, coef in a.items()}
 
 
-def _sym_repr(sym: Symbol) -> str:
+def _sym_repr(sym: Tuple) -> str:
     return "N[" + ",".join(str(c) for c in sym[1]) + "|" + ",".join(str(c) for c in sym[2]) + "]"
 
 
-def _coef_repr(coef: SymCoef) -> str:
-    parts = []
-    for key in sorted(coef):
-        factors = [str(coef[key])] + [_sym_repr(s) for s in key]
-        parts.append("*".join(factors))
-    return " + ".join(parts) if parts else "0"
+def _coef_repr(coef: Dict[Monomial, Coef]) -> str:
+    return " + ".join("*".join([str(coef[mono])] + [_sym_repr(s) for s in mono])
+                      for mono in sorted(coef))
 
 
 def field_repr(f: Field) -> str:
     if not f:
         return "0"
+    # one chunk per (affine symbol, bosons, charge): its monomials sum inside
+    grouped: Dict[Tuple, Dict[Monomial, Coef]] = {}
+    for key, coef in f.items():
+        grouped.setdefault(key[:3], {})[key[3]] = coef
     chunks = []
-    for key in sorted(f, key=repr):
+    for key in sorted(grouped, key=repr):
         affine, bosons, exp = key
         atoms = []
         if affine is not None:
@@ -155,7 +122,7 @@ def field_repr(f: Field) -> str:
         if any(exp):
             atoms.append("E(" + ",".join(str(c) for c in exp) + ")")
         body = " ".join(atoms) if atoms else "1"
-        chunks.append(f"({_coef_repr(f[key])})*{body}")
+        chunks.append(f"({_coef_repr(grouped[key])})*{body}")
     return " + ".join(chunks)
 
 
@@ -197,7 +164,7 @@ def _zero_exp(table: ContractionTable) -> Tuple[int, ...]:
 
 
 def identity_field(table: ContractionTable) -> Field:
-    return {(None, (), _zero_exp(table)): sc_from(1)}
+    return {(None, (), _zero_exp(table), ()): 1}
 
 
 def _root(table: ContractionTable, alpha: Sequence) -> Tuple[int, ...]:
@@ -208,7 +175,7 @@ def _root(table: ContractionTable, alpha: Sequence) -> Tuple[int, ...]:
 
 
 def x_field(table: ContractionTable, alpha: Sequence[int], d: int = 0) -> Field:
-    return {(("X", _root(table, alpha), d), (), _zero_exp(table)): sc_from(1)}
+    return {(("X", _root(table, alpha), d), (), _zero_exp(table), ()): 1}
 
 
 def h_field(table: ContractionTable, lam: Sequence, d: int = 0) -> Field:
@@ -217,7 +184,7 @@ def h_field(table: ContractionTable, lam: Sequence, d: int = 0) -> Field:
         raise ValueError("dimension mismatch")
     out: Field = {}
     for i, c in enumerate(lam):
-        field_add_into(out, (("H", i, d), (), _zero_exp(table)), sc_from(c))
+        _add_at(out, (("H", i, d), (), _zero_exp(table), ()), c)
     return out
 
 
@@ -227,7 +194,7 @@ def boson_field(table: ContractionTable, coeffs: Sequence, d: int = 0) -> Field:
         raise ValueError("unregistered lattice vector")
     out: Field = {}
     for i, c in enumerate(coeffs):
-        field_add_into(out, (None, ((i, d),), _zero_exp(table)), sc_from(c))
+        _add_at(out, (None, ((i, d),), _zero_exp(table), ()), c)
     return out
 
 
@@ -243,7 +210,7 @@ def exp_field(table: ContractionTable, plus: Sequence[int], minus: Sequence[int]
     if len(plus) != table.n_plus or len(minus) != table.ell:
         raise ValueError("unregistered lattice vector")
     xi = integer_vector(tuple(plus) + tuple(minus), "unregistered lattice vector")
-    return {(None, (), xi): sc_from(1)}
+    return {(None, (), xi, ()): 1}
 
 
 # named fields used by the verification routines
@@ -252,7 +219,7 @@ def j_field(table: ContractionTable, index: int) -> Field:
     """J over a positive root: (1/k) H_alpha plus the plus-side boson."""
     alpha = table.rs.positive_roots[index]
     out = h_field(table, tuple(Q(c) / table.k for c in alpha))
-    field_add_into(out, (None, ((index, 0),), _zero_exp(table)), sc_from(1))
+    _add_at(out, (None, ((index, 0),), _zero_exp(table), ()), 1)
     return out
 
 
@@ -264,7 +231,7 @@ def jstar_field(table: ContractionTable, index: int) -> Field:
     out = h_field(table, [sum(g * r[i] for g, r in zip(row, roots)) / table.k
                           for i in range(table.ell)])
     for b, g in enumerate(row):
-        field_add_into(out, (None, ((b, 0),), _zero_exp(table)), sc_from(g))
+        _add_at(out, (None, ((b, 0),), _zero_exp(table), ()), g)
     return out
 
 
@@ -293,7 +260,7 @@ def _xi_root(table: ContractionTable, a: Tuple[int, ...]) -> Tuple[int, ...]:
 def x_tilde_field(table: ContractionTable, alpha: Sequence[int]) -> Field:
     """Dressed root current X_alpha e^(f+ alpha) e^(f- alpha)."""
     a = _root(table, alpha)
-    return {(("X", a, 0), (), _xi_root(table, a)): sc_from(1)}
+    return {(("X", a, 0), (), _xi_root(table, a), ()): 1}
 
 
 def h_tilde_field(table: ContractionTable, i: int) -> Field:
@@ -301,8 +268,8 @@ def h_tilde_field(table: ContractionTable, i: int) -> Field:
     if not 0 <= i < table.ell:
         raise ValueError("index out of range")
     out = h_field(table, tuple(1 if j == i else 0 for j in range(table.ell)))
-    field_add_into(out, (None, ((i, 0),), _zero_exp(table)), sc_from(table.k))
-    field_add_into(out, (None, ((table.n_plus + i, 0),), _zero_exp(table)), sc_from(table.k))
+    _add_at(out, (None, ((i, 0),), _zero_exp(table), ()), table.k)
+    _add_at(out, (None, ((table.n_plus + i, 0),), _zero_exp(table), ()), table.k)
     return out
 
 
@@ -319,31 +286,31 @@ def coroot_tilde_field(table: ContractionTable, alpha: Sequence[int]) -> Field:
 
 def derivative(table: ContractionTable, f: Field) -> Field:
     out: Field = {}
-    for (affine, bosons, exp), coef in f.items():
+    for (affine, bosons, exp, mono), coef in f.items():
         if affine is not None:
             kind, data, d = affine
-            field_add_into(out, ((kind, data, d + 1), bosons, exp), coef)
+            _add_at(out, ((kind, data, d + 1), bosons, exp, mono), coef)
         for pos in range(len(bosons)):
             i, d = bosons[pos]
             bumped = tuple(sorted(bosons[:pos] + ((i, d + 1),) + bosons[pos + 1:]))
-            field_add_into(out, (affine, bumped, exp), coef)
+            _add_at(out, (affine, bumped, exp, mono), coef)
         for i, c in enumerate(exp):
             if c:
                 bumped = tuple(sorted(bosons + ((i, 0),)))
-                field_add_into(out, (affine, bumped, exp), sc_scale(coef, c))
+                _add_at(out, (affine, bumped, exp, mono), coef * c)
     return out
 
 
-def _bell_tails(xi: Tuple[int, ...], orders: int) -> List[SymCoef]:
+def _bell_tails(xi: Tuple[int, ...], orders: int) -> List[Dict[BosonKey, Coef]]:
     """Boson monomial corrections P_0 .. P_(orders-1) left by a moved charge.
 
     P_m = (1/m) sum_{j=1..m} (1/(j-1)!) d^(j-1) b_xi . P_{m-j}, with P_0 = 1.
     A zero charge leaves no corrections, so only P_0 is returned for it.
     """
-    tails: List[SymCoef] = [{(): 1}]
+    tails = [{(): 1}]
     support = [(i, c) for i, c in enumerate(xi) if c]
     for m in range(1, orders if support else 1):
-        acc: SymCoef = {}
+        acc: Dict[BosonKey, Coef] = {}
         for j in range(1, m + 1):
             scale = _exact(Q(1, factorial(j - 1) * m))
             for mono, q in tails[m - j].items():
@@ -370,8 +337,8 @@ def _kappa(rs: RootSystem, alpha: Tuple[int, ...]):
     return _exact(2 / Q(_root_form(rs, alpha, alpha)))
 
 
-def _affine_base(table: ContractionTable, affA, affB) -> List[Tuple[int, SymCoef, AffineKey]]:
-    """Base contractions (pole, coefficient, symbol at w) at derivative zero."""
+def _affine_base(table: ContractionTable, affA, affB) -> List[Contraction]:
+    """Base contractions (pole, coefficient, N monomial, symbol at w) at derivative zero."""
     rs = table.rs
     kindA, dataA, _ = affA
     kindB, dataB, _ = affB
@@ -380,27 +347,28 @@ def _affine_base(table: ContractionTable, affA, affB) -> List[Tuple[int, SymCoef
         if not any(total):
             # the central term, then the coroot kappa alpha over the H_i
             kappa = _kappa(rs, dataA)
-            return [(2, sc_from(table.k * kappa), None)] + [
-                (1, sc_from(c * kappa), ("H", i, 0)) for i, c in enumerate(dataA) if c]
+            return [(2, table.k * kappa, (), None)] + [
+                (1, c * kappa, (), ("H", i, 0)) for i, c in enumerate(dataA) if c]
         if rs.is_root(total):
-            return [(1, n_symbol_coef(dataA, dataB), ("X", total, 0))]
+            mono, sign = n_symbol(dataA, dataB)
+            return [(1, sign, mono, ("X", total, 0))]
         return []
     if kindA == "H" and kindB == "X":
         c = _root_form(rs, rs.simple_roots[dataA], dataB)
-        return [(1, sc_from(c), ("X", dataB, 0))] if c else []
+        return [(1, c, (), ("X", dataB, 0))] if c else []
     if kindA == "X" and kindB == "H":
         c = -_root_form(rs, dataA, rs.simple_roots[dataB])
-        return [(1, sc_from(c), ("X", dataA, 0))] if c else []
+        return [(1, c, (), ("X", dataA, 0))] if c else []
     c = table.k * _root_form(rs, rs.simple_roots[dataA], rs.simple_roots[dataB])
-    return [(2, sc_from(c), None)] if c else []
+    return [(2, c, (), None)] if c else []
 
 
-def _affine_contractions(table: ContractionTable, affA, affB) -> List[Tuple[int, SymCoef, AffineKey]]:
-    """Contractions of derivative fields, as (exponent, coefficient, symbol)."""
+def _affine_contractions(table: ContractionTable, affA, affB) -> List[Contraction]:
+    """Contractions of derivative fields, as (exponent, coefficient, monomial, symbol)."""
     dA = affA[2]
     dB = affB[2]
-    out: List[Tuple[int, SymCoef, AffineKey]] = []
-    for n, coef, symbol in _affine_base(table, affA, affB):
+    out = []
+    for n, coef, mono, symbol in _affine_base(table, affA, affB):
         for j in range(dB + 1):
             tail = dB - j
             if symbol is None and tail:
@@ -408,7 +376,7 @@ def _affine_contractions(table: ContractionTable, affA, affB) -> List[Tuple[int,
             # rising factorials n^(j) and (n+j)^(dA), with n >= 1
             c = comb(dB, j) * perm(n + j - 1, j) * (-1) ** dA * perm(n + j + dA - 1, dA)
             placed = symbol if symbol is None else (symbol[0], symbol[1], symbol[2] + tail)
-            out.append((-(n + j + dA), sc_scale(coef, c), placed))
+            out.append((-(n + j + dA), coef * c, mono, placed))
     return out
 
 
@@ -425,7 +393,7 @@ def _entry(table: ContractionTable, key: TermKey) -> Tuple[int, int, Tuple[int, 
     with the Gram and cocycle images of its charge xi, once per table."""
     entry = table.registry.get(key)
     if entry is None:
-        affine, bosons, xi = key
+        affine, bosons, xi, _ = key
         if affine is not None and not (len(affine) == 3 and (
                 affine[0] == "X" and table.rs.is_root(affine[1])
                 or affine[0] == "H" and affine[1] in range(table.ell))):
@@ -490,7 +458,7 @@ def ope_table(table: ContractionTable, As: Sequence[Field],
     keysB = {idB: keyB for B, ids in zip(Bs, idsB) for idB, keyB in zip(ids, B)}
     out = []
     for terms in termsA:
-        unit: Dict[int, Dict[Tuple[int, TermKey], SymCoef]] = {}
+        unit: Dict[int, Dict[Tuple[int, TermKey], Coef]] = {}
         for idA, (keyA, cA) in terms:
             row = table.memo.setdefault(idA, {})
             for idB, keyB in keysB.items():
@@ -498,15 +466,14 @@ def ope_table(table: ContractionTable, As: Sequence[Field],
                 if contracted is None:
                     contracted = row[idB] = _contract(table, keyA, keyB)
                 for pole, key, coef in contracted:
-                    _mul_into(unit.setdefault(idB, {}).setdefault((pole, key), {}), cA, coef)
+                    _add_at(unit.setdefault(idB, {}), (pole, key), cA * coef)
         parts = []
         for B, ids in zip(Bs, idsB):
             sink: Poles = {}
             for idB, cB in zip(ids, B.values()):
                 for (pole, key), coef in unit.get(idB, {}).items():
-                    _mul_into(sink.setdefault(pole, {}).setdefault(key, {}), cB, coef)
-            parts.append({pole: live for pole, fld in sink.items()
-                          if (live := {key: c for key, c in fld.items() if c})})
+                    _add_at(sink.setdefault(pole, {}), key, cB * coef)
+            parts.append({pole: fld for pole, fld in sink.items() if fld})
         out.append(parts)
     return out
 
@@ -519,25 +486,27 @@ def ope_singular(table: ContractionTable, A: Field, B: Field) -> Poles:
 
 
 def _contract(table: ContractionTable, keyA: TermKey,
-              keyB: TermKey) -> Tuple[Tuple[int, TermKey, SymCoef], ...]:
+              keyB: TermKey) -> Tuple[Tuple[int, TermKey, Coef], ...]:
     """Unit-coefficient singular terms (pole order, key, coefficient) of
-    keyA(z) keyB(w), cocycle sign included."""
-    affA, bosA, xiA = keyA
-    affB, bosB, xiB = keyB
+    keyA(z) keyB(w), cocycle sign included.  A term's monomial is the
+    product of both keys' and that of the affine contraction it took."""
+    affA, bosA, xiA, monoA = keyA
+    affB, bosB, xiB, monoB = keyB
     (_, _, gxiA, _), (_, _, gxiB, exiB) = _entry(table, keyA), _entry(table, keyB)
     base = sum(map(mul, xiA, gxiB))
     sink: Optional[Poles] = None  # made with the sign and out_exp by the first live fate
 
-    # affine fates (contraction entry, symbol kept at z, symbol kept at w)
-    fates: List[Tuple[Optional[Tuple], AffineKey, AffineKey]] = [(None, affA, affB)]
+    # affine fates (contraction entry, symbol kept at z, symbol kept at w);
+    # the first contracts nothing and keeps the w symbol in place
+    fates = [((0, 1, (), affB), affA, affB)]
     if affA is not None and affB is not None:
         fates += [(entry, None, None) for entry in _affine_contractions(table, affA, affB)]
 
     for links, kept, stay in _boson_patterns(table.lattice.gram, bosA, gxiA, bosB, gxiB):
         shift = base - sum(order for _, order in links)
 
-        for entry, aff_z, aff_w in fates:
-            min_exp = shift + (entry[0] if entry else 0)
+        for (n, c, emono, aff_out), aff_z, aff_w in fates:
+            min_exp = shift + n
             if min_exp >= 0:
                 continue
             if aff_z is not None and aff_w is not None:
@@ -545,8 +514,8 @@ def _contract(table: ContractionTable, keyA: TermKey,
             if sink is None:
                 sink, out_exp = {}, tuple(map(add, xiA, xiB))
                 sign = -1 if sum(map(mul, xiA, exiB)) % 2 else 1
-            coef = sc_scale(entry[1] if entry else {(): 1}, sign * prod(w for w, _ in links))
-            aff_out = entry[2] if entry else aff_w
+            coef = c * sign * prod(w for w, _ in links)
+            mono = tuple(sorted(monoA + monoB + emono))
             # taylor slots: kept z-side bosons, then the z-side affine if any;
             # the budget carries a term up to order -1, the last singular one
             slots = len(kept) + (aff_z is not None)
@@ -560,9 +529,9 @@ def _contract(table: ContractionTable, keyA: TermKey,
                     relocated = tuple((i, d + m) for (i, d), m in zip(kept, ms))
                     aff = aff_out if aff_z is None else (aff_z[0], aff_z[1], aff_z[2] + ms[-1])
                     fld = sink.setdefault(-(min_exp + m_bell + sum(ms)), {})
-                    for mono, qbell in tail.items():
-                        key = (aff, tuple(sorted(relocated + stay + mono)), out_exp)
-                        field_add_into(fld, key, sc_scale(coef, scale * qbell))
+                    for bosons, qbell in tail.items():
+                        key = (aff, tuple(sorted(relocated + stay + bosons)), out_exp, mono)
+                        _add_at(fld, key, coef * scale * qbell)
     return () if sink is None else tuple(
         (pole, key, coef) for pole, fld in sink.items() for key, coef in fld.items())
 
@@ -616,7 +585,7 @@ class OpeDiff(NamedTuple):
 
 class CentralTerm(NamedTuple):
     root: Tuple[int, ...]
-    computed: Union[int, Q]
+    computed: Coef
     normalized_expected: Q
     literal_expected: Q
 
@@ -723,7 +692,7 @@ def verify_fst_homomorphism(table: ContractionTable) -> VerifyReport:
     central: List[CentralTerm] = []
 
     def cases():
-        idkey = (None, (), _zero_exp(table))
+        idkey = (None, (), _zero_exp(table), ())
         for a, ra in enumerate(all_roots):
             for b, rb in enumerate(all_roots):
                 got = xx[a][b]
@@ -732,11 +701,11 @@ def verify_fst_homomorphism(table: ContractionTable) -> VerifyReport:
                     kappa = _kappa(rs, ra)
                     want = {1: coroot_tilde_field(table, ra),
                             2: _scalar_field(table, kq * kappa)}
-                    computed = got.get(2, {}).get(idkey, {}).get((), 0)
+                    computed = got.get(2, {}).get(idkey, 0)
                     central.append(CentralTerm(ra, computed, kq * kappa, kq))
                 elif rs.is_root(total):
-                    key = (("X", total, 0), (), _xi_root(table, total))
-                    want = {1: {key: n_symbol_coef(ra, rb)}}
+                    mono, sign = n_symbol(ra, rb)
+                    want = {1: {(("X", total, 0), (), _xi_root(table, total), mono): sign}}
                 else:
                     want = {}
                 yield f"Xt{ra}", f"Xt{rb}", got, want

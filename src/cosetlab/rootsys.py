@@ -127,9 +127,8 @@ class RootSystem:
     root_index: Dict[Coords, int]
     highest_root: Coords
     dual_coxeter: int
-    # the form on simple roots == form_numerators / pair_den, and
-    # (alpha_a, alpha_b) over the positive roots == pair_table[a][b] / pair_den
-    form_numerators: Tuple[Tuple[int, ...], ...]
+    # (alpha_a, alpha_b) over the positive roots == pair_table[a][b] / pair_den;
+    # the simple roots come first, so its leading rank x rank block is the form
     pair_table: Tuple[Tuple[int, ...], ...]
     pair_den: int
 
@@ -154,7 +153,8 @@ class RootSystem:
         if len(u) != self.rank or len(v) != self.rank:
             raise ValueError("dimension mismatch")
         (iu, iv), d = integer_rows((vec(u), vec(v)))
-        total = sum(x * sum(map(mul, row, iv)) for x, row in zip(iu, self.form_numerators))
+        # zip and map stop at rank: the leading block of pair_table
+        total = sum(x * sum(map(mul, row, iv)) for x, row in zip(iu, self.pair_table))
         return Q(total, d * d * self.pair_den)
 
     def norm(self, u: Sequence) -> Q:
@@ -182,7 +182,7 @@ class RootSystem:
 
     def fundamental_weight(self, i: int) -> Vector:
         """Vector with <w, alpha_j-vee> = delta_ij; half is (alpha_i, alpha_i)/2."""
-        half = Q(self.form_numerators[i][i], 2 * self.pair_den)
+        half = Q(self.pair_table[i][i], 2 * self.pair_den)
         return tuple(half * row[i] for row in self.form_inverse)
 
     def long_root_basis(self) -> Tuple[Vector, ...]:
@@ -247,7 +247,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         root_index=index,
         highest_root=theta,
         dual_coxeter=_dual_coxeter(table, den, positives, theta),
-        form_numerators=form_int,
         pair_table=table,
         pair_den=den,
     )

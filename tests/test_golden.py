@@ -11,15 +11,19 @@ import argparse
 import hashlib
 import json
 import sys
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
 
-from cosetlab import cli
+from cosetlab import cli, opecalc
+from cosetlab.rootsys import build_root_system
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
+sys.path.insert(0, str(GOLDEN.parent))
 import regen  # noqa: E402
+from test_mutations import VERIFIERS, _bump_gstar, _flip_cocycle  # noqa: E402
 
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
@@ -88,6 +92,34 @@ def ope_grid_digest():
 
 def test_ope_verify_grid_digest():
     assert ope_grid_digest() == (OPE_GRID_SHA256, 64)
+
+
+# the failing side of the same verifiers: the g* and cocycle mutants of
+# test_mutations under jalpha, hminus and fst, on six types at three levels,
+# so the rendering of every field in a diff is pinned, not only A2's
+FAILING_OPE_TYPES = (("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3))
+FAILING_OPE_LEVELS = (1, Q(5, 3), Q(-1, 3))
+FAILING_OPE_SHA256 = "c74d58a1109bd8abc51e22952cb630dfe3a2f98b0460cd5e039e54df168ca12d"
+
+
+def failing_ope_digest():
+    """The SHA-256 of every mutant report, each hashed as its JSON dict
+    dumped with sorted keys; and the count of diffs over all reports."""
+    digest = hashlib.sha256()
+    diffs = 0
+    for family, rank in FAILING_OPE_TYPES:
+        rs = build_root_system(family, rank)
+        for level in FAILING_OPE_LEVELS:
+            for mutate in (_bump_gstar, _flip_cocycle):
+                for verify in VERIFIERS:
+                    report = verify(mutate(opecalc.make_table(rs, level)))
+                    digest.update(json.dumps(report.to_json_dict(), sort_keys=True).encode("utf-8"))
+                    diffs += len(report.diffs)
+    return digest.hexdigest(), diffs
+
+
+def test_failing_ope_report_digest():
+    assert failing_ope_digest() == (FAILING_OPE_SHA256, 1047)
 
 
 # the character layer on five seeds (level 1, 3/2 and -1/2) at two orders,

@@ -28,8 +28,10 @@ or compares a one-sided weight up to its string's own cap, recompiles
 ``charflow._compare_supports``.  A series rescale that
 forgets the validity cap replaces ``QSeries._on``.  A discriminant group
 whose largest divisor is one prime too big replaces
-``latticekit.smith_normal_form``.  A dual Coxeter number one too big,
-from replacing ``rootsys._dual_coxeter``, fails acceptance criterion 02.
+``latticekit.smith_normal_form``.  A kernel lattice whose last basis row
+is doubled, from replacing the name the acceptance module imported, fails
+criterion 03 at A2.  A dual Coxeter number one too big, from replacing
+``rootsys._dual_coxeter``, fails acceptance criterion 02.
 A Cartan inverse with 1/2 added at (0, 1) and (1, 0), from replacing
 ``rootsys.mat_inv``, fails criteria 01 and 09 at A2, level 1.
 A g* built at level k instead of k + h_vee fails criterion 01, and a coset
@@ -550,6 +552,22 @@ def test_criterion_04_sees_an_inflated_divisor(family, rank, inflated,
     assert latticekit.discriminant_group(lattice) == [1 + rs.dual_coxeter] * rank
     monkeypatch.setattr(latticekit, "smith_normal_form", _inflated_smith)
     assert latticekit.discriminant_group(lattice) == inflated
+
+
+def _doubled_last_kernel_row(rs):
+    """The true kernel lattice with its last basis row doubled: a sublattice
+    of index 2 wherever the kernel is not zero."""
+    kernel = REAL_KERNEL(rs)
+    rows = [list(row) for row in kernel.basis_in_ambient]
+    rows[-1:] = [[2 * x for x in row] for row in rows[-1:]]
+    return sublattice(kernel.ambient, rows, "K", kernel.lattice.labels)
+
+
+def test_criterion_03_sees_a_doubled_kernel_row(monkeypatch):
+    monkeypatch.setattr(test_acceptance, "kernel_K", _doubled_last_kernel_row)
+    # A1 has a zero kernel; A2 is the first type whose kernel loses vectors
+    with pytest.raises(AssertionError, match=r"^\('A', 2\)"):
+        test_acceptance.test_criterion_03_lattice_layer()
 
 
 def test_criterion_02_sees_h_vee_plus_one(monkeypatch):
