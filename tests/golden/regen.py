@@ -127,6 +127,12 @@ def cases():
     out.append(("ope-verify-all-E6-pos",
                 ["ope", "verify", "--type", "E", "--rank", "6", "--level=5/3",
                  "--check", "all"]))
+    # rank 4 off the simply-laced types: kappa, the pair denominator and the
+    # k + h_vee denominator of g* all meet in one table
+    for family, level, sign in (("F", "7/3", "pos"), ("C", "-1/3", "neg")):
+        out.append((f"ope-verify-all-{family}4-{sign}",
+                    ["ope", "verify", "--type", family, "--rank", "4",
+                     f"--level={level}", "--check", "all"]))
     out.append(("char-roundtrip-B2",
                 ["char", "roundtrip", "--seed", "seeds/B2.json", "--T", "6"]))
     # spectral flow on both sides, the second seed with an explicit weight.
