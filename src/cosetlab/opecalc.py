@@ -18,9 +18,10 @@ The engine is ope_table, the singular part of the OPE of every field of one
 list with every field of another, as {pole order: Field}; ope_singular is its
 1x1 case.  Commutation relations read poles only, so no regular term is ever
 built.  The OPE is bilinear, so each left field is contracted once against
-each distinct term key on the right.  A table registers a term key once, as
-(id, parity, G xi, E xi): with the Gram and cocycle images of its charge xi,
-a charge pairing or sign is one lookup.
+each distinct term key on the right, on integer numerators over a common
+denominator, divided once per output coefficient.  A table registers a term
+key once, as (id, parity, G xi, E xi): with the Gram and cocycle images of its
+charge xi, a charge pairing or sign is one lookup.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction as Q
 from itertools import product
-from math import comb, factorial, perm, prod
+from math import comb, factorial, lcm, perm, prod
 from operator import add, mul
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .bilinear import gram_G, gram_g, gram_g_star, level_params
 from .latticekit import (IntegralLattice, IntMatrix, build_L_minus, build_L_plus, direct_sum,
                          form_profile)
-from .ratlinalg import integer_vector
+from .ratlinalg import integer_rows, integer_vector
 from .rootsys import RootSystem
 
 Monomial = Tuple[Tuple, ...]  # sorted structure constants ("N", a, b)
@@ -69,6 +70,20 @@ def _add_at(out: dict, key, x) -> None:
         out[key] = s
     else:
         out[key] = s.numerator
+
+
+def _add_over(acc: dict, den: int, d: int, keys, nums, x: int) -> int:
+    """Add x * nums, numerators over d, at keys to acc, numerators over den:
+    acc is lifted in place to lcm(den, d), which is returned."""
+    if den % d:
+        up = lcm(den, d) // den
+        den *= up
+        for key in acc:
+            acc[key] *= up
+    x *= den // d
+    for key, n in zip(keys, nums):
+        acc[key] = acc.get(key, 0) + x * n
+    return den
 
 
 def n_symbol(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[Monomial, int]:
@@ -139,9 +154,9 @@ class ContractionTable:
     n_plus: int
     ell: int
     gstar: Tuple[Tuple[Q, ...], ...]
-    # term key -> (id, parity, G xi, E xi), and _contract results in rows by
-    # the id of key A mapping the id of key B to its terms; replace empties
-    # both, so a replaced lattice gets its own charge images
+    # term key -> (id, parity, G xi, E xi); memo rows by key A's id map key
+    # B's id to (den, (pole, key) tuple, numerator tuple), or () for no term;
+    # replace empties both, so a replaced lattice gets its own charge images
     registry: Dict[TermKey, Tuple] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False)
     memo: Dict[int, Dict[int, Tuple]] = dc_field(
@@ -227,9 +242,9 @@ def jstar_field(table: ContractionTable, index: int) -> Field:
     """Dual generator sum_b g*_ab J_b, in closed form:
     H of (1/k) sum_b g*_ab alpha_b, plus sum_b g*_ab b_b."""
     row = table.gstar[index]
-    roots = table.rs.positive_roots
-    out = h_field(table, [sum(g * r[i] for g, r in zip(row, roots)) / table.k
-                          for i in range(table.ell)])
+    (nums,), d = integer_rows([row])
+    out = h_field(table, [Q(sum(map(mul, nums, col)) * table.k.denominator, d * table.k.numerator)
+                          for col in zip(*table.rs.positive_roots)])
     for b, g in enumerate(row):
         _add_at(out, (None, ((b, 0),), _zero_exp(table), ()), g)
     return out
@@ -301,18 +316,17 @@ def derivative(table: ContractionTable, f: Field) -> Field:
     return out
 
 
-def _bell_tails(xi: Tuple[int, ...], orders: int) -> List[Dict[BosonKey, Coef]]:
-    """Boson monomial corrections P_0 .. P_(orders-1) left by a moved charge.
-
-    P_m = (1/m) sum_{j=1..m} (1/(j-1)!) d^(j-1) b_xi . P_{m-j}, with P_0 = 1.
-    A zero charge leaves no corrections, so only P_0 is returned for it.
-    """
+def _bell_tails(xi: Tuple[int, ...], orders: int) -> List[Dict[BosonKey, int]]:
+    """Boson monomial corrections m! P_m, m < orders, left by a moved charge:
+    with P_0 = 1, P_m = (1/m) sum_{j=1..m} (1/(j-1)!) d^(j-1) b_xi . P_{m-j}, so
+    m! P_m = sum_j C(m-1, j-1) d^(j-1) b_xi . (m-j)! P_{m-j} is integral.
+    A zero charge leaves no corrections, so only P_0 is returned for it."""
     tails = [{(): 1}]
     support = [(i, c) for i, c in enumerate(xi) if c]
     for m in range(1, orders if support else 1):
-        acc: Dict[BosonKey, Coef] = {}
+        acc: Dict[BosonKey, int] = {}
         for j in range(1, m + 1):
-            scale = _exact(Q(1, factorial(j - 1) * m))
+            scale = comb(m - 1, j - 1)
             for mono, q in tails[m - j].items():
                 for i, c in support:
                     _add_at(acc, tuple(sorted(mono + ((i, j - 1),))), q * scale * c)
@@ -450,30 +464,34 @@ def _boson_patterns(gram: IntMatrix, bosA: BosonKey, gxiA: Tuple[int, ...],
 
 def ope_table(table: ContractionTable, As: Sequence[Field],
               Bs: Sequence[Field]) -> List[List[Poles]]:
-    """ope_singular(table, A, B) for every A in As and B in Bs:
-    U_A[key] = sum_i c_A,i * contract(key_A,i, key) over the distinct term keys
+    """ope_singular(table, A, B) for every A in As and B in Bs, on each field's integer
+    numerators n: U_A[key] = sum_i n_A,i * contract(key_A,i, key) over the distinct term keys
     of the Bs, then one pass over B's terms per pair.  Any refusal refuses all."""
-    termsA = [list(zip(_term_ids(table, A)[1], A.items())) for A in As]
-    idsB = [_term_ids(table, B)[1] for B in Bs]
-    keysB = {idB: keyB for B, ids in zip(Bs, idsB) for idB, keyB in zip(ids, B)}
+    sidesA = [(_term_ids(table, A)[1], A, integer_rows([list(A.values())])) for A in As]
+    sidesB = [(_term_ids(table, B)[1], integer_rows([list(B.values())])) for B in Bs]
+    keysB = {idB: keyB for B, (ids, _) in zip(Bs, sidesB) for idB, keyB in zip(ids, B)}
     out = []
-    for terms in termsA:
-        unit: Dict[int, Dict[Tuple[int, TermKey], Coef]] = {}
-        for idA, (keyA, cA) in terms:
+    for idsA, A, ((numsA,), dA) in sidesA:
+        unit, dens = {}, {}  # id of key B -> {(pole, key): numerator over dens[id]}
+        for idA, keyA, nA in zip(idsA, A, numsA):
             row = table.memo.setdefault(idA, {})
             for idB, keyB in keysB.items():
-                contracted = row.get(idB)
-                if contracted is None:
-                    contracted = row[idB] = _contract(table, keyA, keyB)
-                for pole, key, coef in contracted:
-                    _add_at(unit.setdefault(idB, {}), (pole, key), cA * coef)
+                entry = row.get(idB)
+                if entry is None:
+                    entry = row[idB] = _contract(table, keyA, keyB)
+                if entry:
+                    dens[idB] = _add_over(unit.setdefault(idB, {}), dens.get(idB, 1), *entry, nA)
         parts = []
-        for B, ids in zip(Bs, idsB):
-            sink: Poles = {}
-            for idB, cB in zip(ids, B.values()):
-                for (pole, key), coef in unit.get(idB, {}).items():
-                    _add_at(sink.setdefault(pole, {}), key, cB * coef)
-            parts.append({pole: fld for pole, fld in sink.items() if fld})
+        for idsB, ((numsB,), dB) in sidesB:
+            sink, den = {}, 1
+            for idB, nB in zip(idsB, numsB):
+                if idB in unit:
+                    den = _add_over(sink, den, dens[idB], unit[idB].keys(), unit[idB].values(), nB)
+            poles, den = {}, den * dA * dB  # one division per output coefficient
+            for (pole, key), n in sink.items():
+                if n:
+                    poles.setdefault(pole, {})[key] = Q(n, den) if n % den else n // den
+            parts.append(poles)
         out.append(parts)
     return out
 
@@ -486,15 +504,15 @@ def ope_singular(table: ContractionTable, A: Field, B: Field) -> Poles:
 
 
 def _contract(table: ContractionTable, keyA: TermKey,
-              keyB: TermKey) -> Tuple[Tuple[int, TermKey, Coef], ...]:
-    """Unit-coefficient singular terms (pole order, key, coefficient) of
-    keyA(z) keyB(w), cocycle sign included.  A term's monomial is the
+              keyB: TermKey) -> Tuple:
+    """Unit-coefficient singular terms of keyA(z) keyB(w), cocycle sign included, as (den,
+    (pole order, key) tuple, numerator tuple), or () for no term.  A term's monomial is the
     product of both keys' and that of the affine contraction it took."""
     affA, bosA, xiA, monoA = keyA
     affB, bosB, xiB, monoB = keyB
     (_, _, gxiA, _), (_, _, gxiB, exiB) = _entry(table, keyA), _entry(table, keyB)
     base = sum(map(mul, xiA, gxiB))
-    sink: Optional[Poles] = None  # made with the sign and out_exp by the first live fate
+    sink, den = {}, 1  # (pole, key) -> numerator over den
 
     # affine fates (contraction entry, symbol kept at z, symbol kept at w);
     # the first contracts nothing and keeps the w symbol in place
@@ -511,29 +529,31 @@ def _contract(table: ContractionTable, keyA: TermKey,
                 continue
             if aff_z is not None and aff_w is not None:
                 raise ValueError("unsupported composite of affine symbols")
-            if sink is None:
-                sink, out_exp = {}, tuple(map(add, xiA, xiB))
-                sign = -1 if sum(map(mul, xiA, exiB)) % 2 else 1
-            coef = c * sign * prod(w for w, _ in links)
+            if not sink:  # the first live fate
+                out_exp, sign = tuple(map(add, xiA, xiB)), -1 if sum(map(mul, xiA, exiB)) % 2 else 1
             mono = tuple(sorted(monoA + monoB + emono))
             # taylor slots: kept z-side bosons, then the z-side affine if any;
             # the budget carries a term up to order -1, the last singular one
             slots = len(kept) + (aff_z is not None)
             budget = -1 - min_exp
+            # terms are c (m! P_m) / (m! prod ms!), m + sum(ms) <= budget: over den(c) full
+            full, fate = factorial(budget + 1), {}
             for m_bell, tail in enumerate(_bell_tails(xiA, budget + 1)):
                 # slot orders ms with sum(ms) <= budget - m_bell, in order
                 for ms in product(range(budget - m_bell + 1), repeat=slots):
                     if sum(ms) > budget - m_bell:
                         continue
-                    scale = Q(1, f) if (f := prod(map(factorial, ms))) > 1 else 1
+                    scale = full // (factorial(m_bell) * prod(map(factorial, ms)))
                     relocated = tuple((i, d + m) for (i, d), m in zip(kept, ms))
                     aff = aff_out if aff_z is None else (aff_z[0], aff_z[1], aff_z[2] + ms[-1])
-                    fld = sink.setdefault(-(min_exp + m_bell + sum(ms)), {})
-                    for bosons, qbell in tail.items():
-                        key = (aff, tuple(sorted(relocated + stay + bosons)), out_exp, mono)
-                        _add_at(fld, key, coef * scale * qbell)
-    return () if sink is None else tuple(
-        (pole, key, coef) for pole, fld in sink.items() for key, coef in fld.items())
+                    pole = -(min_exp + m_bell + sum(ms))
+                    for bosons, t in tail.items():
+                        key = (pole, (aff, tuple(sorted(relocated + stay + bosons)), out_exp, mono))
+                        fate[key] = fate.get(key, 0) + scale * t
+            den = _add_over(sink, den, c.denominator * full, fate.keys(), fate.values(),
+                            c.numerator * sign * prod(w for w, _ in links))
+    terms = [item for item in sink.items() if item[1]]
+    return (den, *zip(*terms)) if terms else ()
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +660,7 @@ def _report(name: str, cases: Iterable[Tuple[str, str, Poles, Poles]],
 
 
 def _scalar_field(table: ContractionTable, x) -> Field:
-    return field_scale(identity_field(table), x)
+    return {(None, (), _zero_exp(table), ()): _exact(x)} if x else {}
 
 
 def verify_Jalpha_heisenberg(table: ContractionTable) -> VerifyReport:

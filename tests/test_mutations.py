@@ -8,7 +8,9 @@ Gram and cocycle images of each charge, a clean run has filled), or an
 engine that raises some pole orders, by replacing
 ``opecalc._boson_patterns``, or one whose Taylor budget stops an order
 short of the simple pole, by recompiling ``opecalc._contract`` with that
-one line changed.  They feed character
+one line changed, or whose one division per output coefficient drops the
+B-side denominator or truncates, by recompiling ``opecalc.ope_table``;
+both fail acceptance criterion 05 and the ope verify grid digest.  They feed character
 transport a wrong eta power or a short lattice enumeration, by replacing
 ``charflow.eta_power`` or ``charflow.enumerate_by_norm``, or an enumeration
 whose running sum skips one basis row, by recompiling
@@ -247,6 +249,26 @@ def test_fst_sees_a_taylor_budget_one_order_short(a2, monkeypatch):
     first = opecalc.verify_fst_homomorphism(table).diffs[0]
     assert first == OpeDiff("Xt(1, 0)", "Xt(0, 1)", 1,
                             "(-1*N[0,1|1,0])*X(1,1) E(1,1,0,1,1)", "0")
+
+
+@pytest.mark.parametrize("old, new, diffs", [
+    # the divisor without the B-side denominator
+    ("den * dA * dB", "den * dA", [[3, 1, 1], [21, 9, 4], [28, 12, 4]]),
+    # every coefficient truncated to an integer
+    ("Q(n, den) if n % den else n // den", "n // den",
+     [[2, 1, 4], [18, 9, 14], [24, 12, 11]]),
+])
+def test_criterion_05_sees_a_wrong_final_division(old, new, diffs, monkeypatch):
+    monkeypatch.setattr(opecalc, "ope_table", _recompiled(opecalc.ope_table, old, new))
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_05_ope_engine()
+    # failing pairs per verifier on criterion 05's types at level 5/2, where
+    # fst fails too: the dressed currents carry k, so both sides are fractional
+    assert [[len(verify(opecalc.make_table(build_root_system(family, rank), Q(5, 2))).diffs)
+             for verify in VERIFIERS]
+            for family, rank in (("A", 1), ("A", 2), ("B", 2))] == diffs
+    from test_golden import OPE_GRID_SHA256, ope_grid_digest  # it imports this module
+    assert ope_grid_digest()[0] != OPE_GRID_SHA256
 
 
 def _bump_eta(m, T):

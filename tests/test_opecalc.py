@@ -4,7 +4,7 @@ import dataclasses
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cosetlab import opecalc as oc
@@ -428,6 +428,56 @@ def test_ope_singular_is_bilinear(data, case):
             for n, f in part.items():
                 want[n] = oc.field_add(want.get(n, {}), oc.field_scale(f, a * b))
     assert got == {n: f for n, f in want.items() if f}
+    assert _integral_values_are_ints(got)
+
+
+def reference_ope(t, A, B):
+    """The singular part of A(z)B(w) as a Fraction sum of cA * cB * each
+    _contract term of each term pair, zero sums and empty poles dropped."""
+    want = {}
+    for keyA, cA in A.items():
+        for keyB, cB in B.items():
+            entry = oc._contract(t, keyA, keyB)
+            if entry:
+                den, keys, nums = entry
+                for (pole, key), n in zip(keys, nums):
+                    f = want.setdefault(pole, {})
+                    f[key] = f.get(key, 0) + Q(cA) * Q(cB) * Q(n, den)
+    want = {pole: {key: c for key, c in f.items() if c} for pole, f in want.items()}
+    return {pole: f for pole, f in want.items() if f}
+
+
+# a positive, a negative and a large-prime-denominator level, on three types
+REFERENCE_CASES = [(fam, rank, k) for fam, rank in (("A", 2), ("B", 2), ("G", 2))
+                   for k in (Q(-5, 3), Q(7, 2), Q(1000003, 7))]
+RATIONALS = st.builds(Q, st.integers(-6, 6).filter(bool), st.sampled_from([1, 2, 3, 7, 1000003]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), case=st.sampled_from(REFERENCE_CASES))
+def test_ope_table_is_the_fraction_sum_of_contract_terms(data, case):
+    t = table(*case)
+    gens = generators_and_free_parts(t)
+    terms = st.lists(st.tuples(st.integers(0, len(gens) - 1), RATIONALS), min_size=1, max_size=3)
+    lefts = [_combination(gens, data.draw(terms, label="left")) for _ in range(2)]
+    rights = [_combination(gens, data.draw(terms, label="right")) for _ in range(2)]
+    got = oc.ope_table(t, lefts, rights)
+    assert got == [[reference_ope(t, A, B) for B in rights] for A in lefts]
+    assert all(_integral_values_are_ints(poles) for row in got for poles in row)
+    # a right field y g_i - x g_j whose two parts meet on one output key,
+    # with coefficients x and y there: that key sums to exactly zero
+    A = lefts[0]
+    parts = oc.ope_table(t, [A], gens)[0]
+    shared = [(pole, key, oc.field_add(oc.field_scale(gens[i], parts[j][pole][key]),
+                                       oc.field_scale(gens[j], -parts[i][pole][key])))
+              for i in range(len(gens)) for j in range(i + 1, len(gens))
+              for pole, f in parts[i].items() for key in f if key in parts[j].get(pole, {})]
+    shared = [drawn for drawn in shared if drawn[2]]  # g_i and g_j not proportional
+    assume(shared)  # only an empty left side has none
+    pole, key, right = data.draw(st.sampled_from(shared), label="cancel")
+    got = oc.ope_singular(t, A, right)
+    assert got == reference_ope(t, A, right)
+    assert key not in got.get(pole, {})
     assert _integral_values_are_ints(got)
 
 
