@@ -41,7 +41,7 @@ from .latticekit import (
     g_sc_plus,
     kernel_K,
 )
-from .ratlinalg import dot, integer_vector, mat_inv, mat_vec, parse_rational, vec
+from .ratlinalg import integer_vector, parse_rational, vec
 from .rootsys import RootSystem, build_root_system
 
 
@@ -302,11 +302,9 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
     Each input string is summed against the plus-lattice coset it generates;
     a lattice vector enters the sum exactly when the minimum exponent of its
     contribution is at most T, so the result is certified to order T.  The
-    coset xi0 + K is enumerated directly: with y = G_K^-1 B xi0 for the
-    kernel basis B, |xi0 + kappa|^2 = |kappa + y|_K^2 + |xi0|^2 - y.B xi0,
-    so the K-ball around -y holds exactly the vectors that enter; the search
-    returns them embedded in L+, so each costs one xi0 addition and one
-    norm.  A weight the result lacks is certified zero up to T.
+    coset xi0 + K is enumerated directly, as the vectors xi of L+ in it with
+    |xi|^2 <= 2 (T - floor + delta + n_extra/24), so each costs one norm.
+    A weight the result lacks is certified zero up to T.
     """
     rs, k = _on_side(ch, "af"), ch.level
     T = Q(T)
@@ -318,26 +316,18 @@ def fermionize_character(ch: FormalCharacter, mu: Sequence, T) -> FormalCharacte
     p, q = (2 * delta).as_integer_ratio()  # shift (q|xi|^2 - p) / 2q
     n_extra = rs.num_positive - rs.rank
     kernel = kernel_K(rs)
-    ginv = mat_inv(kernel.lattice.gram)
     groups = []
     for off, s in ch.strings.items():
         floor = s.min_bound()
         if floor is None:
             continue
         d = tuple(off[i] - m0[i] for i in range(rs.rank))
-        xi0 = f_af(rs, d, "+")
-        bxi0 = tuple(sum(map(mul, r, xi0)) for r in kernel.basis_in_ambient)
-        y = mat_vec(ginv, bxi0)
-        bound = (2 * (T - floor + delta + Q(n_extra, 24))
-                 - sum(map(mul, xi0, xi0)) + dot(y, bxi0))
+        bound = 2 * (T - floor + delta + Q(n_extra, 24))
         if bound < 0:
             continue
-        vecs = []
-        for kap in enumerate_by_norm(kernel, bound, tuple(-x for x in y)):
-            xi = tuple(map(add, xi0, kap))
-            vecs.append((xi, q * sum(map(mul, xi, xi)) - p))
-        # the ball can be empty even for bound >= 0: its centre need not
-        # be a lattice point
+        vecs = [(xi, q * sum(map(mul, xi, xi)) - p)
+                for xi in enumerate_by_norm(kernel, bound, f_af(rs, d, "+"))]
+        # the coset can miss the ball even for bound >= 0
         if vecs:
             groups.append((s, vecs))
     out = _transport(groups, -n_extra, T, 2 * q)

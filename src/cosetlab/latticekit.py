@@ -17,8 +17,8 @@ from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .bilinear import ScWeight, sc_weight_from_jstar
-from .ratlinalg import (Vector, bareiss, integer_rows, integer_vector,
-                        leading_minors, smith_normal_form, vec)
+from .ratlinalg import (Vector, bareiss, integer_vector, leading_minors,
+                        smith_normal_form)
 from .rootsys import RootSystem
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -321,24 +321,27 @@ def discriminant_group(lattice: IntegralLattice) -> List[int]:
 
 
 def enumerate_by_norm(lattice: IntegralLattice | EmbeddedLattice, bound,
-                      center: Optional[Sequence] = None) -> List[Tuple[int, ...]]:
-    """All vectors v with |<v-z,v-z>| <= bound.
+                      offset: Optional[Sequence] = None) -> List[Tuple[int, ...]]:
+    """All v in offset + lattice with sign <v,v> <= bound, sign the lattice's
+    definiteness and offset an integer ambient vector (the origin when None).
 
-    z is the rational center, the origin when None.  Only definite lattices
-    are accepted; on an indefinite one the solution set is infinite.  The
-    search runs on integers.  One Bareiss pass over the definite Gram gives
-    the leading minors D_k and upper rows U_k; with q the common denominator
-    of z and w = q(v - z), |v-z|^2 = sum_k (U_k.w)^2 / (q^2 D_(k-1) D_k).
-    Scaled by q^2 lcm(D_(k-1) D_k), the bound leaves each coordinate an exact
-    integer interval, read with isqrt.
+    Only definite lattices are accepted; on an indefinite one the solution
+    set is infinite.  The search runs on integers (Fincke-Pohst 1985).  One
+    Bareiss pass over the sign-adjusted Gram bordered by b = <basis, offset>
+    and <offset, offset> gives the leading minors D_k, the upper rows U_k
+    with border entries u_(k,n) and a last pivot D'; for v = offset + x.basis,
+    sign <v,v> = sum_k (U_k.(x,1))^2 / (D_(k-1) D_k) + D'/D_n.  Scaled by
+    lcm(D_(k-1) D_k), the bound less the D' term leaves each coordinate an
+    exact integer interval, read with isqrt.
 
-    An IntegralLattice gives sorted coordinate vectors.  An EmbeddedLattice,
-    z in its own coordinates, gives each v's ambient image embed(v), unsorted
-    in search order: a running sum down the recursion, where each level with
-    a nonzero coordinate x adds x times its basis row.
+    An IntegralLattice gives sorted coordinate vectors, its offset in its own
+    coordinates.  An EmbeddedLattice gives ambient images, unsorted in search
+    order: a running sum down the recursion from the offset, where each level
+    with a nonzero coordinate x adds x times its basis row.
     """
     embedded = isinstance(lattice, EmbeddedLattice)
-    m = lattice.ambient.rank if embedded else lattice.rank
+    ambient = lattice.ambient if embedded else lattice
+    m = ambient.rank
     rows = lattice.basis_in_ambient if embedded else tuple(
         tuple(int(i == j) for j in range(m)) for i in range(m))
     lattice = lattice.lattice if embedded else lattice
@@ -346,39 +349,44 @@ def enumerate_by_norm(lattice: IntegralLattice | EmbeddedLattice, bound,
     if b < 0:
         raise ValueError("bound must be nonnegative")
     n = lattice.rank
-    z = (Q(0),) * n if center is None else vec(center)
-    if len(z) != n:
+    start = (0,) * m if offset is None else integer_vector(
+        offset, "offset coordinates must be integers")
+    if len(start) != m:
         raise ValueError("dimension mismatch")
     if lattice.signature == "indefinite":
         raise ValueError("lattice is not definite")
     sign = -1 if lattice.signature == "negative" else 1
-    u = [[sign * x for x in row] for row in lattice.gram]
-    minors, _ = bareiss(u, pivoting=False)
+    border = [sign * _bilinear(row, ambient.gram, start) for row in rows + (start,)]
+    u = [[sign * x for x in row] + [t] for row, t in zip(lattice.gram, border)] + [border]
+    pivots, _ = bareiss(u, pivoting=False)
+    minors = pivots[:n]
     if any(d <= 0 for d in minors):
         raise ValueError("lattice is not positive definite")
-    (p,), q = integer_rows([z])
-    dens = [a * d for a, d in zip([1] + minors, minors)]  # D_(k-1) D_k
+    lead = [1] + minors  # D_0 = 1, ..., D_n
+    dens = [a * d for a, d in zip(lead, minors)]  # D_(k-1) D_k
     scale = lcm(*dens)
     weight = [scale // x for x in dens]
+    remaining = b.numerator * scale // b.denominator - scale // lead[-1] * pivots[n]
 
     results: List[Tuple[int, ...]] = []
-    w = [0] * n  # q * v - p over the coordinates fixed so far
+    w = [0] * n  # the coordinates x fixed so far
 
-    def search(k: int, remaining: int, image: Tuple[int, ...]) -> None:
+    def search(k: int, remaining: int, point: Tuple[int, ...]) -> None:
         if k < 0:
-            results.append(image)
+            results.append(point)
             return
-        # U_k.w = a x + c at v_k = x; weight[k] (a x + c)^2 <= remaining
-        a = minors[k] * q
-        c = sum(map(mul, u[k][k + 1:], w[k + 1:])) - minors[k] * p[k]
+        # U_k.(x,1) = a x_k + c; weight[k] (a x_k + c)^2 <= remaining
+        a = minors[k]
+        c = sum(map(mul, u[k][k + 1:n], w[k + 1:])) + u[k][n]
         r = isqrt(remaining // weight[k])
         row = rows[k]
         for x in range(-((r + c) // a), (r - c) // a + 1):
             t = a * x + c
-            w[k] = q * x - p[k]
+            w[k] = x
             search(k - 1, remaining - weight[k] * t * t,
-                   tuple(map(add, image, map(mul, repeat(x), row)))
-                   if x else image)
+                   tuple(map(add, point, map(mul, repeat(x), row)))
+                   if x else point)
 
-    search(n - 1, b.numerator * q * q * scale // b.denominator, (0,) * m)
+    if remaining >= 0:
+        search(n - 1, remaining, start)
     return results if embedded else sorted(results)

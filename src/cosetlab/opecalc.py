@@ -437,29 +437,32 @@ def _boson_patterns(gram: IntMatrix, bosA: BosonKey, gxiA: Tuple[int, ...],
     z-boson against the w charge (G xi[i] for a boson b_i), or a w-boson
     against the z charge.  A fate with a zero pairing is never offered.
     """
-    na = len(bosA)
     hitB = [(gxiB[i] * (-1) ** d * factorial(d), 1 + d) for i, d in bosA]
     hitA = [(-gxiA[j] * factorial(e), 1 + e) for j, e in bosB]
+    return _assign(gram, bosA, bosB, hitA, hitB, 0, (), (), ())
 
-    def assign(pos: int, used: Tuple[int, ...], links, kept):
-        if pos == na:
-            free = [j for j in range(len(bosB)) if j not in used]
-            live = [j for j in free if hitA[j][0]]
-            for mask in range(1 << len(live)):
-                hit = [live[t] for t in range(len(live)) if mask >> t & 1]
-                yield (links + tuple(hitA[j] for j in hit), kept,
-                       tuple(bosB[j] for j in free if j not in hit))
-            return
-        if hitB[pos][0]:
-            yield from assign(pos + 1, used, links + (hitB[pos],), kept)
-        yield from assign(pos + 1, used, links, kept + (bosA[pos],))
-        i, dA = bosA[pos]
-        for j, (jB, dB) in enumerate(bosB):
-            if j not in used and gram[i][jB]:
-                link = (gram[i][jB] * (-1) ** dA * factorial(dA + dB + 1), 2 + dA + dB)
-                yield from assign(pos + 1, used + (j,), links + (link,), kept)
 
-    yield from assign(0, (), (), ())
+def _assign(gram: IntMatrix, bosA: BosonKey, bosB: BosonKey, hitA, hitB,
+            pos: int, used: Tuple[int, ...], links, kept) -> Iterator[Tuple]:
+    """The fates of A's bosons from pos on, B's bosons in used taken; no
+    closure, so no reference cycle outlives a contraction."""
+    if pos == len(bosA):
+        free = [j for j in range(len(bosB)) if j not in used]
+        live = [j for j in free if hitA[j][0]]
+        for mask in range(1 << len(live)):
+            hit = [live[t] for t in range(len(live)) if mask >> t & 1]
+            yield (links + tuple(hitA[j] for j in hit), kept,
+                   tuple(bosB[j] for j in free if j not in hit))
+        return
+    state = (gram, bosA, bosB, hitA, hitB, pos + 1)
+    if hitB[pos][0]:
+        yield from _assign(*state, used, links + (hitB[pos],), kept)
+    yield from _assign(*state, used, links, kept + (bosA[pos],))
+    i, dA = bosA[pos]
+    for j, (jB, dB) in enumerate(bosB):
+        if j not in used and gram[i][jB]:
+            link = (gram[i][jB] * (-1) ** dA * factorial(dA + dB + 1), 2 + dA + dB)
+            yield from _assign(*state, used + (j,), links + (link,), kept)
 
 
 def ope_table(table: ContractionTable, As: Sequence[Field],
@@ -703,6 +706,7 @@ def verify_fst_homomorphism(table: ContractionTable) -> VerifyReport:
     rs = table.rs
     kq = table.k
     all_roots = list(rs.positive_roots) + [tuple(-c for c in a) for a in rs.positive_roots]
+    roots = set(all_roots)
     xts = [x_tilde_field(table, a) for a in all_roots]
     hts = [h_tilde_field(table, i) for i in range(table.ell)]
     xx = ope_table(table, xts, xts)
@@ -723,7 +727,7 @@ def verify_fst_homomorphism(table: ContractionTable) -> VerifyReport:
                             2: _scalar_field(table, kq * kappa)}
                     computed = got.get(2, {}).get(idkey, 0)
                     central.append(CentralTerm(ra, computed, kq * kappa, kq))
-                elif rs.is_root(total):
+                elif total in roots:
                     mono, sign = n_symbol(ra, rb)
                     want = {1: {(("X", total, 0), (), _xi_root(table, total), mono): sign}}
                 else:

@@ -56,14 +56,10 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
 
 
-def dot(u: Sequence, v: Sequence) -> Q:
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return sum((Q(a) * Q(b) for a, b in zip(u, v)), Q(0))
-
-
 def mat_vec(a: Matrix, v: Sequence) -> Vector:
-    return tuple(dot(row, v) for row in a)
+    if any(len(row) != len(v) for row in a):
+        raise ValueError("dimension mismatch")
+    return tuple(sum((Q(x) * Q(y) for x, y in zip(row, v)), Q(0)) for row in a)
 
 
 def integer_rows(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:

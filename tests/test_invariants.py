@@ -90,6 +90,12 @@ def test_only_the_seed_reader_builds_a_root_system_in_charflow():
     assert list(callers_of(tree, "build_root_system")) == ["validate_seed"]
 
 
+@pytest.mark.parametrize("name", ["mat_inv", "mat_vec", "dot"])
+def test_charflow_does_no_rational_linear_algebra(name):
+    # the transport enumerates each kernel coset on integers
+    assert list(callers_of(_tree(PACKAGE / "charflow.py"), name)) == []
+
+
 def test_the_guards_see_what_they_forbid():
     bad = ast.parse("import numpy\nfrom scipy.linalg import det\n"
                     "from math import sqrt\nx = 0.5 + float(1) + math.log(2)\n"

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction as Q
+from operator import add, mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -378,73 +379,62 @@ def test_enumerate_counts_match_direct_scan():
 
 
 @st.composite
-def _definite_lattice_and_center(draw):
-    # gram = +-(A A^T) is definite for a nonsingular integer A
-    n = draw(st.integers(1, 3))
-    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
-                         min_size=n, max_size=n))
-    gram = tuple(tuple(sum(a * b for a, b in zip(u, v)) for v in rows)
-                 for u in rows)
-    assume(determinant(gram) != 0)
+def _coset_ball(draw):
+    """A definite sublattice of a +-identity ambient, with a nonsingular
+    basis of integer rows, an integer ambient offset and a bound; half the
+    time the bound puts a coset vector exactly on the sphere."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, min(m, 3)))
+    basis = draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                          min_size=n, max_size=n))
+    assume(determinant([[sum(map(mul, u, v)) for v in basis] for u in basis]) != 0)
     sign = draw(st.sampled_from((1, -1)))
-    gram = tuple(tuple(sign * x for x in row) for row in gram)
-    lat = IntegralLattice("D", tuple(f"e{i}" for i in range(n)), gram,
-                          default_cocycle(gram),
-                          "positive" if sign > 0 else "negative")
-    center = tuple(Q(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
-                   for _ in range(n))
-    return lat, center
+    gram = tuple(tuple(sign * int(i == j) for j in range(m)) for i in range(m))
+    ambient = IntegralLattice("I", tuple(f"e{i}" for i in range(m)), gram,
+                              default_cocycle(gram),
+                              "positive" if sign > 0 else "negative")
+    emb = sublattice(ambient, basis, "S", tuple(f"b{i}" for i in range(n)))
+    offset = tuple(draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        bound = draw(st.fractions(0, 6))
+    else:
+        x = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+        bound = abs(ambient.norm(tuple(map(add, offset, emb.embed(x)))))
+    assume(math.prod(map(len, _box(emb, bound, offset))) <= 4000)
+    return emb, bound, offset
 
 
-@settings(max_examples=80, deadline=None)
-@given(_definite_lattice_and_center(), st.fractions(0, 6))
-def test_centred_enumeration_matches_filtered_origin_ball(lat_center, bound):
-    # |v|^2 <= 2|v-z|^2 + 2|z|^2, so this origin ball covers the centred one
-    lat, z = lat_center
-    cover = 2 * bound + 2 * abs(lat.norm(z))
-    # filter on integers: |qv - qz|^2 <= q^2 bound, q the denominator of z
-    q = math.lcm(*(c.denominator for c in z))
-    qz = [int(q * c) for c in z]
-    limit = q * q * bound
-    expected = [v for v in enumerate_by_norm(lat, cover)
-                if abs(lat.norm([q * x - c for x, c in zip(v, qz)])) <= limit]
-    assert enumerate_by_norm(lat, bound, z) == expected
-
-
-def _box(lat, bound, z):
-    """Integer ranges of the box (x_i - z_i)^2 <= bound |G^-1|_ii, which
-    holds the whole centred ball of a definite Gram."""
-    inv = mat_inv(lat.gram)
+def _box(emb, bound, offset):
+    """Integer ranges of the box (x_i + y_i)^2 <= bound |G^-1|_ii, with
+    y = G^-1 B offset the offset's projection onto the sublattice in its
+    coordinates; the box holds every x with |<v,v>| <= bound for
+    v = offset + x B."""
+    inv = mat_inv(emb.lattice.gram)
+    b = [emb.ambient.pair(row, offset) for row in emb.basis_in_ambient]
     ranges = []
-    for i, c in enumerate(z):
-        r = bound * abs(inv[i][i])
+    for i, row in enumerate(inv):
+        c = -sum(map(mul, row, b))
+        r = bound * abs(row[i])
         mid, half = math.floor(c), math.isqrt(math.ceil(r)) + 1
         ranges.append([x for x in range(mid - half, mid + half + 2)
                        if (x - c) ** 2 <= r])
     return ranges
 
 
-@st.composite
-def _centred_ball(draw):
-    lat, z = draw(_definite_lattice_and_center())
-    if draw(st.booleans()):
-        bound = draw(st.fractions(0, 6))
-    else:
-        # a lattice point on the sphere: the edge of each exact interval
-        v = [round(c) + draw(st.integers(-1, 1)) for c in z]
-        bound = abs(lat.norm(tuple(x - c for x, c in zip(v, z))))
-    assume(math.prod(map(len, _box(lat, bound, z))) <= 4000)
-    return lat, bound, z
-
-
-@settings(max_examples=60, deadline=None)
-@given(_centred_ball())
-def test_centred_enumeration_matches_a_box_scan(ball):
-    # an independent reference: a scan that never calls enumerate_by_norm
-    lat, bound, z = ball
-    expected = [v for v in itertools.product(*_box(lat, bound, z))
-                if abs(lat.norm(tuple(x - c for x, c in zip(v, z)))) <= bound]
-    assert enumerate_by_norm(lat, bound, z) == expected
+@settings(max_examples=80, deadline=None)
+@given(_coset_ball())
+def test_coset_enumeration_matches_a_box_scan(ball):
+    # an independent reference: a scan of offset + lattice that never calls
+    # enumerate_by_norm; the images may come in any order, each once
+    emb, bound, offset = ball
+    images = (tuple(map(add, offset, emb.embed(x)))
+              for x in itertools.product(*_box(emb, bound, offset)))
+    expected = [v for v in images if abs(emb.ambient.norm(v)) <= bound]
+    assert sorted(enumerate_by_norm(emb, bound, offset)) == sorted(expected)
+    # an IntegralLattice reads the offset in its own coordinates, and a
+    # lattice point moves its coset nowhere
+    lat, x = emb.lattice, tuple(offset[:emb.lattice.rank])
+    assert enumerate_by_norm(lat, bound, x) == enumerate_by_norm(lat, bound)
 
 
 @pytest.mark.parametrize("gram", [((1, 2), (2, 1)), ((1, 1), (1, 1))],
@@ -457,9 +447,18 @@ def test_enumerate_refuses_a_mislabelled_positive_gram(gram):
 
 
 def test_centred_enumeration_checks_the_center_length():
-    lat = build_L_plus(build_root_system("A", 2))
+    # the offset is an ambient vector, not one in the kernel's coordinates
+    rs = build_root_system("A", 2)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        enumerate_by_norm(lat, 1, (Q(1, 2), 0))
+        enumerate_by_norm(build_L_plus(rs), 1, (1, 0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        enumerate_by_norm(kernel_K(rs), 1, (1,))
+
+
+def test_coset_enumeration_refuses_a_non_integral_offset():
+    emb = kernel_K(build_root_system("A", 2))
+    with pytest.raises(ValueError, match="offset coordinates must be integers"):
+        enumerate_by_norm(emb, 1, (Q(1, 2), 0, 0))
 
 
 def test_enumerate_rejects_indefinite():
@@ -474,21 +473,28 @@ def test_enumerate_rank_zero():
     assert enumerate_by_norm(kernel_K(rs).lattice, 5) == [()]
     # embedded, the one vector is the ambient zero, not the empty tuple
     assert enumerate_by_norm(kernel_K(rs), 5) == [(0,)]
-    assert enumerate_by_norm(kernel_K(rs), 0, ()) == [(0,)]
+    # the coset of a rank-0 kernel is its offset alone, on the sphere at 4
+    assert enumerate_by_norm(kernel_K(rs), 4, (2,)) == [(2,)]
+    assert enumerate_by_norm(kernel_K(rs), Q(39, 10), (2,)) == []
 
 
 @pytest.mark.parametrize("family, rank", [("A", 2), ("B", 2), ("G", 2),
                                           ("A", 3), ("B", 3)])
-@pytest.mark.parametrize("fractional", [False, True], ids=["origin", "frac"])
+@pytest.mark.parametrize("shifted", [False, True], ids=["origin", "offset"])
 def test_embedded_enumeration_is_the_embedded_coordinate_one(family, rank,
-                                                             fractional):
-    # the running-sum images against embed() of each coordinate vector;
-    # only the order may differ
+                                                             shifted):
+    # the running-sum images against embed() of each coordinate vector,
+    # moved by the offset and filtered on the ambient norm; only the order
+    # may differ.  |x B|^2 <= 2 |o + x B|^2 + 2 |o|^2, so the coordinate
+    # ball of that radius covers the coset's
     emb = kernel_K(build_root_system(family, rank))
-    centre = tuple(Q((-1) ** i * (i + 1), i + 2) for i in range(emb.lattice.rank))
-    z = centre if fractional else None
-    images = enumerate_by_norm(emb, 6, z)
-    reference = [emb.embed(c) for c in enumerate_by_norm(emb.lattice, 6, z)]
+    m = emb.ambient.rank
+    o = tuple(i % 3 - 1 for i in range(m)) if shifted else (0,) * m
+    images = enumerate_by_norm(emb, 6, o if shifted else None)
+    cover = 12 + 2 * emb.ambient.norm(o)
+    moved = (tuple(map(add, o, emb.embed(c)))
+             for c in enumerate_by_norm(emb.lattice, cover))
+    reference = [v for v in moved if emb.ambient.norm(v) <= 6]
     assert len(reference) > 1
     assert sorted(images) == sorted(reference)
 

@@ -13,8 +13,9 @@ B-side denominator or truncates, by recompiling ``opecalc.ope_table``;
 both fail acceptance criterion 05 and the ope verify grid digest.  They feed character
 transport a wrong eta power or a short lattice enumeration, by replacing
 ``charflow.eta_power`` or ``charflow.enumerate_by_norm``, or an enumeration
-whose running sum skips one basis row, by recompiling
-``latticekit.enumerate_by_norm`` with that one line changed, and compare
+whose running sum skips one basis row or that drops one of the offset's
+border terms, by recompiling ``latticekit.enumerate_by_norm`` with that one
+line changed, and compare
 transports over other bases of the kernel lattice, by replacing
 ``charflow.kernel_K``.  A coset-side flow that reads g* at level 1
 replaces ``charflow._sc_flow_form``, and an affine-side flow with the
@@ -277,14 +278,15 @@ def _bump_eta(m, T):
     return s + QSeries.from_terms([(s.min_exponent + 1, 1)])
 
 
-def _drop_zero_vector(lattice, bound, *args, **kwargs):
-    """The true enumeration without the zero vector.
+def _drop_zero_vector(lattice, bound, offset=None):
+    """The true enumeration without the offset itself, the coset member at
+    kernel vector zero.
 
     A round trip passes every string through the zero kernel vector only,
     so that is the vector whose loss it must see.
     """
-    return [v for v in REAL_ENUMERATE(lattice, bound, *args, **kwargs)
-            if any(v)]
+    return [v for v in REAL_ENUMERATE(lattice, bound, offset)
+            if v != (tuple(offset) if offset is not None else (0,) * len(v))]
 
 
 @pytest.fixture
@@ -322,14 +324,37 @@ def test_roundtrip_sees_a_skipped_row_add(b2_seed, monkeypatch):
     # the same coset-side keys; the golden char-roundtrip and coset-side
     # flow-check cases of B2, G2, A3, B3 and B4 then exit 1
     monkeypatch.setattr(charflow, "enumerate_by_norm", _recompiled(
-        latticekit.enumerate_by_norm, "if x else image",
-        "if x and k else image"))
+        latticekit.enumerate_by_norm, "if x else point",
+        "if x and k else point"))
     report = roundtrip_check(b2_seed, (0, 0), 6)
     assert not report.ok
     assert report.diffs == {
         (0, 0): (6, ((0, -4), (1, 8), (2, -12))),
         (0, 1): (Q(67, 12), ((Q(1, 2), -6), (Q(3, 2), 3))),
     }
+
+
+@pytest.mark.parametrize("old, exits", [
+    # the border entry u_(k,n) dropped from c: each coset xi0 + K is
+    # searched as if its offset were orthogonal to K
+    (" + u[k][n]", {0: 136, 1: 22, 2: 2}),
+    # the D'/D_n term dropped from the start bound: each ball as large as
+    # if the offset lay in the span of K
+    (" - scale // lead[-1] * pivots[n]", {0: 158, 2: 2}),
+], ids=["border-entry", "last-pivot"])
+def test_golden_sees_a_coset_search_without_an_offset_term(old, exits,
+                                                           monkeypatch):
+    # the transport enumerates each coset from the Gram bordered by the
+    # offset; without either border term the golden coset-side flow on B2
+    # and the character grid change bytes
+    monkeypatch.setattr(charflow, "enumerate_by_norm", _recompiled(
+        latticekit.enumerate_by_norm, old, ""))
+    from test_golden import CASES, CHAR_GRID_SHA256, char_grid_digest  # it imports this module
+    case = next(c for c in CASES if c["name"] == "flow-check-sc-B2")
+    _, out, _ = regen.run(case["argv"])
+    assert out != regen.output_file(case["name"], case["argv"]).read_text(encoding="utf-8")
+    digest, calls, got = char_grid_digest()
+    assert (digest != CHAR_GRID_SHA256, calls, got) == (True, 160, exits)
 
 
 def _drop_last_vector(lattice, bound, *args, **kwargs):

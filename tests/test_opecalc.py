@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
+import io
 from fractions import Fraction as Q
+from types import FunctionType
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cosetlab import cli
 from cosetlab import opecalc as oc
 from cosetlab.bilinear import gram_G, gram_g, gram_g_star
 from cosetlab.latticekit import form_profile
@@ -633,3 +638,25 @@ def test_gstar_cached_on_table():
     rs = build_root_system("A", 2)
     t = oc.make_table(rs, 3)
     assert t.gstar == gram_g_star(rs, 3)
+
+
+def test_ope_verify_leaves_no_opecalc_function_to_the_cycle_collector():
+    # reference counting alone must free what a verify run builds: a
+    # function in a reference cycle (a recursive closure, say) would wait
+    # for the cyclic collector after every contraction
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["ope", "verify", "--type", "B", "--rank", "3",
+                           "--level", "2", "--check", "all"])
+        gc.collect()
+        cyclic = [f.__qualname__ for f in gc.garbage
+                  if isinstance(f, FunctionType) and f.__module__ == oc.__name__]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert rc == 0
+    assert cyclic == []
