@@ -423,7 +423,7 @@ def _box(emb, bound, offset):
 
 @settings(max_examples=80, deadline=None)
 @given(_coset_ball())
-def test_coset_enumeration_matches_a_box_scan(ball):
+def test_centred_enumeration_matches_a_box_scan(ball):
     # an independent reference: a scan of offset + lattice that never calls
     # enumerate_by_norm; the images may come in any order, each once
     emb, bound, offset = ball
@@ -435,6 +435,21 @@ def test_coset_enumeration_matches_a_box_scan(ball):
     # lattice point moves its coset nowhere
     lat, x = emb.lattice, tuple(offset[:emb.lattice.rank])
     assert enumerate_by_norm(lat, bound, x) == enumerate_by_norm(lat, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coset_ball())
+def test_centred_enumeration_matches_filtered_origin_ball(ball):
+    # the coset is centred on -offset: |x B|^2 <= 2 |o + x B|^2 + 2 |o|^2, so
+    # the origin ball of that radius, moved by the offset and filtered on
+    # the ambient norm, is the coset ball; only the order may differ
+    emb, bound, offset = ball
+    cover = 2 * bound + 2 * abs(emb.ambient.norm(offset))
+    assume(math.prod(map(len, _box(emb, cover, (0,) * len(offset)))) <= 4000)
+    moved = (tuple(map(add, offset, emb.embed(x)))
+             for x in enumerate_by_norm(emb.lattice, cover))
+    expected = [v for v in moved if abs(emb.ambient.norm(v)) <= bound]
+    assert sorted(enumerate_by_norm(emb, bound, offset)) == sorted(expected)
 
 
 @pytest.mark.parametrize("gram", [((1, 2), (2, 1)), ((1, 1), (1, 1))],
