@@ -344,8 +344,7 @@ def cmd_flow_check(args):
     else:
         sc_ch = fermionize_character(ch, mu, T)
         gamma_sc = g_sc_plus(rs, ch.level, f_af(rs, gamma, "+"))
-        mu_sc = weight_to_sc(rs, ch.level, mu)
-        diffs = flow_af_equivariance_diff(sc_ch, mu_sc, gamma_sc, T)
+        diffs = flow_af_equivariance_diff(sc_ch, sc_ch.base, gamma_sc, T)
     gamma_out = [str(x) for x in gamma]
     return _diff_report(args, ch, mu, T, diffs,
                         f"flow equivariance ({args.side} side) for gamma"

@@ -9,7 +9,7 @@ so a wrong convention fails at build time rather than deep inside a product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import isqrt, lcm
 from itertools import repeat
@@ -69,18 +69,19 @@ def _signature(gram: IntMatrix) -> str:
 
 @dataclass(frozen=True)
 class IntegralLattice:
-    """A based integral lattice carrying a bimultiplicative two-cocycle."""
+    """A based integral lattice carrying a bimultiplicative two-cocycle: its
+    name, Gram and cocycle, with the rank and the signature read off the
+    Gram, so ``dataclasses.replace`` recomputes both."""
 
     name: str
-    labels: Tuple[str, ...]
     gram: IntMatrix
     eps_exponents: IntMatrix
-    signature: str
+    signature: str = field(init=False)
 
     def __post_init__(self) -> None:
-        n = len(self.labels)
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
-            raise ValueError("gram matrix shape does not match basis")
+        n = len(self.gram)
+        if any(len(row) != n for row in self.gram):
+            raise ValueError("gram matrix is not square")
         if len(self.eps_exponents) != n or any(len(r) != n for r in self.eps_exponents):
             raise ValueError("cocycle matrix shape does not match basis")
         for i in range(n):
@@ -88,10 +89,11 @@ class IntegralLattice:
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError("gram matrix is not symmetric")
         _assert_cocycle_identity(self.gram, self.eps_exponents)
+        object.__setattr__(self, "signature", _signature(self.gram))
 
     @property
     def rank(self) -> int:
-        return len(self.labels)
+        return len(self.gram)
 
     def pair(self, u: Sequence, v: Sequence):
         if len(u) != self.rank or len(v) != self.rank:
@@ -108,24 +110,12 @@ class IntegralLattice:
         return -1 if _bilinear(u, self.eps_exponents, v) % 2 else 1
 
 
-def _lattice(name: str, labels: Sequence[str], gram: IntMatrix,
-             eps: Optional[IntMatrix] = None) -> IntegralLattice:
-    if eps is None:
-        eps = default_cocycle(gram)
-    return IntegralLattice(name, tuple(labels), gram, eps, _signature(gram))
-
-
-def _root_label(coords: Sequence[int]) -> str:
-    return "(" + ",".join(map(str, coords)) + ")"
-
-
 def build_L_plus(rs: RootSystem) -> IntegralLattice:
     """Rank-N lattice indexed by the positive roots, identity pairing."""
     n = rs.num_positive
     gram = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     eps = tuple(tuple(1 if i > j else 0 for j in range(n)) for i in range(n))
-    labels = tuple(_root_label(a) + "+" for a in rs.positive_roots)
-    return _lattice("L+", labels, gram, eps)
+    return IntegralLattice("L+", gram, eps)
 
 
 def build_L_minus(rs: RootSystem) -> IntegralLattice:
@@ -137,11 +127,10 @@ def build_L_minus(rs: RootSystem) -> IntegralLattice:
     ell = rs.rank
     gram = tuple(tuple(-1 if i == j else 0 for j in range(ell)) for i in range(ell))
     eps = tuple(tuple(1 if i <= j else 0 for j in range(ell)) for i in range(ell))
-    labels = tuple(_root_label(a) + "-" for a in rs.simple_roots)
-    return _lattice("L-", labels, gram, eps)
+    return IntegralLattice("L-", gram, eps)
 
 
-def direct_sum(a: IntegralLattice, b: IntegralLattice, name: Optional[str] = None) -> IntegralLattice:
+def direct_sum(a: IntegralLattice, b: IntegralLattice) -> IntegralLattice:
     """Orthogonal direct sum with the parity-corrected product cocycle.
 
     The cross block records the sign (-1)^(<v,v> <u,u>) a graded tensor
@@ -159,8 +148,7 @@ def direct_sum(a: IntegralLattice, b: IntegralLattice, name: Optional[str] = Non
     for i in range(nb):
         gram.append((0,) * na + b.gram[i])
         eps.append(tuple(gb[i] * ga[j] for j in range(na)) + b.eps_exponents[i])
-    return _lattice(name or f"{a.name}(+){b.name}", a.labels + b.labels,
-                    tuple(gram), tuple(eps))
+    return IntegralLattice(f"{a.name}(+){b.name}", tuple(gram), tuple(eps))
 
 
 @dataclass(frozen=True)
@@ -180,14 +168,14 @@ class EmbeddedLattice:
 
 
 def sublattice(ambient: IntegralLattice, basis: Sequence[Sequence[int]],
-               name: str, labels: Sequence[str]) -> EmbeddedLattice:
+               name: str) -> EmbeddedLattice:
     """Sublattice with Gram and cocycle pulled back along the embedding."""
     rows = tuple(integer_vector(row, "basis vectors must be integers") for row in basis)
     if any(len(row) != ambient.rank for row in rows):
         raise ValueError("dimension mismatch")
     gram = tuple(tuple(_bilinear(u, ambient.gram, v) for v in rows) for u in rows)
     eps = tuple(tuple(_bilinear(u, ambient.eps_exponents, v) % 2 for v in rows) for u in rows)
-    return EmbeddedLattice(_lattice(name, labels, gram, eps), ambient, rows)
+    return EmbeddedLattice(IntegralLattice(name, gram, eps), ambient, rows)
 
 
 def f_af(rs: RootSystem, gamma: Sequence, sign: str) -> Tuple[int, ...]:
@@ -256,7 +244,6 @@ def kernel_K(rs: RootSystem) -> EmbeddedLattice:
     lat = build_L_plus(rs)
     n = rs.num_positive
     basis = []
-    labels = []
     for idx in range(rs.rank, n):
         alpha = rs.positive_roots[idx]
         row = [0] * n
@@ -264,8 +251,7 @@ def kernel_K(rs: RootSystem) -> EmbeddedLattice:
         for j in range(rs.rank):
             row[j] -= alpha[j]
         basis.append(tuple(row))
-        labels.append("xi" + _root_label(alpha))
-    return sublattice(lat, basis, "K", labels)
+    return sublattice(lat, basis, "K")
 
 
 def build_Qsc_dual_lattice(rs: RootSystem) -> IntegralLattice:
@@ -277,8 +263,7 @@ def build_Qsc_dual_lattice(rs: RootSystem) -> IntegralLattice:
         tuple(x + 1 if i == j else x for j, x in enumerate(row))
         for i, row in enumerate(rs.pair_table)
     )
-    labels = tuple("J" + _root_label(a) for a in rs.positive_roots)
-    return _lattice("Qsc-dual", labels, gram)
+    return IntegralLattice("Qsc-dual", gram, default_cocycle(gram))
 
 
 def _positive_integer_level(k) -> int:
@@ -294,25 +279,18 @@ def build_E_plus_lattice(rs: RootSystem, k) -> IntegralLattice:
     scale = kk + rs.dual_coxeter
     base = rs.long_root_gram()
     gram = tuple(tuple(scale * x for x in row) for row in base)
-    labels = tuple(_root_label(a) + "v" for a in rs.simple_roots)
-    return _lattice("E+", labels, gram)
+    return IntegralLattice("E+", gram, default_cocycle(gram))
 
 
 def build_E_minus_lattice(rs: RootSystem, k) -> IntegralLattice:
-    """Long-root lattice rescaled by -(k + h_vee), plus a unimodular tail."""
-    kk = _positive_integer_level(k)
-    scale = kk + rs.dual_coxeter
-    base = rs.long_root_gram()
+    """The E+ lattice negated, plus a unimodular tail."""
     ell = rs.rank
     tail = rs.num_positive - ell
-    gram = []
-    for i in range(ell):
-        gram.append(tuple(-scale * x for x in base[i]) + (0,) * tail)
-    for i in range(tail):
-        gram.append((0,) * ell + tuple(1 if i == j else 0 for j in range(tail)))
-    labels = tuple(_root_label(a) + "v" for a in rs.simple_roots)
-    labels += tuple(f"e{i + 1}" for i in range(tail))
-    return _lattice("E-", labels, tuple(gram))
+    gram = tuple(tuple(-x for x in row) + (0,) * tail
+                 for row in build_E_plus_lattice(rs, k).gram)
+    gram += tuple((0,) * ell + tuple(int(i == j) for j in range(tail))
+                  for i in range(tail))
+    return IntegralLattice("E-", gram, default_cocycle(gram))
 
 
 def discriminant_group(lattice: IntegralLattice) -> List[int]:
@@ -326,11 +304,13 @@ def enumerate_by_norm(lattice: IntegralLattice | EmbeddedLattice, bound,
     definiteness and offset an integer ambient vector (the origin when None).
 
     Only definite lattices are accepted; on an indefinite one the solution
-    set is infinite.  The search runs on integers (Fincke-Pohst 1985).  One
-    Bareiss pass over the sign-adjusted Gram bordered by b = <basis, offset>
-    and <offset, offset> gives the leading minors D_k, the upper rows U_k
-    with border entries u_(k,n) and a last pivot D'; for v = offset + x.basis,
-    sign <v,v> = sum_k (U_k.(x,1))^2 / (D_(k-1) D_k) + D'/D_n.  Scaled by
+    set is infinite.  The signature is read off the Gram, so every leading
+    minor of the sign-adjusted Gram of a definite lattice is positive.  The
+    search runs on integers (Fincke-Pohst 1985).  One Bareiss pass over the
+    sign-adjusted Gram bordered by b = <basis, offset> and <offset, offset>
+    gives the leading minors D_k, the upper rows U_k with border entries
+    u_(k,n) and a last pivot D'; for v = offset + x.basis, sign <v,v> =
+    sum_k (U_k.(x,1))^2 / (D_(k-1) D_k) + D'/D_n.  Scaled by
     lcm(D_(k-1) D_k), the bound less the D' term leaves each coordinate an
     exact integer interval, read with isqrt.
 
@@ -360,8 +340,6 @@ def enumerate_by_norm(lattice: IntegralLattice | EmbeddedLattice, bound,
     u = [[sign * x for x in row] + [t] for row, t in zip(lattice.gram, border)] + [border]
     pivots, _ = bareiss(u, pivoting=False)
     minors = pivots[:n]
-    if any(d <= 0 for d in minors):
-        raise ValueError("lattice is not positive definite")
     lead = [1] + minors  # D_0 = 1, ..., D_n
     dens = [a * d for a, d in zip(lead, minors)]  # D_(k-1) D_k
     scale = lcm(*dens)

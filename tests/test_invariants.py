@@ -5,7 +5,8 @@ cosetlab itself, and the core holds no floating point: no float or complex
 literal, no ``float(...)`` call, and no ``math.sqrt``, ``math.floor`` or
 ``math.log``, called as attributes or imported by name.  Within
 ``charflow`` only the seed reader builds a root system; every character
-carries the one it was validated against.
+carries the one it was validated against, and within ``latticekit`` only
+the ``IntegralLattice`` constructor classifies a Gram's signature.
 """
 
 from __future__ import annotations
@@ -94,6 +95,12 @@ def test_only_the_seed_reader_builds_a_root_system_in_charflow():
 def test_charflow_does_no_rational_linear_algebra(name):
     # the transport enumerates each kernel coset on integers
     assert list(callers_of(_tree(PACKAGE / "charflow.py"), name)) == []
+
+
+def test_only_the_lattice_classifies_its_signature():
+    # a lattice's signature comes from its Gram, never from a caller
+    tree = _tree(PACKAGE / "latticekit.py")
+    assert list(callers_of(tree, "_signature")) == ["IntegralLattice"]
 
 
 def test_the_guards_see_what_they_forbid():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction as Q
@@ -143,7 +144,7 @@ def test_f_af_rejects_non_lattice_weights():
     (g_af_minus, False),
     (lambda rs, v: g_sc_plus(rs, 1, v), True),
     (lambda rs, v: g_sc_minus(rs, 1, v), False),
-    (lambda rs, v: sublattice(build_L_plus(rs), [v], "W", ("u",)), True),
+    (lambda rs, v: sublattice(build_L_plus(rs), [v], "W"), True),
 ], ids=["g_af_plus", "g_af_minus", "g_sc_plus", "g_sc_minus", "sublattice"])
 def test_lattice_maps_refuse_fractional_coordinates(lattice_map, plus):
     # a half-integer coordinate is off the lattice, not truncated onto it
@@ -302,7 +303,7 @@ def test_discriminant_group_order_matches_determinant():
 
 def test_discriminant_rejects_singular():
     gram = ((1, 1), (1, 1))
-    singular = IntegralLattice("S", ("a", "b"), gram, default_cocycle(gram), "indefinite")
+    singular = IntegralLattice("S", gram, default_cocycle(gram))
     with pytest.raises(ValueError):
         discriminant_group(singular)
 
@@ -332,9 +333,9 @@ def test_e_lattice_level_validation():
 
 
 def test_enumerate_rank_one():
-    line = IntegralLattice("Z", ("e",), ((1,),), ((0,),), "positive")
+    line = IntegralLattice("Z", ((1,),), ((0,),))
     assert enumerate_by_norm(line, 1) == [(-1,), (0,), (1,)]
-    triple = IntegralLattice("T", ("e",), ((3,),), ((1,),), "positive")
+    triple = IntegralLattice("T", ((3,),), ((1,),))
     assert enumerate_by_norm(triple, 3) == [(-1,), (0,), (1,)]
 
 
@@ -390,10 +391,8 @@ def _coset_ball(draw):
     assume(determinant([[sum(map(mul, u, v)) for v in basis] for u in basis]) != 0)
     sign = draw(st.sampled_from((1, -1)))
     gram = tuple(tuple(sign * int(i == j) for j in range(m)) for i in range(m))
-    ambient = IntegralLattice("I", tuple(f"e{i}" for i in range(m)), gram,
-                              default_cocycle(gram),
-                              "positive" if sign > 0 else "negative")
-    emb = sublattice(ambient, basis, "S", tuple(f"b{i}" for i in range(n)))
+    ambient = IntegralLattice("I", gram, default_cocycle(gram))
+    emb = sublattice(ambient, basis, "S")
     offset = tuple(draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)))
     if draw(st.booleans()):
         bound = draw(st.fractions(0, 6))
@@ -454,11 +453,23 @@ def test_centred_enumeration_matches_filtered_origin_ball(ball):
 
 @pytest.mark.parametrize("gram", [((1, 2), (2, 1)), ((1, 1), (1, 1))],
                          ids=["indefinite", "singular"])
-def test_enumerate_refuses_a_mislabelled_positive_gram(gram):
-    lat = IntegralLattice("X", ("a", "b"), gram, default_cocycle(gram),
-                          "positive")
-    with pytest.raises(ValueError, match="^lattice is not positive definite$"):
+def test_enumerate_refuses_an_indefinite_or_singular_gram(gram):
+    # the signature is read off the Gram, so neither can pass for positive
+    lat = IntegralLattice("X", gram, default_cocycle(gram))
+    assert lat.signature == "indefinite"
+    with pytest.raises(ValueError, match="^lattice is not definite$"):
         enumerate_by_norm(lat, 2)
+
+
+def test_replace_recomputes_rank_and_signature():
+    lat = IntegralLattice("X", ((2, 1), (1, 2)), ((0, 0), (1, 0)))
+    assert (lat.rank, lat.signature) == (2, "positive")
+    flipped = dataclasses.replace(lat, gram=((-2, -1), (-1, -2)))
+    assert (flipped.rank, flipped.signature) == (2, "negative")
+    mixed = dataclasses.replace(lat, gram=((2, 1), (1, -2)))
+    assert mixed.signature == "indefinite"
+    with pytest.raises(ValueError, match="cocycle identity fails"):
+        dataclasses.replace(lat, gram=((2, 0), (0, 2)))
 
 
 def test_centred_enumeration_checks_the_center_length():
@@ -523,14 +534,12 @@ def test_default_cocycle_satisfies_identity():
     ]
     for gram in grams:
         eps = default_cocycle(gram)
-        IntegralLattice("X", tuple("x" * (i + 1) for i in range(len(gram))),
-                        gram, eps, "indefinite")
+        IntegralLattice("X", gram, eps)
 
 
 def test_bad_cocycle_rejected():
     with pytest.raises(ValueError):
-        IntegralLattice("bad", ("a", "b"), ((1, 0), (0, 1)),
-                        ((0, 0), (0, 0)), "positive")
+        IntegralLattice("bad", ((1, 0), (0, 1)), ((0, 0), (0, 0)))
 
 
 def _dense(u, m, v):
@@ -555,7 +564,7 @@ def test_pair_eps_and_pullback_match_dense_sums(u, v, den):
     half = tuple(Q(x, den) for x in u)
     assert lat.pair(half, v) == _dense(half, g, v)
     assert lat.eps(u, v) == (-1) ** (_dense(u, e, v) % 2)
-    emb = sublattice(lat, [u, v], "W", ("u", "v"))
+    emb = sublattice(lat, [u, v], "W")
     rows = (u, v)
     assert emb.lattice.gram == tuple(tuple(_dense(a, g, b) for b in rows) for a in rows)
     assert emb.lattice.eps_exponents == tuple(
@@ -569,13 +578,13 @@ def test_pair_eps_and_sublattice_check_dimensions():
             with pytest.raises(ValueError, match="dimension mismatch"):
                 form(u, v)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        sublattice(lat, [(1, 0)], "W", ("u",))
+        sublattice(lat, [(1, 0)], "W")
 
 
 def test_sublattice_of_sum_keeps_identity():
     rs = build_root_system("A", 2)
     both = direct_sum(build_L_plus(rs), build_L_minus(rs))
-    emb = sublattice(both, [(1, 0, 0, 1, 0), (0, 0, 1, 0, 1)], "W", ("u", "v"))
+    emb = sublattice(both, [(1, 0, 0, 1, 0), (0, 0, 1, 0, 1)], "W")
     brute_sign_identity(emb.lattice)
     assert isinstance(emb, EmbeddedLattice)
     assert emb.embed((1, 1)) == (1, 0, 1, 1, 1)

@@ -7,8 +7,9 @@ table and to one whose contraction memo and term-key registry, with the
 Gram and cocycle images of each charge, a clean run has filled), or an
 engine that raises some pole orders, by replacing
 ``opecalc._boson_patterns``, or one whose Taylor budget stops an order
-short of the simple pole, by recompiling ``opecalc._contract`` with that
-one line changed, or whose one division per output coefficient drops the
+short of the simple pole, or whose Bell tails skip their m! divisor, which
+only criterion 05's closed Bell tails see, by recompiling
+``opecalc._contract`` with that one line changed, or whose one division per output coefficient drops the
 B-side denominator or truncates, by recompiling ``opecalc.ope_table``;
 both fail acceptance criterion 05 and the ope verify grid digest.  They feed character
 transport a wrong eta power or a short lattice enumeration, by replacing
@@ -272,6 +273,23 @@ def test_criterion_05_sees_a_wrong_final_division(old, new, diffs, monkeypatch):
     assert ope_grid_digest()[0] != OPE_GRID_SHA256
 
 
+def test_criterion_05_sees_bell_tails_without_their_factorial(monkeypatch):
+    # each Taylor term divides m! P_m by m!; read as P_m, a tail of order m
+    # is m! too big, which first shows at pole 2 of e(2a)(z) e(-2a)(w), so
+    # every verifier still passes and only the closed Bell tails see it
+    monkeypatch.setattr(opecalc, "_contract", _recompiled(
+        opecalc._contract,
+        "full // (factorial(m_bell) * prod(map(factorial, ms)))",
+        "full // prod(map(factorial, ms))"))
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_05_ope_engine()
+    for family, rank in (("A", 1), ("A", 2), ("B", 2)):
+        for k in (Q(1), Q(2), Q(5, 2)):
+            table = opecalc.make_table(build_root_system(family, rank), k)
+            assert all(verify(table).ok for verify in VERIFIERS)
+            assert test_acceptance.bell_tail_mismatches(table) == list(range(rank))
+
+
 def _bump_eta(m, T):
     """The true eta power with 1 added to its coefficient at q^(m/24 + 1)."""
     s = REAL_ETA_POWER(m, T)
@@ -369,7 +387,7 @@ def _other_kernel_basis(rs):
     rows = [list(row) for row in reversed(kernel.basis_in_ambient)]
     for i in range(len(rows) - 1):
         rows[i] = [a - b for a, b in zip(rows[i], rows[i + 1])]
-    return sublattice(kernel.ambient, rows, "K", kernel.lattice.labels)
+    return sublattice(kernel.ambient, rows, "K")
 
 
 def _fermionized(seed, T):
@@ -404,7 +422,7 @@ def _unimodular_kernel_basis(steps):
                 rows[i] = [-x for x in rows[i]]
             else:
                 rows[i] = [a + m * b for a, b in zip(rows[i], rows[j])]
-        return sublattice(true.ambient, rows, "K", true.lattice.labels)
+        return sublattice(true.ambient, rows, "K")
     return kernel
 
 
@@ -607,7 +625,7 @@ def _doubled_last_kernel_row(rs):
     kernel = REAL_KERNEL(rs)
     rows = [list(row) for row in kernel.basis_in_ambient]
     rows[-1:] = [[2 * x for x in row] for row in rows[-1:]]
-    return sublattice(kernel.ambient, rows, "K", kernel.lattice.labels)
+    return sublattice(kernel.ambient, rows, "K")
 
 
 def test_criterion_03_sees_a_doubled_kernel_row(monkeypatch):
