@@ -96,6 +96,36 @@ def test_dressed_charge_pairs_are_nonsingular():
             assert s == {}
 
 
+def relocated_symbol_mismatches(t):
+    """Simple roots a whose Xt(a)(z) e(-2a+)(w) misses its closed form: with xi
+    the charge of Xt(a), eta = -2a+ and eps = eps(xi, eta), pole 2 is
+    eps X(a) e(xi+eta), pole 1 eps (X(a)' + sum_j xi_j b_j X(a)) e(xi+eta)."""
+    out = []
+    for i, a in enumerate(t.rs.simple_roots):
+        xt = oc.x_tilde_field(t, a)
+        [(symbol, _, xi, _)] = xt
+        eta = tuple(-2 * int(j == i) for j in range(t.n_plus)) + (0,) * t.ell
+        eps = t.lattice.eps(xi, eta)
+        moved = tuple(x + y for x, y in zip(xi, eta))
+        kind, root, _ = symbol
+        pole_one = {((kind, root, 1), (), moved, ()): eps}
+        for j, c in enumerate(xi):
+            if c:
+                pole_one[(symbol, ((j, 0),), moved, ())] = eps * c
+        expected = {2: {(symbol, (), moved, ()): eps}, 1: pole_one}
+        got = oc.ope_singular(t, xt, oc.exp_field(t, eta[:t.n_plus], eta[t.n_plus:]))
+        if got != expected:
+            out.append(i)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, Q(5, 2)])
+@pytest.mark.parametrize("fam,rank", [("A", 1), ("A", 2), ("B", 2)])
+def test_dressed_current_against_a_charge_relocates_its_symbol(fam, rank, k):
+    # the affine symbol moved past a charge gains a derivative at the simple pole
+    assert relocated_symbol_mismatches(table(fam, rank, k)) == []
+
+
 def test_boson_against_charge_both_orders():
     t = table("A", 1, 1)
     b = oc.boson_plus(t, (1,))
