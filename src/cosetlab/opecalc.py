@@ -11,7 +11,8 @@ Contractions follow the standard free-field rules: bosons pair through the
 lattice Gram matrix, bosons contract against exponential charges, exponential
 pairs contribute a cocycle sign and a (z-w)^<xi,eta> prefactor, and the
 abstract affine symbols contract through a fixed table.  Uncontracted factors
-on the z side are Taylor-relocated to w; a relocated exponential leaves the
+on the z side move to w by Taylor's formula, through the one derivative (the
+Leibniz rule, with d e^xi = b_xi e^xi), so a moved exponential leaves the
 usual tail of normally ordered boson corrections behind.
 
 The engine is ope_table, the singular part of the OPE of every field of one
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction as Q
-from itertools import product
 from math import comb, factorial, lcm, perm, prod
 from operator import add, mul
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -297,7 +297,7 @@ def coroot_tilde_field(table: ContractionTable, alpha: Sequence[int]) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# derivatives and the exponential Taylor tail
+# the derivative, which also moves the z side of a contraction to w
 
 def derivative(table: ContractionTable, f: Field) -> Field:
     out: Field = {}
@@ -314,24 +314,6 @@ def derivative(table: ContractionTable, f: Field) -> Field:
                 bumped = tuple(sorted(bosons + ((i, 0),)))
                 _add_at(out, (affine, bumped, exp, mono), coef * c)
     return out
-
-
-def _bell_tails(xi: Tuple[int, ...], orders: int) -> List[Dict[BosonKey, int]]:
-    """Boson monomial corrections m! P_m, m < orders, left by a moved charge:
-    with P_0 = 1, P_m = (1/m) sum_{j=1..m} (1/(j-1)!) d^(j-1) b_xi . P_{m-j}, so
-    m! P_m = sum_j C(m-1, j-1) d^(j-1) b_xi . (m-j)! P_{m-j} is integral.
-    A zero charge leaves no corrections, so only P_0 is returned for it."""
-    tails = [{(): 1}]
-    support = [(i, c) for i, c in enumerate(xi) if c]
-    for m in range(1, orders if support else 1):
-        acc: Dict[BosonKey, int] = {}
-        for j in range(1, m + 1):
-            scale = comb(m - 1, j - 1)
-            for mono, q in tails[m - j].items():
-                for i, c in support:
-                    _add_at(acc, tuple(sorted(mono + ((i, j - 1),))), q * scale * c)
-        tails.append(acc)
-    return tails
 
 
 # ---------------------------------------------------------------------------
@@ -535,24 +517,19 @@ def _contract(table: ContractionTable, keyA: TermKey,
             if not sink:  # the first live fate
                 out_exp, sign = tuple(map(add, xiA, xiB)), -1 if sum(map(mul, xiA, exiB)) % 2 else 1
             mono = tuple(sorted(monoA + monoB + emono))
-            # taylor slots: kept z-side bosons, then the z-side affine if any;
-            # the budget carries a term up to order -1, the last singular one
-            slots = len(kept) + (aff_z is not None)
+            # Taylor's rule moves the z side (its affine symbol, kept bosons and
+            # charge) to w: its m-th derivative over m! lands at pole
+            # -(min_exp + m); the budget carries a term up to order -1, the
+            # last singular one, so every term is integral over den(c) full
             budget = -1 - min_exp
-            # terms are c (m! P_m) / (m! prod ms!), m + sum(ms) <= budget: over den(c) full
-            full, fate = factorial(budget + 1), {}
-            for m_bell, tail in enumerate(_bell_tails(xiA, budget + 1)):
-                # slot orders ms with sum(ms) <= budget - m_bell, in order
-                for ms in product(range(budget - m_bell + 1), repeat=slots):
-                    if sum(ms) > budget - m_bell:
-                        continue
-                    scale = full // (factorial(m_bell) * prod(map(factorial, ms)))
-                    relocated = tuple((i, d + m) for (i, d), m in zip(kept, ms))
-                    aff = aff_out if aff_z is None else (aff_z[0], aff_z[1], aff_z[2] + ms[-1])
-                    pole = -(min_exp + m_bell + sum(ms))
-                    for bosons, t in tail.items():
-                        key = (pole, (aff, tuple(sorted(relocated + stay + bosons)), out_exp, mono))
-                        fate[key] = fate.get(key, 0) + scale * t
+            full, fate, moved = factorial(budget + 1), {}, {(aff_z, kept, xiA, ()): 1}
+            for m in range(budget + 1):
+                if m:
+                    moved = derivative(table, moved)
+                for (aff, bosons, _, _), t in moved.items():
+                    key = (-(min_exp + m), (aff_out if aff_z is None else aff,
+                                            tuple(sorted(bosons + stay)), out_exp, mono))
+                    fate[key] = fate.get(key, 0) + full // factorial(m) * t
             den = _add_over(sink, den, c.denominator * full, fate.keys(), fate.values(),
                             c.numerator * sign * prod(w for w, _ in links))
     terms = [item for item in sink.items() if item[1]]

@@ -76,6 +76,15 @@ def test_forms_excluded_levels_are_usage_errors(family, rank, level, capsys):
     assert code == 2
 
 
+def test_a_decimal_level_is_read_exactly(capsys):
+    outs = []
+    for level in ("0.5", "1/2"):
+        assert main(["forms", "verify", "--type", "B", "--rank", "2",
+                     "--level", level, "--format", "json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_forms_verify_json_payload(capsys):
     assert main(["forms", "verify", "--type", "B", "--rank", "2",
                  "--level", "5/2", "--format", "json"]) == 0

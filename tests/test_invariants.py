@@ -6,7 +6,9 @@ literal, no ``float(...)`` call, and no ``math.sqrt``, ``math.floor`` or
 ``math.log``, called as attributes or imported by name.  Within
 ``charflow`` only the seed reader builds a root system; every character
 carries the one it was validated against, and within ``latticekit`` only
-the ``IntegralLattice`` constructor classifies a Gram's signature.
+the ``IntegralLattice`` constructor classifies a Gram's signature.  Within
+``opecalc`` one ``derivative`` serves both the Taylor moves of ``_contract``
+and the skew check.
 """
 
 from __future__ import annotations
@@ -101,6 +103,14 @@ def test_only_the_lattice_classifies_its_signature():
     # a lattice's signature comes from its Gram, never from a caller
     tree = _tree(PACKAGE / "latticekit.py")
     assert list(callers_of(tree, "_signature")) == ["IntegralLattice"]
+
+
+def test_the_ope_engine_has_one_derivative():
+    # Taylor's rule moves the z side of a contraction by the same derivative
+    # the skew check takes, with no Bell-tail recurrence beside it
+    tree = _tree(PACKAGE / "opecalc.py")
+    assert list(callers_of(tree, "derivative")) == ["_contract", "lambda_bracket_skew_check"]
+    assert not any(getattr(node, "name", None) == "_bell_tails" for node in ast.walk(tree))
 
 
 def test_the_guards_see_what_they_forbid():

@@ -7,8 +7,10 @@ table and to one whose contraction memo and term-key registry, with the
 Gram and cocycle images of each charge, a clean run has filled), or an
 engine that raises some pole orders, by replacing
 ``opecalc._boson_patterns``, or one whose Taylor budget stops an order
-short of the simple pole, or whose Bell tails skip their m! divisor, which
-only criterion 05's closed Bell tails see, by recompiling
+short of the simple pole, or whose Taylor terms skip their m! divisor, which
+only criterion 05's closed Bell tails see, or whose z-side affine symbol
+keeps its order when it moves to w, which only the closed form of
+X~(a)(z) e(-2a+)(w) in ``test_opecalc`` sees, by recompiling
 ``opecalc._contract`` with that one line changed, or whose one division per output coefficient drops the
 B-side denominator or truncates, by recompiling ``opecalc.ope_table``;
 both fail acceptance criterion 05 and the ope verify grid digest.  They feed character
@@ -78,6 +80,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
 import regen  # noqa: E402
 import test_acceptance  # noqa: E402
 import test_charflow  # noqa: E402
+import test_opecalc  # noqa: E402
 
 REAL_BOSON_PATTERNS = opecalc._boson_patterns
 REAL_ETA_POWER = charflow.eta_power
@@ -274,13 +277,12 @@ def test_criterion_05_sees_a_wrong_final_division(old, new, diffs, monkeypatch):
 
 
 def test_criterion_05_sees_bell_tails_without_their_factorial(monkeypatch):
-    # each Taylor term divides m! P_m by m!; read as P_m, a tail of order m
-    # is m! too big, which first shows at pole 2 of e(2a)(z) e(-2a)(w), so
-    # every verifier still passes and only the closed Bell tails see it
+    # each Taylor term divides the m-th derivative by m!; without it a term
+    # of order m is m! too big, which first shows at pole 2 of
+    # e(2a)(z) e(-2a)(w), so every verifier still passes and only the
+    # closed Bell tails see it
     monkeypatch.setattr(opecalc, "_contract", _recompiled(
-        opecalc._contract,
-        "full // (factorial(m_bell) * prod(map(factorial, ms)))",
-        "full // prod(map(factorial, ms))"))
+        opecalc._contract, "full // factorial(m) * t", "full * t"))
     with pytest.raises(AssertionError):
         test_acceptance.test_criterion_05_ope_engine()
     for family, rank in (("A", 1), ("A", 2), ("B", 2)):
@@ -288,6 +290,19 @@ def test_criterion_05_sees_bell_tails_without_their_factorial(monkeypatch):
             table = opecalc.make_table(build_root_system(family, rank), k)
             assert all(verify(table).ok for verify in VERIFIERS)
             assert test_acceptance.bell_tail_mismatches(table) == list(range(rank))
+
+
+def test_closed_form_sees_a_relocated_symbol_that_keeps_its_order(monkeypatch):
+    # a z-side affine symbol moved to w takes the derivative order of its
+    # Taylor term; kept as it stood at z, X(a)' at the simple pole of
+    # Xt(a)(z) e(-2a+)(w) reads X(a)
+    monkeypatch.setattr(opecalc, "_contract", _recompiled(
+        opecalc._contract, "aff_out if aff_z is None else aff,",
+        "aff_out if aff_z is None else aff_z,"))
+    for family, rank in (("A", 1), ("A", 2), ("B", 2)):
+        for k in (Q(1), Q(2), Q(5, 2)):
+            table = opecalc.make_table(build_root_system(family, rank), k)
+            assert test_opecalc.relocated_symbol_mismatches(table) == list(range(rank))
 
 
 def _bump_eta(m, T):
