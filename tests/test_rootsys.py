@@ -242,11 +242,33 @@ def test_is_root_is_exact():
     assert not rs.is_root([Q(1, 2), Q(1, 2)]) and not rs.is_root([Q(-1, 2), 0])
 
 
-def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
-        cartan_matrix("H", 3)
-    with pytest.raises(ValueError):
-        build_root_system("B", 1)
+# each family's rank boundaries: (family, rank, refusal or None when admitted);
+# a family outside the table is refused before its rank is read
+RANK_BOUNDARIES = (
+    ("A", 0, "rank out of range for A"), ("A", 1, None),
+    ("B", 1, "rank out of range for B"), ("B", 2, None),
+    ("C", 1, "rank out of range for C"), ("C", 2, None),
+    ("D", 2, "rank out of range for D"), ("D", 3, None),
+    ("E", 5, "rank out of range for E"), ("E", 6, None),
+    ("E", 8, None), ("E", 9, "rank out of range for E"),
+    ("F", 3, "rank out of range for F"), ("F", 4, None),
+    ("F", 5, "rank out of range for F"),
+    ("G", 1, "rank out of range for G"), ("G", 2, None),
+    ("G", 3, "rank out of range for G"),
+    ("H", 3, "unknown family 'H'"), ("H", 0, "unknown family 'H'"),
+)
+
+
+def test_rank_rule_at_every_family_boundary():
+    for family, rank, refusal in RANK_BOUNDARIES:
+        if refusal is None:
+            rs = build_root_system(family, rank)
+            assert (rs.family, rs.rank) == (family, rank)
+            continue
+        for build in (cartan_matrix, build_root_system):
+            with pytest.raises(ValueError) as exc:
+                build(family, rank)
+            assert str(exc.value) == refusal, (family, rank)
 
 
 @pytest.mark.parametrize("family, rank", sorted(COUNTS))
