@@ -367,4 +367,7 @@ def enumerate_by_norm(lattice: IntegralLattice | EmbeddedLattice, bound,
 
     if remaining >= 0:
         search(n - 1, remaining, start)
+    # search reaches itself through its closure cell; unbinding it breaks
+    # that cycle, so reference counting frees the closure at return
+    search = None
     return results if embedded else sorted(results)

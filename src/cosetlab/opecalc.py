@@ -299,7 +299,7 @@ def coroot_tilde_field(table: ContractionTable, alpha: Sequence[int]) -> Field:
 # ---------------------------------------------------------------------------
 # the derivative, which also moves the z side of a contraction to w
 
-def derivative(table: ContractionTable, f: Field) -> Field:
+def derivative(f: Field) -> Field:
     out: Field = {}
     for (affine, bosons, exp, mono), coef in f.items():
         if affine is not None:
@@ -525,7 +525,7 @@ def _contract(table: ContractionTable, keyA: TermKey,
             full, fate, moved = factorial(budget + 1), {}, {(aff_z, kept, xiA, ()): 1}
             for m in range(budget + 1):
                 if m:
-                    moved = derivative(table, moved)
+                    moved = derivative(moved)
                 for (aff, bosons, _, _), t in moved.items():
                     key = (-(min_exp + m), (aff_out if aff_z is None else aff,
                                             tuple(sorted(bosons + stay)), out_exp, mono))
@@ -567,7 +567,7 @@ def lambda_bracket_skew_check(table: ContractionTable, A: Field, B: Field) -> Sk
                 continue
             moved = part
             for _ in range(j):
-                moved = derivative(table, moved)
+                moved = derivative(moved)
             acc = field_add(acc, field_scale(moved, Q((-1) ** (m + j), factorial(j))))
         acc = field_scale(acc, sign)
         if acc != sab.get(m, {}):

@@ -17,70 +17,43 @@ from .ratlinalg import Matrix, Vector, integer_rows, integer_vector, mat_inv, ve
 
 Coords = Tuple[int, ...]
 
-FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+# family -> (lowest, highest) admitted rank, highest None when unbounded
+FAMILIES = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None),
+            "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+# Each Dynkin diagram is the path 0-1-...-(rank-1) but for the path edges
+# replaced here, keyed by their place on the path: D hangs its last node off
+# node rank-3, and E opens with (0, 2), (1, 3).  Negative nodes count from
+# the end.
+_PATH_SWAPS = {"D": {-1: (-3, -1)}, "E": {0: (0, 2), 1: (1, 3)}}
+# (row, column, bond): a double or triple bond scales the one entry in the
+# short root's row; negative indices count from the end
+_BONDS = {"B": (-1, -2, 2), "C": (-2, -1, 2), "F": (2, 1, 2), "G": (1, 0, 3)}
 
 
 def cartan_matrix(family: str, rank: int) -> Tuple[Tuple[int, ...], ...]:
-    """Integer Cartan matrix a[i][j] = 2(alpha_i, alpha_j)/(alpha_i, alpha_i)."""
+    """Integer Cartan matrix a[i][j] = 2(alpha_i, alpha_j)/(alpha_i, alpha_i),
+    nodes numbered as in Bourbaki."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    low, high = FAMILIES[family]
+    if rank < low or high is not None and rank > high:
+        raise ValueError(f"rank out of range for {family}")
     a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-
-    def chain(i: int, j: int, strength_ij: int = -1, strength_ji: int = -1) -> None:
-        a[i][j] = strength_ij
-        a[j][i] = strength_ji
-
-    if family == "A":
-        if rank < 1:
-            raise ValueError("rank out of range for A")
-        for i in range(rank - 1):
-            chain(i, i + 1)
-    elif family == "B":
-        # last node short: the arrow doubles on the short row
-        if rank < 2:
-            raise ValueError("rank out of range for B")
-        for i in range(rank - 1):
-            chain(i, i + 1)
-        a[rank - 1][rank - 2] = -2
-    elif family == "C":
-        # last node long
-        if rank < 2:
-            raise ValueError("rank out of range for C")
-        for i in range(rank - 1):
-            chain(i, i + 1)
-        a[rank - 2][rank - 1] = -2
-    elif family == "D":
-        if rank < 3:
-            raise ValueError("rank out of range for D")
-        for i in range(rank - 2):
-            chain(i, i + 1)
-        chain(rank - 3, rank - 1)
-    elif family == "E":
-        if rank not in (6, 7, 8):
-            raise ValueError("rank out of range for E")
-        # node 2 hangs off node 4 of the 1-3-4-5-... chain (1-indexed)
-        spine = [1, 3, 4, 5, 6, 7, 8][: rank - 1]
-        for u, v in zip(spine, spine[1:]):
-            chain(u - 1, v - 1)
-        chain(2 - 1, 4 - 1)
-    elif family == "F":
-        if rank != 4:
-            raise ValueError("rank out of range for F")
-        chain(0, 1)
-        chain(1, 2)
-        a[2][1] = -2
-        chain(2, 3)
-    elif family == "G":
-        if rank != 2:
-            raise ValueError("rank out of range for G")
-        chain(0, 1)
-        a[1][0] = -3
+    edges = [(i, i + 1) for i in range(rank - 1)]
+    for place, edge in _PATH_SWAPS.get(family, {}).items():
+        edges[place] = edge
+    for i, j in edges:
+        a[i][j] = a[j][i] = -1
+    if family in _BONDS:
+        i, j, bond = _BONDS[family]
+        a[i][j] = -bond
     return tuple(tuple(row) for row in a)
 
 
 def _symmetrizer(a: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
     """Least positive integers D_i with D_i a_ij symmetric; the largest is
-    pair_den, so the form D_i a_ij / pair_den gives long roots norm 2."""
+    pair_den, so the form D_i a_ij / pair_den gives long roots norm 2.  Every
+    Dynkin diagram is connected, so the walk from node 0 reaches each node."""
     rank = len(a)
     d: List[Q] = [Q(0)] * rank
     d[0] = Q(1)
@@ -91,8 +64,6 @@ def _symmetrizer(a: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
             if i != j and a[i][j] != 0 and d[j] == 0:
                 d[j] = d[i] * a[i][j] / a[j][i]
                 todo.append(j)
-    if any(x <= 0 for x in d):
-        raise ValueError("Cartan matrix is not connected")
     den = lcm(*(x.denominator for x in d))
     # exact: den clears every denominator, and d_1 = 1 leaves no common factor
     return tuple((x * den).numerator for x in d)
@@ -233,11 +204,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     form_inv = mat_inv([[Q(x, den) for x in row] for row in form_int])
     positives = _positive_roots(a)
     index = {r: i for i, r in enumerate(positives)}
-    top_height = max(sum(r) for r in positives)
-    tops = [r for r in positives if sum(r) == top_height]
-    if len(tops) != 1:
-        raise ValueError("highest root is not unique")
-    theta = tops[0]
+    theta = positives[-1]  # sorted by height first, and the highest root is unique
     table = _pair_table(form_int, positives)
     return RootSystem(
         family=family,

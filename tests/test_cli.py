@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -340,3 +343,44 @@ def test_weights_map_e7(capsys):
 
 def test_parser_is_built_once_per_process():
     assert build_parser() is build_parser()
+
+
+SEEDS = Path(__file__).parent / "golden" / "seeds"
+
+# one small request per subcommand
+SUBCOMMAND_REQUESTS = (
+    ["rootsys", "info", "--type", "B", "--rank", "3", "--format", "json"],
+    ["forms", "verify", "--type", "B", "--rank", "3", "--level=7/2", "--format", "json"],
+    ["weights", "map", "--type", "B", "--rank", "3", "--level=7/2",
+     "--weight=1,-1/2,1/2", "--format", "json"],
+    ["lattice", "disc", "--lattice", "qsc-dual", "--type", "A", "--rank", "2",
+     "--format", "json"],
+    ["ope", "verify", "--type", "B", "--rank", "3", "--level", "2", "--check", "all"],
+    ["char", "roundtrip", "--seed", str(SEEDS / "B3.json"), "--T", "6", "--format", "json"],
+    ["flow", "check", "--seed", str(SEEDS / "B2.json"), "--side", "af", "--gamma=1,0",
+     "--T", "6", "--format", "json"],
+)
+
+
+def test_no_subcommand_leaves_a_cosetlab_function_to_the_cycle_collector(capsys):
+    # reference counting alone must free what a request builds: a function
+    # in a reference cycle (a recursive closure, say) would wait for the
+    # cyclic collector after every call that made it
+    cyclic = {}
+    for argv in SUBCOMMAND_REQUESTS:
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 0, argv
+            gc.collect()
+            names = [f.__qualname__ for f in gc.garbage if isinstance(f, FunctionType)
+                     and f.__module__.startswith("cosetlab")]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        capsys.readouterr()
+        if names:
+            cyclic[" ".join(argv[:2])] = names
+    assert cyclic == {}
