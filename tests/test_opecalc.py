@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cosetlab import cli
 from cosetlab import opecalc as oc
 from cosetlab.bilinear import gram_G, gram_g, gram_g_star
 from cosetlab.latticekit import form_profile
