@@ -23,6 +23,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 sys.path.insert(0, str(GOLDEN.parent))
 import regen  # noqa: E402
+from test_acceptance import TYPE_GRID  # noqa: E402
 from test_mutations import VERIFIERS, _bump_gstar, _flip_cocycle  # noqa: E402
 
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
@@ -92,6 +93,40 @@ def ope_grid_digest():
 
 def test_ope_verify_grid_digest():
     assert ope_grid_digest() == (OPE_GRID_SHA256, 64)
+
+
+# forms verify on the acceptance type grid at the ope grid's levels, in both
+# formats, and E7 and E8 at 5/2 in JSON: 82 outputs pinned by one SHA-256 in
+# the form of the ope grid's, so every rendered Gram entry is covered
+FORMS_GRID_LARGE = (("E", 7), ("E", 8))
+FORMS_GRID_SHA256 = "a548fd9cb7ea525cc863f4b4ca5779f96305d721c514cf0362930983fe7447ee"
+
+
+def forms_grid_argvs():
+    for family, rank in TYPE_GRID:
+        for level in OPE_GRID_LEVELS:
+            for fmt in ("json", "text"):
+                yield ["forms", "verify", "--type", family, "--rank", str(rank),
+                       f"--level={level}", "--format", fmt]
+    for family, rank in FORMS_GRID_LARGE:
+        yield ["forms", "verify", "--type", family, "--rank", str(rank),
+               "--level=5/2", "--format", "json"]
+
+
+def forms_grid_digest():
+    """The SHA-256 of the forms verify grid's outputs, hashed as the ope
+    grid's; and the call count."""
+    digest = hashlib.sha256()
+    calls = 0
+    for argv in forms_grid_argvs():
+        rc, out, err = regen.run(argv)
+        digest.update(f"{rc}\n{out}{err}".encode("utf-8"))
+        calls += 1
+    return digest.hexdigest(), calls
+
+
+def test_forms_verify_grid_digest():
+    assert forms_grid_digest() == (FORMS_GRID_SHA256, 82)
 
 
 # the failing side of the same verifiers: the g* and cocycle mutants of
