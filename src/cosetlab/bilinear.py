@@ -1,8 +1,8 @@
 """Level-dependent Gram matrices and the weight maps between the two sides.
 
 Every matrix here is indexed by the positive roots in their canonical order.
-The four Gram matrices come in two exact inverse pairs (g, g*) and (G, G*);
-inverses are verified in the test suite rather than recomputed at runtime.
+The four Gram matrices come in two exact inverse pairs (g, g*) and (G, G*), built
+on integers; ``forms verify`` checks both pairs there, and gram_* are rational views.
 ScWeight stores values on the J basis; values on the dual basis J* are
 derived through g*, so they depend on the level and the weight carries it.
 """
@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import chain
 from operator import mul
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .ratlinalg import Matrix, Vector, integer_rows, integer_vector, mat_vec, vec
+from .ratlinalg import Matrix, Vector, integer_rows, integer_vector, mat_vec, rational_rows, vec
 from .rootsys import RootSystem
+
+IntGram = Tuple[Tuple[Tuple[int, ...], ...], int]  # numerator rows, one den > 0
 
 
 @dataclass(frozen=True)
@@ -36,68 +37,78 @@ def level_params(rs: RootSystem, k) -> LevelParams:
     return LevelParams(k, k + rs.dual_coxeter)
 
 
-def _pair_gram(rs: RootSystem, scale: Q) -> Matrix:
+def _pair_rows(rs: RootSystem, scale: Q) -> IntGram:
     """scale (alpha, beta) + delta over the positive roots, from rs.pair_table."""
-    scale /= rs.pair_den
-    value = {x: scale * x for x in set(chain.from_iterable(rs.pair_table))}
-    return tuple(
-        tuple(value[x] + 1 if i == j else value[x] for j, x in enumerate(row))
-        for i, row in enumerate(rs.pair_table)
-    )
+    num, den = (scale / rs.pair_den).as_integer_ratio()
+    rows = [[num * x for x in row] for row in rs.pair_table]
+    for i, row in enumerate(rows):
+        row[i] += den
+    return tuple(map(tuple, rows)), den
 
 
-def _pair_gram_apply(rs: RootSystem, scale: Q, v: Sequence) -> Vector:
-    """_pair_gram(rs, scale) times v, the products taken on integers."""
-    v = vec(v)
-    if len(v) != rs.num_positive:
+def _apply(gram: IntGram, v: Sequence) -> Vector:
+    """The matrix gram times v, its products taken on integers."""
+    rows, den = gram
+    (ints,), d = integer_rows((vec(v),))
+    if len(ints) != len(rows):
         raise ValueError("dimension mismatch")
-    (ints,), d = integer_rows((v,))
-    scale /= rs.pair_den * d
-    return tuple(x + scale * sum(map(mul, row, ints))
-                 for x, row in zip(v, rs.pair_table))
+    return tuple(Q(sum(map(mul, row, ints)), den * d) for row in rows)
 
 
-def gram_g(rs: RootSystem, k) -> Matrix:
+def int_gram_g(rs: RootSystem, k) -> IntGram:
     """Pairing matrix of the J generators: (alpha, beta)/k + delta."""
-    return _pair_gram(rs, 1 / level_params(rs, k).k)
+    return _pair_rows(rs, 1 / level_params(rs, k).k)
+
+
+def int_gram_g_star(rs: RootSystem, k) -> IntGram:
+    """Exact inverse of g: -(alpha, beta)/(k + h_vee) + delta."""
+    return _pair_rows(rs, -1 / level_params(rs, k).shifted)
+
+
+def int_gram_G(rs: RootSystem, g_star: IntGram) -> IntGram:
+    """g* with 1 subtracted on the diagonal at the simple roots."""
+    rows, den = g_star
+    return tuple(row[:i] + (row[i] - den,) + row[i + 1:] if i < rs.rank else row
+                 for i, row in enumerate(rows)), den
+
+
+def int_gram_G_star(rs: RootSystem, k) -> IntGram:
+    """Exact inverse of G: -k C - 1 on the simple roots, C the inverse form;
+    beside it minus the other roots' simple-root coordinates; else delta."""
+    kn, kd = level_params(rs, k).k.as_integer_ratio()
+    c, d = integer_rows(rs.form_inverse)
+    den, ell, roots = kd * d, rs.rank, rs.positive_roots
+    rows = [[-kn * x for x in c[i]] + [-den * b[i] for b in roots[ell:]] for i in range(ell)]
+    rows += [[-den * x for x in a] + [0] * (len(roots) - ell) for a in roots[ell:]]
+    for i, row in enumerate(rows):
+        row[i] += -den if i < ell else den
+    return tuple(map(tuple, rows)), den
+
+
+def is_inverse_pair(a: IntGram, b: IntGram) -> bool:
+    """Whether a b == I for square a and b of one size, checked as the integer
+    product against den_a den_b I."""
+    (ma, da), (mb, db) = a, b
+    cols = list(zip(*mb))
+    return all(sum(map(mul, row, col)) == (da * db if i == j else 0)
+               for i, row in enumerate(ma) for j, col in enumerate(cols))
+
+
+# the rational views of the four integer builders above
+def gram_g(rs: RootSystem, k) -> Matrix:
+    return rational_rows(*int_gram_g(rs, k))
 
 
 def gram_g_star(rs: RootSystem, k) -> Matrix:
-    """Exact inverse of gram_g: -(alpha, beta)/(k + h_vee) + delta."""
-    return _pair_gram(rs, -1 / level_params(rs, k).shifted)
+    return rational_rows(*int_gram_g_star(rs, k))
 
 
 def gram_G(rs: RootSystem, k) -> Matrix:
-    """gram_g_star with 1 subtracted on the diagonal at the simple roots."""
-    gs = gram_g_star(rs, k)
-    ell = rs.rank
-    return tuple(
-        tuple(entry - (1 if i == j and i < ell else 0) for j, entry in enumerate(row))
-        for i, row in enumerate(gs)
-    )
+    return rational_rows(*int_gram_G(rs, int_gram_g_star(rs, k)))
 
 
 def gram_G_star(rs: RootSystem, k) -> Matrix:
-    """Exact inverse of gram_G, assembled blockwise from the inverse form."""
-    lp = level_params(rs, k)
-    ell = rs.rank
-    roots = rs.positive_roots
-    c = rs.form_inverse  # inverse of the symmetrized Cartan matrix
-    rows = []
-    for i, a in enumerate(roots):
-        row = []
-        for j, b in enumerate(roots):
-            if i < ell and j < ell:
-                row.append(-lp.k * c[i][j] - (1 if i == j else 0))
-            elif i < ell:
-                # -beta(alpha*): the alpha_i-coordinate of beta
-                row.append(Q(-b[i]))
-            elif j < ell:
-                row.append(Q(-a[j]))
-            else:
-                row.append(Q(1 if i == j else 0))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return rational_rows(*int_gram_G_star(rs, k))
 
 
 @dataclass(frozen=True)
@@ -118,8 +129,7 @@ class ScWeight:
     def jstar_values(self, rs: RootSystem) -> Vector:
         """Values on the dual basis: lambda(J*_a) = sum_b g*_ab lambda(J_b)."""
         self._check(rs)
-        lp = level_params(rs, self.level)
-        return _pair_gram_apply(rs, -1 / lp.shifted, self.j_values)
+        return _apply(int_gram_g_star(rs, self.level), self.j_values)
 
     def in_Qsc(self, rs: RootSystem) -> bool:
         """Membership in the J-span lattice: all dual-basis values integral."""
@@ -147,8 +157,7 @@ def make_sc_weight(rs: RootSystem, k, j_values: Sequence) -> ScWeight:
 
 def sc_weight_from_jstar(rs: RootSystem, k, jstar: Sequence) -> ScWeight:
     """Weight with prescribed values on J*; J-values recovered through g."""
-    lp = level_params(rs, k)
-    return make_sc_weight(rs, k, _pair_gram_apply(rs, 1 / lp.k, jstar))
+    return make_sc_weight(rs, k, _apply(int_gram_g(rs, k), jstar))
 
 
 def weight_to_sc(rs: RootSystem, k, mu: Sequence) -> ScWeight:

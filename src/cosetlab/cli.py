@@ -19,9 +19,9 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .bilinear import (central_charge_sc_direct, central_charges,
-                       conformal_weight_plus, gram_G, gram_G_star, gram_g,
-                       gram_g_star, level_params, sc_weight_to_af,
-                       weight_to_sc)
+                       conformal_weight_plus, int_gram_G, int_gram_G_star,
+                       int_gram_g, int_gram_g_star, is_inverse_pair,
+                       level_params, sc_weight_to_af, weight_to_sc)
 from .charflow import (Comparison, fermionize_character,
                        flow_af_equivariance_diff, flow_sc_equivariance_diff,
                        roundtrip_check, validate_seed)
@@ -30,7 +30,7 @@ from .latticekit import (build_E_minus_lattice, build_E_plus_lattice,
                          discriminant_group, f_af, g_sc_plus)
 from .opecalc import (make_table, verify_Hminus_heisenberg,
                       verify_Jalpha_heisenberg, verify_fst_homomorphism)
-from .ratlinalg import integer_vector, mat_mul, parse_rational
+from .ratlinalg import integer_vector, parse_rational, rational_rows
 from .rootsys import build_root_system, check_hvee_identity
 
 SCHEMA = "cosetlab/1"
@@ -48,17 +48,8 @@ def _vec_str(v: Sequence) -> str:
     return ",".join(_rat(x) for x in v)
 
 
-def _mat_json(rows) -> List[List[str]]:
-    return [[_rat(x) for x in row] for row in rows]
-
-
 def _mat_lines(rows, indent: str = "  ") -> List[str]:
     return [indent + " ".join(_rat(x) for x in row) for row in rows]
-
-
-def _is_identity(m) -> bool:
-    return all(x == (1 if i == j else 0)
-               for i, row in enumerate(m) for j, x in enumerate(row))
 
 
 def _parse_vector(text: str, length: int, what: str) -> Tuple[Q, ...]:
@@ -121,12 +112,10 @@ def _diff_report(args, ch, mu, T, diffs: Comparison, verdict: str, **fields):
         f"{verdict} to order {_rat(T)}: {'ok' if ok else 'FAIL'}",
     ]
     # each distinct coordinate numerator and order object is rendered once
-    coord = {x: _rat(Q(x, diffs.den))
-             for x in {x for key in diffs for x in key}}
+    weights = rational_rows(diffs, diffs.den, _rat)
     orders = {id(order): order for order, _ in diffs.values()}
     order_text = {i: o if o is None else _rat(o) for i, o in orders.items()}
-    for key, (order, terms) in diffs.items():
-        weight = [coord[x] for x in key]
+    for weight, (order, terms) in zip(weights, diffs.values()):
         order = order_text[id(order)]
         entries.append({
             "weight": weight,
@@ -158,7 +147,7 @@ def cmd_rootsys_info(args):
         dual_coxeter=rs.dual_coxeter,
         simply_laced=rs.is_simply_laced,
         positive_roots=[list(a) for a in rs.positive_roots],
-        long_root_gram=_mat_json(gram),
+        long_root_gram=[list(map(str, row)) for row in gram],
         hvee_identity_ok=ok,
     )
     lines = [
@@ -179,14 +168,13 @@ def cmd_rootsys_info(args):
 
 def cmd_forms_verify(args):
     rs, lp = _rs_at_level(args)
-    g = gram_g(rs, lp.k)
-    g_star = gram_g_star(rs, lp.k)
-    big_g = gram_G(rs, lp.k)
-    big_g_star = gram_G_star(rs, lp.k)
+    g_star = int_gram_g_star(rs, lp.k)
+    pairs = {"g": int_gram_g(rs, lp.k), "g_star": g_star,
+             "G": int_gram_G(rs, g_star), "G_star": int_gram_G_star(rs, lp.k)}
     c_af, c_sc = central_charges(rs, lp.k)
     checks = {
-        "g_times_g_star_is_identity": _is_identity(mat_mul(g, g_star)),
-        "G_times_G_star_is_identity": _is_identity(mat_mul(big_g, big_g_star)),
+        "g_times_g_star_is_identity": is_inverse_pair(pairs["g"], g_star),
+        "G_times_G_star_is_identity": is_inverse_pair(pairs["G"], pairs["G_star"]),
         "central_charge_formulas_agree":
             c_sc == central_charge_sc_direct(rs, lp.k),
     }
@@ -195,12 +183,7 @@ def cmd_forms_verify(args):
         level=_rat(lp.k),
         checks=checks,
         central_charges={"af": _rat(c_af), "sc": _rat(c_sc)},
-        matrices={
-            "g": _mat_json(g),
-            "g_star": _mat_json(g_star),
-            "G": _mat_json(big_g),
-            "G_star": _mat_json(big_g_star),
-        },
+        matrices={name: rational_rows(*pair, _rat) for name, pair in pairs.items()},
     )
     lines = [f"{rs.family}{rs.rank} at level {_rat(lp.k)}"]
     for name, value in sorted(checks.items()):

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals, plus integer Smith normal form.
 
 Products and determinants run on Python integers: each operand is scaled by
-the lcm of its denominators and the result is divided once per entry.  The
-Smith form of a nonsingular matrix eliminates modulo its determinant.
+the lcm of its denominators and each distinct result entry is divided once.
+The Smith form of a nonsingular matrix eliminates modulo its determinant.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Iterable, List, Optional, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
 Matrix = Tuple[Vector, ...]
@@ -68,16 +68,21 @@ def integer_rows(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
+def rational_rows(m: Collection[Sequence[int]], d: int, fn: Callable = Q) -> tuple:
+    """The rows of fn(m / d), entrywise; fn runs once per distinct numerator."""
+    value = {x: fn(Q(x, d)) for x in {x for row in m for x in row}}
+    return tuple(tuple(map(value.__getitem__, row)) for row in m)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact product: integer products over each operand's common
-    denominator, one division per entry."""
+    denominator, one division per distinct entry."""
     if any(len(row) != len(b) for row in a):
         raise ValueError("dimension mismatch")
     ma, da = integer_rows(a)
     mb, db = integer_rows(b)
     cols = list(zip(*mb))
-    return tuple(tuple(Q(sum(map(mul, row, col)), da * db) for col in cols)
-                 for row in ma)
+    return rational_rows([[sum(map(mul, row, col)) for col in cols] for row in ma], da * db)
 
 
 def mat_inv(a: Matrix) -> Matrix:
@@ -96,7 +101,7 @@ def mat_inv(a: Matrix) -> Matrix:
         row = m[i]
         adj[i] = [(D * row[n + j] - sum(row[c] * adj[c][j] for c in range(i + 1, n)))
                   // row[i] for j in range(n)]
-    return tuple(tuple(Q(x, D) for x in row) for row in adj)
+    return rational_rows(adj, D)
 
 
 def solve(a: Matrix, b: Sequence) -> Vector:

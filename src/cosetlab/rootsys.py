@@ -190,9 +190,13 @@ def _dual_coxeter(table: Tuple[Tuple[int, ...], ...], den: int,
 
 def _pair_table(form: Tuple[Tuple[int, ...], ...],
                 positives: Tuple[Coords, ...]) -> Tuple[Tuple[int, ...], ...]:
-    """u form v for every pair of positive roots u, v, in integers."""
+    """u form v for every pair of positive roots u, v, in integers.  The form
+    is symmetric, so only v <= u is computed and the rest is copied."""
     left = [[sum(map(mul, r, col)) for col in zip(*form)] for r in positives]
-    return tuple(tuple(sum(map(mul, u, v)) for v in positives) for u in left)
+    rows = [[sum(map(mul, u, v)) for v in positives[:i + 1]] for i, u in enumerate(left)]
+    for i, row in enumerate(rows):
+        row += [below[i] for below in rows[i + 1:]]
+    return tuple(map(tuple, rows))
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:

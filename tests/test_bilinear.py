@@ -12,13 +12,18 @@ from cosetlab.bilinear import (
     gram_G_star,
     gram_g,
     gram_g_star,
+    int_gram_G,
+    int_gram_G_star,
+    int_gram_g,
+    int_gram_g_star,
+    is_inverse_pair,
     level_params,
     make_sc_weight,
     sc_weight_from_jstar,
     sc_weight_to_af,
     weight_to_sc,
 )
-from cosetlab.ratlinalg import identity, mat_mul
+from cosetlab.ratlinalg import identity, mat_mul, rational_rows
 from cosetlab.rootsys import build_root_system
 
 GRID_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
@@ -66,6 +71,28 @@ def test_gram_inverse_pairs(family, rank, k):
     n = rs.num_positive
     assert mat_mul(gram_g(rs, k), gram_g_star(rs, k)) == identity(n)
     assert mat_mul(gram_G(rs, k), gram_G_star(rs, k)) == identity(n)
+
+
+@pytest.mark.parametrize("family,rank", GRID_TYPES)
+@pytest.mark.parametrize("k", GRID_LEVELS)
+def test_integer_gram_pairs(family, rank, k):
+    """The integer builders: a positive denominator, the gram_* views as
+    their rational matrices, both pairs inverse on integers, and a pair with
+    one numerator bumped refused."""
+    rs = build_root_system(family, rank)
+    if k == -rs.dual_coxeter:
+        return
+    g, g_star = int_gram_g(rs, k), int_gram_g_star(rs, k)
+    big_g, big_g_star = int_gram_G(rs, g_star), int_gram_G_star(rs, k)
+    for pair, view in ((g, gram_g), (g_star, gram_g_star), (big_g, gram_G),
+                       (big_g_star, gram_G_star)):
+        assert pair[1] > 0
+        assert rational_rows(*pair) == view(rs, k)
+    for a, b in ((g, g_star), (g_star, g), (big_g, big_g_star), (big_g_star, big_g)):
+        assert is_inverse_pair(a, b)
+        rows = [list(row) for row in b[0]]
+        rows[-1][0] += 1
+        assert not is_inverse_pair(a, (rows, b[1]))
 
 
 def test_gram_rejects_bad_levels():

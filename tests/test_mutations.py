@@ -40,10 +40,12 @@ criterion 03 at A2.  A dual Coxeter number one too big, from replacing
 ``rootsys._dual_coxeter``, fails acceptance criterion 02.
 A Cartan inverse with 1/2 added at (0, 1) and (1, 0), from replacing
 ``rootsys.mat_inv``, fails criteria 01 and 09 at A2, level 1.
-A g* built at level k instead of k + h_vee fails criterion 01, and a coset
-central charge without its -rank term fails criterion 10; each replaces the
-``bilinear`` function and the name the acceptance module imported.  Each
-pins the failures its defect must cause.
+A g* built at level k instead of k + h_vee, from replacing the integer
+builder ``int_gram_g_star`` in ``bilinear`` and in the CLI, fails criterion
+01 and makes ``forms verify`` exit 1.  A coset central charge without its
+-rank term fails criterion 10; it replaces the ``bilinear`` function and
+the name the acceptance module imported.  Each pins the failures its defect
+must cause.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetlab import bilinear, charflow, latticekit, opecalc, rootsys
+from cosetlab import bilinear, charflow, cli, latticekit, opecalc, rootsys
 from cosetlab.bilinear import weight_to_sc
 from cosetlab.charflow import (QSeries, affine_character, fermionize_character,
                                flow_af_equivariance_diff,
@@ -688,11 +690,18 @@ def _replace_in_bilinear(monkeypatch, name, mutant):
 
 def _gstar_at_level_k(rs, k):
     """g* as -(alpha, beta)/k + delta: the level k in place of k + h_vee."""
-    return bilinear._pair_gram(rs, -1 / bilinear.level_params(rs, k).k)
+    return bilinear._pair_rows(rs, -1 / bilinear.level_params(rs, k).k)
+
+
+def _replace_int_gram_g_star(monkeypatch):
+    """The integer g* builder in bilinear, which the gram_g_star and gram_G
+    views read, and the name the CLI imported."""
+    for module in (bilinear, cli):
+        monkeypatch.setattr(module, "int_gram_g_star", _gstar_at_level_k)
 
 
 def test_criterion_01_sees_g_star_at_level_k(monkeypatch):
-    _replace_in_bilinear(monkeypatch, "gram_g_star", _gstar_at_level_k)
+    _replace_int_gram_g_star(monkeypatch)
     with pytest.raises(AssertionError):
         test_acceptance.test_criterion_01_gram_inverse_identities()
     # every type and level of the grid fails, for both inverse pairs
@@ -700,8 +709,23 @@ def test_criterion_01_sees_g_star_at_level_k(monkeypatch):
         rs = build_root_system(family, rank)
         eye = identity(rs.num_positive)
         for k in test_acceptance.level_grid(rs):
-            assert mat_mul(bilinear.gram_g(rs, k), _gstar_at_level_k(rs, k)) != eye
+            assert mat_mul(bilinear.gram_g(rs, k), bilinear.gram_g_star(rs, k)) != eye
             assert mat_mul(bilinear.gram_G(rs, k), bilinear.gram_G_star(rs, k)) != eye
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("F", 4)])
+def test_forms_verify_sees_g_star_at_level_k(family, rank, monkeypatch, capsys):
+    _replace_int_gram_g_star(monkeypatch)
+    argv = ["forms", "verify", "--type", family, "--rank", str(rank), "--level=1"]
+    assert cli.main([*argv, "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["g_times_g_star_is_identity"] is False
+    assert checks["G_times_G_star_is_identity"] is False
+    assert checks["central_charge_formulas_agree"] is True
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "  g_times_g_star_is_identity: FAIL\n" in out
+    assert "  G_times_G_star_is_identity: FAIL\n" in out
 
 
 def _central_charges_without_rank(rs, k):
