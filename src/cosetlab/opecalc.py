@@ -3,14 +3,15 @@
 A Field is one sparse map from a term key to an exact int or Fraction.  A
 term key is an optional abstract affine symbol (a root current or a Cartan
 current over the simple basis), a normally ordered boson monomial over the
-merged plus/minus lattice basis, a lattice exponential, and a monomial in the
-opaque structure constants N[a,b] (empty but for the X~ X~ contraction that
-lands on a root), so every identity checked here holds or fails exactly.
+merged plus/minus lattice basis, and a lattice exponential, so every identity
+checked here holds or fails exactly.
 
 Contractions follow the standard free-field rules: bosons pair through the
 lattice Gram matrix, bosons contract against exponential charges, exponential
 pairs contribute a cocycle sign and a (z-w)^<xi,eta> prefactor, and the
-abstract affine symbols contract through a fixed table.  Uncontracted factors
+abstract affine symbols contract through the affine table of the root system,
+its integer Chevalley constants N[a,b] included.  An affine symbol with a
+derivative is output only: no contraction takes one.  Uncontracted factors
 on the z side move to w by Taylor's formula, through the one derivative (the
 Leibniz rule, with d e^xi = b_xi e^xi), so a moved exponential leaves the
 usual tail of normally ordered boson corrections behind.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction as Q
-from math import comb, factorial, lcm, perm, prod
+from math import factorial, lcm, prod
 from operator import add, mul
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -37,15 +38,14 @@ from .bilinear import gram_G, gram_g, gram_g_star, level_params
 from .latticekit import (IntegralLattice, IntMatrix, build_L_minus, build_L_plus, direct_sum,
                          form_profile)
 from .ratlinalg import integer_rows, integer_vector
-from .rootsys import RootSystem
+from .rootsys import RootSystem, structure_constants
 
-Monomial = Tuple[Tuple, ...]  # sorted structure constants ("N", a, b)
 AffineKey = Optional[Tuple]
 BosonKey = Tuple[Tuple[int, int], ...]
-TermKey = Tuple[AffineKey, BosonKey, Tuple[int, ...], Monomial]
+TermKey = Tuple[AffineKey, BosonKey, Tuple[int, ...]]
 Coef = Union[int, Q]
 Field = Dict[TermKey, Coef]
-Contraction = Tuple[int, Coef, Monomial, AffineKey]
+Contraction = Tuple[int, Coef, AffineKey]
 Poles = Dict[int, Field]
 
 
@@ -86,14 +86,6 @@ def _add_over(acc: dict, den: int, d: int, keys, nums, x: int) -> int:
     return den
 
 
-def n_symbol(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[Monomial, int]:
-    """Structure constant N[a,b] as (monomial, sign), antisymmetry folded
-    into the sign."""
-    if a <= b:
-        return (("N", a, b),), 1
-    return (("N", b, a),), -1
-
-
 def field_add(a: Field, b: Field) -> Field:
     out = dict(a)
     for key, coef in b.items():
@@ -108,24 +100,11 @@ def field_scale(a: Field, x) -> Field:
     return {key: _exact(coef * q) for key, coef in a.items()}
 
 
-def _sym_repr(sym: Tuple) -> str:
-    return "N[" + ",".join(str(c) for c in sym[1]) + "|" + ",".join(str(c) for c in sym[2]) + "]"
-
-
-def _coef_repr(coef: Dict[Monomial, Coef]) -> str:
-    return " + ".join("*".join([str(coef[mono])] + [_sym_repr(s) for s in mono])
-                      for mono in sorted(coef))
-
-
 def field_repr(f: Field) -> str:
     if not f:
         return "0"
-    # one chunk per (affine symbol, bosons, charge): its monomials sum inside
-    grouped: Dict[Tuple, Dict[Monomial, Coef]] = {}
-    for key, coef in f.items():
-        grouped.setdefault(key[:3], {})[key[3]] = coef
     chunks = []
-    for key in sorted(grouped, key=repr):
+    for key in sorted(f, key=repr):
         affine, bosons, exp = key
         atoms = []
         if affine is not None:
@@ -137,7 +116,7 @@ def field_repr(f: Field) -> str:
         if any(exp):
             atoms.append("E(" + ",".join(str(c) for c in exp) + ")")
         body = " ".join(atoms) if atoms else "1"
-        chunks.append(f"({_coef_repr(grouped[key])})*{body}")
+        chunks.append(f"({f[key]})*{body}")
     return " + ".join(chunks)
 
 
@@ -154,6 +133,8 @@ class ContractionTable:
     n_plus: int
     ell: int
     gstar: Tuple[Tuple[Q, ...], ...]
+    # (a, b) -> the Chevalley constant N[a, b] of two roots whose sum is a root
+    n_table: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int]
     # term key -> (id, parity, G xi, E xi); memo rows by key A's id map key
     # B's id to (den, (pole, key) tuple, numerator tuple), or () for no term;
     # replace empties both, so a replaced lattice gets its own charge images
@@ -171,7 +152,7 @@ def make_table(rs: RootSystem, k) -> ContractionTable:
     lp = level_params(rs, k)
     merged = direct_sum(build_L_plus(rs), build_L_minus(rs))
     return ContractionTable(rs, lp.k, merged, rs.num_positive, rs.rank,
-                            gram_g_star(rs, lp.k))
+                            gram_g_star(rs, lp.k), structure_constants(rs))
 
 
 def _zero_exp(table: ContractionTable) -> Tuple[int, ...]:
@@ -179,7 +160,7 @@ def _zero_exp(table: ContractionTable) -> Tuple[int, ...]:
 
 
 def identity_field(table: ContractionTable) -> Field:
-    return {(None, (), _zero_exp(table), ()): 1}
+    return {(None, (), _zero_exp(table)): 1}
 
 
 def _root(table: ContractionTable, alpha: Sequence) -> Tuple[int, ...]:
@@ -189,17 +170,17 @@ def _root(table: ContractionTable, alpha: Sequence) -> Tuple[int, ...]:
     return tuple(int(c) for c in alpha)
 
 
-def x_field(table: ContractionTable, alpha: Sequence[int], d: int = 0) -> Field:
-    return {(("X", _root(table, alpha), d), (), _zero_exp(table), ()): 1}
+def x_field(table: ContractionTable, alpha: Sequence[int]) -> Field:
+    return {(("X", _root(table, alpha), 0), (), _zero_exp(table)): 1}
 
 
-def h_field(table: ContractionTable, lam: Sequence, d: int = 0) -> Field:
+def h_field(table: ContractionTable, lam: Sequence) -> Field:
     """Cartan current H_lam expanded over the simple-root currents."""
     if len(lam) != table.ell:
         raise ValueError("dimension mismatch")
     out: Field = {}
     for i, c in enumerate(lam):
-        _add_at(out, (("H", i, d), (), _zero_exp(table), ()), c)
+        _add_at(out, (("H", i, 0), (), _zero_exp(table)), c)
     return out
 
 
@@ -209,7 +190,7 @@ def boson_field(table: ContractionTable, coeffs: Sequence, d: int = 0) -> Field:
         raise ValueError("unregistered lattice vector")
     out: Field = {}
     for i, c in enumerate(coeffs):
-        _add_at(out, (None, ((i, d),), _zero_exp(table), ()), c)
+        _add_at(out, (None, ((i, d),), _zero_exp(table)), c)
     return out
 
 
@@ -225,7 +206,7 @@ def exp_field(table: ContractionTable, plus: Sequence[int], minus: Sequence[int]
     if len(plus) != table.n_plus or len(minus) != table.ell:
         raise ValueError("unregistered lattice vector")
     xi = integer_vector(tuple(plus) + tuple(minus), "unregistered lattice vector")
-    return {(None, (), xi, ()): 1}
+    return {(None, (), xi): 1}
 
 
 # named fields used by the verification routines
@@ -234,7 +215,7 @@ def j_field(table: ContractionTable, index: int) -> Field:
     """J over a positive root: (1/k) H_alpha plus the plus-side boson."""
     alpha = table.rs.positive_roots[index]
     out = h_field(table, tuple(Q(c) / table.k for c in alpha))
-    _add_at(out, (None, ((index, 0),), _zero_exp(table), ()), 1)
+    _add_at(out, (None, ((index, 0),), _zero_exp(table)), 1)
     return out
 
 
@@ -246,7 +227,7 @@ def jstar_field(table: ContractionTable, index: int) -> Field:
     out = h_field(table, [Q(sum(map(mul, nums, col)) * table.k.denominator, d * table.k.numerator)
                           for col in zip(*table.rs.positive_roots)])
     for b, g in enumerate(row):
-        _add_at(out, (None, ((b, 0),), _zero_exp(table), ()), g)
+        _add_at(out, (None, ((b, 0),), _zero_exp(table)), g)
     return out
 
 
@@ -275,7 +256,7 @@ def _xi_root(table: ContractionTable, a: Tuple[int, ...]) -> Tuple[int, ...]:
 def x_tilde_field(table: ContractionTable, alpha: Sequence[int]) -> Field:
     """Dressed root current X_alpha e^(f+ alpha) e^(f- alpha)."""
     a = _root(table, alpha)
-    return {(("X", a, 0), (), _xi_root(table, a), ()): 1}
+    return {(("X", a, 0), (), _xi_root(table, a)): 1}
 
 
 def h_tilde_field(table: ContractionTable, i: int) -> Field:
@@ -283,8 +264,8 @@ def h_tilde_field(table: ContractionTable, i: int) -> Field:
     if not 0 <= i < table.ell:
         raise ValueError("index out of range")
     out = h_field(table, tuple(1 if j == i else 0 for j in range(table.ell)))
-    _add_at(out, (None, ((i, 0),), _zero_exp(table), ()), table.k)
-    _add_at(out, (None, ((table.n_plus + i, 0),), _zero_exp(table), ()), table.k)
+    _add_at(out, (None, ((i, 0),), _zero_exp(table)), table.k)
+    _add_at(out, (None, ((table.n_plus + i, 0),), _zero_exp(table)), table.k)
     return out
 
 
@@ -301,18 +282,18 @@ def coroot_tilde_field(table: ContractionTable, alpha: Sequence[int]) -> Field:
 
 def derivative(f: Field) -> Field:
     out: Field = {}
-    for (affine, bosons, exp, mono), coef in f.items():
+    for (affine, bosons, exp), coef in f.items():
         if affine is not None:
             kind, data, d = affine
-            _add_at(out, ((kind, data, d + 1), bosons, exp, mono), coef)
+            _add_at(out, ((kind, data, d + 1), bosons, exp), coef)
         for pos in range(len(bosons)):
             i, d = bosons[pos]
             bumped = tuple(sorted(bosons[:pos] + ((i, d + 1),) + bosons[pos + 1:]))
-            _add_at(out, (affine, bumped, exp, mono), coef)
+            _add_at(out, (affine, bumped, exp), coef)
         for i, c in enumerate(exp):
             if c:
                 bumped = tuple(sorted(bosons + ((i, 0),)))
-                _add_at(out, (affine, bumped, exp, mono), coef * c)
+                _add_at(out, (affine, bumped, exp), coef * c)
     return out
 
 
@@ -334,7 +315,7 @@ def _kappa(rs: RootSystem, alpha: Tuple[int, ...]):
 
 
 def _affine_base(table: ContractionTable, affA, affB) -> List[Contraction]:
-    """Base contractions (pole, coefficient, N monomial, symbol at w) at derivative zero."""
+    """Contractions (exponent, coefficient, symbol at w) of two affine symbols."""
     rs = table.rs
     kindA, dataA, _ = affA
     kindB, dataB, _ = affB
@@ -343,37 +324,18 @@ def _affine_base(table: ContractionTable, affA, affB) -> List[Contraction]:
         if not any(total):
             # the central term, then the coroot kappa alpha over the H_i
             kappa = _kappa(rs, dataA)
-            return [(2, table.k * kappa, (), None)] + [
-                (1, c * kappa, (), ("H", i, 0)) for i, c in enumerate(dataA) if c]
-        if rs.is_root(total):
-            mono, sign = n_symbol(dataA, dataB)
-            return [(1, sign, mono, ("X", total, 0))]
-        return []
+            return [(-2, table.k * kappa, None)] + [
+                (-1, c * kappa, ("H", i, 0)) for i, c in enumerate(dataA) if c]
+        n = table.n_table.get((dataA, dataB))
+        return [(-1, n, ("X", total, 0))] if n else []
     if kindA == "H" and kindB == "X":
         c = _root_form(rs, rs.simple_roots[dataA], dataB)
-        return [(1, c, (), ("X", dataB, 0))] if c else []
+        return [(-1, c, ("X", dataB, 0))] if c else []
     if kindA == "X" and kindB == "H":
         c = -_root_form(rs, dataA, rs.simple_roots[dataB])
-        return [(1, c, (), ("X", dataA, 0))] if c else []
+        return [(-1, c, ("X", dataA, 0))] if c else []
     c = table.k * _root_form(rs, rs.simple_roots[dataA], rs.simple_roots[dataB])
-    return [(2, c, (), None)] if c else []
-
-
-def _affine_contractions(table: ContractionTable, affA, affB) -> List[Contraction]:
-    """Contractions of derivative fields, as (exponent, coefficient, monomial, symbol)."""
-    dA = affA[2]
-    dB = affB[2]
-    out = []
-    for n, coef, mono, symbol in _affine_base(table, affA, affB):
-        for j in range(dB + 1):
-            tail = dB - j
-            if symbol is None and tail:
-                continue  # derivatives of a constant coefficient vanish
-            # rising factorials n^(j) and (n+j)^(dA), with n >= 1
-            c = comb(dB, j) * perm(n + j - 1, j) * (-1) ** dA * perm(n + j + dA - 1, dA)
-            placed = symbol if symbol is None else (symbol[0], symbol[1], symbol[2] + tail)
-            out.append((-(n + j + dA), coef * c, mono, placed))
-    return out
+    return [(-2, c, None)] if c else []
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +351,13 @@ def _entry(table: ContractionTable, key: TermKey) -> Tuple[int, int, Tuple[int, 
     with the Gram and cocycle images of its charge xi, once per table."""
     entry = table.registry.get(key)
     if entry is None:
-        affine, bosons, xi, _ = key
+        affine, bosons, xi = key
         if affine is not None and not (len(affine) == 3 and (
                 affine[0] == "X" and table.rs.is_root(affine[1])
                 or affine[0] == "H" and affine[1] in range(table.ell))):
             raise ValueError("unknown affine symbol")
+        if affine is not None and affine[2]:
+            raise ValueError("no contraction takes a derivative of an affine symbol")
         if len(xi) != table.dim or any(not 0 <= i < table.dim or d < 0 for i, d in bosons):
             raise ValueError("unregistered lattice vector")
         support = [(i, c) for i, c in enumerate(xi) if c]
@@ -491,24 +455,23 @@ def ope_singular(table: ContractionTable, A: Field, B: Field) -> Poles:
 def _contract(table: ContractionTable, keyA: TermKey,
               keyB: TermKey) -> Tuple:
     """Unit-coefficient singular terms of keyA(z) keyB(w), cocycle sign included, as (den,
-    (pole order, key) tuple, numerator tuple), or () for no term.  A term's monomial is the
-    product of both keys' and that of the affine contraction it took."""
-    affA, bosA, xiA, monoA = keyA
-    affB, bosB, xiB, monoB = keyB
+    (pole order, key) tuple, numerator tuple), or () for no term."""
+    affA, bosA, xiA = keyA
+    affB, bosB, xiB = keyB
     (_, _, gxiA, _), (_, _, gxiB, exiB) = _entry(table, keyA), _entry(table, keyB)
     base = sum(map(mul, xiA, gxiB))
     sink, den = {}, 1  # (pole, key) -> numerator over den
 
     # affine fates (contraction entry, symbol kept at z, symbol kept at w);
     # the first contracts nothing and keeps the w symbol in place
-    fates = [((0, 1, (), affB), affA, affB)]
+    fates = [((0, 1, affB), affA, affB)]
     if affA is not None and affB is not None:
-        fates += [(entry, None, None) for entry in _affine_contractions(table, affA, affB)]
+        fates += [(entry, None, None) for entry in _affine_base(table, affA, affB)]
 
     for links, kept, stay in _boson_patterns(table.lattice.gram, bosA, gxiA, bosB, gxiB):
         shift = base - sum(order for _, order in links)
 
-        for (n, c, emono, aff_out), aff_z, aff_w in fates:
+        for (n, c, aff_out), aff_z, aff_w in fates:
             min_exp = shift + n
             if min_exp >= 0:
                 continue
@@ -516,19 +479,18 @@ def _contract(table: ContractionTable, keyA: TermKey,
                 raise ValueError("unsupported composite of affine symbols")
             if not sink:  # the first live fate
                 out_exp, sign = tuple(map(add, xiA, xiB)), -1 if sum(map(mul, xiA, exiB)) % 2 else 1
-            mono = tuple(sorted(monoA + monoB + emono))
             # Taylor's rule moves the z side (its affine symbol, kept bosons and
             # charge) to w: its m-th derivative over m! lands at pole
             # -(min_exp + m); the budget carries a term up to order -1, the
             # last singular one, so every term is integral over den(c) full
             budget = -1 - min_exp
-            full, fate, moved = factorial(budget + 1), {}, {(aff_z, kept, xiA, ()): 1}
+            full, fate, moved = factorial(budget + 1), {}, {(aff_z, kept, xiA): 1}
             for m in range(budget + 1):
                 if m:
                     moved = derivative(moved)
-                for (aff, bosons, _, _), t in moved.items():
+                for (aff, bosons, _), t in moved.items():
                     key = (-(min_exp + m), (aff_out if aff_z is None else aff,
-                                            tuple(sorted(bosons + stay)), out_exp, mono))
+                                            tuple(sorted(bosons + stay)), out_exp))
                     fate[key] = fate.get(key, 0) + full // factorial(m) * t
             den = _add_over(sink, den, c.denominator * full, fate.keys(), fate.values(),
                             c.numerator * sign * prod(w for w, _ in links))
@@ -640,7 +602,7 @@ def _report(name: str, cases: Iterable[Tuple[str, str, Poles, Poles]],
 
 
 def _scalar_field(table: ContractionTable, x) -> Field:
-    return {(None, (), _zero_exp(table), ()): _exact(x)} if x else {}
+    return {(None, (), _zero_exp(table)): _exact(x)} if x else {}
 
 
 def verify_Jalpha_heisenberg(table: ContractionTable) -> VerifyReport:
@@ -693,7 +655,7 @@ def verify_fst_homomorphism(table: ContractionTable) -> VerifyReport:
     central: List[CentralTerm] = []
 
     def cases():
-        idkey = (None, (), _zero_exp(table), ())
+        idkey = (None, (), _zero_exp(table))
         for a, ra in enumerate(all_roots):
             for b, rb in enumerate(all_roots):
                 got = xx[a][b]
@@ -705,8 +667,7 @@ def verify_fst_homomorphism(table: ContractionTable) -> VerifyReport:
                     computed = got.get(2, {}).get(idkey, 0)
                     central.append(CentralTerm(ra, computed, kq * kappa, kq))
                 elif total in roots:
-                    mono, sign = n_symbol(ra, rb)
-                    want = {1: {(("X", total, 0), (), _xi_root(table, total), mono): sign}}
+                    want = {1: {(("X", total, 0), (), _xi_root(table, total)): table.n_table[ra, rb]}}
                 else:
                     want = {}
                 yield f"Xt{ra}", f"Xt{rb}", got, want

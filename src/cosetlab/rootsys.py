@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .ratlinalg import Matrix, Vector, integer_rows, integer_vector, mat_inv, vec
@@ -221,6 +221,44 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         pair_table=table,
         pair_den=den,
     )
+
+
+def structure_constants(rs: RootSystem) -> Dict[Tuple[Coords, Coords], int]:
+    """Chevalley constants [X_a, X_b] = N[a, b] X_(a+b) for every ordered pair
+    of roots whose sum is a root: [X_a, X_-a] is the coroot, N[-a, -b] =
+    -N[a, b] and |N[a, b]| = p + 1, p the largest with b - p a a root.
+
+    Carter's algorithm (Simple Groups of Lie Type, 1972, 4.2), by height of the
+    positive sum xi: +(p + 1) on its extraspecial pair (r0, s0), the first in
+    root order of its pairs r + s = xi, the four-root identity over r0 + s0 -
+    r - s = 0 on the others, and each triangle u + v + w = 0 filled in all signs
+    by antisymmetry and N[u, v]/(w, w) = N[v, w]/(u, u) = N[w, u]/(v, v).
+    """
+    norm = {r: rs.pair_table[i][i] for i, r in enumerate(rs.positive_roots)}
+    norm.update({_neg(r): x for r, x in norm.items()})
+    n: Dict[Tuple[Coords, Coords], int] = {}
+    for i, xi in enumerate(rs.positive_roots):
+        pairs = [(r, s) for r in rs.positive_roots[:i]
+                 if rs.root_index.get(s := tuple(map(sub, xi, r)), -1) > rs.root_index[r]]
+        for r, s in pairs:
+            if (r, s) == pairs[0]:
+                x = 1
+                while tuple(b - x * a for a, b in zip(r, s)) in norm:
+                    x += 1
+            else:  # c + d = -(a + b) is a root exactly when a + b is
+                (r0, s0), nr, ns = pairs[0], _neg(r), _neg(s)
+                t = sum(Q(n[a, b] * n[c, d], norm[tuple(map(add, a, b))])
+                        for a, b, c, d in ((s0, nr, r0, ns), (nr, r0, s0, ns)) if (a, b) in n)
+                x = int(t * norm[xi] / n[pairs[0]])
+            w = _neg(xi)
+            for a, b, y in ((r, s, x), (s, w, x * norm[r] // norm[w]),
+                            (w, r, x * norm[s] // norm[w])):
+                n[a, b], n[b, a], n[_neg(a), _neg(b)], n[_neg(b), _neg(a)] = y, -y, -y, y
+    return n
+
+
+def _neg(r: Coords) -> Coords:
+    return tuple(-x for x in r)
 
 
 def normalized_form(rs: RootSystem, lam: Sequence, mu: Sequence) -> Q:

@@ -138,7 +138,7 @@ def bell_tail_mismatches(t):
         unit = tuple(int(j == i) for j in range(t.n_plus))
 
         def b(coef, *orders):  # coef times the product of the d^o b, o ascending
-            return {(None, tuple((i, o) for o in orders), (0,) * t.dim, ()): coef}
+            return {(None, tuple((i, o) for o in orders), (0,) * t.dim): coef}
 
         expected = {4: b(1), 3: b(2, 0), 2: {**b(1, 1), **b(2, 0, 0)},
                     1: {**b(Q(1, 3), 2), **b(2, 0, 1), **b(Q(4, 3), 0, 0, 0)}}

@@ -13,7 +13,10 @@ keeps its order when it moves to w, which only the closed form of
 X~(a)(z) e(-2a+)(w) in ``test_opecalc`` sees, by recompiling
 ``opecalc._contract`` with that one line changed, or whose one division per output coefficient drops the
 B-side denominator or truncates, by recompiling ``opecalc.ope_table``;
-both fail acceptance criterion 05 and the ope verify grid digest.  They feed character
+both fail acceptance criterion 05 and the ope verify grid digest.  Chevalley
+constants with N[alpha_1, alpha_2] and N[alpha_2, alpha_1] negated fail the
+Jacobi certificate of ``test_rootsys`` and, put in a table, the commutator
+formula of ``test_opecalc``, while fst still passes.  They feed character
 transport a wrong eta power or a short lattice enumeration, by replacing
 ``charflow.eta_power`` or ``charflow.enumerate_by_norm``, or an enumeration
 whose running sum skips one basis row or that drops one of the offset's
@@ -75,7 +78,7 @@ from cosetlab.opecalc import (OpeDiff, h_minus_field, h_plus_field,
                               h_tilde_field, j_field, jstar_field,
                               lambda_bracket_skew_check, x_tilde_field)
 from cosetlab.ratlinalg import identity, mat_mul
-from cosetlab.rootsys import build_root_system, check_hvee_identity
+from cosetlab.rootsys import build_root_system, check_hvee_identity, structure_constants
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
@@ -83,6 +86,7 @@ import regen  # noqa: E402
 import test_acceptance  # noqa: E402
 import test_charflow  # noqa: E402
 import test_opecalc  # noqa: E402
+import test_rootsys  # noqa: E402
 
 REAL_BOSON_PATTERNS = opecalc._boson_patterns
 REAL_ETA_POWER = charflow.eta_power
@@ -163,8 +167,8 @@ def test_fst_sees_a_flipped_cocycle_bit(a2):
     assert len(report.diffs) == 12
     first = report.diffs[0]
     assert (first.left, first.right, first.pole) == ("Xt(1, 0)", "Xt(0, 1)", 1)
-    assert first.expected == "(-1*N[0,1|1,0])*X(1,1) E(1,1,0,1,1)"
-    assert first.got == "(1*N[0,1|1,0])*X(1,1) E(1,1,0,1,1)"
+    assert first.expected == "(1)*X(1,1) E(1,1,0,1,1)"
+    assert first.got == "(-1)*X(1,1) E(1,1,0,1,1)"
 
 
 @pytest.mark.parametrize("verify, checks, diffs", [
@@ -255,7 +259,7 @@ def test_fst_sees_a_taylor_budget_one_order_short(a2, monkeypatch):
     assert [len(verify(table).diffs) for verify in VERIFIERS] == [0, 0, 30]
     first = opecalc.verify_fst_homomorphism(table).diffs[0]
     assert first == OpeDiff("Xt(1, 0)", "Xt(0, 1)", 1,
-                            "(-1*N[0,1|1,0])*X(1,1) E(1,1,0,1,1)", "0")
+                            "(1)*X(1,1) E(1,1,0,1,1)", "0")
 
 
 @pytest.mark.parametrize("old, new, diffs", [
@@ -305,6 +309,30 @@ def test_closed_form_sees_a_relocated_symbol_that_keeps_its_order(monkeypatch):
         for k in (Q(1), Q(2), Q(5, 2)):
             table = opecalc.make_table(build_root_system(family, rank), k)
             assert test_opecalc.relocated_symbol_mismatches(table) == list(range(rank))
+
+
+def _flip_n(rs, n):
+    """The Chevalley constants with N[alpha_1, alpha_2] and N[alpha_2, alpha_1]
+    both negated: still antisymmetric, but no longer a Lie bracket."""
+    a1, a2 = rs.simple_roots[:2]
+    return {**n, (a1, a2): -n[a1, a2], (a2, a1): -n[a2, a1]}
+
+
+@pytest.mark.parametrize("family, rank, triples", [("A", 2, 5), ("B", 2, 7), ("G", 2, 11)])
+def test_jacobi_sees_a_flipped_structure_constant(family, rank, triples):
+    rs = build_root_system(family, rank)
+    assert test_rootsys.jacobi_failures(rs, _flip_n(rs, structure_constants(rs))) == triples
+
+
+@pytest.mark.parametrize("family, rank, identities", [("A", 2, (824, 38)), ("B", 2, (1292, 50))])
+def test_commutator_formula_sees_a_flipped_structure_constant(family, rank, identities):
+    rs = build_root_system(family, rank)
+    table = opecalc.make_table(rs, 1)
+    mutant = dataclasses.replace(table, n_table=_flip_n(rs, table.n_table))
+    assert test_opecalc.commutator_failures(mutant) == identities
+    # fst compares the dressed currents with wanted terms built from the same
+    # table, so it passes: only a Jacobi-type verdict on the OPE layer sees it
+    assert opecalc.verify_fst_homomorphism(mutant).ok
 
 
 def _bump_eta(m, T):

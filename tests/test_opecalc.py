@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction as Q
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,16 +19,7 @@ def table(fam, rank, k):
 
 
 def scalar(t, x):
-    return {(None, (), (0,) * t.dim, ()): Q(x)}
-
-
-# ---------------------------------------------------------------------------
-# structure constants
-
-def test_n_symbol_antisymmetry():
-    a, b = (0, 1), (1, 0)
-    assert oc.n_symbol(a, b) == ((("N", a, b),), 1)
-    assert oc.n_symbol(b, a) == ((("N", a, b),), -1)
+    return {(None, (), (0,) * t.dim): Q(x)}
 
 
 # ---------------------------------------------------------------------------
@@ -68,12 +60,12 @@ def test_charge_pair_example():
     B = oc.exp_field(t, (-2,), (0,))
     assert oc.ope_singular(t, A, B) == {
         4: scalar(t, 1),
-        3: {(None, ((0, 0),), (0, 0), ()): 2},
-        2: {(None, ((0, 0), (0, 0)), (0, 0), ()): 2,
-            (None, ((0, 1),), (0, 0), ()): 1},
-        1: {(None, ((0, 0), (0, 0), (0, 0)), (0, 0), ()): Q(4, 3),
-            (None, ((0, 0), (0, 1)), (0, 0), ()): 2,
-            (None, ((0, 2),), (0, 0), ()): Q(1, 3)},
+        3: {(None, ((0, 0),), (0, 0)): 2},
+        2: {(None, ((0, 0), (0, 0)), (0, 0)): 2,
+            (None, ((0, 1),), (0, 0)): 1},
+        1: {(None, ((0, 0), (0, 0), (0, 0)), (0, 0)): Q(4, 3),
+            (None, ((0, 0), (0, 1)), (0, 0)): 2,
+            (None, ((0, 2),), (0, 0)): Q(1, 3)},
     }
 
 
@@ -98,16 +90,16 @@ def relocated_symbol_mismatches(t):
     out = []
     for i, a in enumerate(t.rs.simple_roots):
         xt = oc.x_tilde_field(t, a)
-        [(symbol, _, xi, _)] = xt
+        [(symbol, _, xi)] = xt
         eta = tuple(-2 * int(j == i) for j in range(t.n_plus)) + (0,) * t.ell
         eps = t.lattice.eps(xi, eta)
         moved = tuple(x + y for x, y in zip(xi, eta))
         kind, root, _ = symbol
-        pole_one = {((kind, root, 1), (), moved, ()): eps}
+        pole_one = {((kind, root, 1), (), moved): eps}
         for j, c in enumerate(xi):
             if c:
-                pole_one[(symbol, ((j, 0),), moved, ())] = eps * c
-        expected = {2: {(symbol, (), moved, ()): eps}, 1: pole_one}
+                pole_one[(symbol, ((j, 0),), moved)] = eps * c
+        expected = {2: {(symbol, (), moved): eps}, 1: pole_one}
         got = oc.ope_singular(t, xt, oc.exp_field(t, eta[:t.n_plus], eta[t.n_plus:]))
         if got != expected:
             out.append(i)
@@ -126,9 +118,9 @@ def test_boson_against_charge_both_orders():
     b = oc.boson_plus(t, (1,))
     e = oc.exp_field(t, (1,), (0,))
     s = oc.ope_singular(t, b, e)
-    assert s == {1: {(None, (), (1, 0), ()): Q(1)}}
+    assert s == {1: {(None, (), (1, 0)): Q(1)}}
     s = oc.ope_singular(t, e, b)
-    assert s == {1: {(None, (), (1, 0), ()): Q(-1)}}
+    assert s == {1: {(None, (), (1, 0)): Q(-1)}}
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +179,16 @@ def test_x_tilde_pair_gives_dressed_coroot():
     assert s.get(1, {}) == oc.coroot_tilde_field(t, (1,))
 
 
-def test_x_tilde_pair_structure_constant_is_symbolic():
+def test_x_tilde_pair_structure_constant_is_chevalley():
+    # the extraspecial pair (alpha_1, alpha_2) of A2 takes N = +1, and the
+    # reversed pair -1, each at the simple pole of the dressed root theta
     rs = build_root_system("A", 2)
     t = oc.make_table(rs, 1)
-    s = oc.ope_singular(t, oc.x_tilde_field(t, (1, 0)), oc.x_tilde_field(t, (0, 1)))
-    theta = (1, 1)
-    key = (("X", theta, 0), (), theta + (0,) + theta, (("N", (0, 1), (1, 0)),))
-    assert s == {1: {key: -1}}
-
-
-def test_field_repr_sums_the_monomials_of_a_term():
-    # keys that differ only in their monomial print as one chunk, with the
-    # monomials in sorted order; the chunks sort by the rest of the key
     theta = (1, 1)
     key = (("X", theta, 0), (), theta + (0,) + theta)
-    f = {key + ((("N", (0, 1), (1, 0)),),): -1, key + ((),): Q(1, 2),
-         (None, ((0, 0),), (0,) * 5, ()): 2}
-    assert oc.field_repr(f) == "(1/2 + -1*N[0,1|1,0])*X(1,1) E(1,1,0,1,1) + (2)*b0"
+    for a, b, n in (((1, 0), (0, 1), 1), ((0, 1), (1, 0), -1)):
+        s = oc.ope_singular(t, oc.x_tilde_field(t, a), oc.x_tilde_field(t, b))
+        assert s == {1: {key: n}} and t.n_table[a, b] == n
 
 
 def test_field_parity():
@@ -258,6 +243,57 @@ def test_fst_central_terms_report_both_conventions():
     assert short_term.computed == short_term.normalized_expected == Q(5)
     assert short_term.literal_expected == Q(5, 2)
     assert all(c.computed == c.normalized_expected for c in report.central_terms)
+
+
+def affine_generators(t):
+    """X~ of every root, H~ of every simple root, J and H- of every positive
+    root: all even, so the commutator formula carries no sign."""
+    rs = t.rs
+    roots = list(rs.positive_roots) + [tuple(-c for c in a) for a in rs.positive_roots]
+    return ([oc.x_tilde_field(t, a) for a in roots] + [oc.h_tilde_field(t, i) for i in range(t.ell)]
+            + [f(t, a) for f in (oc.j_field, oc.h_minus_field) for a in range(t.n_plus)])
+
+
+def commutator_failures(t):
+    """(identities checked, identities failed) of the commutator formula
+    a_(m)(b_(n)c) - b_(n)(a_(m)c) = sum_j C(m, j) (a_(j)b)_(m+n-j)c over every
+    generator triple and every m, n below the top pole of any OPE taken, with
+    x_(m)y the pole m + 1 of x(z)y(w); an identity whose sides are both zero
+    is not counted.  The products b_(n)c are contracted in one ope_table on
+    each side."""
+    gens = affine_generators(t)
+    products = {(b, c, pole - 1): f for b, row in enumerate(oc.ope_table(t, gens, gens))
+                for c, poles in enumerate(row) for pole, f in poles.items()}
+    col = {key: i for i, key in enumerate(products)}
+    left = oc.ope_table(t, gens, list(products.values()))  # a_(m)(b_(n)c)
+    right = oc.ope_table(t, list(products.values()), gens)  # (a_(j)b)_(l)c
+    top = max(pole for table in (left, right) for row in table for poles in row for pole in poles)
+    top = max(top, max(n for _, _, n in products) + 1)
+    checked = failed = 0
+    for a in range(len(gens)):
+        for b in range(len(gens)):
+            for c in range(len(gens)):
+                for m in range(top):
+                    for n in range(top):
+                        lhs = oc.field_add(
+                            left[a][col[b, c, n]].get(m + 1, {}) if (b, c, n) in col else {},
+                            oc.field_scale(left[b][col[a, c, m]].get(n + 1, {})
+                                           if (a, c, m) in col else {}, -1))
+                        rhs = {}
+                        for j in range(m + 1):
+                            if (a, b, j) in col:
+                                rhs = oc.field_add(rhs, oc.field_scale(
+                                    right[col[a, b, j]][c].get(m + n - j + 1, {}), comb(m, j)))
+                        checked += bool(lhs or rhs)
+                        failed += lhs != rhs
+    return checked, failed
+
+
+@pytest.mark.parametrize("fam,rank,checked", [("A", 2, 816), ("B", 2, 1280)])
+def test_engine_satisfies_the_commutator_formula(fam, rank, checked):
+    # the affine table with its Chevalley constants is a Lie bracket through
+    # the dressed currents, the Heisenberg fields and their composites
+    assert commutator_failures(table(fam, rank, 1)) == (checked, 0)
 
 
 def test_commutant_pairs_are_regular():
@@ -335,8 +371,8 @@ def generators_and_free_parts(t):
     gens = skew_generators(t)
     for g in skew_generators(t):
         free = {}
-        for (_, bosons, exp, mono), coef in g.items():
-            free = oc.field_add(free, {(None, bosons, exp, mono): coef})
+        for (_, bosons, exp), coef in g.items():
+            free = oc.field_add(free, {(None, bosons, exp): coef})
         gens.append(free)
     return gens
 
@@ -373,7 +409,7 @@ def test_ope_table_is_ope_singular_per_pair(fam, rank, k):
 def _composite(t):
     """H_0 times the first plus boson: against X~(1, 0) the boson meets the
     charge in a simple pole, with both affine symbols still in place."""
-    return {(("H", 0, 0), ((0, 0),), (0,) * t.dim, ()): 1}
+    return {(("H", 0, 0), ((0, 0),), (0,) * t.dim): 1}
 
 
 def test_ope_table_refuses_a_bad_field_on_either_side():
@@ -381,13 +417,26 @@ def test_ope_table_refuses_a_bad_field_on_either_side():
     good = oc.boson_plus(t, (1, 0, 0))
     X = oc.x_tilde_field(t, (1, 0))
     mixed = oc.field_add(oc.exp_field(t, (1, 0, 0), (0, 0)), oc.identity_field(t))
-    unknown = {(("Y", 0, 0), (), (0,) * t.dim, ()): 1}
+    unknown = {(("Y", 0, 0), (), (0,) * t.dim): 1}
     assert oc.ope_table(t, [good, X], [X, good])[1][0] == {}
     for bad, reason in ((_composite(t), "unsupported composite of affine"),
                         (mixed, "not parity-homogeneous"),
                         (unknown, "unknown affine symbol")):
         for As, Bs in (([good, bad], [good, X]), ([good, X], [good, bad])):
             with pytest.raises(ValueError, match=reason):
+                oc.ope_table(table("A", 2, 1), As, Bs)
+
+
+def test_ope_table_refuses_an_affine_symbol_with_a_derivative_on_either_side():
+    # X' and H' come out of the engine (a z side moved to w, the skew check)
+    # but no contraction takes one in
+    t = table("A", 2, 1)
+    X = oc.x_tilde_field(t, (1, 0))
+    assert (("X", (1, 0), 1), (), (1, 0, 0, 1, 0)) in oc.derivative(X)
+    for symbol in (("X", (0, 1), 1), ("H", 0, 1)):
+        bad = {(symbol, (), (0,) * t.dim): 1}
+        for As, Bs in (([X], [X, bad]), ([bad], [X])):
+            with pytest.raises(ValueError, match="derivative of an affine symbol"):
                 oc.ope_table(table("A", 2, 1), As, Bs)
 
 
@@ -523,15 +572,14 @@ def test_skew_on_random_single_term_fields(data):
         if kind == "boson":
             i = data.draw(st.integers(0, 1), label=label + "-idx")
             d = data.draw(st.integers(0, 2), label=label + "-der")
-            return {(None, ((i, d),), (0, 0), ()): Q(1)}
+            return {(None, ((i, d),), (0, 0)): Q(1)}
         if kind == "charge":
             xp = data.draw(st.integers(-2, 2), label=label + "-xp")
             xm = data.draw(st.integers(-1, 1), label=label + "-xm")
             return oc.exp_field(t, (xp,), (xm,))
         which = data.draw(st.sampled_from([("H", 0), ("X", (1,)), ("X", (-1,))]),
                           label=label + "-aff")
-        d = data.draw(st.integers(0, 1), label=label + "-der")
-        return {((which[0], which[1], d), (), (0, 0), ()): Q(1)}
+        return {((which[0], which[1], 0), (), (0, 0)): Q(1)}
 
     A = draw_field("A")
     B = draw_field("B")
@@ -563,12 +611,12 @@ def test_a_table_holding_keys_still_refuses_malformed_ones():
     oc.ope_singular(t, J, J)
     assert t.registry
     unregistered = "unregistered lattice vector"
-    for key, reason in (((None, (), (1, 0, 0), ()), unregistered),
-                        ((None, ((2, 0),), (0, 0), ()), unregistered),
-                        ((None, ((0, -1),), (0, 0), ()), unregistered),
-                        ((("Y", 0, 0), (), (0, 0), ()), "unknown affine symbol"),
-                        ((("X", (2,), 0), (), (0, 0), ()), "unknown affine symbol"),
-                        ((("H", 1, 0), (), (0, 0), ()), "unknown affine symbol")):
+    for key, reason in (((None, (), (1, 0, 0)), unregistered),
+                        ((None, ((2, 0),), (0, 0)), unregistered),
+                        ((None, ((0, -1),), (0, 0)), unregistered),
+                        ((("Y", 0, 0), (), (0, 0)), "unknown affine symbol"),
+                        ((("X", (2,), 0), (), (0, 0)), "unknown affine symbol"),
+                        ((("H", 1, 0), (), (0, 0)), "unknown affine symbol")):
         with pytest.raises(ValueError, match=reason):
             oc.ope_singular(t, J, {key: Q(1)})
         assert key not in t.registry
@@ -586,7 +634,7 @@ def test_replace_starts_with_an_empty_registry_and_memo():
 
 def test_unregistered_vector_rejected():
     t = table("A", 1, 1)
-    bad = {(None, (), (1, 0, 0), ()): Q(1)}
+    bad = {(None, (), (1, 0, 0)): Q(1)}
     with pytest.raises(ValueError, match="unregistered lattice vector"):
         oc.ope_singular(t, bad, oc.identity_field(t))
     with pytest.raises(ValueError, match="unregistered lattice vector"):
@@ -645,16 +693,16 @@ def test_derivative_of_charge_adds_boson():
     t = table("A", 1, 1)
     e = oc.exp_field(t, (1,), (-1,))
     assert oc.derivative(e) == {
-        (None, ((0, 0),), (1, -1), ()): Q(1),
-        (None, ((1, 0),), (1, -1), ()): Q(-1),
+        (None, ((0, 0),), (1, -1)): Q(1),
+        (None, ((1, 0),), (1, -1)): Q(-1),
     }
 
 
 def test_derivative_bumps_orders():
-    f = {(("X", (1,), 0), ((0, 1),), (0, 0), ()): Q(1)}
+    f = {(("X", (1,), 0), ((0, 1),), (0, 0)): Q(1)}
     assert oc.derivative(f) == {
-        (("X", (1,), 1), ((0, 1),), (0, 0), ()): Q(1),
-        (("X", (1,), 0), ((0, 2),), (0, 0), ()): Q(1),
+        (("X", (1,), 1), ((0, 1),), (0, 0)): Q(1),
+        (("X", (1,), 0), ((0, 2),), (0, 0)): Q(1),
     }
 
 

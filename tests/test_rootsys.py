@@ -3,7 +3,8 @@ from __future__ import annotations
 import dataclasses
 import json
 from fractions import Fraction as Q
-from operator import mul
+from itertools import combinations_with_replacement
+from operator import add, mul, sub
 
 import pytest
 
@@ -16,6 +17,7 @@ from cosetlab.rootsys import (
     cartan_matrix,
     check_hvee_identity,
     normalized_form,
+    structure_constants,
 )
 
 # Positive-root sets enumerated by hand from the defining reflection data,
@@ -283,3 +285,90 @@ def test_pair_table_matches_form(family, rank):
             assert Q(x, rs.pair_den) == rs.form(a, b)
     assert rs.pair_den == {"B": 2, "C": 2, "F": 2, "G": 3}.get(family, 1)
     assert rs.is_simply_laced == (family in "ADE")
+
+
+# ---------------------------------------------------------------------------
+# Chevalley structure constants
+
+def _roots(rs):
+    return list(rs.positive_roots) + [tuple(-c for c in a) for a in rs.positive_roots]
+
+
+def lie_brackets(rs, n):
+    """The Chevalley basis labels and [u, v] of every two, as {label:
+    coefficient}: a root a labels X_a and an index i labels H_i, the current
+    of the simple root alpha_i, with [H_i, X_b] = (alpha_i, b) X_b,
+    [X_a, X_-a] the coroot 2 a / (a, a) over the H_i, and [X_a, X_b] =
+    n[a, b] X_(a+b) where n has the pair."""
+    basis = _roots(rs) + list(range(rs.rank))
+    out = {}
+    for u in basis:
+        for v in basis:
+            if type(u) is int and type(v) is int:
+                b = {}
+            elif type(u) is int:
+                b = {v: rs.form(rs.simple_roots[u], v)}
+            elif type(v) is int:
+                b = {u: -rs.form(rs.simple_roots[v], u)}
+            elif not any(s := tuple(map(add, u, v))):
+                b = {i: 2 * c / rs.norm(u) for i, c in enumerate(u)}
+            else:
+                b = {s: n[u, v]} if (u, v) in n else {}
+            out[u, v] = {w: c for w, c in b.items() if c}
+    return basis, out
+
+
+def jacobi_failures(rs, n):
+    """Unordered basis triples whose Jacobi sum [x, [y, z]] + [y, [z, x]] +
+    [z, [x, y]] is not zero; on an antisymmetric n the bracket is
+    antisymmetric, so these stand for every ordered triple."""
+    basis, brackets = lie_brackets(rs, n)
+    failures = 0
+    for x, y, z in combinations_with_replacement(basis, 3):
+        total = {}
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+            for t, c in brackets[v, w].items():
+                for r, d in brackets[u, t].items():
+                    total[r] = total.get(r, 0) + c * d
+        failures += any(total.values())
+    return failures
+
+
+# every admitted type with at most 24 positive roots
+JACOBI_TYPES = [("A", r) for r in range(1, 7)] + [("B", 2), ("B", 3), ("B", 4), ("C", 2),
+                                                  ("C", 3), ("C", 4), ("D", 3), ("D", 4),
+                                                  ("D", 5), ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("family, rank", JACOBI_TYPES)
+def test_structure_constants_make_a_lie_algebra(family, rank):
+    rs = build_root_system(family, rank)
+    assert rs.num_positive <= 24
+    assert jacobi_failures(rs, structure_constants(rs)) == 0
+
+
+@pytest.mark.parametrize("family, rank", sorted(COUNTS))
+def test_structure_constants_are_chevalley(family, rank):
+    # one entry per ordered pair of roots whose sum is a root, |N| = p + 1,
+    # antisymmetric, N[-a, -b] = -N[a, b], the triangle identity, and +(p + 1)
+    # on the extraspecial pair of every positive sum
+    rs = build_root_system(family, rank)
+    n = structure_constants(rs)
+    norm = {}
+    for i, a in enumerate(rs.positive_roots):
+        norm[a] = norm[tuple(-x for x in a)] = Q(rs.pair_table[i][i], rs.pair_den)
+    pairs = [(a, b) for a in norm for b in norm if tuple(map(add, a, b)) in norm]
+    assert sorted(n) == sorted(pairs) and all(type(x) is int for x in n.values())
+    for a, b in pairs:
+        p = 0
+        while tuple(y - (p + 1) * x for x, y in zip(a, b)) in norm:
+            p += 1
+        w = tuple(-x - y for x, y in zip(a, b))
+        assert abs(n[a, b]) == p + 1
+        assert n[b, a] == n[tuple(-x for x in a), tuple(-x for x in b)] == -n[a, b]
+        assert n[a, b] / norm[w] == n[b, w] / norm[a] == n[w, a] / norm[b]
+    index = rs.root_index
+    for xi in rs.positive_roots:
+        special = [(a, b) for a in rs.positive_roots
+                   if index[a] < index.get(b := tuple(map(sub, xi, a)), -1)]
+        assert not special or n[special[0]] > 0
