@@ -134,7 +134,7 @@ def test_forms_verify_grid_digest():
 # so the rendering of every field in a diff is pinned, not only A2's
 FAILING_OPE_TYPES = (("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3))
 FAILING_OPE_LEVELS = (1, Q(5, 3), Q(-1, 3))
-FAILING_OPE_SHA256 = "c74d58a1109bd8abc51e22952cb630dfe3a2f98b0460cd5e039e54df168ca12d"
+FAILING_OPE_SHA256 = "cc7f708c3522fe3931578f2882407208c61060f081b7678e47afd62b81c28492"
 
 
 def failing_ope_digest():
