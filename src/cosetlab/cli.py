@@ -4,7 +4,9 @@ Exit codes follow a strict contract: 0 means every requested check passed,
 1 means a mathematical statement was checked and found false, 2 means the
 request itself was unusable (bad flags, bad input file, excluded level).
 The JSON output mode is key-sorted and schema-versioned so CI pipelines can
-diff runs byte for byte.
+diff runs byte for byte.  It is written by ``_json``, byte-identical to
+``json.dumps(payload, sort_keys=True, indent=2)``, and text lines are built
+only when ``--format text`` asks for them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import math
 import sys
 from fractions import Fraction as Q
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -50,6 +53,26 @@ def _vec_str(v: Sequence) -> str:
 
 def _mat_lines(rows, indent: str = "  ") -> List[str]:
     return [indent + " ".join(_rat(x) for x in row) for row in rows]
+
+
+def _json(x, newline: str = "\n") -> str:
+    """x as json.dumps(x, sort_keys=True, indent=2) writes it; TypeError on a
+    value not a str, int, bool, None, list, tuple or str-keyed dict."""
+    if isinstance(x, str):
+        return _json_str(x)
+    inner = newline + "  "
+    if isinstance(x, (list, tuple)):
+        items = [_json_str(v) if type(v) is str else _json(v, inner) for v in x]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]" if x else "[]"
+    if isinstance(x, dict):
+        items = [f"{_json_str(k)}: {_json_str(v) if type(v) is str else _json(v, inner)}"
+                 for k, v in sorted(x.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if x else "{}"
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    raise TypeError(f"a report cannot hold a {type(x).__name__}")
 
 
 def _parse_vector(text: str, length: int, what: str) -> Tuple[Q, ...]:
@@ -105,37 +128,37 @@ def _diff_report(args, ch, mu, T, diffs: Comparison, verdict: str, **fields):
     if diffs.vacuous:
         raise ValueError(f"{verdict} to order {_rat(T)} is vacuous")
     ok = all(not terms for _, terms in diffs.values())
-    entries = []
-    lines = [
-        f"seed {ch.rs.family}{ch.rs.rank} at level {_rat(ch.level)},"
-        f" {len(ch.strings)} strings",
-        f"{verdict} to order {_rat(T)}: {'ok' if ok else 'FAIL'}",
-    ]
     # each distinct coordinate numerator and order object is rendered once
     weights = rational_rows(diffs, diffs.den, _rat)
     orders = {id(order): order for order, _ in diffs.values()}
     order_text = {i: o if o is None else _rat(o) for i, o in orders.items()}
-    for weight, (order, terms) in zip(weights, diffs.values()):
-        order = order_text[id(order)]
-        entries.append({
-            "weight": weight,
-            "compare_order": order,
-            "diff_terms": [{"exp": _rat(e), "coef": _rat(c)}
-                           for e, c in terms],
-        })
-        tag = "unbounded" if order is None else f"to order {order}"
-        body = ("DIFF " + " ".join(f"{_rat(c)}*q^{_rat(e)}" for e, c in terms)
-                if terms else "ok")
-        lines.append(f"  weight {','.join(weight)} ({tag}): {body}")
+    entries = [{"weight": weight,
+                "compare_order": order_text[id(order)],
+                "diff_terms": [{"exp": _rat(e), "coef": _rat(c)} for e, c in terms]}
+               for weight, (order, terms) in zip(weights, diffs.values())]
     payload = _header(args, ch.rs, level=_rat(ch.level),
                       reference_weight=[_rat(x) for x in mu],
                       truncation_order=_rat(T), ok=ok, weights=entries,
                       **fields)
-    return ok, payload, lines
+    return ok, payload, lambda: [
+        f"seed {ch.rs.family}{ch.rs.rank} at level {_rat(ch.level)},"
+        f" {len(ch.strings)} strings",
+        f"{verdict} to order {_rat(T)}: {'ok' if ok else 'FAIL'}",
+        *map(_weight_line, entries),
+    ]
 
 
-# Each cmd_* handler returns (ok, JSON payload, text lines); main renders
-# one of them and maps ok to exit code 0 or 1.
+def _weight_line(entry: dict) -> str:
+    """The text line of one weight entry of a _diff_report payload."""
+    order, terms = entry["compare_order"], entry["diff_terms"]
+    tag = "unbounded" if order is None else f"to order {order}"
+    body = ("DIFF " + " ".join(f"{t['coef']}*q^{t['exp']}" for t in terms)
+            if terms else "ok")
+    return f"  weight {','.join(entry['weight'])} ({tag}): {body}"
+
+
+# Each cmd_* handler returns (ok, JSON payload, a function building the text
+# lines); main renders one of them and maps ok to exit code 0 or 1.
 
 def cmd_rootsys_info(args):
     rs = build_root_system(args.type, args.rank)
@@ -150,20 +173,18 @@ def cmd_rootsys_info(args):
         long_root_gram=[list(map(str, row)) for row in gram],
         hvee_identity_ok=ok,
     )
-    lines = [
+    return ok, payload, lambda: [
         f"type           {rs.family}{rs.rank}",
         f"rank (l)       {rs.rank}",
         f"positive (N)   {rs.num_positive}",
         f"dual coxeter   {rs.dual_coxeter}",
         f"simply laced   {'yes' if rs.is_simply_laced else 'no'}",
         "positive roots:",
+        *(f"  {_vec_str(a)}" for a in rs.positive_roots),
+        "long-root gram:",
+        *_mat_lines(gram),
+        "hvee identity on fundamental weights: " + ("ok" if ok else "FAIL"),
     ]
-    lines += [f"  {_vec_str(a)}" for a in rs.positive_roots]
-    lines.append("long-root gram:")
-    lines += _mat_lines(gram)
-    lines.append("hvee identity on fundamental weights: "
-                 + ("ok" if ok else "FAIL"))
-    return ok, payload, lines
 
 
 def cmd_forms_verify(args):
@@ -185,11 +206,12 @@ def cmd_forms_verify(args):
         central_charges={"af": _rat(c_af), "sc": _rat(c_sc)},
         matrices={name: rational_rows(*pair, _rat) for name, pair in pairs.items()},
     )
-    lines = [f"{rs.family}{rs.rank} at level {_rat(lp.k)}"]
-    for name, value in sorted(checks.items()):
-        lines.append(f"  {name}: {'ok' if value else 'FAIL'}")
-    lines.append(f"  c_af = {_rat(c_af)}, c_sc = {_rat(c_sc)}")
-    return all(checks.values()), payload, lines
+    return all(checks.values()), payload, lambda: [
+        f"{rs.family}{rs.rank} at level {_rat(lp.k)}",
+        *(f"  {name}: {'ok' if value else 'FAIL'}"
+          for name, value in sorted(checks.items())),
+        f"  c_af = {_rat(c_af)}, c_sc = {_rat(c_sc)}",
+    ]
 
 
 def cmd_weights_map(args):
@@ -211,7 +233,7 @@ def cmd_weights_map(args):
         conformal_weight=_rat(delta),
         roundtrip_ok=ok,
     )
-    lines = [
+    return ok, payload, lambda: [
         f"{rs.family}{rs.rank} at level {_rat(lp.k)}",
         f"weight          {_vec_str(mu)}",
         f"J values        {_vec_str(sc.j_values)}",
@@ -220,7 +242,6 @@ def cmd_weights_map(args):
         f"conformal (D+)  {_rat(delta)}",
         f"round trip      {'ok' if ok else 'FAIL'}",
     ]
-    return ok, payload, lines
 
 
 # a tuple, not a dict, so that wrappers installed over these names (see
@@ -268,22 +289,18 @@ def cmd_lattice_disc(args):
         group_order=order,
         ok=ok,
     )
-    lines = [
+    return ok, payload, lambda: [
         f"lattice {lat.name} over {rs.family}{rs.rank}",
         f"rank       {lat.rank}",
         f"signature  {lat.signature}",
         "gram:",
+        *_mat_lines(lat.gram),
+        "elementary divisors: " + (" ".join(map(str, divisors)) or "none"),
+        f"group order: {order}",
+        *(() if expected is None else (
+            "expected divisors: " + (" ".join(map(str, expected)) or "none"),
+            f"match: {'ok' if ok else 'FAIL'}")),
     ]
-    lines += _mat_lines(lat.gram)
-    lines.append("elementary divisors: "
-                 + (" ".join(str(d) for d in divisors) if divisors else "none"))
-    lines.append(f"group order: {order}")
-    if expected is not None:
-        lines.append("expected divisors: "
-                     + (" ".join(str(d) for d in expected) if expected
-                        else "none"))
-        lines.append(f"match: {'ok' if ok else 'FAIL'}")
-    return ok, payload, lines
 
 
 _OPE_CHECKS = (
@@ -301,14 +318,11 @@ def cmd_ope_verify(args):
     ok = all(r.ok for r in reports)
     payload = _header(args, rs, level=_rat(lp.k), ok=ok,
                       reports=[r.to_json_dict() for r in reports])
-    lines = [f"{rs.family}{rs.rank} at level {_rat(lp.k)}"]
-    for r in reports:
-        lines.append(f"  {r.name}: {'ok' if r.ok else 'FAIL'}"
-                     f" ({r.checks} checks)")
-        for d in r.diffs:
-            lines.append(f"    [{d.left}][{d.right}] pole {d.pole}:"
-                         f" expected {d.expected}, got {d.got}")
-    return ok, payload, lines
+    return ok, payload, lambda: [f"{rs.family}{rs.rank} at level {_rat(lp.k)}", *(
+        line for r in reports
+        for line in (f"  {r.name}: {'ok' if r.ok else 'FAIL'} ({r.checks} checks)",
+                     *(f"    [{d.left}][{d.right}] pole {d.pole}:"
+                       f" expected {d.expected}, got {d.got}" for d in r.diffs)))]
 
 
 def cmd_char_roundtrip(args):
@@ -422,12 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        ok, payload, lines = args.handler(args)
-        if args.format == "json":
-            sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2)
-                             + "\n")
-        else:
-            sys.stdout.write("\n".join(lines) + "\n")
+        ok, payload, text = args.handler(args)
+        sys.stdout.write((_json(payload) if args.format == "json"
+                          else "\n".join(text())) + "\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,6 +47,7 @@ Coef = Union[int, Q]
 Field = Dict[TermKey, Coef]
 Contraction = Tuple[int, Coef, AffineKey]
 Poles = Dict[int, Field]
+Label = Tuple[str, Tuple[int, ...]]  # (prefix, root): "J(1, 0)" once a diff formats it
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +185,22 @@ def h_field(table: ContractionTable, lam: Sequence) -> Field:
     return out
 
 
-def boson_field(table: ContractionTable, coeffs: Sequence, d: int = 0) -> Field:
+def boson_field(table: ContractionTable, coeffs: Sequence) -> Field:
     """Boson of a rational merged-basis coefficient vector."""
     if len(coeffs) != table.dim:
         raise ValueError("unregistered lattice vector")
     out: Field = {}
     for i, c in enumerate(coeffs):
-        _add_at(out, (None, ((i, d),), _zero_exp(table)), c)
+        _add_at(out, (None, ((i, 0),), _zero_exp(table)), c)
     return out
 
 
-def boson_plus(table: ContractionTable, coeffs: Sequence, d: int = 0) -> Field:
-    return boson_field(table, tuple(coeffs) + (Q(0),) * table.ell, d)
+def boson_plus(table: ContractionTable, coeffs: Sequence) -> Field:
+    return boson_field(table, tuple(coeffs) + (Q(0),) * table.ell)
 
 
-def boson_minus(table: ContractionTable, coeffs: Sequence, d: int = 0) -> Field:
-    return boson_field(table, (Q(0),) * table.n_plus + tuple(coeffs), d)
+def boson_minus(table: ContractionTable, coeffs: Sequence) -> Field:
+    return boson_field(table, (Q(0),) * table.n_plus + tuple(coeffs))
 
 
 def exp_field(table: ContractionTable, plus: Sequence[int], minus: Sequence[int]) -> Field:
@@ -581,7 +582,7 @@ class VerifyReport:
         }
 
 
-def _report(name: str, cases: Iterable[Tuple[str, str, Poles, Poles]],
+def _report(name: str, cases: Iterable[Tuple[Label, Label, Poles, Poles]],
             central: Sequence[CentralTerm] = ()) -> VerifyReport:
     """Compare each case's poles with the wanted ones; one check per case.
 
@@ -596,7 +597,8 @@ def _report(name: str, cases: Iterable[Tuple[str, str, Poles, Poles]],
             g = got.get(n, {})
             w = want.get(n, {})
             if g != w:
-                diffs.append(OpeDiff(left, right, n, field_repr(w), field_repr(g)))
+                diffs.append(OpeDiff("%s%s" % left, "%s%s" % right, n,
+                                     field_repr(w), field_repr(g)))
         checks += 1
     return VerifyReport(name, checks, diffs, list(central))
 
@@ -619,9 +621,9 @@ def verify_Jalpha_heisenberg(table: ContractionTable) -> VerifyReport:
     def cases():
         for a, ra in enumerate(rs.positive_roots):
             for b, rb in enumerate(rs.positive_roots):
-                yield (f"J{ra}", f"J{rb}", jj[a][b], {2: _scalar_field(table, g[a][b])})
-                yield (f"J*{ra}", f"J{rb}", sj[a][b], {2: _scalar_field(table, int(a == b))})
-                yield (f"J*{ra}", f"J*{rb}", sj[a][n + b], {2: _scalar_field(table, gs[a][b])})
+                yield ("J", ra), ("J", rb), jj[a][b], {2: _scalar_field(table, g[a][b])}
+                yield ("J*", ra), ("J", rb), sj[a][b], {2: _scalar_field(table, int(a == b))}
+                yield ("J*", ra), ("J*", rb), sj[a][n + b], {2: _scalar_field(table, gs[a][b])}
 
     return _report("jalpha", cases())
 
@@ -633,9 +635,9 @@ def verify_Hminus_heisenberg(table: ContractionTable) -> VerifyReport:
     big_g = gram_G(rs, table.k)
     hs = [h_minus_field(table, a) for a in range(n)]
     hh = ope_table(table, hs, hs)
-    labels = [f"H-{r}" for r in rs.positive_roots]
+    roots = rs.positive_roots
     return _report("hminus", (
-        (labels[a], labels[b], hh[a][b], {2: _scalar_field(table, big_g[a][b])})
+        (("H-", roots[a]), ("H-", roots[b]), hh[a][b], {2: _scalar_field(table, big_g[a][b])})
         for a in range(n) for b in range(n)))
 
 
@@ -670,17 +672,17 @@ def verify_fst_homomorphism(table: ContractionTable) -> VerifyReport:
                     want = {1: {(("X", total, 0), (), _xi_root(table, total)): table.n_table[ra, rb]}}
                 else:
                     want = {}
-                yield f"Xt{ra}", f"Xt{rb}", got, want
+                yield ("Xt", ra), ("Xt", rb), got, want
         for i, si in enumerate(rs.simple_roots):
             for a, ra in enumerate(all_roots):
-                yield (f"Ht{si}", f"Xt{ra}", hx[i][a],
+                yield (("Ht", si), ("Xt", ra), hx[i][a],
                        {1: field_scale(xts[a], _root_form(rs, si, ra))})
             for j, sj in enumerate(rs.simple_roots):
-                yield (f"Ht{si}", f"Ht{sj}", hx[i][len(xts) + j],
+                yield (("Ht", si), ("Ht", sj), hx[i][len(xts) + j],
                        {2: _scalar_field(table, kq * _root_form(rs, si, sj))})
         for idx, root in enumerate(rs.positive_roots):
             for a, ra in enumerate(all_roots):
-                yield f"H+{root}", f"Xt{ra}", cx[2 * idx][a], {}
-                yield f"H-{root}", f"Xt{ra}", cx[2 * idx + 1][a], {}
+                yield ("H+", root), ("Xt", ra), cx[2 * idx][a], {}
+                yield ("H-", root), ("Xt", ra), cx[2 * idx + 1][a], {}
 
     return _report("fst", cases(), central)

@@ -48,10 +48,6 @@ def vec(entries: Iterable) -> Vector:
     return tuple(Q(e) for e in entries)
 
 
-def mat(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(vec(r) for r in rows)
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
 

@@ -5,12 +5,15 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from types import FunctionType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cosetlab import rootsys
+from cosetlab import cli, rootsys
 from cosetlab.bilinear import ScWeight
 from cosetlab.cli import MAX_T, build_parser, main
 
@@ -347,27 +350,28 @@ def test_parser_is_built_once_per_process():
 
 SEEDS = Path(__file__).parent / "golden" / "seeds"
 
-# one small request per subcommand
+# one small request per subcommand, without its --format
 SUBCOMMAND_REQUESTS = (
-    ["rootsys", "info", "--type", "B", "--rank", "3", "--format", "json"],
-    ["forms", "verify", "--type", "B", "--rank", "3", "--level=7/2", "--format", "json"],
+    ["rootsys", "info", "--type", "B", "--rank", "3"],
+    ["forms", "verify", "--type", "B", "--rank", "3", "--level=7/2"],
     ["weights", "map", "--type", "B", "--rank", "3", "--level=7/2",
-     "--weight=1,-1/2,1/2", "--format", "json"],
-    ["lattice", "disc", "--lattice", "qsc-dual", "--type", "A", "--rank", "2",
-     "--format", "json"],
+     "--weight=1,-1/2,1/2"],
+    ["lattice", "disc", "--lattice", "qsc-dual", "--type", "A", "--rank", "2"],
     ["ope", "verify", "--type", "B", "--rank", "3", "--level", "2", "--check", "all"],
-    ["char", "roundtrip", "--seed", str(SEEDS / "B3.json"), "--T", "6", "--format", "json"],
+    ["char", "roundtrip", "--seed", str(SEEDS / "B3.json"), "--T", "6"],
     ["flow", "check", "--seed", str(SEEDS / "B2.json"), "--side", "af", "--gamma=1,0",
-     "--T", "6", "--format", "json"],
+     "--T", "6"],
 )
 
 
 def test_no_subcommand_leaves_a_cosetlab_function_to_the_cycle_collector(capsys):
     # reference counting alone must free what a request builds: a function
     # in a reference cycle (a recursive closure, say) would wait for the
-    # cyclic collector after every call that made it
+    # cyclic collector after every call that made it; text mode runs the
+    # line builders a handler returns
     cyclic = {}
-    for argv in SUBCOMMAND_REQUESTS:
+    for argv in (request + ["--format", fmt] for request in SUBCOMMAND_REQUESTS
+                 for fmt in ("json", "text")):
         gc.collect()
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
@@ -382,5 +386,50 @@ def test_no_subcommand_leaves_a_cosetlab_function_to_the_cycle_collector(capsys)
             gc.enable()
         capsys.readouterr()
         if names:
-            cyclic[" ".join(argv[:2])] = names
+            cyclic[" ".join(argv[:2] + argv[-1:])] = names
     assert cyclic == {}
+
+
+def _refuse(*args):
+    raise AssertionError("text built for a JSON request")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rootsys", "info", "--type", "B", "--rank", "3"],
+    ["lattice", "disc", "--lattice", "qsc-dual", "--type", "A", "--rank", "2"],
+    ["flow", "check", "--side", "sc", "--gamma", "1", "--T", "6"],
+])
+def test_a_json_request_builds_no_text(argv, seed_path, monkeypatch, capsys):
+    if argv[0] == "flow":
+        argv = argv + ["--seed", seed_path]
+    monkeypatch.setattr(cli, "_mat_lines", _refuse)
+    monkeypatch.setattr(cli, "_weight_line", _refuse)
+    assert main(argv + ["--format", "json"]) == 0
+    # the refusing builders are the ones text mode calls
+    with pytest.raises(AssertionError, match="^text built"):
+        main(argv + ["--format", "text"])
+    capsys.readouterr()
+
+
+_JSON_CHARS = st.one_of(st.sampled_from('"\\\x00\n\x1f\x7f\xe9\u2028\ud800\udfff'),
+                        st.characters(blacklist_categories=()))
+_JSON_TEXT = st.text(_JSON_CHARS, max_size=8)
+_JSON_TREES = st.recursive(
+    st.one_of(_JSON_TEXT, st.integers(), st.integers(-2**80, 2**80),
+              st.sampled_from([2**64, -2**64 - 1, True, False, None])),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_JSON_TEXT, kids, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_json_writer_matches_json_dumps(tree):
+    assert cli._json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [0.5, Fraction(1, 2), {1}, {1: "a"}, {"a": 1, 2: "b"},
+                                   {"a": [1, 0.0]}])
+def test_json_writer_refuses_what_a_report_must_not_hold(value):
+    with pytest.raises(TypeError):
+        cli._json(value)

@@ -288,7 +288,7 @@ def test_discriminant_groups():
 
 
 def test_discriminant_group_order_matches_determinant():
-    from cosetlab.ratlinalg import determinant, mat
+    from cosetlab.ratlinalg import determinant, vec
 
     for family, rank in [("A", 1), ("A", 2), ("A", 3), ("D", 4)]:
         rs = build_root_system(family, rank)
@@ -296,7 +296,7 @@ def test_discriminant_group_order_matches_determinant():
         order = 1
         for d in discriminant_group(lat):
             order *= d
-        assert order == abs(determinant(mat(lat.gram)))
+        assert order == abs(determinant(tuple(map(vec, lat.gram))))
         hv = rs.dual_coxeter
         assert order == (1 + hv) ** rs.rank
 

@@ -16,7 +16,8 @@ B-side denominator or truncates, by recompiling ``opecalc.ope_table``;
 both fail acceptance criterion 05 and the ope verify grid digest.  Chevalley
 constants with N[alpha_1, alpha_2] and N[alpha_2, alpha_1] negated fail the
 Jacobi certificate of ``test_rootsys`` and, put in a table, the commutator
-formula of ``test_opecalc``, while fst still passes.  They feed character
+formula of ``test_opecalc``, while fst still passes; doubled instead, in a
+table, they fail the commutator formula too, and fst passes again.  They feed character
 transport a wrong eta power or a short lattice enumeration, by replacing
 ``charflow.eta_power`` or ``charflow.enumerate_by_norm``, or an enumeration
 whose running sum skips one basis row or that drops one of the offset's
@@ -318,6 +319,13 @@ def _flip_n(rs, n):
     return {**n, (a1, a2): -n[a1, a2], (a2, a1): -n[a2, a1]}
 
 
+def _double_n(rs, n):
+    """The Chevalley constants with N[alpha_1, alpha_2] and N[alpha_2, alpha_1]
+    both doubled: still antisymmetric, but no longer a Lie bracket."""
+    a1, a2 = rs.simple_roots[:2]
+    return {**n, (a1, a2): 2 * n[a1, a2], (a2, a1): 2 * n[a2, a1]}
+
+
 @pytest.mark.parametrize("family, rank, triples", [("A", 2, 5), ("B", 2, 7), ("G", 2, 11)])
 def test_jacobi_sees_a_flipped_structure_constant(family, rank, triples):
     rs = build_root_system(family, rank)
@@ -332,6 +340,16 @@ def test_commutator_formula_sees_a_flipped_structure_constant(family, rank, iden
     assert test_opecalc.commutator_failures(mutant) == identities
     # fst compares the dressed currents with wanted terms built from the same
     # table, so it passes: only a Jacobi-type verdict on the OPE layer sees it
+    assert opecalc.verify_fst_homomorphism(mutant).ok
+
+
+@pytest.mark.parametrize("family, rank, identities", [("A", 2, (824, 38)), ("B", 2, (1292, 50))])
+def test_commutator_formula_sees_a_doubled_structure_constant(family, rank, identities):
+    rs = build_root_system(family, rank)
+    table = opecalc.make_table(rs, 1)
+    mutant = dataclasses.replace(table, n_table=_double_n(rs, table.n_table))
+    assert test_opecalc.commutator_failures(mutant) == identities
+    # as for the flipped constants, fst still passes
     assert opecalc.verify_fst_homomorphism(mutant).ok
 
 

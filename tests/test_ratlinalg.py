@@ -11,25 +11,26 @@ from cosetlab.ratlinalg import (
     determinant,
     identity,
     leading_minors,
-    mat,
     mat_inv,
     mat_mul,
     mat_vec,
     parse_rational,
     smith_normal_form,
     solve,
+    vec,
 )
 
 
 def test_mat_inv_round_trip():
     # plain; a zero (0, 0) entry, so a row swap; fractional entries
-    for a in (mat([(2, 1), (1, 1)]), mat([(0, 1, 2), (1, 0, 3), (4, -3, 8)]),
-              mat([("1/2", "-2/3"), ("3/4", "5/7")])):
+    for a in (tuple(map(vec, [(2, 1), (1, 1)])),
+              tuple(map(vec, [(0, 1, 2), (1, 0, 3), (4, -3, 8)])),
+              tuple(map(vec, [("1/2", "-2/3"), ("3/4", "5/7")]))):
         assert mat_mul(a, mat_inv(a)) == identity(len(a))
     assert mat_inv(()) == ()
     # leading minors 1, 0 and 1, 1, 0: each singular only at its last pivot
-    for singular in (mat([(1, 2), (2, 4)]),
-                     mat([(1, 0, 0), (0, 1, 0), (1, 1, 0)])):
+    for singular in (tuple(map(vec, [(1, 2), (2, 4)])),
+                     tuple(map(vec, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]))):
         with pytest.raises(ValueError, match="^matrix is singular$"):
             mat_inv(singular)
 
@@ -41,7 +42,7 @@ _ENTRY = st.one_of(st.just(Q(0)), st.fractions(-5, 5, max_denominator=6))
 @given(st.integers(0, 4).flatmap(lambda n: st.lists(
     st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_mat_inv_is_an_exact_two_sided_inverse(rows):
-    a = mat(rows)
+    a = tuple(map(vec, rows))
     if determinant(a) == 0:
         with pytest.raises(ValueError, match="^matrix is singular$"):
             mat_inv(a)
@@ -51,16 +52,16 @@ def test_mat_inv_is_an_exact_two_sided_inverse(rows):
 
 
 def test_solve_against_known_solution():
-    a = mat([(2, 0, 1), (0, 1, 0), (1, 0, 1)])
+    a = tuple(map(vec, [(2, 0, 1), (0, 1, 0), (1, 0, 1)]))
     x = (Q(3), Q(-2), Q(5))
     b = mat_vec(a, x)
     assert solve(a, b) == x
 
 
 def test_determinant_values():
-    assert determinant(mat([(3,)])) == 3
-    assert determinant(mat([(2, -1), (-1, 2)])) == 3
-    assert determinant(mat([(1, 2), (2, 4)])) == 0
+    assert determinant(tuple(map(vec, [(3,)]))) == 3
+    assert determinant(tuple(map(vec, [(2, -1), (-1, 2)]))) == 3
+    assert determinant(tuple(map(vec, [(1, 2), (2, 4)]))) == 0
 
 
 def test_smith_normal_form_frozen_cases():
@@ -138,15 +139,15 @@ def test_mat_mul_matches_fraction_reference(n, m, p, data):
                            min_size=n, max_size=n))
     b = data.draw(st.lists(st.lists(rationals, min_size=p, max_size=p),
                            min_size=m, max_size=m))
-    assert mat_mul(mat(a), mat(b)) == _reference_mul(a, b)
+    assert mat_mul(tuple(map(vec, a)), tuple(map(vec, b))) == _reference_mul(a, b)
     assert mat_mul(a, b) == _reference_mul(a, b)  # plain nested lists too
 
 
 def test_mat_mul_rejects_inner_dimension_mismatch():
     with pytest.raises(ValueError):
-        mat_mul(mat([(1, 2, 3)]), mat([(1,), (2,)]))
+        mat_mul(tuple(map(vec, [(1, 2, 3)])), tuple(map(vec, [(1,), (2,)])))
     with pytest.raises(ValueError):
-        mat_mul(mat([(1, 2)]), mat([(1,), (2,), (3,)]))
+        mat_mul(tuple(map(vec, [(1, 2)])), tuple(map(vec, [(1,), (2,), (3,)])))
 
 
 def _signature_by_determinants(m):
@@ -192,11 +193,11 @@ def test_signature_with_zero_leading_minors(gram, expected):
 
 
 def test_determinant_exact_on_singular_swapped_and_rational_inputs():
-    assert determinant(mat([(0, 1), (1, 0)])) == -1  # needs a row swap
-    assert determinant(mat([(0, 0, 1), (0, 2, 0), (3, 0, 0)])) == -6
-    assert determinant(mat([(1, 2, 3), (2, 4, 6), (0, 1, 1)])) == 0
-    assert determinant(mat([(0, 0), (0, 5)])) == 0
-    assert determinant(mat([(Q(1, 2), Q(1, 3)), (Q(1, 4), Q(1, 5))])) == Q(1, 60)
+    assert determinant(tuple(map(vec, [(0, 1), (1, 0)]))) == -1  # needs a row swap
+    assert determinant(tuple(map(vec, [(0, 0, 1), (0, 2, 0), (3, 0, 0)]))) == -6
+    assert determinant(tuple(map(vec, [(1, 2, 3), (2, 4, 6), (0, 1, 1)]))) == 0
+    assert determinant(tuple(map(vec, [(0, 0), (0, 5)]))) == 0
+    assert determinant(tuple(map(vec, [(Q(1, 2), Q(1, 3)), (Q(1, 4), Q(1, 5))]))) == Q(1, 60)
     assert determinant(()) == 1
 
 
@@ -204,7 +205,7 @@ def test_determinant_exact_on_singular_swapped_and_rational_inputs():
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(
     st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_determinant_matches_leibniz(rows):
-    assert determinant(mat(rows)) == _leibniz_det(rows)
+    assert determinant(tuple(map(vec, rows))) == _leibniz_det(rows)
 
 
 @pytest.mark.parametrize("x, expected", [

@@ -210,10 +210,10 @@ def test_long_root_gram_refuses_a_fractional_entry():
 
 def test_long_roots_lie_in_long_root_lattice():
     # every long root must be an integer combination of simple coroots
-    from cosetlab.ratlinalg import mat, mat_inv
+    from cosetlab.ratlinalg import mat_inv, vec
     for family, rank in [("B", 2), ("C", 3), ("G", 2), ("F", 4)]:
         rs = build_root_system(family, rank)
-        basis = mat(rs.long_root_basis())
+        basis = tuple(map(vec, rs.long_root_basis()))
         to_basis = mat_inv(tuple(zip(*basis)))
         for alpha in rs.positive_roots:
             if rs.norm(alpha) == 2:
