@@ -17,8 +17,8 @@ from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .bilinear import ScWeight, sc_weight_from_jstar
-from .ratlinalg import (Vector, bareiss, integer_vector, leading_minors,
-                        smith_normal_form)
+from .ratlinalg import (Vector, bareiss, determinant, integer_vector,
+                        leading_minors, smith_normal_form)
 from .rootsys import RootSystem
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -54,12 +54,9 @@ def _bilinear(u: Sequence, m: IntMatrix, v: Sequence):
     return sum(x * sum(map(mul, m[i], v)) for i, x in enumerate(u) if x)
 
 
-def _signature(gram: IntMatrix) -> str:
-    """Sylvester classification into positive / negative / indefinite.
-
-    A zero leading minor ends the list and makes the lattice indefinite.
-    """
-    minors = leading_minors(gram)
+def _signature(minors: Sequence[int]) -> str:
+    """Sylvester classification of a Gram's leading minors into positive /
+    negative / indefinite; a zero minor ends the list and means indefinite."""
     if all(x > 0 for x in minors):
         return "positive"
     if all((x > 0) == (m % 2 == 0) and x != 0 for m, x in enumerate(minors, 1)):
@@ -70,13 +67,14 @@ def _signature(gram: IntMatrix) -> str:
 @dataclass(frozen=True)
 class IntegralLattice:
     """A based integral lattice carrying a bimultiplicative two-cocycle: its
-    name, Gram and cocycle, with the rank and the signature read off the
-    Gram, so ``dataclasses.replace`` recomputes both."""
+    name, Gram and cocycle, with the rank, the signature and the determinant
+    read off the Gram, so ``dataclasses.replace`` recomputes them."""
 
     name: str
     gram: IntMatrix
     eps_exponents: IntMatrix
     signature: str = field(init=False)
+    determinant: int = field(init=False)
 
     def __post_init__(self) -> None:
         n = len(self.gram)
@@ -89,7 +87,10 @@ class IntegralLattice:
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError("gram matrix is not symmetric")
         _assert_cocycle_identity(self.gram, self.eps_exponents)
-        object.__setattr__(self, "signature", _signature(self.gram))
+        minors = leading_minors(self.gram)  # they stop at a zero minor
+        det = ([1] + minors)[-1] if len(minors) == n else int(determinant(self.gram))
+        object.__setattr__(self, "signature", _signature(minors))
+        object.__setattr__(self, "determinant", det)
 
     @property
     def rank(self) -> int:
@@ -295,7 +296,7 @@ def build_E_minus_lattice(rs: RootSystem, k) -> IntegralLattice:
 
 def discriminant_group(lattice: IntegralLattice) -> List[int]:
     """Elementary divisors (>1) of the Gram matrix, in divisibility order."""
-    return [d for d in smith_normal_form(lattice.gram) if d > 1]
+    return [d for d in smith_normal_form(lattice.gram, lattice.determinant) if d > 1]
 
 
 def enumerate_by_norm(lattice: IntegralLattice | EmbeddedLattice, bound,

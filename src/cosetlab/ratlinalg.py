@@ -2,7 +2,7 @@
 
 Products and determinants run on Python integers: each operand is scaled by
 the lcm of its denominators and each distinct result entry is divided once.
-The Smith form of a nonsingular matrix eliminates modulo its determinant.
+The Smith form works modulo its caller's determinant, on unit pivots if any.
 """
 
 from __future__ import annotations
@@ -158,41 +158,49 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return a, u0, v0
 
 
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> List[int]:
-    """Diagonal of the Smith normal form of a nonsingular square integer
-    matrix, in divisibility order.
+def smith_normal_form(rows: Sequence[Sequence[int]], det: int) -> List[int]:
+    """Diagonal of the Smith normal form of a square integer matrix whose
+    determinant det is nonzero, in divisibility order.
 
     Elimination modulo D = |det| (Hafner-McCurley 1991; Cohen, A Course in
     Computational Algebraic Number Theory, 2.4.2): the row lattice holds
-    D Z^n, so rows reduced mod D span it together with D Z^n.  Unimodular
-    extended-gcd row steps clear the pivot's column, and the matrix is
-    transposed until its row is clear too; pivot p splits off gcd(p, D),
-    and a gcd/lcm pass puts the divisors in divisibility order.
+    D Z^n, so rows reduced mod D span it together with D Z^n.  A unit pivot
+    mod D clears its column with one update per row, else unimodular
+    extended-gcd row steps do.  Pivot p splits off g = gcd(p, D) when g
+    divides the rest of its row, which column steps mod D then clear; else
+    the matrix is transposed.  A gcd/lcm pass sorts by divisibility.
     """
-    m = [[int(x) for x in row] for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    n, D = len(rows), abs(det)
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    pivots, _ = bareiss([row[:] for row in m], pivoting=True)
-    D = abs(pivots[-1]) if pivots else 1
     if D == 0:
         raise ValueError("matrix is singular")
-    m = [[x % D for x in row] for row in m]
+    m = [[int(x) % D for x in row] for row in rows]
     diag: List[int] = []
     for t in range(n):
         while True:
-            for i in range(t + 1, n):
-                if m[i][t]:
-                    g, u, v = _xgcd(m[t][t], m[i][t])
-                    a, b = m[t][t] // g, m[i][t] // g
-                    top, row = m[t][t:], m[i][t:]
-                    if v:
-                        m[t][t:] = [(u * x + v * y) % D for x, y in zip(top, row)]
-                    m[i][t:] = [(a * y - b * x) % D for x, y in zip(top, row)]
-            if not any(m[t][t + 1:]):
+            unit = next((i for i in range(t, n) if gcd(m[i][t], D) == 1), None)
+            if unit is not None:
+                m[t], m[unit] = m[unit], m[t]
+                inv, top = pow(m[t][t], -1, D), m[t][t:]
+                for row in m[t + 1:]:
+                    if f := row[t] * inv % D:
+                        row[t:] = [(y - f * x) % D for x, y in zip(top, row[t:])]
+            else:
+                for i in range(t + 1, n):
+                    if m[i][t]:
+                        g, u, v = _xgcd(m[t][t], m[i][t])
+                        a, b = m[t][t] // g, m[i][t] // g
+                        top, row = m[t][t:], m[i][t:]
+                        if v:
+                            m[t][t:] = [(u * x + v * y) % D for x, y in zip(top, row)]
+                        m[i][t:] = [(a * y - b * x) % D for x, y in zip(top, row)]
+            g = gcd(m[t][t], D)
+            if all(x % g == 0 for x in m[t][t + 1:]):
                 break
+            # only the trailing block is read from here on, so it alone counts
             m = [list(col) for col in zip(*m)]
-        diag.append(gcd(m[t][t], D))
+        diag.append(g)
     for i in range(n):
         for j in range(i + 1, n):
             g = gcd(diag[i], diag[j])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cached_property
 from math import lcm
 from operator import add, mul, sub
 from typing import Dict, List, Sequence, Tuple
@@ -93,7 +94,6 @@ def _positive_roots(a: Tuple[Tuple[int, ...], ...]) -> Tuple[Coords, ...]:
 class RootSystem:
     family: str
     rank: int
-    form_inverse: Matrix
     positive_roots: Tuple[Coords, ...]
     root_index: Dict[Coords, int]
     highest_root: Coords
@@ -102,6 +102,12 @@ class RootSystem:
     # the simple roots come first, so its leading rank x rank block is the form
     pair_table: Tuple[Tuple[int, ...], ...]
     pair_den: int
+
+    @cached_property
+    def form_inverse(self) -> Matrix:
+        """Inverse of the form (pair_table's leading block), on first read."""
+        return mat_inv([[Q(x, self.pair_den) for x in row[:self.rank]]
+                        for row in self.pair_table[:self.rank]])
 
     @property
     def num_positive(self) -> int:
@@ -188,15 +194,22 @@ def _dual_coxeter(table: Tuple[Tuple[int, ...], ...], den: int,
     return ratio.numerator
 
 
-def _pair_table(form: Tuple[Tuple[int, ...], ...],
-                positives: Tuple[Coords, ...]) -> Tuple[Tuple[int, ...], ...]:
-    """u form v for every pair of positive roots u, v, in integers.  The form
-    is symmetric, so only v <= u is computed and the rest is copied."""
-    left = [[sum(map(mul, r, col)) for col in zip(*form)] for r in positives]
-    rows = [[sum(map(mul, u, v)) for v in positives[:i + 1]] for i, u in enumerate(left)]
-    for i, row in enumerate(rows):
-        row += [below[i] for below in rows[i + 1:]]
-    return tuple(map(tuple, rows))
+def _pair_table(form: Tuple[Tuple[int, ...], ...], positives: Tuple[Coords, ...],
+                index: Dict[Coords, int]) -> Tuple[Tuple[int, ...], ...]:
+    """u form v for every pair of positive roots u, v, in integers, by closure:
+    beta past the simple roots has some beta - alpha_i earlier in height
+    order, and adds alpha_i's row to that root's row.  Closing the form's rows
+    gives the simple-root columns, which are the simple rows; closing those
+    gives the full rows, one vector add per root."""
+    steps = [next((index[low], i) for i, x in enumerate(beta)
+                  if x and (low := beta[:i] + (x - 1,) + beta[i + 1:]) in index)
+             for beta in positives[len(form):]]
+
+    def closed(rows):
+        for k, i in steps:
+            rows.append(tuple(map(add, rows[k], rows[i])))
+        return rows
+    return tuple(closed(list(zip(*closed(list(form))))))
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
@@ -205,15 +218,13 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     sym = _symmetrizer(a)
     den = max(sym)
     form_int = tuple(tuple(s * x for x in row) for s, row in zip(sym, a))
-    form_inv = mat_inv([[Q(x, den) for x in row] for row in form_int])
     positives = _positive_roots(a)
     index = {r: i for i, r in enumerate(positives)}
     theta = positives[-1]  # sorted by height first, and the highest root is unique
-    table = _pair_table(form_int, positives)
+    table = _pair_table(form_int, positives, index)
     return RootSystem(
         family=family,
         rank=rank,
-        form_inverse=form_inv,
         positive_roots=positives,
         root_index=index,
         highest_root=theta,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetlab import cli, rootsys
+from cosetlab import cli, ratlinalg, rootsys
 from cosetlab.bilinear import ScWeight
 from cosetlab.cli import MAX_T, build_parser, main
 
@@ -146,6 +146,43 @@ def test_lattice_disc_expect_mismatch_exits_one(capsys):
 def test_lattice_disc_expect_match_exits_zero(capsys):
     assert main(["lattice", "disc", "--lattice", "qsc-dual",
                  "--type", "A", "--rank", "1", "--expect", "3"]) == 0
+    capsys.readouterr()
+
+
+def _counted(monkeypatch, name):
+    """Calls of ratlinalg's name, counted through every cosetlab module that
+    holds it: a module that imported it by name calls its own binding."""
+    real, calls = getattr(ratlinalg, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("cosetlab.")]:
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_root_system_and_lattice_builds_eliminate_once(capsys, monkeypatch):
+    bareiss, mat_inv = _counted(monkeypatch, "bareiss"), _counted(monkeypatch, "mat_inv")
+    # the signature pass gives the determinant, so the Smith form needs none
+    assert main(["lattice", "disc", "--lattice", "qsc-dual",
+                 "--type", "E", "--rank", "6", "--format", "json"]) == 0
+    assert (len(bareiss), len(mat_inv)) == (1, 0)
+    # no request of rootsys info or lattice disc reads the form inverse
+    requests = [["rootsys", "info", "--type", family, "--rank", rank]
+                for family, rank in (("A", "4"), ("B", "3"), ("E", "6"))]
+    requests += [["lattice", "disc", "--lattice", lattice, "--type", "B",
+                  "--rank", "3", *(["--level", "2"] if lattice[0] == "e" else [])]
+                 for lattice in ("l-plus", "l-minus", "e-plus", "e-minus")]
+    for argv in requests:
+        assert main(argv) == 0, argv
+    assert mat_inv == []
+    # weights map reads it, once per root system
+    assert main(["weights", "map", "--type", "B", "--rank", "3",
+                 "--level", "1", "--weight", "1,0,0"]) == 0
+    assert mat_inv == ["mat_inv"]
     capsys.readouterr()
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cosetlab import cli
 from cosetlab.latticekit import (
     EmbeddedLattice,
     IntegralLattice,
@@ -461,13 +462,47 @@ def test_enumerate_refuses_an_indefinite_or_singular_gram(gram):
         enumerate_by_norm(lat, 2)
 
 
+def _disc_lattices(rs):
+    """Every lattice ``lattice disc`` builds on rs: e-plus and e-minus at
+    levels 1 and 2, and qsc-dual only where rs is simply laced."""
+    for name, build in cli._LATTICES:
+        if name.startswith("e-"):
+            yield from (build(rs, k) for k in (1, 2))
+        elif name != "qsc-dual" or rs.is_simply_laced:
+            yield build(rs)
+
+
+@pytest.mark.parametrize("family, rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 3), ("D", 4), ("F", 4),
+    ("E", 6)])
+def test_lattice_determinant_is_the_gram_determinant(family, rank):
+    # the last leading minor of the signature pass, kept by the lattice
+    lattices = list(_disc_lattices(build_root_system(family, rank)))
+    assert len(lattices) == (7 if family in "ADE" else 6)
+    for lat in lattices:
+        assert lat.determinant == determinant(lat.gram), (family, rank, lat.name)
+
+
+def test_lattice_determinant_at_rank_zero_and_a_zero_leading_minor():
+    # the A1 kernel has no basis vector: the empty Gram has determinant 1
+    kernel = kernel_K(build_root_system("A", 1)).lattice
+    assert (kernel.rank, kernel.determinant, discriminant_group(kernel)) == (0, 1, [])
+    # the hyperbolic plane's first leading minor is 0, which ends the
+    # signature pass; the determinant comes from a pivoting pass instead
+    gram = ((0, 1), (1, 0))
+    plane = IntegralLattice("U", gram, default_cocycle(gram))
+    assert (plane.signature, plane.determinant) == ("indefinite", -1)
+    assert plane.determinant == determinant(gram)
+    assert discriminant_group(plane) == []
+
+
 def test_replace_recomputes_rank_and_signature():
     lat = IntegralLattice("X", ((2, 1), (1, 2)), ((0, 0), (1, 0)))
     assert (lat.rank, lat.signature) == (2, "positive")
     flipped = dataclasses.replace(lat, gram=((-2, -1), (-1, -2)))
     assert (flipped.rank, flipped.signature) == (2, "negative")
     mixed = dataclasses.replace(lat, gram=((2, 1), (1, -2)))
-    assert mixed.signature == "indefinite"
+    assert (mixed.signature, mixed.determinant) == ("indefinite", -5)
     with pytest.raises(ValueError, match="cocycle identity fails"):
         dataclasses.replace(lat, gram=((2, 0), (0, 2)))
 

@@ -38,9 +38,13 @@ or compares a one-sided weight up to its string's own cap, recompiles
 ``charflow._compare_supports``.  A series rescale that
 forgets the validity cap replaces ``QSeries._on``.  A discriminant group
 whose largest divisor is one prime too big replaces
-``latticekit.smith_normal_form``.  A kernel lattice whose last basis row
-is doubled, from replacing the name the acceptance module imported, fails
-criterion 03 at A2.  A dual Coxeter number one too big, from replacing
+``latticekit.smith_normal_form``; a unit pivot whose row multiplier skips
+the modular inverse, recompiled into that name, fails criterion 04 from A2
+on.  A root-pair table whose closure adds the wrong simple row, from
+recompiling ``rootsys._pair_table``, fails ``test_pair_table_matches_form``
+and makes ``rootsys info`` exit 2 on every golden type.  A kernel lattice
+whose last basis row is doubled, from replacing the name the acceptance
+module imported, fails criterion 03 at A2.  A dual Coxeter number one too big, from replacing
 ``rootsys._dual_coxeter``, fails acceptance criterion 02.
 A Cartan inverse with 1/2 added at (0, 1) and (1, 0), from replacing
 ``rootsys.mat_inv``, fails criteria 01 and 09 at A2, level 1.
@@ -68,7 +72,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetlab import bilinear, charflow, cli, latticekit, opecalc, rootsys
+from cosetlab import bilinear, charflow, cli, latticekit, opecalc, ratlinalg, rootsys
 from cosetlab.bilinear import weight_to_sc
 from cosetlab.charflow import (QSeries, affine_character, fermionize_character,
                                flow_af_equivariance_diff,
@@ -663,9 +667,9 @@ def test_flowed_floors_see_a_floor_one_too_high(monkeypatch):
     assert sum(floor != validity for floor, validity in pairs) == 308
 
 
-def _inflated_smith(rows):
+def _inflated_smith(rows, det):
     """The Smith diagonal with its largest divisor times its least prime."""
-    divisors = REAL_SMITH(rows)
+    divisors = REAL_SMITH(rows, det)
     last = divisors[-1]
     divisors[-1] *= next(p for p in range(2, last + 1) if last % p == 0)
     return divisors
@@ -680,6 +684,20 @@ def test_criterion_04_sees_an_inflated_divisor(family, rank, inflated,
     assert latticekit.discriminant_group(lattice) == [1 + rs.dual_coxeter] * rank
     monkeypatch.setattr(latticekit, "smith_normal_form", _inflated_smith)
     assert latticekit.discriminant_group(lattice) == inflated
+
+
+def test_criterion_04_sees_a_unit_pivot_without_its_inverse(monkeypatch):
+    # each row below a unit pivot p takes m[i][t] / p times the pivot row;
+    # taking m[i][t] times it leaves the column uncleared wherever p != 1
+    monkeypatch.setattr(latticekit, "smith_normal_form", _recompiled(
+        ratlinalg.smith_normal_form, "row[t] * inv % D", "row[t]"))
+    with pytest.raises(AssertionError, match=r"^\('A', 2\)"):
+        test_acceptance.test_criterion_04_discriminant_groups()
+    # A1 has no row below its pivot; every larger type of the criterion fails
+    groups = [latticekit.discriminant_group(latticekit.build_Qsc_dual_lattice(
+        build_root_system(family, rank))) for family, rank in (
+            ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("E", 6))]
+    assert groups == [[3], [2, 16], [], [2, 2, 2, 2], [], []]
 
 
 def _doubled_last_kernel_row(rs):
@@ -706,6 +724,29 @@ def test_criterion_02_sees_h_vee_plus_one(monkeypatch):
     # not only the first type of the grid: every one fails
     for family, rank in test_acceptance.TYPE_GRID:
         assert not check_hvee_identity(build_root_system(family, rank))
+
+
+# every type with a golden rootsys info case
+GOLDEN_ROOTSYS_TYPES = [("A", 2), ("A", 12), ("B", 3), ("B", 6), ("C", 3),
+                        ("C", 6), ("D", 4), ("E", 6), ("E", 7), ("E", 8),
+                        ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("family, rank", GOLDEN_ROOTSYS_TYPES)
+def test_a_closure_row_from_the_wrong_simple_row_is_seen(family, rank, capsys,
+                                                         monkeypatch):
+    # beta's row is beta - alpha_i's row plus alpha_(i-1)'s, not alpha_i's
+    monkeypatch.setattr(rootsys, "_pair_table", _recompiled(
+        rootsys._pair_table, "rows[k], rows[i])", "rows[k], rows[i - 1])"))
+    assert cli.main(["rootsys", "info", "--type", family, "--rank", str(rank)]) == 2
+    assert capsys.readouterr().err == (
+        "error: form sum is not proportional to the test weight\n")
+    # the table test sees it on its own, past the build's h-vee check too
+    with pytest.raises(ValueError, match="not proportional"):
+        test_rootsys.test_pair_table_matches_form(family, rank)
+    monkeypatch.setattr(rootsys, "_dual_coxeter", lambda *args: 0)
+    with pytest.raises(AssertionError):
+        test_rootsys.test_pair_table_matches_form(family, rank)
 
 
 def _skewed_inverse(a):

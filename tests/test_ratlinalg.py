@@ -65,22 +65,27 @@ def test_determinant_values():
 
 
 def test_smith_normal_form_frozen_cases():
-    assert smith_normal_form([[3]]) == [3]
-    assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
-    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_normal_form([[4, 0], [0, 6]]) == [2, 12]
-    assert smith_normal_form([[3, 1], [1, 3]]) == [1, 8]
-    assert smith_normal_form([[0, 1], [1, 0]]) == [1, 1]
+    assert smith_normal_form([[3]], 3) == [3]
+    assert smith_normal_form([[1, 0], [0, 1]], 1) == [1, 1]
+    assert smith_normal_form([[2, 0], [0, 3]], 6) == [1, 6]
+    assert smith_normal_form([[4, 0], [0, 6]], 24) == [2, 12]
+    assert smith_normal_form([[3, 1], [1, 3]], 8) == [1, 8]
+    assert smith_normal_form([[0, 1], [1, 0]], -1) == [1, 1]
+    # no unit mod 4 in the first column, and gcd(2, 4) does not divide the
+    # 1 beside the pivot: the gcd steps run, then the transpose
+    assert smith_normal_form([[2, 1], [0, 2]], 4) == [1, 4]
+    # no unit mod 20 in the first column: the gcd steps give the pivot 2
+    assert smith_normal_form([[4, 6], [6, 4]], -20) == [2, 10]
     # eliminating over Z without reduction, the entries of this one reach
     # millions of bits on the fourth pivot; modulo |det| they stay below it
     blowup = [[4, 6, -2, -1, 9, 4], [9, -5, -6, 7, -4, -7],
               [3, 0, 5, -9, -1, -6], [2, -2, -4, -9, -5, 4],
               [-7, 1, 5, -8, 6, -2], [-7, 6, -5, 8, -9, -5]]
-    assert smith_normal_form(blowup) == [1, 1, 1, 1, 1, 1860234]
+    assert smith_normal_form(blowup, -1860234) == [1, 1, 1, 1, 1, 1860234]
     with pytest.raises(ValueError, match="singular"):
-        smith_normal_form([[2, 0], [0, 0]])
+        smith_normal_form([[2, 0], [0, 0]], 0)
     with pytest.raises(ValueError, match="not square"):
-        smith_normal_form([[1, 0, 0], [0, 1, 0]])
+        smith_normal_form([[1, 0, 0], [0, 1, 0]], 1)
 
 
 def _determinantal_divisors(rows):
@@ -102,11 +107,12 @@ def _determinantal_divisors(rows):
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(
     st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_smith_normal_form_properties(rows):
-    assume(_leibniz_det(rows) != 0)
-    divisors = smith_normal_form(rows)
+    det = int(_leibniz_det(rows))
+    assume(det != 0)
+    divisors = smith_normal_form(rows, det)
     assert divisors == _determinantal_divisors(rows)
     # invariant under transposition
-    assert smith_normal_form(tuple(zip(*rows))) == divisors
+    assert smith_normal_form(tuple(zip(*rows)), det) == divisors
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -170,8 +176,8 @@ def _symmetric(rows):
     st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_signature_matches_one_determinant_per_minor(rows):
     gram = _symmetric(rows)
-    assert _signature(gram) == _signature_by_determinants(gram)
     minors = leading_minors(gram)
+    assert _signature(minors) == _signature_by_determinants(gram)
     for j, x in enumerate(minors, 1):
         assert x == _leibniz_det([row[:j] for row in gram[:j]])
     assert len(minors) == len(gram) or minors[-1] == 0
@@ -187,7 +193,7 @@ def test_signature_matches_one_determinant_per_minor(rows):
     ((), "positive"),
 ])
 def test_signature_with_zero_leading_minors(gram, expected):
-    assert _signature(gram) == expected
+    assert _signature(leading_minors(gram)) == expected
     if gram:
         assert _signature_by_determinants(gram) == expected
 
