@@ -26,7 +26,6 @@ from .bilinear import (
     ScWeight,
     conformal_weight_plus,
     gram_G_star,
-    gram_g_star,
     level_params,
     make_sc_weight,
     sc_weight_to_af,
@@ -496,10 +495,9 @@ def cflemma_check(gamma: Sequence, seed: FormalCharacter, mu: Sequence, T,
 
 
 def _sc_flow_form(rs: RootSystem, k, g: Sequence[int]):
-    """The quadratic term g.g*.g / 2 of a coset flow by g, g* at level k."""
-    gs = gram_g_star(rs, k)
-    return sum(g[i] * g[j] * gs[i][j]
-               for i in range(rs.rank) for j in range(rs.rank)) / 2
+    """The quadratic term g.g*.g / 2 of a coset flow by g, in closed form:
+    g* = delta - (alpha_i, alpha_j)/(k + h_vee) at level k."""
+    return (sum(x * x for x in g) - rs.norm(g) / level_params(rs, k).shifted) / 2
 
 
 def _flow(ch: FormalCharacter, new_base, rekey, g, const) -> FormalCharacter:

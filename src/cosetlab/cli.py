@@ -257,16 +257,11 @@ _LATTICES = (
 
 def cmd_lattice_disc(args):
     rs = build_root_system(args.type, args.rank)
-    needs_level = args.lattice in ("e-plus", "e-minus")
-    if needs_level and args.level is None:
-        raise ValueError(f"lattice {args.lattice} needs --level")
-    if not needs_level and args.level is not None:
-        raise ValueError(f"lattice {args.lattice} does not take --level")
-    build = dict(_LATTICES)[args.lattice]
-    if needs_level:
-        lat = build(rs, parse_rational(args.level, "--level"))
-    else:
-        lat = build(rs)
+    if (args.lattice in ("e-plus", "e-minus")) == (args.level is None):
+        raise ValueError(f"lattice {args.lattice} " + (
+            "needs --level" if args.level is None else "does not take --level"))
+    level = () if args.level is None else (parse_rational(args.level, "--level"),)
+    lat = dict(_LATTICES)[args.lattice](rs, *level)
     divisors = discriminant_group(lat)
     order = math.prod(divisors)
     ok = True
@@ -349,92 +344,66 @@ def cmd_flow_check(args):
                         side=args.side, gamma=gamma_out)
 
 
-def _add_rs_flags(sp, with_level: bool) -> None:
-    sp.add_argument("--type", required=True, help="family label, e.g. A or G")
-    sp.add_argument("--rank", type=int, required=True)
-    if with_level:
-        sp.add_argument("--level", required=True,
-                        help="exact rational, e.g. 1 or 5/3")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
+# Flags that several commands share, each a (name, add_argument keywords) pair
+_TYPE = ("--type", dict(required=True, help="family label, e.g. A or G"))
+_RANK = ("--rank", dict(type=int, required=True))
+_LEVEL = ("--level", dict(required=True, help="exact rational, e.g. 1 or 5/3"))
+_SEED = ("--seed", dict(required=True, help="seed JSON path"))
+_T = ("--T", dict(required=True, help="truncation order, exact rational"))
+_SEED_WEIGHT = ("--weight", dict(help="reference weight, defaults to the seed base"))
+_FORMAT = ("--format", dict(choices=("text", "json"), default="text"))
 
-
-def _add_seed_flags(sp, with_flow: bool) -> None:
-    sp.add_argument("--seed", required=True, help="seed JSON path")
-    if with_flow:
-        sp.add_argument("--side", required=True, choices=("sc", "af"))
-        sp.add_argument("--gamma", required=True,
-                        help="flow parameter as root-lattice coordinates")
-    sp.add_argument("--T", required=True,
-                    help="truncation order, exact rational")
-    sp.add_argument("--weight", default=None,
-                    help="reference weight, defaults to the seed base")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
+# (group, group help, action, action help, handler, flags): one row per
+# command, its flags in the order --help lists them
+_COMMANDS = (
+    ("rootsys", "root-system data", "info", "print invariants and positive roots",
+     cmd_rootsys_info, (_TYPE, _RANK, _FORMAT)),
+    ("forms", "level-dependent bilinear forms", "verify", "check the Gram inverse pairs",
+     cmd_forms_verify, (_TYPE, _RANK, _LEVEL, _FORMAT)),
+    ("weights", "weight coordinate maps", "map", "map a weight across the two sides",
+     cmd_weights_map, (_TYPE, _RANK, _LEVEL, _FORMAT, (
+         "--weight", dict(required=True, help="comma-separated simple-root coordinates")))),
+    ("lattice", "lattice invariants", "disc", "discriminant group of a named lattice",
+     cmd_lattice_disc, (
+         ("--lattice", dict(required=True, choices=tuple(name for name, _ in _LATTICES))),
+         ("--type", dict(required=True)), _RANK,
+         ("--level", dict(help="positive integer, e-plus/e-minus only")),
+         ("--expect", dict(help="assert these elementary divisors (comma list, or the word none)")),
+         _FORMAT)),
+    ("ope", "operator product checks", "verify", "verify commutation relations",
+     cmd_ope_verify, (
+         ("--check", dict(default="all", choices=(*(name for name, _ in _OPE_CHECKS), "all"))),
+         _TYPE, _RANK, _LEVEL, _FORMAT)),
+    ("char", "formal character transforms", "roundtrip", "transport a seed there and back",
+     cmd_char_roundtrip, (_SEED, _T, _SEED_WEIGHT, _FORMAT)),
+    ("flow", "spectral-flow identities", "check", "flow/transport equivariance",
+     cmd_flow_check, (
+         _SEED, ("--side", dict(required=True, choices=("sc", "af"))),
+         ("--gamma", dict(required=True, help="flow parameter as root-lattice coordinates")),
+         _T, _SEED_WEIGHT, _FORMAT)),
+)
 
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="cosetlab",
-        description="exact verification toolkit for coset free-field data")
+        prog="cosetlab", description="exact verification toolkit for coset free-field data")
     groups = parser.add_subparsers(dest="group", required=True)
-
-    def command(group, group_help, action, action_help, handler):
-        sub = groups.add_parser(group, help=group_help).add_subparsers(
-            dest="action", required=True)
-        sp = sub.add_parser(action, help=action_help)
+    for group, group_help, action, action_help, handler, flags in _COMMANDS:
+        sp = groups.add_parser(group, help=group_help).add_subparsers(
+            dest="action", required=True).add_parser(action, help=action_help)
         sp.set_defaults(handler=handler)
-        return sp
-
-    info = command("rootsys", "root-system data",
-                   "info", "print invariants and positive roots",
-                   cmd_rootsys_info)
-    _add_rs_flags(info, with_level=False)
-
-    verify = command("forms", "level-dependent bilinear forms",
-                     "verify", "check the Gram inverse pairs",
-                     cmd_forms_verify)
-    _add_rs_flags(verify, with_level=True)
-
-    wmap = command("weights", "weight coordinate maps",
-                   "map", "map a weight across the two sides",
-                   cmd_weights_map)
-    _add_rs_flags(wmap, with_level=True)
-    wmap.add_argument("--weight", required=True,
-                      help="comma-separated simple-root coordinates")
-
-    disc = command("lattice", "lattice invariants",
-                   "disc", "discriminant group of a named lattice",
-                   cmd_lattice_disc)
-    disc.add_argument("--lattice", required=True,
-                      choices=tuple(name for name, _ in _LATTICES))
-    disc.add_argument("--type", required=True)
-    disc.add_argument("--rank", type=int, required=True)
-    disc.add_argument("--level", default=None,
-                      help="positive integer, e-plus/e-minus only")
-    disc.add_argument("--expect", default=None,
-                      help="assert these elementary divisors"
-                           " (comma list, or the word none)")
-    disc.add_argument("--format", choices=("text", "json"), default="text")
-
-    ope = command("ope", "operator product checks",
-                  "verify", "verify commutation relations", cmd_ope_verify)
-    ope.add_argument("--check", default="all",
-                     choices=(*(name for name, _ in _OPE_CHECKS), "all"))
-    _add_rs_flags(ope, with_level=True)
-
-    roundtrip = command("char", "formal character transforms",
-                        "roundtrip", "transport a seed there and back",
-                        cmd_char_roundtrip)
-    _add_seed_flags(roundtrip, with_flow=False)
-
-    check = command("flow", "spectral-flow identities",
-                    "check", "flow/transport equivariance", cmd_flow_check)
-    _add_seed_flags(check, with_flow=True)
+        for name, options in flags:
+            sp.add_argument(name, **options)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # argparse stores [] for a flag whose value is "--" (--T=--)
+    if missing := [name for name, value in vars(args).items() if value == []]:
+        parser.error(f"argument --{missing[0]}: expected one argument")
     try:
         ok, payload, text = args.handler(args)
         sys.stdout.write((_json(payload) if args.format == "json"

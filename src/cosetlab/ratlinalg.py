@@ -7,6 +7,7 @@ The Smith form works modulo its caller's determinant, on unit pivots if any.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import mul
@@ -16,17 +17,33 @@ Vector = Tuple[Q, ...]
 Matrix = Tuple[Vector, ...]
 
 
+# The most digits a numerator or denominator read by parse_rational may have;
+# at a million, gcd inside Fraction arithmetic runs without end.
+MAX_DIGITS = 2000
+_DIGIT_BOUND = 10 ** MAX_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+
+
 def parse_rational(x, name: Optional[str] = None) -> Q:
-    """x as an exact rational; only an int (not a bool) or a string qualifies.
+    """x as an exact rational; only an int (not a bool) or a string qualifies,
+    and neither its numerator nor its denominator may pass MAX_DIGITS digits.
 
     name, when given, is the seed field or CLI flag the error message names.
     """
+    prefix = "" if name is None else f"{name} is "
     if isinstance(x, (int, str)) and not isinstance(x, bool):
+        exp = _EXPONENT.search(x) if isinstance(x, str) else None
         try:
-            return Q(x)
+            # an exponent past MAX_DIGITS by more than x's length leaves the
+            # value past it too, so _DIGIT_BOUND stands in for 10 ** exp
+            q = Q(x) if exp is None or abs(int(exp[1])) <= MAX_DIGITS + len(x) else Q(_DIGIT_BOUND)
         except (ValueError, ZeroDivisionError):
             pass
-    prefix = "" if name is None else f"{name} is "
+        else:
+            if max(abs(q.numerator), q.denominator) < _DIGIT_BOUND:
+                return q
+            raise ValueError(f"{prefix}too large: its numerator or denominator has"
+                             f" more than MAX_DIGITS = {MAX_DIGITS} digits")
     raise ValueError(f"{prefix}not an exact rational: {x!r}")
 
 

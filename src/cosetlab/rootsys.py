@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
-from math import lcm
 from operator import add, mul, sub
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .ratlinalg import Matrix, Vector, integer_rows, integer_vector, mat_inv, vec
 
@@ -51,23 +50,13 @@ def cartan_matrix(family: str, rank: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-def _symmetrizer(a: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
-    """Least positive integers D_i with D_i a_ij symmetric; the largest is
-    pair_den, so the form D_i a_ij / pair_den gives long roots norm 2.  Every
-    Dynkin diagram is connected, so the walk from node 0 reaches each node."""
-    rank = len(a)
-    d: List[Q] = [Q(0)] * rank
-    d[0] = Q(1)
-    todo = [0]
-    while todo:
-        i = todo.pop()
-        for j in range(rank):
-            if i != j and a[i][j] != 0 and d[j] == 0:
-                d[j] = d[i] * a[i][j] / a[j][i]
-                todo.append(j)
-    den = lcm(*(x.denominator for x in d))
-    # exact: den clears every denominator, and d_1 = 1 leaves no common factor
-    return tuple((x * den).numerator for x in d)
+def _symmetrizer(family: str, rank: int) -> Tuple[int, ...]:
+    """Least positive integers D_i with D_i a_ij symmetric: the bond (1 in A,
+    D and E) on its column root and every node on that side of the path, else
+    1.  The largest is pair_den: D_i a_ij / pair_den gives long roots norm 2."""
+    i, j, bond = _BONDS.get(family, (0, 0, 1))
+    i, j = i % rank, j % rank
+    return tuple(bond if (k <= j if j < i else k >= j) else 1 for k in range(rank))
 
 
 def _positive_roots(a: Tuple[Tuple[int, ...], ...]) -> Tuple[Coords, ...]:
@@ -215,7 +204,7 @@ def _pair_table(form: Tuple[Tuple[int, ...], ...], positives: Tuple[Coords, ...]
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the full root-system data for one finite simple type."""
     a = cartan_matrix(family, rank)
-    sym = _symmetrizer(a)
+    sym = _symmetrizer(family, rank)
     den = max(sym)
     form_int = tuple(tuple(s * x for x in row) for s, row in zip(sym, a))
     positives = _positive_roots(a)

@@ -276,6 +276,31 @@ def test_T_above_the_limit_is_refused_before_the_seed_is_read(command,
     capsys.readouterr()
 
 
+LIMIT_REFUSAL = ("too large: its numerator or denominator has more than"
+                 f" MAX_DIGITS = {ratlinalg.MAX_DIGITS} digits\n")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["weights", "map", "--type", "A", "--rank", "2", "--weight=1,0"], "--level is "),
+    (["ope", "verify", "--type", "A", "--rank", "1"], "--level is "),
+    (["forms", "verify", "--type", "E", "--rank", "8"], "--level is "),
+    (["char", "roundtrip", "--T", "2"], "bad seed file: bad level: "),
+    (["flow", "check", "--side", "af", "--gamma", "1", "--T", "2"], "bad seed file: bad level: "),
+], ids=["weights map", "ope verify", "forms verify", "char roundtrip", "flow check"])
+def test_an_enormous_level_is_refused(argv, reason, tmp_path, capsys):
+    # a million digits, on which Fraction's gcd would run without end
+    if argv[0] in ("char", "flow"):
+        p = tmp_path / "seed.json"
+        p.write_text(json.dumps({**A1_SEED, "level": "1e999999"}), encoding="utf-8")
+        argv = argv + ["--seed", str(p)]
+    else:
+        argv = argv + ["--level=1e999999"]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"error: {reason}{LIMIT_REFUSAL}"
+
+
 @pytest.mark.parametrize("command", [
     ("char", "roundtrip"),
     ("flow", "check", "--side", "sc", "--gamma", "1"),
@@ -399,6 +424,17 @@ SUBCOMMAND_REQUESTS = (
     ["flow", "check", "--seed", str(SEEDS / "B2.json"), "--side", "af", "--gamma=1,0",
      "--T", "6"],
 )
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_REQUESTS, ids=lambda argv: " ".join(argv[:2]))
+def test_a_flag_value_of_double_dash_is_a_usage_error(argv, capsys):
+    # argparse stores [] for --flag=--, and the last value given wins; []
+    # must not reach a handler, where it raises past the exit-code contract
+    for flag in [a.split("=")[0] for a in argv if a.startswith("--")] + ["--format"]:
+        with pytest.raises(SystemExit) as stop:
+            main(argv + [f"{flag}=--"])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.endswith(f": error: argument {flag}: expected one argument\n")
 
 
 def test_no_subcommand_leaves_a_cosetlab_function_to_the_cycle_collector(capsys):

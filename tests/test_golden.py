@@ -8,7 +8,9 @@ here.  Regenerate only when an output change is intended.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from fractions import Fraction as Q
@@ -195,3 +197,41 @@ def char_grid_digest():
 
 def test_char_grid_digest():
     assert char_grid_digest() == (CHAR_GRID_SHA256, 160, {0: 158, 2: 2})
+
+
+# --help of the top level, of the seven command groups and of the seven
+# commands at an 80-column terminal: 15 outputs pinned by one SHA-256 in the
+# form of the ope grid's, so a change to how the parser is declared cannot
+# move a flag, a choice or a help string
+HELP_COMMANDS = (("rootsys", "info"), ("forms", "verify"), ("weights", "map"),
+                 ("lattice", "disc"), ("ope", "verify"), ("char", "roundtrip"),
+                 ("flow", "check"))
+HELP_SHA256 = "58873b42d357432bb76c947c3381fce5461548907ee00671b7c6822af892e8cb"
+
+
+def help_argvs():
+    yield ["--help"]
+    for group, action in HELP_COMMANDS:
+        yield [group, "--help"]
+        yield [group, action, "--help"]
+
+
+def help_digest():
+    """The SHA-256 of every --help output, each call hashed as the ope
+    grid's with argparse's SystemExit code as its exit code; and the call
+    count."""
+    digest = hashlib.sha256()
+    calls = 0
+    for argv in help_argvs():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as stop:
+                cli.main(argv)
+        digest.update(f"{stop.value.code}\n{out.getvalue()}{err.getvalue()}".encode("utf-8"))
+        calls += 1
+    return digest.hexdigest(), calls
+
+
+def test_help_digest(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_digest() == (HELP_SHA256, 15)

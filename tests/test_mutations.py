@@ -45,7 +45,10 @@ recompiling ``rootsys._pair_table``, fails ``test_pair_table_matches_form``
 and makes ``rootsys info`` exit 2 on every golden type.  A kernel lattice
 whose last basis row is doubled, from replacing the name the acceptance
 module imported, fails criterion 03 at A2.  A dual Coxeter number one too big, from replacing
-``rootsys._dual_coxeter``, fails acceptance criterion 02.
+``rootsys._dual_coxeter``, fails acceptance criterion 02.  A symmetrizer
+that gives the bond to the short side of the path, recompiled into
+``rootsys._symmetrizer``, fails the symmetry test of ``test_rootsys`` on
+every B, C, F and G type.
 A Cartan inverse with 1/2 added at (0, 1) and (1, 0), from replacing
 ``rootsys.mat_inv``, fails criteria 01 and 09 at A2, level 1.
 A g* built at level k instead of k + h_vee, from replacing the integer
@@ -724,6 +727,15 @@ def test_criterion_02_sees_h_vee_plus_one(monkeypatch):
     # not only the first type of the grid: every one fails
     for family, rank in test_acceptance.TYPE_GRID:
         assert not check_hvee_identity(build_root_system(family, rank))
+
+
+def test_symmetrizer_sees_the_bond_on_the_short_side(monkeypatch):
+    monkeypatch.setattr(rootsys, "_symmetrizer", _recompiled(
+        rootsys._symmetrizer, "(k <= j if j < i else k >= j)",
+        "(k >= i if j < i else k <= i)"))
+    assert test_rootsys.symmetrizer_faults() == [
+        (family, rank) for family, (low, high) in rootsys.FAMILIES.items()
+        if family in "BCFG" for rank in range(low, min(high or 12, 12) + 1)]
 
 
 # every type with a golden rootsys info case

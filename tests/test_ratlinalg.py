@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cosetlab.latticekit import _signature
 from cosetlab.ratlinalg import (
+    MAX_DIGITS,
     determinant,
     identity,
     leading_minors,
@@ -230,3 +231,19 @@ def test_parse_rational_rejects_everything_else(x):
 def test_parse_rational_names_the_flag():
     with pytest.raises(ValueError, match="^--T is not an exact rational: 'x'$"):
         parse_rational("x", "--T")
+
+
+@pytest.mark.parametrize("x", [
+    "1e999999", "-1e-999999", "1e99999999999999999999", "0e999999", "1e2000",
+    "1/" + "3" * 2001, 10 ** 2000, -10 ** 4000, "1e" + "\u0669" * 9,
+], ids=["1e999999", "-1e-999999", "1e99999999999999999999", "0e999999", "1e2000",
+        "1/3...3", "10**2000", "-10**4000", "arabic-indic exponent"])
+def test_parse_rational_refuses_a_numerator_or_denominator_past_max_digits(x):
+    with pytest.raises(ValueError, match=f"^--level is too large: .* MAX_DIGITS = {MAX_DIGITS} digits$"):
+        parse_rational(x, "--level")
+
+
+def test_parse_rational_reads_up_to_max_digits():
+    assert parse_rational("1e1999") == 10 ** 1999
+    assert parse_rational("-1e-1999") == Q(-1, 10 ** 1999)
+    assert parse_rational(f"{10 ** MAX_DIGITS - 1}/7") == Q(10 ** MAX_DIGITS - 1, 7)

@@ -4,14 +4,16 @@ import dataclasses
 import json
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement
+from math import gcd
 from operator import add, mul, sub
 
 import pytest
 
-from cosetlab import cli
+from cosetlab import cli, rootsys
 from cosetlab.latticekit import build_E_minus_lattice, build_E_plus_lattice
 from cosetlab.ratlinalg import mat_vec
 from cosetlab.rootsys import (
+    FAMILIES,
     _dual_coxeter,
     build_root_system,
     cartan_matrix,
@@ -271,6 +273,23 @@ def test_rank_rule_at_every_family_boundary():
             with pytest.raises(ValueError) as exc:
                 build(family, rank)
             assert str(exc.value) == refusal, (family, rank)
+
+
+def symmetrizer_faults():
+    """(family, rank) up to rank 12 where rootsys._symmetrizer's D_i a_ij
+    is not symmetric or its entries share a factor."""
+    faults = []
+    for family, (low, high) in FAMILIES.items():
+        for rank in range(low, min(high or 12, 12) + 1):
+            a, d = cartan_matrix(family, rank), rootsys._symmetrizer(family, rank)
+            if gcd(*d) != 1 or any(d[i] * a[i][j] != d[j] * a[j][i]
+                                   for i in range(rank) for j in range(rank)):
+                faults.append((family, rank))
+    return faults
+
+
+def test_symmetrizer_symmetrizes_every_cartan_matrix():
+    assert symmetrizer_faults() == []
 
 
 @pytest.mark.parametrize("family, rank", sorted(COUNTS))
