@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction as Q
@@ -504,6 +505,100 @@ def test_validate_seed_reports_malformed_structure(raw, fragment):
 def test_affine_character_refuses_malformed_data(base, strings, fragment):
     with pytest.raises(ValueError, match=fragment):
         affine_character(build_root_system("A", 2), 1, base, strings)
+
+
+def _entry(offset, *terms, **extra):
+    """A string entry with (exp, coef) terms and min_exp "0" unless extra
+    overrides or (with a value of ...) drops a key."""
+    raw = {"weight_offset": offset,
+           "terms": [{"exp": e, "coef": c} for e, c in terms], "min_exp": "0"}
+    raw.update(extra)
+    return {key: value for key, value in raw.items() if value is not ...}
+
+
+_GOOD = _entry([0], ("0", "1"))
+# seeds that reach every message the reader can emit: the missing fields
+# (all reported), each header failure (only the first reported, even beside
+# a later bad field), each string-entry failure (one per entry, even beside
+# a later bad part of it), and several bad strings in one seed
+MALFORMED_SEEDS = [
+    5, [seed_dict()], {},
+    {key: v for key, v in seed_dict().items() if key not in ("level", "strings")},
+    seed_dict(rank=True), seed_dict(rank="1", level="0"),
+    seed_dict(type="Z"), seed_dict(type=5), seed_dict(rank=0), seed_dict(rank=-1),
+    seed_dict(level=0.5), seed_dict(level="0"), seed_dict(level="-2"),
+    seed_dict(level="1e999999"), seed_dict(level="3/0", base_weight=[0.5]),
+    seed_dict(base_weight=["0", "0"]), seed_dict(base_weight="0"),
+    seed_dict(base_weight=[0.5]), seed_dict(base_weight=[0.5], strings=5),
+    seed_dict(strings={"0": 1}), seed_dict(strings=None),
+    seed_dict(strings=[5, None, "x", [_GOOD]]),
+    seed_dict(strings=[_entry([0, 0], ("0", "1")), _entry(None, ("0", "1")),
+                       _entry(..., ("0", "1")), _entry(0, ("0", "1"))]),
+    seed_dict(strings=[_entry(["x"], ("0", "1")), _entry([True], ("0", "1")),
+                       _entry(["1/2"], ("0", "1")), _entry([0.5], ("0", "1")),
+                       _entry(["1/2"], ("x", "0"))]),
+    seed_dict(strings=[_GOOD, _entry(["0"], ("1", "1"), min_exp="1"),
+                       _entry(["2/2"], ("0", "1")), _entry([1], ("0", "1"))]),
+    # a duplicate only of a rejected entry is no duplicate
+    seed_dict(strings=[_entry([0], ("0", "0")), _GOOD]),
+    seed_dict(strings=[_entry([0]), _entry([1], terms=...), _entry([2], terms=0),
+                       _entry([3], terms=None), _entry([4], terms=""),
+                       _entry([5], terms={})]),
+    seed_dict(strings=[_entry([0], terms=5), _entry([1], terms={"0": "1"}),
+                       _entry([2], terms="x"), _entry([3], terms=True)]),
+    seed_dict(strings=[_entry([0], terms=[{"exp": "0"}]),
+                       _entry([1], terms=[{"coef": "1"}]),
+                       _entry([2], terms=[5]), _entry([3], terms=[None]),
+                       _entry([4], ("x", "1")), _entry([5], ("0", 0.5)),
+                       _entry([6], ("0", "1"), ("1", "1/0")),
+                       _entry([7], (True, "1"))]),
+    seed_dict(strings=[_entry([0], ("1", "1"), ("2/2", "2"), min_exp="1"),
+                       _entry([1], ("0", "1"), ("0", "0")),
+                       _entry([2], ("0", "0"), min_exp=...),
+                       _entry([3], ("0", "0"), ("x", "1")),
+                       _entry([4], ("-1/3", "0"), ("-1/3", "1"))]),
+    seed_dict(strings=[_entry([0], ("0", "1"), min_exp=...),
+                       _entry([1], ("0", "1"), min_exp=None),
+                       _entry([2], ("0", "1"), min_exp=0.5),
+                       _entry([3], ("0", "1"), min_exp="1/0"),
+                       _entry([4], ("0", "1"), min_exp=[]),
+                       _entry([5], ("1", "1"), ("2", "1")),
+                       _entry([6], ("1/2", "1"), ("-1", "3"), min_exp="1/2")]),
+    seed_dict(strings=[_GOOD, 5, _entry([1], terms=[]), _entry(["1/2"], ("0", "1")),
+                       _entry([2], ("0", "0")), _entry([3], ("1", "1")),
+                       _entry([4], ("0", "1"))]),
+]
+SEED_MESSAGES = (
+    "seed is not a JSON object", "missing field: ", "bad root system: rank is not",
+    "bad root system: unknown family", "bad root system: rank out of range",
+    "bad level: not an exact", "bad level: level is zero",
+    "bad level: level is the critical", "bad level: too large",
+    "base weight has the wrong length", "bad base weight: ", "strings is not a list",
+    "string entry is not an object: ", "weight offset has the wrong length: ",
+    "bad weight offset ", "weight offset is not in the root lattice: ",
+    "duplicate weight offset: ", "string has no terms: ", "terms is not a list in string ",
+    "bad term in string ", "duplicate exponent ", "zero coefficient at ",
+    "no minimum exponent declared: ", "bad minimum exponent in string ",
+    "declared minimum exponent ",
+)
+SEED_MESSAGES_SHA256 = "d081bf268ca43ce3ae75484a72e6e6c06468218c842f6243c3f9863cdc4ec2c1"
+
+
+def seed_messages_digest():
+    """The SHA-256 of the problems of every malformed seed, as one JSON list
+    of lists; and the count of problems."""
+    problems = []
+    for raw in MALFORMED_SEEDS:
+        report = validate_seed(raw)
+        assert report.character is None and report.problems
+        problems.append(report.problems)
+    text = json.dumps(problems)
+    assert all(message in text for message in SEED_MESSAGES)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest(), sum(map(len, problems))
+
+
+def test_seed_messages_digest():
+    assert seed_messages_digest() == (SEED_MESSAGES_SHA256, 77)
 
 
 def test_seed_json_round_trip():
