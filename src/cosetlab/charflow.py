@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import lcm
 from operator import add, mul, sub
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .bilinear import (
     ScWeight,
@@ -578,23 +578,13 @@ def spectral_flow_af_frame(rs: RootSystem, k, gamma: ScWeight) -> FlowFrame:
     if gamma.level != lp.k:
         raise ValueError("weight level does not match")
     c = _flow_coefficients(rs, gamma)
+    root = g_af_plus(rs, c)  # the sum of c_a alpha_a over the positive roots
+    xi = tuple(map(sub, c, f_af(rs, root, "+")))
     npos = rs.num_positive
-    xi = [0] * npos
-    zeta = [0] * rs.rank
-    for idx, alpha in enumerate(rs.positive_roots):
-        coef = c[idx]
-        if coef == 0:
-            continue
-        for j in range(rs.rank):
-            zeta[j] += coef * alpha[j]
-        if idx >= rs.rank:
-            xi[idx] += coef
-            for j in range(rs.rank):
-                xi[j] -= coef * alpha[j]
     gstar = gram_G_star(rs, lp.k)
     h = tuple(sum((Q(c[a]) * gstar[a][b] for a in range(npos)), Q(0))
               for b in range(npos))
-    return FlowFrame(tuple(xi), tuple(zeta), h)
+    return FlowFrame(xi, f_af(rs, root, "-"), h)
 
 
 def flow_sc_equivariance_diff(ch: FormalCharacter, mu: Sequence,
@@ -630,115 +620,95 @@ class SeedReport(NamedTuple):
     problems: Tuple[str, ...]
 
 
+def _read(context: str, read: Callable[[], object]):
+    """read(), a KeyError, TypeError, ValueError or OverflowError it raises
+    turned into a ValueError that context prefixes."""
+    try:
+        return read()
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{context}: {exc}") from None
+
+
+def _add_seed_string(strings: Dict[Tuple[int, ...], QSeries], entry,
+                     rank: int) -> None:
+    """Add one seed string entry to strings, or raise ValueError naming the
+    first problem of the entry."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"string entry is not an object: {entry!r}")
+    off_raw = entry.get("weight_offset")
+    label = str(off_raw)
+    if not isinstance(off_raw, list) or len(off_raw) != rank:
+        raise ValueError(f"weight offset has the wrong length: {label}")
+    off_q = _read(f"bad weight offset {label}",
+                  lambda: tuple(map(parse_rational, off_raw)))
+    off = integer_vector(off_q, f"weight offset is not in the root lattice: {label}")
+    if off in strings:
+        raise ValueError(f"duplicate weight offset: {label}")
+    terms_raw = entry.get("terms")
+    if not terms_raw:
+        raise ValueError(f"string has no terms: {label}")
+    if not isinstance(terms_raw, list):
+        raise ValueError(f"terms is not a list in string {label}")
+    terms: Dict[Q, Q] = {}
+    for t in terms_raw:
+        e, c = _read(f"bad term in string {label}",
+                     lambda: (parse_rational(t["exp"]), parse_rational(t["coef"])))
+        if e in terms:
+            raise ValueError(f"duplicate exponent {e} in string {label}")
+        if c == 0:
+            raise ValueError(f"zero coefficient at {e} in string {label}")
+        terms[e] = c
+    if entry.get("min_exp") is None:
+        raise ValueError(f"no minimum exponent declared: {label}")
+    declared = _read(f"bad minimum exponent in string {label}",
+                     lambda: parse_rational(entry["min_exp"]))
+    if declared != min(terms):
+        raise ValueError(f"declared minimum exponent {declared} does not match "
+                         f"{min(terms)} in string {label}")
+    strings[off] = QSeries.from_terms(terms.items())
+
+
 def validate_seed(raw) -> SeedReport:
-    """Build an affine character from seed data, or report every violation.
+    """Build an affine character from seed data, or report its problems.
 
     A seed is exact: its strings are finite polynomials with no validity cap,
     and each must declare the minimum exponent it actually attains.  Any
     decoded JSON value is accepted; a non-seed yields problems, never raises.
+    The report names every missing field; failing that, the first bad header
+    field; failing that, the first problem of each bad string entry.
     """
     if not isinstance(raw, dict):
         return SeedReport(None, ("seed is not a JSON object",))
-    problems: List[str] = []
-    for key in ("type", "rank", "level", "base_weight", "strings"):
-        if key not in raw:
-            problems.append(f"missing field: {key}")
+    problems = [f"missing field: {key}" for key in
+                ("type", "rank", "level", "base_weight", "strings") if key not in raw]
     if problems:
         return SeedReport(None, tuple(problems))
-    rank = raw["rank"]
-    if isinstance(rank, bool) or not isinstance(rank, int):
-        return SeedReport(None, (f"bad root system: rank is not a JSON"
-                                 f" integer: {rank!r}",))
     try:
-        rs = build_root_system(str(raw["type"]), rank)
-    except (TypeError, ValueError, OverflowError) as exc:
-        return SeedReport(None, (f"bad root system: {exc}",))
-    try:
-        k = parse_rational(raw["level"])
-        level_params(rs, k)
+        rank = raw["rank"]
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise ValueError(f"bad root system: rank is not a JSON integer: {rank!r}")
+        rs = _read("bad root system",
+                   lambda: build_root_system(str(raw["type"]), rank))
+        k = _read("bad level",
+                  lambda: level_params(rs, parse_rational(raw["level"])).k)
+        base_raw = raw["base_weight"]
+        if not isinstance(base_raw, list) or len(base_raw) != rs.rank:
+            raise ValueError("base weight has the wrong length")
+        base = _read("bad base weight",
+                     lambda: tuple(map(parse_rational, base_raw)))
+        if not isinstance(raw["strings"], list):
+            raise ValueError("strings is not a list")
     except ValueError as exc:
-        return SeedReport(None, (f"bad level: {exc}",))
-    base_raw = raw["base_weight"]
-    if not isinstance(base_raw, list) or len(base_raw) != rs.rank:
-        return SeedReport(None, ("base weight has the wrong length",))
-    try:
-        base = tuple(parse_rational(x) for x in base_raw)
-    except ValueError as exc:
-        return SeedReport(None, (f"bad base weight: {exc}",))
-    if not isinstance(raw["strings"], list):
-        return SeedReport(None, ("strings is not a list",))
+        return SeedReport(None, (str(exc),))
     strings: Dict[Tuple[int, ...], QSeries] = {}
     for entry in raw["strings"]:
-        if not isinstance(entry, dict):
-            problems.append(f"string entry is not an object: {entry!r}")
-            continue
-        label = str(entry.get("weight_offset"))
-        off_raw = entry.get("weight_offset")
-        if not isinstance(off_raw, list) or len(off_raw) != rs.rank:
-            problems.append(f"weight offset has the wrong length: {label}")
-            continue
         try:
-            off_q = [parse_rational(x) for x in off_raw]
+            _add_seed_string(strings, entry, rs.rank)
         except ValueError as exc:
-            problems.append(f"bad weight offset {label}: {exc}")
-            continue
-        off = integer_vector(off_q, None)
-        if off is None:
-            problems.append(
-                f"weight offset is not in the root lattice: {label}")
-            continue
-        if off in strings:
-            problems.append(f"duplicate weight offset: {label}")
-            continue
-        terms_raw = entry.get("terms")
-        if not terms_raw:
-            problems.append(f"string has no terms: {label}")
-            continue
-        if not isinstance(terms_raw, list):
-            problems.append(f"terms is not a list in string {label}")
-            continue
-        terms = []
-        seen = set()
-        bad = False
-        for t in terms_raw:
-            try:
-                e = parse_rational(t["exp"])
-                c = parse_rational(t["coef"])
-            except (KeyError, TypeError, ValueError) as exc:
-                problems.append(f"bad term in string {label}: {exc}")
-                bad = True
-                break
-            if e in seen:
-                problems.append(f"duplicate exponent {e} in string {label}")
-                bad = True
-                break
-            if c == 0:
-                problems.append(f"zero coefficient at {e} in string {label}")
-                bad = True
-                break
-            seen.add(e)
-            terms.append((e, c))
-        if bad:
-            continue
-        if "min_exp" not in entry or entry["min_exp"] is None:
-            problems.append(f"no minimum exponent declared: {label}")
-            continue
-        try:
-            declared = parse_rational(entry["min_exp"])
-        except ValueError as exc:
-            problems.append(f"bad minimum exponent in string {label}: {exc}")
-            continue
-        actual = min(e for e, _ in terms)
-        if declared != actual:
-            problems.append(
-                f"declared minimum exponent {declared} does not match "
-                f"{actual} in string {label}")
-            continue
-        strings[off] = QSeries.from_terms(terms)
+            problems.append(str(exc))
     if problems:
         return SeedReport(None, tuple(problems))
-    ch = FormalCharacter("af", rs, Q(k), base, strings)
-    return SeedReport(ch, ())
+    return SeedReport(FormalCharacter("af", rs, k, base, strings), ())
 
 
 def character_to_json(ch: FormalCharacter) -> dict:

@@ -115,8 +115,7 @@ def build_L_plus(rs: RootSystem) -> IntegralLattice:
     """Rank-N lattice indexed by the positive roots, identity pairing."""
     n = rs.num_positive
     gram = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    eps = tuple(tuple(1 if i > j else 0 for j in range(n)) for i in range(n))
-    return IntegralLattice("L+", gram, eps)
+    return IntegralLattice("L+", gram, default_cocycle(gram))
 
 
 def build_L_minus(rs: RootSystem) -> IntegralLattice:
@@ -210,13 +209,9 @@ def g_af_plus(rs: RootSystem, xi: Sequence) -> Vector:
 
 
 def g_af_minus(rs: RootSystem, zeta: Sequence) -> Vector:
-    """Pair against the minus generators: sum over simples of <zeta, a-> a."""
-    c = _lattice_coords(zeta, rs.rank)
-    out = [Q(0)] * rs.rank
-    for coeff, alpha in zip(c, rs.simple_roots):
-        for j in range(rs.rank):
-            out[j] += -coeff * alpha[j]
-    return tuple(out)
+    """Pair against the minus generators: sum over simples of <zeta, a-> a,
+    which is -zeta, the simple roots being unit vectors."""
+    return tuple(Q(-x) for x in _lattice_coords(zeta, rs.rank))
 
 
 def g_sc_plus(rs: RootSystem, k, xi: Sequence) -> ScWeight:
@@ -242,17 +237,9 @@ def form_profile(rs: RootSystem, gamma: Sequence) -> Vector:
 
 def kernel_K(rs: RootSystem) -> EmbeddedLattice:
     """Kernel of g_af_plus inside L+, with basis alpha+ - f_af(alpha, +)."""
-    lat = build_L_plus(rs)
-    n = rs.num_positive
-    basis = []
-    for idx in range(rs.rank, n):
-        alpha = rs.positive_roots[idx]
-        row = [0] * n
-        row[idx] = 1
-        for j in range(rs.rank):
-            row[j] -= alpha[j]
-        basis.append(tuple(row))
-    return sublattice(lat, basis, "K")
+    basis = [tuple(int(i == idx) - x for i, x in enumerate(f_af(rs, alpha, "+")))
+             for idx, alpha in enumerate(rs.positive_roots) if idx >= rs.rank]
+    return sublattice(build_L_plus(rs), basis, "K")
 
 
 def build_Qsc_dual_lattice(rs: RootSystem) -> IntegralLattice:

@@ -55,8 +55,13 @@ A g* built at level k instead of k + h_vee, from replacing the integer
 builder ``int_gram_g_star`` in ``bilinear`` and in the CLI, fails criterion
 01 and makes ``forms verify`` exit 1.  A coset central charge without its
 -rank term fails criterion 10; it replaces the ``bilinear`` function and
-the name the acceptance module imported.  Each pins the failures its defect
-must cause.
+the name the acceptance module imported.  A coroot that drops kappa from
+the simple pole of X_alpha X_-alpha, recompiled into ``opecalc._affine_base``,
+fails the commutator formula of ``test_opecalc`` and fst on B2, and passes
+both on A2, where kappa is 1.  A fermionization whose per-vector exponent
+shift is one too big, recompiled into ``charflow.fermionize_character``,
+fails acceptance criterion 06 first at A1, level 1.  Each pins the failures
+its defect must cause.
 """
 
 from __future__ import annotations
@@ -360,6 +365,19 @@ def test_commutator_formula_sees_a_doubled_structure_constant(family, rank, iden
     assert opecalc.verify_fst_homomorphism(mutant).ok
 
 
+@pytest.mark.parametrize("family, identities, fst_ok", [("A", (816, 0), True),
+                                                        ("B", (1344, 192), False)])
+def test_commutator_formula_sees_a_coroot_without_its_kappa(family, identities, fst_ok,
+                                                            monkeypatch):
+    # X_a(z) X_-a(w) has simple pole kappa_a sum_i c_i H_i; kappa is 1 on
+    # every root of a simply laced type, so only B2 sees it dropped
+    monkeypatch.setattr(opecalc, "_affine_base", _recompiled(
+        opecalc._affine_base, '(-1, c * kappa, ("H", i, 0))', '(-1, c, ("H", i, 0))'))
+    table = opecalc.make_table(build_root_system(family, 2), 1)
+    assert test_opecalc.commutator_failures(table) == identities
+    assert opecalc.verify_fst_homomorphism(table).ok is fst_ok
+
+
 def _bump_eta(m, T):
     """The true eta power with 1 added to its coefficient at q^(m/24 + 1)."""
     s = REAL_ETA_POWER(m, T)
@@ -403,6 +421,14 @@ def test_roundtrip_sees_a_dropped_lattice_vector(b2_seed, monkeypatch):
         (0, 0): (6, ((0, 1), (1, -2), (2, 3))),
         (0, 1): (Q(67, 12), ((Q(1, 2), 2), (Q(3, 2), -1))),
     }
+
+
+def test_criterion_06_sees_a_fermionization_shifted_by_one(monkeypatch):
+    # each kernel vector's exponent shift one too big on the coset side only
+    monkeypatch.setattr(charflow, "fermionize_character", _recompiled(
+        charflow.fermionize_character, "xi)) - p)", "xi)) - p + 1)"))
+    with pytest.raises(AssertionError, match=r"^\('A', 1, 1, "):
+        test_acceptance.test_criterion_06_roundtrip_on_random_validated_seeds()
 
 
 def test_roundtrip_sees_a_skipped_row_add(b2_seed, monkeypatch):
