@@ -217,13 +217,11 @@ class FormalCharacter:
         default=lambda off: None, compare=False, repr=False)
 
 
-_SIDE_NAMES = {"af": "affine", "sc": "coset"}
-
-
 def _on_side(ch: FormalCharacter, side: str) -> RootSystem:
     """The root system of ch, which must be on the given side."""
     if ch.side != side:
-        raise ValueError(f"character is not on the {_SIDE_NAMES[side]} side")
+        raise ValueError("character is not on the "
+                         f"{'affine' if side == 'af' else 'coset'} side")
     return ch.rs
 
 
@@ -247,18 +245,10 @@ def character_support(ch: FormalCharacter):
             for off, s in ch.strings.items()}
 
 
-_OFF_COSET = "weight is not in the coset of the character"
-
-
 def _grid_offset(target: Sequence, base: Sequence) -> Tuple[int, ...]:
     """target - base as a tuple of integers; off the grid it raises."""
-    return integer_vector((t - b for t, b in zip(target, base)), _OFF_COSET)
-
-
-def _root_coords(gamma: Sequence, rs: RootSystem) -> Tuple[int, ...]:
-    if len(gamma) != rs.rank:
-        raise ValueError("dimension mismatch")
-    return integer_vector(gamma, "weight is not in the root lattice")
+    return integer_vector((t - b for t, b in zip(target, base)),
+                          "weight is not in the coset of the character")
 
 
 _EXACT_ZERO = QSeries(1, {})
@@ -381,11 +371,16 @@ def defermionize_character(ch: FormalCharacter, mu_sc: ScWeight, T) -> FormalCha
 
 class Comparison(dict):
     """(order, diff) per weight, keyed by the weight's integer numerators
-    over den; vacuous if no term is at or below its order."""
+    over den; vacuous if no term is at or below its order, ok if no weight
+    differs."""
     vacuous = True
 
+    @property
+    def ok(self) -> bool:
+        return all(not d for _, d in self.values())
 
-def _compare_supports(left: FormalCharacter, right: FormalCharacter):
+
+def _compare_supports(left: FormalCharacter, right: FormalCharacter) -> Comparison:
     """Per-weight (order, diff) over the union of two characters' supports,
     in ascending order of the weights base + offset (simple-root coordinates
     on the af side, dual values on the sc side) as integer numerators over D,
@@ -429,12 +424,7 @@ def _compare_supports(left: FormalCharacter, right: FormalCharacter):
     return diffs
 
 
-class RoundTrip(NamedTuple):
-    ok: bool
-    diffs: Comparison
-
-
-def roundtrip_check(ch: FormalCharacter, mu: Sequence, T) -> RoundTrip:
+def roundtrip_check(ch: FormalCharacter, mu: Sequence, T) -> Comparison:
     """Transport to the coset side and back, then compare weight by weight.
 
     A weight missing from either character is compared as a zero certified
@@ -442,8 +432,7 @@ def roundtrip_check(ch: FormalCharacter, mu: Sequence, T) -> RoundTrip:
     exception.
     """
     sc = fermionize_character(ch, mu, T)
-    diffs = _compare_supports(ch, defermionize_character(sc, sc.base, T))
-    return RoundTrip(all(not d for _, d in diffs.values()), diffs)
+    return _compare_supports(ch, defermionize_character(sc, sc.base, T))
 
 
 def _string_at(ch: FormalCharacter, weight: Sequence) -> QSeries:
@@ -469,7 +458,7 @@ def cflemma_check(gamma: Sequence, seed: FormalCharacter, mu: Sequence, T,
     vacuous truth over an incomplete support set.
     """
     rs, k = _on_side(seed, "af"), seed.level
-    g = _root_coords(gamma, rs)
+    g = f_af(rs, gamma, "-")
     T = Q(T)
     bound = Q(enumeration_bound)
     mu = vec(mu)
@@ -528,7 +517,7 @@ def spectral_flow_sc(ch: FormalCharacter, gamma: Sequence) -> FormalCharacter:
     quadratic dual-form term.
     """
     rs, k = _on_side(ch, "sc"), ch.level
-    g = _root_coords(gamma, rs)
+    g = f_af(rs, gamma, "-")
     new_base = make_sc_weight(
         rs, k, tuple(map(add, ch.base.j_values, f_af(rs, g, "+"))))
     const = _sc_flow_form(rs, k, g) + sum(map(mul, g, ch.base.jstar_values(rs)))
@@ -588,13 +577,13 @@ def spectral_flow_af_frame(rs: RootSystem, k, gamma: ScWeight) -> FlowFrame:
 
 
 def flow_sc_equivariance_diff(ch: FormalCharacter, mu: Sequence,
-                              gamma: Sequence, T):
+                              gamma: Sequence, T) -> Comparison:
     """Compare transport at mu - gamma with the flow of transport at mu.
 
     Weights absent from one side are compared as zeros certified up to that
-    side's floor.  Returns per-weight (order, diff).
+    side's floor.  Returns the per-weight Comparison.
     """
-    g = _root_coords(gamma, _on_side(ch, "af"))
+    g = f_af(_on_side(ch, "af"), gamma, "-")
     mu = vec(mu)
     left = fermionize_character(ch, tuple(m - x for m, x in zip(mu, g)), T)
     right = spectral_flow_sc(fermionize_character(ch, mu, T), g)
@@ -602,12 +591,12 @@ def flow_sc_equivariance_diff(ch: FormalCharacter, mu: Sequence,
 
 
 def flow_af_equivariance_diff(ch: FormalCharacter, mu_sc: ScWeight,
-                              gamma: ScWeight, T):
+                              gamma: ScWeight, T) -> Comparison:
     """Compare transport at mu_sc + gamma with the flow of transport at mu_sc.
 
     Weights absent from one side are compared as zeros certified up to that
-    side's floor.  Returns per-weight (order, diff); all-empty diffs certify
-    the identity.
+    side's floor.  Returns the per-weight Comparison, whose ok certifies the
+    identity.
     """
     _flow_coefficients(_on_side(ch, "sc"), gamma)  # refuse gamma first
     left = defermionize_character(ch, mu_sc + gamma, T)

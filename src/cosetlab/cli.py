@@ -51,8 +51,8 @@ def _vec_str(v: Sequence) -> str:
     return ",".join(_rat(x) for x in v)
 
 
-def _mat_lines(rows, indent: str = "  ") -> List[str]:
-    return [indent + " ".join(_rat(x) for x in row) for row in rows]
+def _mat_lines(rows) -> List[str]:
+    return ["  " + " ".join(_rat(x) for x in row) for row in rows]
 
 
 def _json(x, newline: str = "\n") -> str:
@@ -123,11 +123,11 @@ def _seed_request(args):
 
 
 def _diff_report(args, ch, mu, T, diffs: Comparison, verdict: str, **fields):
-    """Report of a weight-ordered Comparison; ok when no weight differs.
+    """Report of a weight-ordered Comparison; ok as diffs.ok reads it.
     verdict names the comparison on the summary line."""
     if diffs.vacuous:
         raise ValueError(f"{verdict} to order {_rat(T)} is vacuous")
-    ok = all(not terms for _, terms in diffs.values())
+    ok = diffs.ok
     # each distinct coordinate numerator and order object is rendered once
     weights = rational_rows(diffs, diffs.den, _rat)
     orders = {id(order): order for order, _ in diffs.values()}
@@ -322,8 +322,7 @@ def cmd_ope_verify(args):
 
 def cmd_char_roundtrip(args):
     ch, T, mu = _seed_request(args)
-    result = roundtrip_check(ch, mu, T)
-    return _diff_report(args, ch, mu, T, result.diffs,
+    return _diff_report(args, ch, mu, T, roundtrip_check(ch, mu, T),
                         f"round trip at weight {_vec_str(mu)}")
 
 

@@ -261,13 +261,12 @@ def x_tilde_field(table: ContractionTable, alpha: Sequence[int]) -> Field:
 
 
 def h_tilde_field(table: ContractionTable, i: int) -> Field:
-    """Dressed Cartan current H_i + k b_i(+) + k b_i(-), for a simple root."""
+    """Dressed Cartan current H_i + k b_i(+) + k b_i(-) of a simple root: the
+    dressed coroot over kappa_i."""
     if not 0 <= i < table.ell:
         raise ValueError("index out of range")
-    out = h_field(table, tuple(1 if j == i else 0 for j in range(table.ell)))
-    _add_at(out, (None, ((i, 0),), _zero_exp(table)), table.k)
-    _add_at(out, (None, ((table.n_plus + i, 0),), _zero_exp(table)), table.k)
-    return out
+    a = tuple(1 if j == i else 0 for j in range(table.ell))
+    return field_scale(coroot_tilde_field(table, a), 1 / Q(_kappa(table.rs, a)))
 
 
 def coroot_tilde_field(table: ContractionTable, alpha: Sequence[int]) -> Field:

@@ -144,7 +144,8 @@ def bareiss(m: List[List[int]], pivoting: bool) -> Tuple[List[int], int]:
         top = m[k][k + 1:]
         for row in m[k + 1:]:
             f = row[k]
-            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], top)]
+            if f or p != prev:  # else the update would leave the row as it is
+                row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], top)]
         prev = p
     return pivots, sign
 

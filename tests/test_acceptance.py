@@ -181,7 +181,7 @@ def test_criterion_06_roundtrip_on_random_validated_seeds():
                 assert not report.problems, report.problems
                 ch = report.character
                 verdict = roundtrip_check(ch, ch.base, 10)
-                assert verdict.ok, (family, rank, k, verdict.diffs)
+                assert verdict.ok, (family, rank, k, verdict)
 
 
 def heights_up_to(rank, top):

@@ -288,6 +288,14 @@ def test_discriminant_groups():
     assert discriminant_group(build_L_plus(rs)) == []
 
 
+def test_rank_465_identity_gram_is_unimodular():
+    # A30's L+ is the identity Gram of rank 465, whose signature pass skips
+    # every Bareiss row update, since none would change its row
+    lat = build_L_plus(build_root_system("A", 30))
+    assert (lat.rank, lat.signature, lat.determinant) == (465, "positive", 1)
+    assert discriminant_group(lat) == []
+
+
 def test_discriminant_group_order_matches_determinant():
     from cosetlab.ratlinalg import determinant, vec
 

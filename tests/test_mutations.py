@@ -60,7 +60,12 @@ the simple pole of X_alpha X_-alpha, recompiled into ``opecalc._affine_base``,
 fails the commutator formula of ``test_opecalc`` and fst on B2, and passes
 both on A2, where kappa is 1.  A fermionization whose per-vector exponent
 shift is one too big, recompiled into ``charflow.fermionize_character``,
-fails acceptance criterion 06 first at A1, level 1.  Each pins the failures
+fails acceptance criterion 06 first at A1, level 1.  A paired-lattice
+string identity whose per-member shift is one too big, recompiled into the
+``cflemma_check`` the acceptance module imported, fails criterion 07 at A1.
+A CLI that exits 0 on a false verdict, from a copy of the package with
+``cli.main`` changed and put on ``PYTHONPATH`` for the subprocesses,
+fails criterion 11 at ``lattice disc --expect 4``.  Each pins the failures
 its defect must cause.
 """
 
@@ -71,6 +76,7 @@ import functools
 import hashlib
 import inspect
 import json
+import shutil
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
@@ -405,7 +411,7 @@ def test_roundtrip_sees_a_wrong_eta_coefficient(b2_seed, monkeypatch):
     monkeypatch.setattr(charflow, "eta_power", _bump_eta)
     report = roundtrip_check(b2_seed, (0, 0), 6)
     assert not report.ok
-    assert report.diffs == {
+    assert report == {
         (0, 0): (6, ((1, -2), (2, 3), (3, -8), (4, -7), (5, -9), (6, -32))),
         (0, 1): (Q(67, 12), ((Q(3, 2), -4), (Q(7, 2), -7), (Q(9, 2), -20),
                              (Q(11, 2), -30))),
@@ -417,7 +423,7 @@ def test_roundtrip_sees_a_dropped_lattice_vector(b2_seed, monkeypatch):
     report = roundtrip_check(b2_seed, (0, 0), 6)
     assert not report.ok
     # each string comes back as zero: the diff is the seed string itself
-    assert report.diffs == {
+    assert report == {
         (0, 0): (6, ((0, 1), (1, -2), (2, 3))),
         (0, 1): (Q(67, 12), ((Q(1, 2), 2), (Q(3, 2), -1))),
     }
@@ -431,6 +437,15 @@ def test_criterion_06_sees_a_fermionization_shifted_by_one(monkeypatch):
         test_acceptance.test_criterion_06_roundtrip_on_random_validated_seeds()
 
 
+def test_criterion_07_sees_a_support_shift_one_too_big(monkeypatch):
+    # each member's exponent shift one too big moves every lhs string off
+    # the rhs one, first at A1 and gamma = 0
+    monkeypatch.setattr(test_acceptance, "cflemma_check", _recompiled(
+        charflow.cflemma_check, "+ zeta_norm, 2)", "+ zeta_norm + 1, 2)"))
+    with pytest.raises(AssertionError, match=r"^\('A', 1, \(0,\)\)"):
+        test_acceptance.test_criterion_07_cflemma_certified_supports()
+
+
 def test_roundtrip_sees_a_skipped_row_add(b2_seed, monkeypatch):
     # the search builds each kernel image as a running sum of basis rows;
     # skipping the row of the first coordinate maps every kernel vector to
@@ -442,7 +457,7 @@ def test_roundtrip_sees_a_skipped_row_add(b2_seed, monkeypatch):
         "if x and k else point"))
     report = roundtrip_check(b2_seed, (0, 0), 6)
     assert not report.ok
-    assert report.diffs == {
+    assert report == {
         (0, 0): (6, ((0, -4), (1, 8), (2, -12))),
         (0, 1): (Q(67, 12), ((Q(1, 2), -6), (Q(3, 2), 3))),
     }
@@ -864,3 +879,26 @@ def test_criterion_10_sees_a_central_charge_without_rank(monkeypatch):
                          _central_charges_without_rank)
     with pytest.raises(AssertionError):
         test_acceptance.test_criterion_10_central_charges()
+
+
+def _mutated_package(tmp_path, monkeypatch, module, old, new):
+    """Put first on PYTHONPATH a copy of the cosetlab package, under
+    tmp_path, whose module has the one text old replaced by new, so that
+    python -m cosetlab in a subprocess runs the copy."""
+    root = tmp_path / "mutant"
+    shutil.copytree(Path(cli.__file__).parent, root / "cosetlab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = root / "cosetlab" / f"{module}.py"
+    source = path.read_text(encoding="utf-8")
+    assert source.count(old) == 1
+    path.write_text(source.replace(old, new), encoding="utf-8")
+    monkeypatch.setenv("PYTHONPATH", str(root))
+
+
+def test_criterion_11_sees_a_cli_that_always_exits_0(tmp_path, monkeypatch):
+    # every fixed request and --expect 3 still exit 0; --expect 4 must exit 1
+    _mutated_package(tmp_path, monkeypatch, "cli",
+                     "return 0 if ok else 1", "return 0")
+    with pytest.raises(AssertionError) as failure:
+        test_acceptance.test_criterion_11_cli_determinism_and_exit_codes(tmp_path)
+    assert '"--expect", "4"' in str(failure.traceback[-1].statement)
