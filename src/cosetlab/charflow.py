@@ -149,14 +149,6 @@ class QSeries:
                     out[e] = out.get(e, 0) + ca * cb
         return QSeries(den, {e: c for e, c in out.items() if c}, v)
 
-    def __repr__(self) -> str:
-        shown = self.items()
-        body = " + ".join(f"{c}*q^{e}" for e, c in shown[:6]) or "0"
-        if len(shown) > 6:
-            body += " + ..."
-        tag = "exact" if self.cap is None else f"T={self.validity}"
-        return f"<QSeries {body} ({tag})>"
-
 
 def qseries_diff(a: QSeries, b: QSeries, order=None):
     """Nonzero coefficients of a - b up to the jointly certified order.

@@ -16,7 +16,7 @@ from itertools import repeat
 from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
-from .bilinear import ScWeight, sc_weight_from_jstar
+from .bilinear import ScWeight, int_gram_g, sc_weight_from_jstar
 from .ratlinalg import (Vector, bareiss, determinant, integer_vector,
                         leading_minors, smith_normal_form)
 from .rootsys import RootSystem
@@ -243,14 +243,10 @@ def kernel_K(rs: RootSystem) -> EmbeddedLattice:
 
 
 def build_Qsc_dual_lattice(rs: RootSystem) -> IntegralLattice:
-    """Lattice on the J generators with pairing (alpha, beta) + delta."""
+    """Lattice on the J generators with Gram g at level 1: (alpha, beta) + delta."""
     if not rs.is_simply_laced:
         raise ValueError("lattice requires a simply-laced root system")
-    # simply laced: the pair table is already integral (pair_den == 1)
-    gram = tuple(
-        tuple(x + 1 if i == j else x for j, x in enumerate(row))
-        for i, row in enumerate(rs.pair_table)
-    )
+    gram, _ = int_gram_g(rs, 1)  # over denominator 1: simply laced, pair_den == 1
     return IntegralLattice("Qsc-dual", gram, default_cocycle(gram))
 
 

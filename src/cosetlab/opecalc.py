@@ -501,26 +501,13 @@ def _contract(table: ContractionTable, keyA: TermKey,
 # ---------------------------------------------------------------------------
 # consistency checks and verification reports
 
-class SkewMismatch(NamedTuple):
-    pole: int
-    direct: str
-    reconstructed: str
-
-
-class SkewVerdict(NamedTuple):
-    ok: bool
-    mismatches: Tuple[SkewMismatch, ...]
-
-
-def lambda_bracket_skew_check(table: ContractionTable, A: Field, B: Field) -> SkewVerdict:
-    """Check the skew-symmetry relation between the two OPE orders."""
-    pa = field_parity(table, A)
-    pb = field_parity(table, B)
-    sab = ope_singular(table, A, B)
+def lambda_bracket_skew_check(table: ContractionTable, A: Field, B: Field) -> VerifyReport:
+    """Check the skew-symmetry relation between the two OPE orders: the poles
+    of A(z)B(w) against those rebuilt from B(z)A(w)."""
+    sign = (-1) ** (field_parity(table, A) * field_parity(table, B))
     sba = ope_singular(table, B, A)
-    top = max((*sab, *sba), default=0)
-    sign = (-1) ** (pa * pb)
-    mismatches = []
+    top = max(sba, default=0)
+    rebuilt: Poles = {}
     for m in range(1, top + 1):
         acc: Field = {}
         for j in range(top - m + 1):
@@ -531,10 +518,8 @@ def lambda_bracket_skew_check(table: ContractionTable, A: Field, B: Field) -> Sk
             for _ in range(j):
                 moved = derivative(moved)
             acc = field_add(acc, field_scale(moved, Q((-1) ** (m + j), factorial(j))))
-        acc = field_scale(acc, sign)
-        if acc != sab.get(m, {}):
-            mismatches.append(SkewMismatch(m, field_repr(sab.get(m, {})), field_repr(acc)))
-    return SkewVerdict(not mismatches, tuple(mismatches))
+        rebuilt[m] = field_scale(acc, sign)
+    return _report("skew", [(("A", ()), ("B", ()), ope_singular(table, A, B), rebuilt)])
 
 
 class OpeDiff(NamedTuple):

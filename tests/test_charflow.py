@@ -611,6 +611,18 @@ def test_seed_json_round_trip():
     assert emitted["strings"][0]["validity_order"] is None
 
 
+def test_coset_character_json_reads_the_j_values():
+    # a transported character renders its base by the weight's J values
+    rs = build_root_system("A", 2)
+    out = fermionize_character(delta_seed(rs, 1), (1, 0), 3)
+    emitted = character_to_json(out)
+    assert emitted["side"] == "sc"
+    assert emitted["base_weight"] == [str(x) for x in out.base.j_values]
+    assert len(emitted["base_weight"]) == rs.num_positive
+    assert emitted["strings"][0]["validity_order"] == "3"
+    assert [s["weight_offset"] for s in emitted["strings"]] == sorted(map(list, out.strings))
+
+
 # ---------------------------------------------------------------- transport
 
 def test_fermionize_delta_trivial_A1():

@@ -9,6 +9,9 @@ carries the one it was validated against, and within ``latticekit`` only
 the ``IntegralLattice`` constructor classifies a Gram's signature.  Within
 ``opecalc`` one ``derivative`` serves both the Taylor moves of ``_contract``
 and the skew check.
+There too one routine, ``_report``, compares poles and builds every
+``VerifyReport``: the three ``verify_*`` functions and the skew check all
+report through it.
 """
 
 from __future__ import annotations
@@ -111,6 +114,16 @@ def test_the_ope_engine_has_one_derivative():
     tree = _tree(PACKAGE / "opecalc.py")
     assert list(callers_of(tree, "derivative")) == ["_contract", "lambda_bracket_skew_check"]
     assert not any(getattr(node, "name", None) == "_bell_tails" for node in ast.walk(tree))
+
+
+def test_every_ope_identity_reports_through_one_loop():
+    # the skew check compares its poles as the verifiers do, with no verdict
+    # type or comparison loop of its own
+    tree = _tree(PACKAGE / "opecalc.py")
+    assert list(callers_of(tree, "VerifyReport")) == ["_report"]
+    assert list(callers_of(tree, "_report")) == [
+        "lambda_bracket_skew_check", "verify_Jalpha_heisenberg",
+        "verify_Hminus_heisenberg", "verify_fst_homomorphism"]
 
 
 def test_the_guards_see_what_they_forbid():

@@ -67,6 +67,10 @@ A CLI that exits 0 on a false verdict, from a copy of the package with
 ``cli.main`` changed and put on ``PYTHONPATH`` for the subprocesses,
 fails criterion 11 at ``lattice disc --expect 4``.  Each pins the failures
 its defect must cause.
+A Lie algebra dimension one too big, from replacing
+``RootSystem.dim_algebra``, makes ``forms verify`` exit 1 at level 7/2 on
+A2, B3 and E6: the central charge it gives no longer meets the strange
+formula.
 """
 
 from __future__ import annotations
@@ -879,6 +883,23 @@ def test_criterion_10_sees_a_central_charge_without_rank(monkeypatch):
                          _central_charges_without_rank)
     with pytest.raises(AssertionError):
         test_acceptance.test_criterion_10_central_charges()
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("E", 6)])
+def test_forms_verify_sees_a_dimension_one_too_big(family, rank, monkeypatch, capsys):
+    # c_sc from dim g now disagrees with the strange formula, which reads
+    # only the roots; the Gram pairs still hold
+    real = rootsys.RootSystem.dim_algebra.fget
+    argv = ["forms", "verify", "--type", family, "--rank", str(rank), "--level=7/2",
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]["central_charge_formulas_agree"]
+    monkeypatch.setattr(rootsys.RootSystem, "dim_algebra", property(lambda rs: real(rs) + 1))
+    assert cli.main(argv) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == {"central_charge_formulas_agree": False,
+                      "g_times_g_star_is_identity": True,
+                      "G_times_G_star_is_identity": True}
 
 
 def _mutated_package(tmp_path, monkeypatch, module, old, new):
