@@ -230,7 +230,10 @@ def central_charges(rs: RootSystem, k) -> Tuple[Q, Q]:
 
 
 def central_charge_sc_direct(rs: RootSystem, k) -> Q:
-    """c_sc written out as k dim g/(k+h_vee) + dim(odd part)/2 - dim h."""
-    lp = level_params(rs, k)
-    dim_odd = 2 * rs.num_positive
-    return lp.k * rs.dim_algebra / lp.shifted + Q(dim_odd, 2) - rs.rank
+    """c_sc by the Freudenthal-de Vries strange formula 3 j.g.j, reading no dim g:
+    j_a = 1 - (2 rho, alpha_a)/(k + h_vee), on numerators over pair_den (k + h_vee),
+    with (2 rho, alpha_a) a column sum of pair_table."""
+    (rows, den), (sn, sd) = int_gram_g(rs, k), level_params(rs, k).shifted.as_integer_ratio()
+    j = [rs.pair_den * sn - sd * sum(col) for col in zip(*rs.pair_table)]
+    return Q(3 * sum(x * sum(map(mul, row, j)) for x, row in zip(j, rows)),
+             den * (rs.pair_den * sn) ** 2)

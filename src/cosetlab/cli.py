@@ -18,13 +18,13 @@ import math
 import sys
 from fractions import Fraction as Q
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import mul
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .bilinear import (central_charges, conformal_weight_plus, int_gram_G, int_gram_G_star,
-                       int_gram_g, int_gram_g_star, is_inverse_pair, level_params,
-                       sc_weight_to_af, weight_to_sc)
+from .bilinear import (central_charge_sc_direct, central_charges,
+                       conformal_weight_plus, int_gram_G, int_gram_G_star,
+                       int_gram_g, int_gram_g_star, is_inverse_pair,
+                       level_params, sc_weight_to_af, weight_to_sc)
 from .charflow import (Comparison, fermionize_character,
                        flow_af_equivariance_diff, flow_sc_equivariance_diff,
                        roundtrip_check, validate_seed)
@@ -193,15 +193,11 @@ def cmd_forms_verify(args):
     pairs = {"g": int_gram_g(rs, lp.k), "g_star": g_star,
              "G": int_gram_G(rs, g_star), "G_star": int_gram_G_star(rs, lp.k)}
     c_af, c_sc = central_charges(rs, lp.k)
-    # the strange formula c_sc = 3 j.g.j, j_a = 1 - (2 rho, alpha_a)/(k + h_vee) kept
-    # on numerators over pair_den (k + h_vee), (2 rho, alpha_a) a pair_table column sum
-    (rows, den), (sn, sd) = pairs["g"], lp.shifted.as_integer_ratio()
-    j = [rs.pair_den * sn - sd * sum(col) for col in zip(*rs.pair_table)]
-    jgj = sum(x * sum(map(mul, row, j)) for x, row in zip(j, rows))
     checks = {
         "g_times_g_star_is_identity": is_inverse_pair(pairs["g"], g_star),
         "G_times_G_star_is_identity": is_inverse_pair(pairs["G"], pairs["G_star"]),
-        "central_charge_formulas_agree": c_sc == Q(3 * jgj, den * (rs.pair_den * sn) ** 2),
+        "central_charge_formulas_agree":
+            c_sc == central_charge_sc_direct(rs, lp.k),
     }
     payload = _header(
         args, rs,

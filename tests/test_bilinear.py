@@ -25,6 +25,7 @@ from cosetlab.bilinear import (
 )
 from cosetlab.ratlinalg import identity, mat_mul, rational_rows
 from cosetlab.rootsys import build_root_system
+from cosetlab.rootsys import FAMILIES
 
 GRID_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
               ("C", 3), ("D", 4), ("F", 4), ("G", 2)]
@@ -208,3 +209,22 @@ def test_central_charge_formulas_agree(family, rank, k):
     if k == -rs.dual_coxeter:
         return
     assert central_charges(rs, k)[1] == central_charge_sc_direct(rs, k)
+
+
+STRANGE_LEVELS = GRID_LEVELS + [Q(7, 2), Q(4, 3), Q(-5, 2), Q(3, 2), Q(-5, 3)]
+
+
+def test_strange_formula_on_every_type_to_rank_8():
+    # the cases the grid above leaves out: every family up to rank 8, E8
+    # included, and five more levels, those of the benchmark among them
+    cases = 0
+    for family, (low, high) in FAMILIES.items():
+        for rank in range(low, (high or 8) + 1):
+            rs = build_root_system(family, rank)
+            for k in STRANGE_LEVELS:
+                if (family, rank) in GRID_TYPES and k in GRID_LEVELS:
+                    continue
+                assert central_charges(rs, k)[1] == central_charge_sc_direct(rs, k), \
+                    (family, rank, k)
+                cases += 1
+    assert cases == 303

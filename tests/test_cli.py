@@ -506,24 +506,3 @@ def test_json_writer_matches_json_dumps(tree):
 def test_json_writer_refuses_what_a_report_must_not_hold(value):
     with pytest.raises(TypeError):
         cli._json(value)
-
-
-STRANGE_LEVELS = ["1", "2", "3", "1/2", "3/2", "4/3", "5/3", "7/2", "-1/3", "-5/3", "-5/2"]
-
-
-def test_central_charge_meets_the_strange_formula_on_every_type_to_rank_8(capsys):
-    # c_sc = 3 j.g.j, j_a = 1 - 2(rho, alpha_a)/(k + h_vee): the Freudenthal-de
-    # Vries strange formula, on every family up to rank 8 at eleven levels
-    cases = 0
-    for family, (low, high) in rootsys.FAMILIES.items():
-        for rank in range(low, (high or 8) + 1):
-            hvee = rootsys.build_root_system(family, rank).dual_coxeter
-            for level in STRANGE_LEVELS:
-                if Fraction(level) == -hvee:
-                    continue
-                assert main(["forms", "verify", "--type", family, "--rank", str(rank),
-                             f"--level={level}", "--format", "json"]) == 0, (family, rank, level)
-                checks = json.loads(capsys.readouterr().out)["checks"]
-                assert checks["central_charge_formulas_agree"] is True, (family, rank, level)
-                cases += 1
-    assert cases == 363

@@ -69,8 +69,8 @@ fails criterion 11 at ``lattice disc --expect 4``.  Each pins the failures
 its defect must cause.
 A Lie algebra dimension one too big, from replacing
 ``RootSystem.dim_algebra``, makes ``forms verify`` exit 1 at level 7/2 on
-A2, B3 and E6: the central charge it gives no longer meets the strange
-formula.
+A2, B3 and E6, and fails criterion 10: the central charge it gives no
+longer meets the strange formula of ``central_charge_sc_direct``.
 """
 
 from __future__ import annotations
@@ -900,6 +900,13 @@ def test_forms_verify_sees_a_dimension_one_too_big(family, rank, monkeypatch, ca
     assert checks == {"central_charge_formulas_agree": False,
                       "g_times_g_star_is_identity": True,
                       "G_times_G_star_is_identity": True}
+
+
+def test_criterion_10_sees_a_dimension_one_too_big(monkeypatch):
+    real = rootsys.RootSystem.dim_algebra.fget
+    monkeypatch.setattr(rootsys.RootSystem, "dim_algebra", property(lambda rs: real(rs) + 1))
+    with pytest.raises(AssertionError):
+        test_acceptance.test_criterion_10_central_charges()
 
 
 def _mutated_package(tmp_path, monkeypatch, module, old, new):
